@@ -168,8 +168,10 @@ def _run_quantum(args):
     return 0
 
 
-def _check(name, ok, lines):
+def _check(name, ok, lines, diags=()):
     lines.append("%s: %s" % (name, "PASS" if ok else "FAIL"))
+    if not ok:
+        lines.extend("FAIL %s" % diag for diag in diags)
     return ok
 
 
@@ -195,8 +197,8 @@ def _verify_conv(seed, dmax):
     spec, q = seed.spec, seed.spec.q
     lam = conv.wam(seed)
     dual = conv.dual_seed(seed)
-    ok, _diags = conv.orthogonality_check(seed, dual, dmax)
-    all_ok &= _check("dual seed orthogonality", ok, lines)
+    ok, diags = conv.orthogonality_check(seed, dual, dmax)
+    all_ok &= _check("dual seed orthogonality", ok, lines, diags)
     lam_hat = conv.macwilliams_wam(lam, q, seed.n, seed.k, seed.m, spec)
     all_ok &= _check("wam transform matches dual enumeration",
                      lam_hat == conv.wam(dual), lines)
@@ -220,8 +222,8 @@ def _verify_conv(seed, dmax):
 
 def _verify_quantum(spec, dmax):
     lines, all_ok = [], True
-    ok, _diags = spec.validate_clifford()
-    all_ok &= _check("clifford seed symplectic relations", ok, lines)
+    ok, diags = spec.validate_clifford()
+    all_ok &= _check("clifford seed symplectic relations", ok, lines, diags)
     lam = quantum.quantum_wam(spec)
     dual = quantum.dual_spec(spec)
     lam_hat = quantum.quantum_macwilliams(lam, spec.n, spec.k, spec.a, spec.m)
@@ -230,8 +232,9 @@ def _verify_quantum(spec, dmax):
     back = quantum.quantum_macwilliams(lam_hat, spec.n, dual.k, dual.a,
                                        dual.m)
     all_ok &= _check("wam transform involution", back == lam, lines)
-    ok, _diags = quantum.check_poly_orthogonality(spec, dmax)
-    all_ok &= _check("polynomial check-matrix orthogonality", ok, lines)
+    ok, diags = quantum.check_poly_orthogonality(spec, dmax)
+    all_ok &= _check("polynomial check-matrix orthogonality", ok, lines,
+                     diags)
     return all_ok, lines
 
 

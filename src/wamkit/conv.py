@@ -14,8 +14,8 @@ fastest, written as strings of element indices.
 """
 
 from . import gflinalg
-from .block import DEFAULT_BUDGET, LinearCode, make_code
-from .errors import AlgebraError, BudgetError, ShapeError, WamkitError
+from .block import DEFAULT_BUDGET, LinearCode
+from .errors import AlgebraError, BudgetError, ShapeError
 from .fields import character
 from .poly import WeightPoly
 from .polymatrix import PolyMatrix, series_inverse
@@ -128,16 +128,21 @@ def constraint_code(seed):
     return LinearCode(seed.spec, seed.gen_matrix())
 
 
-def _enumeration_guard(seed, budget):
-    if seed.spec.q ** (seed.m + seed.k) > budget:
+def _budget_guard(seed, budget):
+    """Refuse a WAM whose edges or matrix cells exceed the budget, before
+    anything is allocated."""
+    q, m, k = seed.spec.q, seed.m, seed.k
+    if q ** (m + k) > budget:
         raise BudgetError(
             "enumerating %d^%d constraint codewords exceeds the budget"
-            % (seed.spec.q, seed.m + seed.k))
+            % (q, m + k))
+    if q ** (2 * m) > budget:
+        raise BudgetError("a WAM with %d^%d cells exceeds the budget"
+                          % (q, 2 * m))
 
 
-def _transitions(seed, budget=DEFAULT_BUDGET):
-    """Yield (state_index, next_state_index, output_block) triples."""
-    _enumeration_guard(seed, budget)
+def _transitions(seed):
+    """Yield (state_index, next_state_index, input_block, output_block)."""
     spec = seed.spec
     states = state_vectors(spec, seed.m)
     index = {v: i for i, v in enumerate(states)}
@@ -160,11 +165,12 @@ def _transitions(seed, budget=DEFAULT_BUDGET):
 
 def wam(seed, budget=DEFAULT_BUDGET):
     """Weight adjacency matrix with homogeneous x/y entries."""
+    _budget_guard(seed, budget)
     labels = state_labels(seed.spec, seed.m)
     x = WeightPoly.var("x")
     y = WeightPoly.var("y")
     out = PolyMatrix.zero(labels)
-    for si, sj, _u, p in _transitions(seed, budget):
+    for si, sj, _u, p in _transitions(seed):
         w = sum(1 for s in p if s)
         out.entries[si][sj] = out.entries[si][sj] + x ** (seed.n - w) * y ** w
     return out
@@ -174,12 +180,13 @@ def ipwam(seed, budget=DEFAULT_BUDGET):
     """Input-parity WAM of a systematic seed."""
     if not isinstance(seed, SystematicConvSeed):
         raise ShapeError("input-parity split needs a systematic seed")
+    _budget_guard(seed, budget)
     labels = state_labels(seed.spec, seed.m)
     xi, yi = WeightPoly.var("x_I"), WeightPoly.var("y_I")
     xp, yp = WeightPoly.var("x_P"), WeightPoly.var("y_P")
     n, k = seed.n, seed.k
     out = PolyMatrix.zero(labels)
-    for si, sj, _u, p in _transitions(seed, budget):
+    for si, sj, _u, p in _transitions(seed):
         wi = sum(1 for j in seed.info_cols if p[j])
         wp = sum(1 for j in seed.parity_cols if p[j])
         mono = (xi ** (k - wi) * yi ** wi
@@ -190,12 +197,13 @@ def ipwam(seed, budget=DEFAULT_BUDGET):
 
 def iowam(seed, budget=DEFAULT_BUDGET):
     """Input-output WAM: tracks input weight and output weight."""
+    _budget_guard(seed, budget)
     labels = state_labels(seed.spec, seed.m)
     xi, yi = WeightPoly.var("x_I"), WeightPoly.var("y_I")
     xo, yo = WeightPoly.var("x_O"), WeightPoly.var("y_O")
     n, k = seed.n, seed.k
     out = PolyMatrix.zero(labels)
-    for si, sj, u, p in _transitions(seed, budget):
+    for si, sj, u, p in _transitions(seed):
         wu = sum(1 for s in u if s)
         wp = sum(1 for s in p if s)
         mono = (xi ** (k - wu) * yi ** wu
@@ -515,38 +523,26 @@ def poly_generator(seed, d_max=10):
 # --- MacWilliams transforms ---
 
 def fourier_matrix(spec, m):
-    """The q^m x q^m character matrix F[a][b] = w^tr(a . b)."""
-    states = state_vectors(spec, m)
+    """Kernel of the q^m x q^m character matrix F[a][b] = w^tr(a . b).
+
+    F is the m-fold Kronecker power of the q x q table w^tr(ab), and
+    PolyMatrix.conjugate_by applies it one coordinate at a time, so only
+    that table is built; it is the same for every m.
+    """
     elems = spec.elements()
-    out = []
-    for a in states:
-        row = []
-        for b in states:
-            dot = 0
-            for x, y in zip(a, b):
-                dot = spec.add[dot][spec.mul[x][y]]
-            row.append(character(elems[dot], elems[1]))
-        out.append(row)
-    return out
+    return [[character(a, b) for b in elems] for a in elems]
 
 
-def macwilliams_wam(lam, q, n, k, m, spec=None):
+def macwilliams_wam(lam, q, n, k, m, spec):
     """Dual WAM: F Lam(x + (q-1)y, x - y) F^dagger / q^(m+k)."""
-    from .fields import FieldSpec
-    if spec is None:
-        spec = FieldSpec(*_factor_prime_power(q))
     x, y = WeightPoly.var("x"), WeightPoly.var("y")
     image = lam.substitute({"x": x + (q - 1) * y, "y": x - y})
-    f = fourier_matrix(spec, m)
-    out = image.conjugate_by(f)
+    out = image.conjugate_by(fourier_matrix(spec, m))
     return out.exact_div(q ** (m + k)).to_int_coeffs()
 
 
-def macwilliams_ipwam(lam, q, n, k, m, spec=None):
+def macwilliams_ipwam(lam, q, n, k, m, spec):
     """Dual input-parity WAM; swaps the I and P roles under transform."""
-    from .fields import FieldSpec
-    if spec is None:
-        spec = FieldSpec(*_factor_prime_power(q))
     xi, yi = WeightPoly.var("x_I"), WeightPoly.var("y_I")
     xp, yp = WeightPoly.var("x_P"), WeightPoly.var("y_P")
     image = lam.substitute({
@@ -555,23 +551,8 @@ def macwilliams_ipwam(lam, q, n, k, m, spec=None):
         "x_P": xi + (q - 1) * yi,
         "y_P": xi - yi,
     })
-    f = fourier_matrix(spec, m)
-    out = image.conjugate_by(f)
+    out = image.conjugate_by(fourier_matrix(spec, m))
     return out.exact_div(q ** (m + k)).to_int_coeffs()
-
-
-def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            r = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                r += 1
-            if t != 1:
-                raise WamkitError("%d is not a prime power" % q)
-            return p, r
-    raise WamkitError("%d is not a prime power" % q)
 
 
 def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):
@@ -647,7 +628,7 @@ def total_wgf(lam, d_max=10):
     return inv.entries[0][0]
 
 
-def dual_total_wgf(lam, q, n, k, m, d_max=10, spec=None):
+def dual_total_wgf(lam, q, n, k, m, d_max, spec):
     """Total WGF of the dual, routed through the homogeneous dual WAM."""
     dual_lam = macwilliams_wam(lam, q, n, k, m, spec)
     return total_wgf(dual_lam.collapse({"x": 1}), d_max)

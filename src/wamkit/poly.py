@@ -173,11 +173,42 @@ class WeightPoly:
         return out
 
     def collapse(self, mapping):
-        """Like substitute, but variables without an image are kept."""
-        full = {VARS[i]: WeightPoly.var(VARS[i], d_max=self.d_max)
-                for i in range(_NVARS)}
-        full.update(mapping)
-        return self.substitute(full)
+        """Like substitute, but variables without an image are kept.
+
+        Only the mapped variables are rewritten: an int image folds into
+        the coefficient and a polynomial image multiplies in.
+        """
+        images = {}
+        for name, img in mapping.items():
+            if name not in _VAR_INDEX:
+                raise AlgebraError("unknown variable %r" % (name,))
+            images[_VAR_INDEX[name]] = img
+        if not images:
+            return WeightPoly(self.terms, self.d_max)
+        terms, products = {}, []
+        for exp, coeff in self.terms.items():
+            exp = list(exp)
+            factors = []
+            for i, img in images.items():
+                e = exp[i]
+                if e:
+                    exp[i] = 0
+                    if isinstance(img, int):
+                        coeff = coeff * img ** e
+                    else:
+                        factors.append(img ** e)
+            exp = tuple(exp)
+            if factors:
+                term = WeightPoly({exp: coeff}, self.d_max)
+                for factor in factors:
+                    term = term * factor
+                products.append(term)
+            else:
+                terms[exp] = terms.get(exp, 0) + coeff
+        out = WeightPoly(terms, self.d_max)
+        for term in products:
+            out = out + term
+        return out
 
     # --- coefficient utilities ---
 

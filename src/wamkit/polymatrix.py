@@ -1,6 +1,8 @@
 """Square matrices of WeightPoly entries indexed by state labels."""
 
-from .cyclotomic import CyclotomicInt, cyc_conjugate
+from itertools import chain
+
+from .cyclotomic import CyclotomicInt, root_of_unity
 from .errors import AlgebraError
 from .poly import WeightPoly, _D
 
@@ -105,36 +107,62 @@ class PolyMatrix:
         return acc
 
     def conjugate_by(self, f):
-        """f . self . f^dagger for a scalar matrix f (ints/CyclotomicInt).
+        """F . self . F^dagger, where F is the m-fold Kronecker power of
+        the q x q kernel f and the state count is q^m.
 
-        f is given as a plain list of lists in the same basis; its
-        conjugate transpose is formed internally.
+        The kernel entries are roots of unity (ints +-1 or CyclotomicInt
+        powers of w), such as the table w^tr(ab) of a field or the
+        single-qubit Pauli kernel.  States are read as base-q digit
+        strings, first coordinate fastest, so F is never formed: the
+        kernel is applied to the row axis one coordinate at a time, then
+        its conjugate to the column axis, on one integer grid per
+        exponent key.  For p = 2 the grid holds plain ints and w^t is a
+        sign; for odd p it holds the p planes of the group ring Z[C_p],
+        where w^t rotates the planes and conjugation negates t.
         """
+        p, m, exps = _kernel(f, self.size)
+        conj = [[-t % p for t in row] for row in exps]
         n = self.size
-        if len(f) != n or any(len(row) != n for row in f):
-            raise AlgebraError("scalar matrix size does not match")
-        # left = f . self
-        left = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = WeightPoly.zero()
-                for t in range(n):
-                    s = f[i][t]
-                    e = self.entries[t][j]
-                    if s and e:
-                        acc = acc + e * s
-                left[i][j] = acc
-        # right = left . f^dagger, (f^dagger)[t][j] = conj(f[j][t])
+        # row i of each plane holds the grids of all exponent keys side by
+        # side: entry (i, j) of key number t sits at column t * n + j
+        keys = {}
+        for row in self.entries:
+            for e in row:
+                for exp in e.terms:
+                    keys.setdefault(exp, len(keys))
+        width = len(keys) * n
+        planes = [[[0] * width for _ in range(n)]
+                  for _ in range(1 if p == 2 else p)]
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                for exp, c in e.terms.items():
+                    col = keys[exp] * n + j
+                    if isinstance(c, CyclotomicInt):
+                        if c.p != p:
+                            raise AlgebraError("coefficient and kernel use "
+                                               "roots of unity of different "
+                                               "order")
+                        for s, v in enumerate(c.coeffs):
+                            planes[s][i][col] = v
+                    else:
+                        planes[0][i][col] = c
+        _kernel_rows(planes, exps, p, m)
+        planes = [_transpose_states(plane, n) for plane in planes]
+        _kernel_rows(planes, conj, p, m)
+        # now entry (i, j) of key number t sits in row j at column t * n + i
+        d_max = min((e.d_max for row in self.entries for e in row
+                     if e.d_max is not None), default=None)
         out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = WeightPoly.zero()
-                for t in range(n):
-                    s = cyc_conjugate(f[j][t])
-                    e = left[i][t]
-                    if s and e:
-                        acc = acc + e * s
-                out[i][j] = acc
+        for j in range(n):
+            rows = [plane[j] for plane in planes]
+            for i in range(n):
+                if p == 2:
+                    values = rows[0][i::n]
+                else:
+                    values = [_group_ring_value(v)
+                              for v in zip(*(row[i::n] for row in rows))]
+                out[i][j] = WeightPoly({key: v for key, v in zip(keys, values)
+                                        if v}, d_max)
         return PolyMatrix(self.labels, out)
 
     def __str__(self):
@@ -145,6 +173,84 @@ class PolyMatrix:
 
     def __repr__(self):
         return "PolyMatrix(%d states)" % self.size
+
+
+def _kernel(f, size):
+    """(p, m, exps) for a q x q kernel f of p-th roots of unity acting on
+    `size` = q^m states: f[a][b] = w^exps[a][b]."""
+    q = len(f)
+    if q < 2 or any(len(row) != q for row in f):
+        raise AlgebraError("kernel is not a square matrix of size >= 2")
+    m, rest = 0, size
+    while rest % q == 0:
+        rest //= q
+        m += 1
+    if rest != 1:
+        raise AlgebraError("%d states are not a power of the kernel size %d"
+                           % (size, q))
+    p = next((v.p for row in f for v in row if isinstance(v, CyclotomicInt)),
+             2)
+    powers = {root_of_unity(p, t): t for t in range(p)}
+    try:
+        return p, m, [[powers[v] for v in row] for row in f]
+    except KeyError as exc:
+        raise AlgebraError("kernel entry %r is not a power of a primitive "
+                           "%d-th root of unity" % (exc.args[0], p)) from None
+
+
+def _kernel_rows(grid, exps, p, m):
+    """Apply the kernel to the row axis of every plane, in place, once
+    per coordinate; coordinate j of a row index is its base-q digit of
+    weight q^j."""
+    q = len(exps)
+    n = len(grid[0])
+    for j in range(m):
+        stride = q ** j
+        for block in range(0, n, q * stride):
+            for base in range(block, block + stride):
+                idx = range(base, base + q * stride, stride)
+                src = [[plane[r] for r in idx] for plane in grid]
+                for exp_row, r in zip(exps, idx):
+                    for plane, row in zip(grid, _combine(src, exp_row, p)):
+                        plane[r] = row
+
+
+def _combine(src, exp_row, p):
+    """The planes of sum_t w^exp_row[t] x_t, where src[s][t] is plane s
+    of x_t.  For p = 2 there is one plane and w = -1; for odd p, w^e
+    moves plane s to plane s + e."""
+    acc = [None] * len(src)
+    for t, e in enumerate(exp_row):
+        for s, rows in enumerate(src):
+            row = rows[t]
+            if p == 2:
+                d, neg = 0, e
+            else:
+                d, neg = (s + e) % p, False
+            cur = acc[d]
+            if cur is None:
+                acc[d] = [-v for v in row] if neg else row
+            elif neg:
+                acc[d] = [u - v for u, v in zip(cur, row)]
+            else:
+                acc[d] = [u + v for u, v in zip(cur, row)]
+    return acc
+
+
+def _transpose_states(rows, n):
+    """Swap the state axes of side-by-side grids: out[j][t * n + i] is
+    rows[i][t * n + j]."""
+    cols = list(zip(*rows))
+    return [list(chain.from_iterable(cols[j::n])) for j in range(n)]
+
+
+def _group_ring_value(planes):
+    """sum_s planes[s] w^s as an int when it is one, else a CyclotomicInt;
+    the sum of all p powers of w vanishes."""
+    top = planes[-1]
+    if all(v == top for v in planes[1:]):
+        return planes[0] - top
+    return CyclotomicInt(len(planes), [v - top for v in planes[:-1]])
 
 
 def series_inverse(m, d_max):

@@ -11,7 +11,8 @@ memory word, the physical output weight, and the output memory word.
 The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 """
 
-from .errors import ShapeError
+from .block import DEFAULT_BUDGET
+from .errors import BudgetError, ShapeError
 from .pauli import (PauliWord, pauli_state_labels, pauli_state_words,
                     symplectic_product)
 from .poly import WeightPoly
@@ -100,6 +101,12 @@ def _extend(spec, head, pos, kind):
     return PauliWord(head.pairs + body.pairs + tail.pairs)
 
 
+def _edge_guard(spec, budget):
+    if 4 ** spec.m * 4 ** spec.k * 2 ** spec.a > budget:
+        raise BudgetError("enumerating 4^%d 4^%d 2^%d edges exceeds the budget"
+                          % (spec.m, spec.k, spec.a))
+
+
 def _enumerate_edges(spec):
     """Yield (mem_in, logical, physical, mem_out) over the enumeration
     set {U (M x L x S^Z x I) U^dagger}."""
@@ -130,8 +137,12 @@ def _enumerate_edges(spec):
                 yield (mem, log, img.restrict(p_pos), img.restrict(mo_pos))
 
 
-def quantum_wam(spec):
+def quantum_wam(spec, budget=DEFAULT_BUDGET):
     """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest."""
+    _edge_guard(spec, budget)
+    if 4 ** (2 * spec.m) > budget:
+        raise BudgetError("a WAM with 4^%d cells exceeds the budget"
+                          % (2 * spec.m))
     labels = pauli_state_labels(spec.m)
     x, y = WeightPoly.var("x"), WeightPoly.var("y")
     out = PolyMatrix.zero(labels)
@@ -142,31 +153,11 @@ def quantum_wam(spec):
     return out
 
 
-def _kron_f(m):
-    """F1^(x)m in the canonical state order (first qubit fastest)."""
-    words = pauli_state_words(m)
-    size = 4 ** m
-    out = [[1] * size for _ in range(size)]
-    for i, wi in enumerate(words):
-        for j, wj in enumerate(words):
-            v = 1
-            for a, b in zip(_single_indices(wi), _single_indices(wj)):
-                v *= F1[a][b]
-            out[i][j] = v
-    return out
-
-
-def _single_indices(word):
-    from .pauli import LETTERS, _BITS_TO_LETTER
-    return [LETTERS.index(_BITS_TO_LETTER[p]) for p in word.pairs]
-
-
 def quantum_macwilliams(lam, n, k, a, m):
     """Dual WAM: F^(x)m Lam(x + 3y, x - y) F^(x)m / (4^m 4^k 2^a)."""
     x, y = WeightPoly.var("x"), WeightPoly.var("y")
     image = lam.substitute({"x": x + 3 * y, "y": x - y})
-    f = _kron_f(m)
-    out = image.conjugate_by(f)
+    out = image.conjugate_by(F1)
     return out.exact_div(4 ** m * 4 ** k * 2 ** a).to_int_coeffs()
 
 
@@ -358,8 +349,9 @@ def check_poly_orthogonality(spec, d_max=10):
 
 # --- state diagram ---
 
-def state_diagram_edges(spec):
+def state_diagram_edges(spec, budget=DEFAULT_BUDGET):
     """Edges (mem_in, mem_out, logical_label, physical_label)."""
+    _edge_guard(spec, budget)
     edges = []
     for mem, log, phys, mem_out in _enumerate_edges(spec):
         edges.append((mem.letters() or "-", mem_out.letters() or "-",
@@ -370,10 +362,11 @@ def state_diagram_edges(spec):
 def state_diagram_dot(spec):
     """Graphviz DOT text: one node per memory word, edges labelled
     'logical,physical'."""
+    edges = state_diagram_edges(spec)
     lines = ["digraph state_diagram {", "  rankdir=LR;"]
     for label in pauli_state_labels(spec.m):
         lines.append('  "%s";' % label)
-    for src, dst, log, phys in state_diagram_edges(spec):
+    for src, dst, log, phys in edges:
         lines.append('  "%s" -> "%s" [label="%s,%s"];' % (src, dst, log, phys))
     lines.append("}")
     return "\n".join(lines)

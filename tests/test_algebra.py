@@ -7,7 +7,7 @@ from conftest import field
 from wamkit.cyclotomic import CyclotomicInt, normalize, root_of_unity
 from wamkit.errors import AlgebraError, FieldError
 from wamkit.fields import FieldSpec, character, field_trace
-from wamkit.poly import WeightPoly
+from wamkit.poly import VARS, WeightPoly
 from wamkit.polymatrix import PolyMatrix, series_inverse
 
 
@@ -171,6 +171,21 @@ def test_collapse_keeps_unmapped_variables():
     out = poly.collapse({"x_I": 1})
     assert out == WeightPoly.var("y_P")
     assert p.collapse({}) == p
+
+
+def test_collapse_matches_substitute_with_mixed_images():
+    x, y, d = (WeightPoly.var(v) for v in ("x", "y", "D"))
+    xi, yp = WeightPoly.var("x_I"), WeightPoly.var("y_P")
+    poly = (3 * x ** 2 * y * xi - 2 * y ** 3 * yp * d + 5 * xi ** 2
+            + x * y * yp - 7).truncated(4)
+    keep = {v: WeightPoly.var(v) for v in VARS}
+    for mapping in ({"x": 2, "x_I": x + y, "y_P": -1, "D": y * d},
+                    {"x": 1}, {"y_P": xi ** 2 - 1, "x_I": 0}):
+        assert poly.collapse(mapping) == poly.substitute(dict(keep, **mapping))
+    copy = poly.collapse({})
+    assert copy == poly and copy is not poly
+    with pytest.raises(AlgebraError):
+        poly.collapse({"z": 1})
 
 
 def test_unknown_variable_rejected():

@@ -1,10 +1,12 @@
 """Command line behaviour: output shapes, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
 from conftest import fixture_path
+from wamkit import conv, quantum
 from wamkit.cli import main
 from wamkit.conv import ipwam, wam
 from wamkit.formats import structured_to_matrix
@@ -141,3 +143,76 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--bogus", "block", "hwgf", fixture_path("rep3.bc")])
     assert exc.value.code == 2
+
+
+def _identity_rows(size):
+    return "\n".join(" ".join("1" if i == j else "0" for j in range(size))
+                     for i in range(size))
+
+
+def _qubit_identity_spec(m):
+    """n = 1, k = c = 0 spec on m memory qubits and one ancilla."""
+    width = m + 1
+    mem = " ".join(str(p) for p in range(1, width))
+    lines = ["n 1", "k 0", "c 0", "m %d" % m, "IM: " + mem, "IL:",
+             "IA: %d" % width, "IE:", "IMout: " + mem, "IP: %d" % width]
+    for kind in "ZX":
+        for pos in range(width):
+            word = ["I"] * width
+            word[pos] = kind
+            lines.append("%s%d -> %s" % (kind, pos + 1, "".join(word)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    # 2^28 matrix cells from 2^15 edges
+    (["conv", "wam"], "cells.cc",
+     "q 2 1\nn 1\nk 1\nm 14\nT\n" + _identity_rows(15) + "\n"),
+    # 2^27 edges on a single state
+    (["conv", "dual-wam"], "edges.cc",
+     "q 2 1\nn 27\nk 27\nm 0\nT\n" + _identity_rows(27) + "\n"),
+    # 4^14 cells from 4^7 * 2 edges
+    (["quantum", "wam"], "cells.qcc", _qubit_identity_spec(7)),
+    # 4^13 * 2 edges
+    (["quantum", "dual-wam"], "edges.qcc", _qubit_identity_spec(13)),
+    (["quantum", "state-diagram"], "edges.qcc", _qubit_identity_spec(13)),
+])
+def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv,
+                                                   name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    start = time.perf_counter()
+    code, _out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("error:") and "exceeds the budget" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_all_prints_conv_diagnostics(monkeypatch, capsys):
+    diag = "I + C C'^T - A A'^T != 0"
+    monkeypatch.setattr(conv, "orthogonality_check",
+                        lambda seed, dual, d_max: (False, [diag]))
+    code, out, _ = run_cli(capsys, "verify", "all",
+                           fixture_path("example1.cc"))
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("dual seed orthogonality: FAIL")
+    assert lines[at + 1] == "FAIL " + diag
+    assert lines[at + 2].endswith(": PASS")
+
+
+def test_verify_all_prints_quantum_diagnostics(monkeypatch, capsys):
+    diags = ["L row 1 vs S^Z row 1: nonzero pairing at offsets [0]",
+             "L row 2 vs S^E row 1: nonzero pairing at offsets [1]"]
+    monkeypatch.setattr(quantum, "check_poly_orthogonality",
+                        lambda spec, d_max: (False, diags))
+    monkeypatch.setattr(quantum.EaqccSpec, "validate_clifford",
+                        lambda self: (False, ["Z1 and X1 commute"]))
+    code, out, _ = run_cli(capsys, "verify", "all", fixture_path("u1.qcc"))
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("clifford seed symplectic relations: FAIL")
+    assert lines[at + 1] == "FAIL Z1 and X1 commute"
+    assert lines[at + 2].endswith(": PASS")
+    at = lines.index("polynomial check-matrix orthogonality: FAIL")
+    assert lines[at + 1:] == ["FAIL " + d for d in diags]

@@ -1,0 +1,167 @@
+"""The per-coordinate state transform against dense oracles.
+
+`PolyMatrix.conjugate_by` applies a q x q kernel once per coordinate;
+here every result is compared with the dense F . M . F^dagger, where F
+is built entry by entry from `fields.character` (or from the
+single-qubit kernel), and the MacWilliams transforms built on it are
+compared with brute-force dual enumeration.
+"""
+
+import pytest
+
+from conftest import (brute_force_dual_wam, field, random_conv_seed,
+                      random_eaqcc_spec, random_systematic_conv_seed,
+                      seeded_rng)
+from wamkit.conv import (dual_systematic_seed, fourier_matrix, ipwam,
+                         macwilliams_ipwam, macwilliams_wam, state_labels,
+                         state_vectors, wam)
+from wamkit.cyclotomic import cyc_conjugate
+from wamkit.errors import AlgebraError, ShapeError
+from wamkit.fields import character
+from wamkit.poly import WeightPoly
+from wamkit.polymatrix import PolyMatrix
+from wamkit.quantum import F1, dual_spec, quantum_macwilliams, quantum_wam
+
+
+def dense_field_matrix(spec, m):
+    """F[a][b] = prod_j w^tr(a_j b_j), one character per coordinate."""
+    elems = spec.elements()
+    states = state_vectors(spec, m)
+    out = []
+    for a in states:
+        row = []
+        for b in states:
+            value = 1
+            for x, y in zip(a, b):
+                value = character(elems[x], elems[y]) * value
+            row.append(value)
+        out.append(row)
+    return out
+
+
+def dense_qubit_matrix(m):
+    """F1 tensored m times, first qubit the fastest base-4 digit."""
+    size = 4 ** m
+    out = [[1] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(size):
+            ta, tb = a, b
+            for _ in range(m):
+                out[a][b] *= F1[ta % 4][tb % 4]
+                ta //= 4
+                tb //= 4
+    return out
+
+
+def dense_conjugate(f, matrix):
+    """sum over the nonzero cells (s, t) of F[i][s] M[s][t] conj(F[j][t])."""
+    n = matrix.size
+    cells = [(s, t, e) for s, row in enumerate(matrix.entries)
+             for t, e in enumerate(row) if e]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = WeightPoly.zero()
+            for s, t, e in cells:
+                acc = acc + e * (f[i][s] * cyc_conjugate(f[j][t]))
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(matrix.labels, out)
+
+
+def random_matrix(rng, labels, cells):
+    """Sparse matrix with small integer polynomials in x, y and D."""
+    n = len(labels)
+    x, y, d = (WeightPoly.var(v) for v in ("x", "y", "D"))
+    out = PolyMatrix.zero(labels)
+    spots = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in rng.sample(spots, min(cells, len(spots))):
+        poly = WeightPoly.zero()
+        for _ in range(rng.randint(1, 3)):
+            mono = x ** rng.randint(0, 2) * y ** rng.randint(0, 2)
+            if rng.random() < 0.3:
+                mono = mono * d
+            poly = poly + rng.choice([-3, -2, -1, 1, 2, 3]) * mono
+        out.entries[i][j] = poly
+    return out
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_conjugate_by_matches_dense_character_matrix(p, r, m):
+    spec = field(p, r)
+    rng = seeded_rng("transform-dense-%d-%d-%d" % (p, r, m))
+    dense = dense_field_matrix(spec, m)
+    for _ in range(2):
+        matrix = random_matrix(rng, state_labels(spec, m), 8)
+        got = matrix.conjugate_by(fourier_matrix(spec, m))
+        assert got == dense_conjugate(dense, matrix)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_conjugate_by_matches_dense_qubit_matrix(m):
+    rng = seeded_rng("transform-dense-qubit-%d" % m)
+    labels = [str(i) for i in range(4 ** m)]
+    dense = dense_qubit_matrix(m)
+    for _ in range(2):
+        matrix = random_matrix(rng, labels, 8)
+        assert matrix.conjugate_by(F1) == dense_conjugate(dense, matrix)
+
+
+def test_non_integral_result_is_rejected():
+    # a single GF(3) transition is no WAM: its transform keeps w-parts
+    spec = field(3)
+    matrix = PolyMatrix.zero(state_labels(spec, 1))
+    matrix.entries[0][1] = WeightPoly.var("y")
+    out = matrix.conjugate_by(fourier_matrix(spec, 1))
+    assert out == dense_conjugate(dense_field_matrix(spec, 1), matrix)
+    with pytest.raises(AlgebraError):
+        out.to_int_coeffs()
+    with pytest.raises(AlgebraError):
+        out.exact_div(3)
+
+
+def test_conjugate_by_rejects_mismatched_kernel():
+    matrix = PolyMatrix.identity(["0", "1", "2"])
+    with pytest.raises(AlgebraError):
+        matrix.conjugate_by([[1, 1], [1, -1]])
+    with pytest.raises(AlgebraError):
+        PolyMatrix.identity(["0", "1"]).conjugate_by([[1, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("p, r, n, k, m", [(5, 1, 2, 1, 1), (5, 1, 2, 1, 2),
+                                           (3, 2, 2, 1, 1), (3, 2, 3, 2, 1)])
+def test_wam_transform_matches_dual_enumeration_odd_fields(p, r, n, k, m):
+    spec = field(p, r)
+    rng = seeded_rng("transform-odd-%d-%d-%d-%d-%d" % (p, r, n, k, m))
+    for _ in range(2):
+        seed = random_conv_seed(rng, spec, n, k, m)
+        lam_hat = macwilliams_wam(wam(seed), spec.q, n, k, m, spec)
+        assert lam_hat == brute_force_dual_wam(seed)
+
+
+def test_ipwam_transform_matches_dual_enumeration_gf5():
+    spec = field(5)
+    rng = seeded_rng("transform-ip-gf5")
+    checked = 0
+    for _ in range(6):
+        seed = random_systematic_conv_seed(rng, spec, 2, 1, 1)
+        try:
+            dual = dual_systematic_seed(seed)
+        except ShapeError:
+            continue
+        got = macwilliams_ipwam(ipwam(seed), spec.q, 2, 1, 1, spec)
+        assert got == ipwam(dual)
+        checked += 1
+    assert checked
+
+
+def test_quantum_transform_involution_m4():
+    rng = seeded_rng("transform-quantum-m4")
+    n, k, c, m = 1, 0, 1, 4
+    spec = random_eaqcc_spec(rng, n, k, c, m)
+    lam = quantum_wam(spec)
+    lam_hat = quantum_macwilliams(lam, n, k, spec.a, m)
+    assert lam_hat == quantum_wam(dual_spec(spec))
+    assert quantum_macwilliams(lam_hat, n, c, spec.a, m) == lam
