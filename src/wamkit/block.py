@@ -13,6 +13,16 @@ from .poly import WeightPoly
 DEFAULT_BUDGET = 2 ** 26
 
 
+def check_budget(what, edges, cells=0, budget=DEFAULT_BUDGET):
+    """Raise BudgetError if building `what` would enumerate more than
+    `budget` edges (or codewords) or fill more than `budget` matrix cells.
+    Callers check before they allocate anything."""
+    for count, noun in ((edges, "edges"), (cells, "matrix cells")):
+        if count > budget:
+            raise BudgetError("%s needs %d %s, which exceeds the budget of %d"
+                              % (what, count, noun, budget))
+
+
 class LinearCode:
     """An [n, k] code over GF(q), given by a full-rank generator matrix.
 
@@ -39,9 +49,7 @@ class LinearCode:
     def enumerate_codewords(self, budget=DEFAULT_BUDGET):
         """Yield all q^k codewords, messages in index order."""
         spec, k = self.spec, self.k
-        if spec.q ** k > budget:
-            raise BudgetError("enumeration of %d^%d codewords exceeds budget"
-                              % (spec.q, k))
+        check_budget("codeword enumeration", spec.q ** k, budget=budget)
         for idx in range(spec.q ** k):
             msg, t = [0] * k, idx
             for j in range(k):

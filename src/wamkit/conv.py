@@ -14,8 +14,8 @@ fastest, written as strings of element indices.
 """
 
 from . import gflinalg
-from .block import DEFAULT_BUDGET, LinearCode
-from .errors import AlgebraError, BudgetError, ShapeError
+from .block import DEFAULT_BUDGET, LinearCode, check_budget
+from .errors import AlgebraError, ShapeError
 from .fields import character
 from .poly import WeightPoly
 from .polymatrix import PolyMatrix, series_inverse
@@ -128,19 +128,6 @@ def constraint_code(seed):
     return LinearCode(seed.spec, seed.gen_matrix())
 
 
-def _budget_guard(seed, budget):
-    """Refuse a WAM whose edges or matrix cells exceed the budget, before
-    anything is allocated."""
-    q, m, k = seed.spec.q, seed.m, seed.k
-    if q ** (m + k) > budget:
-        raise BudgetError(
-            "enumerating %d^%d constraint codewords exceeds the budget"
-            % (q, m + k))
-    if q ** (2 * m) > budget:
-        raise BudgetError("a WAM with %d^%d cells exceeds the budget"
-                          % (q, 2 * m))
-
-
 def _transitions(seed):
     """Yield (state_index, next_state_index, input_block, output_block)."""
     spec = seed.spec
@@ -165,7 +152,8 @@ def _transitions(seed):
 
 def wam(seed, budget=DEFAULT_BUDGET):
     """Weight adjacency matrix with homogeneous x/y entries."""
-    _budget_guard(seed, budget)
+    q, m = seed.spec.q, seed.m
+    check_budget("WAM", q ** (m + seed.k), q ** (2 * m), budget)
     labels = state_labels(seed.spec, seed.m)
     x = WeightPoly.var("x")
     y = WeightPoly.var("y")
@@ -180,7 +168,8 @@ def ipwam(seed, budget=DEFAULT_BUDGET):
     """Input-parity WAM of a systematic seed."""
     if not isinstance(seed, SystematicConvSeed):
         raise ShapeError("input-parity split needs a systematic seed")
-    _budget_guard(seed, budget)
+    q, m = seed.spec.q, seed.m
+    check_budget("WAM", q ** (m + seed.k), q ** (2 * m), budget)
     labels = state_labels(seed.spec, seed.m)
     xi, yi = WeightPoly.var("x_I"), WeightPoly.var("y_I")
     xp, yp = WeightPoly.var("x_P"), WeightPoly.var("y_P")
@@ -197,7 +186,8 @@ def ipwam(seed, budget=DEFAULT_BUDGET):
 
 def iowam(seed, budget=DEFAULT_BUDGET):
     """Input-output WAM: tracks input weight and output weight."""
-    _budget_guard(seed, budget)
+    q, m = seed.spec.q, seed.m
+    check_budget("WAM", q ** (m + seed.k), q ** (2 * m), budget)
     labels = state_labels(seed.spec, seed.m)
     xi, yi = WeightPoly.var("x_I"), WeightPoly.var("y_I")
     xo, yo = WeightPoly.var("x_O"), WeightPoly.var("y_O")

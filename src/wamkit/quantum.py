@@ -11,8 +11,8 @@ memory word, the physical output weight, and the output memory word.
 The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 """
 
-from .block import DEFAULT_BUDGET
-from .errors import BudgetError, ShapeError
+from .block import check_budget
+from .errors import ShapeError
 from .pauli import (PauliWord, pauli_state_labels, pauli_state_words,
                     symplectic_product)
 from .poly import WeightPoly
@@ -101,10 +101,8 @@ def _extend(spec, head, pos, kind):
     return PauliWord(head.pairs + body.pairs + tail.pairs)
 
 
-def _edge_guard(spec, budget):
-    if 4 ** spec.m * 4 ** spec.k * 2 ** spec.a > budget:
-        raise BudgetError("enumerating 4^%d 4^%d 2^%d edges exceeds the budget"
-                          % (spec.m, spec.k, spec.a))
+def _edge_count(spec):
+    return 4 ** spec.m * 4 ** spec.k * 2 ** spec.a
 
 
 def _enumerate_edges(spec):
@@ -137,12 +135,9 @@ def _enumerate_edges(spec):
                 yield (mem, log, img.restrict(p_pos), img.restrict(mo_pos))
 
 
-def quantum_wam(spec, budget=DEFAULT_BUDGET):
+def quantum_wam(spec):
     """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest."""
-    _edge_guard(spec, budget)
-    if 4 ** (2 * spec.m) > budget:
-        raise BudgetError("a WAM with 4^%d cells exceeds the budget"
-                          % (2 * spec.m))
+    check_budget("quantum WAM", _edge_count(spec), 4 ** (2 * spec.m))
     labels = pauli_state_labels(spec.m)
     x, y = WeightPoly.var("x"), WeightPoly.var("y")
     out = PolyMatrix.zero(labels)
@@ -349,9 +344,9 @@ def check_poly_orthogonality(spec, d_max=10):
 
 # --- state diagram ---
 
-def state_diagram_edges(spec, budget=DEFAULT_BUDGET):
+def state_diagram_edges(spec):
     """Edges (mem_in, mem_out, logical_label, physical_label)."""
-    _edge_guard(spec, budget)
+    check_budget("state diagram", _edge_count(spec))
     edges = []
     for mem, log, phys, mem_out in _enumerate_edges(spec):
         edges.append((mem.letters() or "-", mem_out.letters() or "-",
