@@ -5,11 +5,11 @@ convolutional codes."""
 from .block import (LinearCode, SystematicCode, dual_code, hwgf, ipwgf,
                     macwilliams_hwgf, macwilliams_ipwgf)
 from .conv import (ConvSeed, FreeDistanceResult, PolyGenMatrix,
-                   SystematicConvSeed, constraint_code, dual_seed,
-                   dual_systematic_seed, dual_total_wgf, free_distance,
-                   free_wgf, iowam, iowam_from_systematic, ipwam,
-                   ip_total_wgf, macwilliams_ipwam, macwilliams_wam,
-                   orthogonality_check, poly_generator, total_wgf, wam)
+                   SystematicConvSeed, dual_seed, dual_systematic_seed,
+                   dual_total_wgf, free_distance, free_wgf, iowam,
+                   iowam_from_systematic, ipwam, macwilliams_ipwam,
+                   macwilliams_wam, orthogonality_check, poly_generator,
+                   total_wgf, wam)
 from .cyclotomic import CyclotomicInt
 from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
                      ShapeError, WamkitError)

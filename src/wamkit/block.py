@@ -71,14 +71,6 @@ class _ZeroCode:
         yield [0] * self.n
 
 
-def make_code(spec, generator, n=None):
-    if generator:
-        return LinearCode(spec, generator)
-    if n is None:
-        raise WamkitError("empty generator needs an explicit length")
-    return _ZeroCode(spec, n)
-
-
 class SystematicCode(LinearCode):
     """A code whose generator has the shape (I_k | A)."""
 

@@ -5,6 +5,7 @@ verification FAILs, 2 on malformed input or usage errors.
 """
 
 import argparse
+import functools
 import sys
 
 from . import block, conv, quantum
@@ -22,6 +23,7 @@ _COLLAPSE_MAPS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="wamkit",
@@ -133,7 +135,7 @@ def _run_conv(args):
     else:  # check-dual
         dual = conv.dual_seed(seed)
         sys.stdout.write(render_conv_seed(dual))
-        ok, diags = conv.orthogonality_check(seed, dual, args.dmax)
+        ok, diags = conv.orthogonality_check(seed, dual)
         for diag in diags:
             print("FAIL %s" % diag)
         print("orthogonality: %s" % ("PASS" if ok else "FAIL"))
@@ -175,7 +177,7 @@ def _check(name, ok, lines, diags=()):
     return ok
 
 
-def _verify_block(code, dmax):
+def _verify_block(code):
     lines, all_ok = [], True
     q, k = code.spec.q, code.k
     dual = block.dual_code(code)
@@ -197,7 +199,7 @@ def _verify_conv(seed, dmax):
     spec, q = seed.spec, seed.spec.q
     lam = conv.wam(seed)
     dual = conv.dual_seed(seed)
-    ok, diags = conv.orthogonality_check(seed, dual, dmax)
+    ok, diags = conv.orthogonality_check(seed, dual)
     all_ok &= _check("dual seed orthogonality", ok, lines, diags)
     lam_hat = conv.macwilliams_wam(lam, q, seed.n, seed.k, seed.m, spec)
     all_ok &= _check("wam transform matches dual enumeration",
@@ -220,7 +222,7 @@ def _verify_conv(seed, dmax):
     return all_ok, lines
 
 
-def _verify_quantum(spec, dmax):
+def _verify_quantum(spec):
     lines, all_ok = [], True
     ok, diags = spec.validate_clifford()
     all_ok &= _check("clifford seed symplectic relations", ok, lines, diags)
@@ -232,7 +234,7 @@ def _verify_quantum(spec, dmax):
     back = quantum.quantum_macwilliams(lam_hat, spec.n, dual.k, dual.a,
                                        dual.m)
     all_ok &= _check("wam transform involution", back == lam, lines)
-    ok, diags = quantum.check_poly_orthogonality(spec, dmax)
+    ok, diags = quantum.check_poly_orthogonality(spec)
     all_ok &= _check("polynomial check-matrix orthogonality", ok, lines,
                      diags)
     return all_ok, lines
@@ -241,11 +243,11 @@ def _verify_quantum(spec, dmax):
 def _run_verify(args):
     text = _read(args.file)
     if args.file.endswith(".qcc"):
-        ok, lines = _verify_quantum(parse_quantum_spec(text), args.dmax)
+        ok, lines = _verify_quantum(parse_quantum_spec(text))
     elif args.file.endswith(".cc"):
         ok, lines = _verify_conv(parse_conv_seed(text), args.dmax)
     else:
-        ok, lines = _verify_block(parse_block_code(text), args.dmax)
+        ok, lines = _verify_block(parse_block_code(text))
     for line in lines:
         print(line)
     return 0 if ok else 1

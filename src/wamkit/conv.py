@@ -14,7 +14,7 @@ fastest, written as strings of element indices.
 """
 
 from . import gflinalg
-from .block import DEFAULT_BUDGET, LinearCode, check_budget
+from .block import DEFAULT_BUDGET, check_budget
 from .errors import AlgebraError, ShapeError
 from .fields import character
 from .poly import WeightPoly
@@ -114,18 +114,6 @@ class SystematicConvSeed(ConvSeed):
     @property
     def e0_block(self):
         return [[row[j] for j in self.parity_cols] for row in self.e_block]
-
-    @property
-    def a0_block(self):
-        return self.a_block
-
-    @property
-    def b0_block(self):
-        return self.b_block
-
-
-def constraint_code(seed):
-    return LinearCode(seed.spec, seed.gen_matrix())
 
 
 def _transitions(seed):
@@ -262,21 +250,21 @@ def dual_systematic_seed(seed):
     return SystematicConvSeed(spec, n, kd, m, t_rows, info_last=True)
 
 
-def orthogonality_check(seed, dual, d_max=10):
+def orthogonality_check(seed, dual):
     """Verify the four block relations and G(D) H(1/D)^T = 0.
 
     Returns (ok, diagnostics): diagnostics is a list of strings, one per
     failed relation.  A dimension mismatch short circuits with its own
     diagnostic instead of raising.
 
-    For feedback encoders the impulse responses are infinite and a
-    naively truncated Laurent product never settles, so the product
-    identity is checked with denominators cleared:
+    For feedback encoders the impulse responses are infinite, so the
+    product identity is checked with denominators cleared:
 
         [det(I - D A) G(D)] . [det(D I - A'^T) H(1/D)^T]
 
-    is a product of honest polynomial matrices and must be identically
-    zero.  `d_max` caps the degrees retained while multiplying.
+    is a product of polynomial matrices of degree <= m each and must be
+    identically zero.  The right factor is the cleared response of
+    (E'^T, C'^T, A'^T, B'^T) with its m + 1 coefficients reversed.
     """
     spec = seed.spec
     diags = []
@@ -305,165 +293,11 @@ def orthogonality_check(seed, dual, d_max=10):
     if not gflinalg.is_zero(gflinalg.mat_add(
             spec, mm(spec, e, tr(cd)), gflinalg.mat_neg(spec, mm(spec, b, tr(ad))))):
         diags.append("E C'^T - B A'^T != 0")
-    prod = _dmat_mul(spec, _cleared_generator(spec, seed),
-                     _cleared_dual_generator(spec, dual))
-    if any(any(ent for ent in row) for row in prod):
+    g = gflinalg.cleared_response(spec, e, b, a, c)
+    h = gflinalg.cleared_response(spec, tr(ed), tr(cd), tr(ad), tr(bd))[::-1]
+    if not all(gflinalg.is_zero(x) for x in gflinalg.poly_mat_mul(spec, g, h)):
         diags.append("G(D) H(1/D)^T is not identically zero")
     return not diags, diags
-
-
-# --- polynomial matrices over GF(q)[D]: entries are {degree: element} ---
-
-def _dp_add(spec, a, b):
-    out = dict(a)
-    for d, c in b.items():
-        v = spec.add[out.get(d, 0)][c]
-        if v:
-            out[d] = v
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _dp_mul(spec, a, b):
-    out = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            v = spec.mul[ca][cb]
-            if v:
-                d = da + db
-                w = spec.add[out.get(d, 0)][v]
-                if w:
-                    out[d] = w
-                else:
-                    out.pop(d, None)
-    return out
-
-
-def _dp_neg(spec, a):
-    return {d: spec.neg[c] for d, c in a.items()}
-
-
-def _dmat_mul(spec, a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[{} for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for t in range(inner):
-            if a[i][t]:
-                for j in range(cols):
-                    if b[t][j]:
-                        out[i][j] = _dp_add(spec, out[i][j],
-                                            _dp_mul(spec, a[i][t], b[t][j]))
-    return out
-
-
-def _dmat_det(spec, m):
-    n = len(m)
-    if n == 0:
-        return {0: 1}
-    if n == 1:
-        return dict(m[0][0])
-    det = {}
-    for j in range(n):
-        if not m[0][j]:
-            continue
-        minor = [[m[i][t] for t in range(n) if t != j] for i in range(1, n)]
-        term = _dp_mul(spec, m[0][j], _dmat_det(spec, minor))
-        if j % 2:
-            term = _dp_neg(spec, term)
-        det = _dp_add(spec, det, term)
-    return det
-
-
-def _dmat_adj(spec, m):
-    n = len(m)
-    if n == 0:
-        return []
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = _dmat_det(spec, minor)
-            if (i + j) % 2:
-                cof = _dp_neg(spec, cof)
-            adj[j][i] = cof
-    return adj
-
-
-def _const_dmat(mat):
-    return [[{0: x} if x else {} for x in row] for row in mat]
-
-
-def _scalar_dmat_mul(spec, poly, mat):
-    return [[_dp_mul(spec, poly, ent) for ent in row] for row in mat]
-
-
-def _cleared_generator_blocks(spec, head, mem, a_blk, out_blk):
-    """det(I - D A) head + D mem adj(I - D A) out_blk, a polynomial
-    matrix given directly by its defining blocks."""
-    m = len(a_blk)
-    if m == 0:
-        return _const_dmat(head)
-    i_da = [[{} for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                i_da[i][j][0] = 1
-            if a_blk[i][j]:
-                neg = spec.neg[a_blk[i][j]]
-                i_da[i][j][1] = neg
-    det = _dmat_det(spec, i_da)
-    adj = _dmat_adj(spec, i_da)
-    core = _dmat_mul(spec, _const_dmat(mem),
-                     _dmat_mul(spec, adj, _const_dmat(out_blk)))
-    shifted = [[{d + 1: c for d, c in ent.items()} for ent in row]
-               for row in core]
-    head_mat = _scalar_dmat_mul(spec, det, _const_dmat(head))
-    return [[_dp_add(spec, a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(head_mat, shifted)]
-
-
-def _cleared_generator(spec, seed):
-    """det(I - D A) G(D), a polynomial k x n matrix."""
-    return _cleared_generator_blocks(spec, seed.e_block, seed.b_block,
-                                     seed.a_block, seed.c_block)
-
-
-def _cleared_dual_generator(spec, dual):
-    """det(D I - A'^T) H(1/D)^T, a polynomial n x k' matrix."""
-    m = dual.m
-    if m == 0:
-        return _const_dmat(gflinalg.transpose(dual.e_block))
-    at = gflinalg.transpose(dual.a_block) if m else []
-    di_at = [[{} for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                di_at[i][j][1] = 1
-            if at[i][j]:
-                neg = spec.neg[at[i][j]]
-                di_at[i][j] = _dp_add(spec, di_at[i][j], {0: neg})
-    det = _dmat_det(spec, di_at)
-    adj = _dmat_adj(spec, di_at)
-    ct = _const_dmat(gflinalg.transpose(dual.c_block))
-    bt = _const_dmat(gflinalg.transpose(dual.b_block))
-    core = _dmat_mul(spec, ct, _dmat_mul(spec, adj, bt))
-    head = _scalar_dmat_mul(spec, det,
-                            _const_dmat(gflinalg.transpose(dual.e_block)))
-    return [[_dp_add(spec, a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(head, core)]
-
-
-def _gen_coeffs(seed, d_max):
-    """Impulse response E, BC, BAC, BA^2 C, ... as k x n matrices."""
-    spec = seed.spec
-    coeffs = [seed.e_block]
-    left = seed.b_block
-    for _ in range(d_max):
-        coeffs.append(gflinalg.mat_mul(spec, left, seed.c_block))
-        left = gflinalg.mat_mul(spec, left, seed.a_block)
-    return coeffs
 
 
 class PolyGenMatrix:
@@ -500,13 +334,10 @@ class PolyGenMatrix:
 
 def poly_generator(seed, d_max=10):
     """Truncated expansion of G(D) = E + sum_i B A^(i-1) C D^i."""
-    coeffs = _gen_coeffs(seed, d_max)
-    entries = [[{} for _ in range(seed.n)] for _ in range(seed.k)]
-    for d, mat in enumerate(coeffs):
-        for i in range(seed.k):
-            for j in range(seed.n):
-                if mat[i][j]:
-                    entries[i][j][d] = mat[i][j]
+    coeffs = gflinalg.impulse_response(seed.spec, seed.e_block, seed.b_block,
+                                       seed.a_block, seed.c_block, d_max)
+    entries = [[{d: mat[i][j] for d, mat in enumerate(coeffs) if mat[i][j]}
+                for j in range(seed.n)] for i in range(seed.k)]
     return PolyGenMatrix(seed.spec, entries, d_max)
 
 
@@ -686,14 +517,3 @@ def free_distance(lam, d_max=10):
                                   "the truncation depth" % d_max)
     return FreeDistanceResult(None, True, "no nonzero fundamental path")
 
-
-def ip_total_wgf(seed, d_max=10, budget=DEFAULT_BUDGET):
-    """Input-parity total WGF and its dual, as a (primal, dual) pair."""
-    if not isinstance(seed, SystematicConvSeed):
-        raise ShapeError("input-parity split needs a systematic seed")
-    lam = ipwam(seed, budget)
-    primal = total_wgf(lam.collapse({"x_I": 1, "x_P": 1}), d_max)
-    dual_lam = macwilliams_ipwam(lam, seed.spec.q, seed.n, seed.k, seed.m,
-                                 seed.spec)
-    dual = total_wgf(dual_lam.collapse({"x_I": 1, "x_P": 1}), d_max)
-    return primal, dual

@@ -7,6 +7,7 @@ Arithmetic is table driven, so FieldSpec construction does all the work
 once and element operations are dictionary-free integer lookups.
 """
 
+from .block import check_budget
 from .cyclotomic import root_of_unity
 from .errors import FieldError
 
@@ -99,16 +100,17 @@ class FieldSpec:
     """GF(p^r) with precomputed add/mul/neg/inv/trace tables."""
 
     def __init__(self, p, r=1, modulus=None):
-        if not _is_prime(p):
-            raise FieldError("p=%r is not prime" % (p,))
         if r < 1:
             raise FieldError("extension degree must be >= 1, got %r" % (r,))
         self.p = p
         self.r = r
         self.q = p ** r
-        if r == 1:
-            self.modulus = (0, 1) if modulus is None else tuple(modulus)
-        elif modulus is None:
+        # the q x q tables are checked before any of them, or the
+        # modulus search, is started
+        check_budget("the GF(%d^%d) field table" % (p, r), 0, self.q ** 2)
+        if not _is_prime(p):
+            raise FieldError("p=%r is not prime" % (p,))
+        if modulus is None:
             self.modulus = default_modulus(p, r)
         else:
             modulus = tuple(int(c) % p for c in modulus)
@@ -136,7 +138,6 @@ class FieldSpec:
                 idx = idx * p + (c[j] % p)
             return idx
 
-        self._to_index = to_index
         self.add = [[to_index([(a + b) % p for a, b in zip(coeffs[i], coeffs[j])])
                      for j in range(q)] for i in range(q)]
         self.neg = [to_index([(-a) % p for a in coeffs[i]]) for i in range(q)]
@@ -179,10 +180,6 @@ class FieldSpec:
 
     def elements(self):
         return [FieldElement(self, i) for i in range(self.q)]
-
-    def from_coeffs(self, coeffs):
-        coeffs = list(coeffs) + [0] * (self.r - len(coeffs))
-        return FieldElement(self, self._to_index(coeffs))
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)

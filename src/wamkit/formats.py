@@ -20,7 +20,7 @@ through the parsers below.
 import json
 
 from .conv import ConvSeed, SystematicConvSeed
-from .errors import FormatError
+from .errors import FieldError, FormatError, ShapeError
 from .fields import FieldSpec
 from .block import LinearCode, SystematicCode
 from .pauli import CliffordSeed, PauliWord
@@ -57,10 +57,13 @@ def _field_from_header(values):
     i, parts = values["q"]
     try:
         p, r = int(parts[0]), int(parts[1])
+        modulus = [int(x) for x in parts[2:]] or None
     except (IndexError, ValueError):
         raise FormatError("expected 'q <p> <r> [modulus]'", i)
-    modulus = [int(x) for x in parts[2:]] or None
-    return FieldSpec(p, r, modulus)
+    try:
+        return FieldSpec(p, r, modulus)
+    except FieldError as exc:
+        raise FormatError(str(exc), i) from exc
 
 
 def _int_header(values, key):
@@ -101,7 +104,7 @@ def parse_block_code(text):
     rows = _parse_rows(spec, rest, k, n)
     try:
         return SystematicCode(spec, rows)
-    except Exception:
+    except ShapeError:
         return LinearCode(spec, rows)
 
 

@@ -101,3 +101,91 @@ def nullspace(spec, a):
 
 def is_zero(a):
     return all(all(x == 0 for x in row) for row in a)
+
+
+# --- polynomial matrices over GF(q)[D]: lists of coefficient matrices,
+# degree 0 first ---
+
+def impulse_response(spec, head, mem, a, out, d):
+    """Coefficients of head + sum_{i=1..d} mem a^(i-1) out D^i."""
+    zero = zeros(len(head), len(head[0]) if head else 0)
+    coeffs, left = [head], mem
+    for _ in range(d):
+        coeffs.append(mat_mul(spec, left, out) if out else zero)
+        left = mat_mul(spec, left, a)
+    return coeffs
+
+
+def _series_mul(spec, x, y):
+    """Product of two power series, truncated to len(x) terms."""
+    add, mul = spec.add, spec.mul
+    out = [0] * len(x)
+    for i, xi in enumerate(x):
+        if xi:
+            row = mul[xi]
+            for j in range(len(x) - i):
+                if y[j]:
+                    out[i + j] = add[out[i + j]][row[y[j]]]
+    return out
+
+
+def _series_inv(spec, x):
+    """Inverse of a power series with a unit constant term."""
+    inv0 = spec.inv[x[0]]
+    out = [inv0]
+    for t in range(1, len(x)):
+        acc = 0
+        for i in range(1, t + 1):
+            if x[i] and out[t - i]:
+                acc = spec.add[acc][spec.mul[x[i]][out[t - i]]]
+        out.append(spec.mul[spec.neg[acc]][inv0])
+    return out
+
+
+def det_i_minus_da(spec, a):
+    """det(I - D a) as its m + 1 coefficients.
+
+    Gaussian elimination over GF(q)[D]/(D^(m+1)), where the determinant
+    of degree <= m is exact.  I - D a is I modulo D, and so is every
+    Schur complement, so each pivot is a unit and no row is swapped.
+    """
+    m = len(a)
+    mat = [[[1 if i == j else 0, spec.neg[x]] + [0] * (m - 1)
+            for j, x in enumerate(row)] for i, row in enumerate(a)]
+    det = [1] + [0] * m
+    for j in range(m):
+        pivot = mat[j][j]
+        det = _series_mul(spec, det, pivot)
+        pinv = _series_inv(spec, pivot)
+        for i in range(j + 1, m):
+            if any(mat[i][j]):
+                f = [spec.neg[x] for x in _series_mul(spec, mat[i][j], pinv)]
+                for c in range(j + 1, m):
+                    mat[i][c] = [spec.add[x][y] for x, y in zip(
+                        mat[i][c], _series_mul(spec, f, mat[j][c]))]
+    return det
+
+
+def cleared_response(spec, head, mem, a, out):
+    """det(I - D a) (head + D mem (I - D a)^(-1) out), a polynomial
+    matrix of degree <= m: the impulse response to D^m times det."""
+    m = len(a)
+    det = det_i_minus_da(spec, a)
+    resp = impulse_response(spec, head, mem, a, out, m)
+    return [_mat_sum(spec, [[[spec.mul[det[i]][x] for x in row]
+                             for row in resp[d - i]] for i in range(d + 1)])
+            for d in range(m + 1)]
+
+
+def _mat_sum(spec, mats):
+    acc = mats[0]
+    for mat in mats[1:]:
+        acc = mat_add(spec, acc, mat)
+    return acc
+
+
+def poly_mat_mul(spec, a, b):
+    """Product of two polynomial matrices."""
+    return [_mat_sum(spec, [mat_mul(spec, a[i], b[d - i])
+                            for i in range(len(a)) if 0 <= d - i < len(b)])
+            for d in range(len(a) + len(b) - 1)]

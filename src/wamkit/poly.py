@@ -10,7 +10,7 @@ D-exponent above `d_max` are silently dropped at construction time, so
 every arithmetic result stays truncated.
 """
 
-from .cyclotomic import CyclotomicInt, cyc_conjugate, normalize
+from .cyclotomic import CyclotomicInt, normalize
 from .errors import AlgebraError
 
 VARS = ("x", "y", "x_I", "y_I", "x_P", "y_P", "x_O", "y_O", "D")
@@ -212,12 +212,6 @@ class WeightPoly:
 
     # --- coefficient utilities ---
 
-    def map_coeffs(self, fn):
-        return WeightPoly({e: fn(c) for e, c in self.terms.items()}, self.d_max)
-
-    def conjugate_coeffs(self):
-        return self.map_coeffs(cyc_conjugate)
-
     def exact_div(self, n):
         """Divide every coefficient by the integer n; error if not exact."""
         out = {}
@@ -238,9 +232,6 @@ class WeightPoly:
                 raise AlgebraError(
                     "residual root-of-unity coefficient %s" % (c,))
         return self
-
-    def is_monomial(self):
-        return len(self.terms) <= 1
 
     def coefficient(self, exps):
         e = [0] * _NVARS

@@ -13,10 +13,14 @@ The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 
 from .block import check_budget
 from .errors import ShapeError
+from .fields import FieldSpec
+from .gflinalg import cleared_response, impulse_response
 from .pauli import (PauliWord, pauli_state_labels, pauli_state_words,
                     symplectic_product)
 from .poly import WeightPoly
 from .polymatrix import PolyMatrix
+
+_GF2 = FieldSpec(2)
 
 # single-qubit transform kernel in the I, X, Y, Z basis
 F1 = (
@@ -209,19 +213,28 @@ def binary_symplectic_matrix(spec):
     return rows
 
 
-def _gf2_matmul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for t, v in enumerate(row):
-            if v:
-                bt = b[t]
-                acc = [x ^ y for x, y in zip(acc, bt)]
-        out.append(acc)
-    return out
+def _symplectic_blocks(spec):
+    """Blocks of the binary symplectic matrix: (A, F, rows), with A the
+    memory-to-memory loop, F the memory-to-physical feed, and rows
+    mapping "L", "S^Z" and "S^E" to (physical head, memory part) of the
+    logical, Z-type ancilla and entangled input rows."""
+    m2 = binary_symplectic_matrix(spec)
+    n2, cut, parts = 2 * spec.n, 0, []
+    for size in (spec.m, spec.k, spec.a, spec.c):
+        block = m2[cut:cut + 2 * size]
+        cut += 2 * size
+        parts.append(([row[:n2] for row in block], [row[n2:] for row in block]))
+    (f_blk, a_blk), logical, (h_blk, c_blk), entangled = parts
+    return a_blk, f_blk, {"L": logical, "S^Z": (h_blk[::2], c_blk[::2]),
+                          "S^E": entangled}
+
+
+def _row_polys(coeffs, n):
+    """Split a polynomial bit matrix into rows, each a list of Pauli
+    words on n qubits, degree 0 first."""
+    return [[PauliWord(tuple((mat[i][2 * t], mat[i][2 * t + 1])
+                             for t in range(n))) for mat in coeffs]
+            for i in range(len(coeffs[0]))]
 
 
 def poly_check_matrix(spec, d_max=10):
@@ -231,111 +244,54 @@ def poly_check_matrix(spec, d_max=10):
     them), the entangled rows S^E(D) (2c), and the logical rows L(D)
     (2k), each a PolyCheckMatrix on the n physical qubits.
     """
-    m2 = binary_symplectic_matrix(spec)
-    n2, mm2 = 2 * spec.n, 2 * spec.m
-    f_blk = [row[:n2] for row in m2[:mm2]]
-    a_blk = [row[n2:] for row in m2[:mm2]]
-    g_blk = [row[:n2] for row in m2[mm2:mm2 + 2 * spec.k]]
-    b_blk = [row[n2:] for row in m2[mm2:mm2 + 2 * spec.k]]
-    h_blk = [row[:n2] for row in m2[mm2 + 2 * spec.k:mm2 + 2 * spec.k + 2 * spec.a]]
-    c_blk = [row[n2:] for row in m2[mm2 + 2 * spec.k:mm2 + 2 * spec.k + 2 * spec.a]]
-    k_blk = [row[:n2] for row in m2[mm2 + 2 * spec.k + 2 * spec.a:]]
-    e_blk = [row[n2:] for row in m2[mm2 + 2 * spec.k + 2 * spec.a:]]
-    hz_blk = [h_blk[2 * i] for i in range(spec.a)]
-    cz_blk = [c_blk[2 * i] for i in range(spec.a)]
+    a_blk, f_blk, blocks = _symplectic_blocks(spec)
 
-    def expand(head, mem):
-        """head + D mem (I - D A)^(-1) F as {degree: rows}."""
-        coeffs = {0: head}
-        cur = mem
-        for d in range(1, d_max + 1):
-            contrib = _gf2_matmul(cur, f_blk)
-            if any(any(r) for r in contrib):
-                coeffs[d] = contrib
-            cur = _gf2_matmul(cur, a_blk)
-        return coeffs
+    def check_matrix(name):
+        head, mem = blocks[name]
+        coeffs = impulse_response(_GF2, head, mem, a_blk, f_blk, d_max)
+        return PolyCheckMatrix(spec.n, [
+            {d: word.pairs for d, word in enumerate(row) if word}
+            for row in _row_polys(coeffs, spec.n)])
 
-    def to_rows(coeffs, count):
-        rows = []
-        for i in range(count):
-            row = {}
-            for d, mat in coeffs.items():
-                bits = mat[i]
-                pairs = tuple((bits[2 * t], bits[2 * t + 1])
-                              for t in range(spec.n))
-                if any(z or x for z, x in pairs):
-                    row[d] = pairs
-            rows.append(row)
-        return rows
-
-    s_z = PolyCheckMatrix(spec.n, to_rows(expand(hz_blk, cz_blk), spec.a))
-    s_e = PolyCheckMatrix(spec.n, to_rows(expand(k_blk, e_blk), 2 * spec.c))
-    logical = PolyCheckMatrix(spec.n, to_rows(expand(g_blk, b_blk), 2 * spec.k))
-    return s_z, s_e, logical
+    return check_matrix("S^Z"), check_matrix("S^E"), check_matrix("L")
 
 
-def _cleared_check_rows(spec):
-    """det(I - D A)-cleared polynomial rows of L(D), S^Z(D), S^E(D).
-
-    Memory loops make the raw impulse responses infinite, so the
-    symplectic pairing is checked on these finite polynomial rows
-    instead; clearing by the unit power series det(I - D A) preserves
-    whether the pairing vanishes at every offset.
-    """
-    from .conv import (_cleared_generator_blocks, _dp_add, _dp_mul)
-    from .fields import FieldSpec
-    gf2 = FieldSpec(2)
-    m2 = binary_symplectic_matrix(spec)
-    n2, mm2 = 2 * spec.n, 2 * spec.m
-    f_blk = [row[:n2] for row in m2[:mm2]]
-    a_blk = [row[n2:] for row in m2[:mm2]]
-    g_blk = [row[:n2] for row in m2[mm2:mm2 + 2 * spec.k]]
-    b_blk = [row[n2:] for row in m2[mm2:mm2 + 2 * spec.k]]
-    h_blk = [row[:n2] for row in m2[mm2 + 2 * spec.k:mm2 + 2 * spec.k + 2 * spec.a]]
-    c_blk = [row[n2:] for row in m2[mm2 + 2 * spec.k:mm2 + 2 * spec.k + 2 * spec.a]]
-    k_blk = [row[:n2] for row in m2[mm2 + 2 * spec.k + 2 * spec.a:]]
-    e_blk = [row[n2:] for row in m2[mm2 + 2 * spec.k + 2 * spec.a:]]
-    hz_blk = [h_blk[2 * i] for i in range(spec.a)]
-    cz_blk = [c_blk[2 * i] for i in range(spec.a)]
-    out = {}
-    for name, head, mem in (("L", g_blk, b_blk), ("S^Z", hz_blk, cz_blk),
-                            ("S^E", k_blk, e_blk)):
-        out[name] = _cleared_generator_blocks(gf2, head, mem, a_blk, f_blk)
-    return out
-
-
-def _poly_row_pairing(row_a, row_b, n):
+def _pairing_offsets(row_a, row_b):
     """Offsets t where sum_d <a_d, b_(d+t)> is odd; rows are lists of
-    {degree: bit} polynomial entries of width 2n."""
-    degs_a = sorted({d for ent in row_a for d in ent})
-    degs_b = sorted({d for ent in row_b for d in ent})
+    Pauli words, degree 0 first."""
+    degs_a = [d for d, word in enumerate(row_a) if word]
+    degs_b = [d for d, word in enumerate(row_b) if word]
     if not degs_a or not degs_b:
         return []
-
-    def word_at(row, d):
-        bits = [ent.get(d, 0) for ent in row]
-        return PauliWord(tuple((bits[2 * t], bits[2 * t + 1])
-                               for t in range(n)))
-
     bad = []
     for t in range(degs_b[0] - degs_a[-1], degs_b[-1] - degs_a[0] + 1):
         acc = 0
         for d in degs_a:
-            acc ^= symplectic_product(word_at(row_a, d), word_at(row_b, d + t))
+            if d + t in degs_b:
+                acc ^= symplectic_product(row_a[d], row_b[d + t])
         if acc:
             bad.append(t)
     return bad
 
 
-def check_poly_orthogonality(spec, d_max=10):
+def check_poly_orthogonality(spec):
     """Logical rows must commute with all stabilizer rows at every
-    D-offset; returns (ok, diagnostics)."""
-    rows = _cleared_check_rows(spec)
+    D-offset; returns (ok, diagnostics).
+
+    Memory loops make the raw impulse responses infinite, so the
+    pairing is checked on the rows cleared by det(I - D A), which are
+    polynomials of degree <= 2m; clearing by this unit power series
+    preserves whether the pairing vanishes at every offset.
+    """
+    a_blk, f_blk, blocks = _symplectic_blocks(spec)
+    rows = {name: _row_polys(cleared_response(_GF2, head, mem, a_blk, f_blk),
+                             spec.n)
+            for name, (head, mem) in blocks.items()}
     diags = []
     for i, lrow in enumerate(rows["L"]):
         for name in ("S^Z", "S^E"):
             for j, srow in enumerate(rows[name]):
-                bad = _poly_row_pairing(lrow, srow, spec.n)
+                bad = _pairing_offsets(lrow, srow)
                 if bad:
                     diags.append("L row %d vs %s row %d: nonzero pairing at "
                                  "offsets %s" % (i + 1, name, j + 1, bad))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, read_fixture
 from wamkit import conv, quantum
 from wamkit.cli import main
 from wamkit.conv import ipwam, wam
@@ -191,7 +191,7 @@ def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv,
 def test_verify_all_prints_conv_diagnostics(monkeypatch, capsys):
     diag = "I + C C'^T - A A'^T != 0"
     monkeypatch.setattr(conv, "orthogonality_check",
-                        lambda seed, dual, d_max: (False, [diag]))
+                        lambda seed, dual: (False, [diag]))
     code, out, _ = run_cli(capsys, "verify", "all",
                            fixture_path("example1.cc"))
     assert code == 1
@@ -205,7 +205,7 @@ def test_verify_all_prints_quantum_diagnostics(monkeypatch, capsys):
     diags = ["L row 1 vs S^Z row 1: nonzero pairing at offsets [0]",
              "L row 2 vs S^E row 1: nonzero pairing at offsets [1]"]
     monkeypatch.setattr(quantum, "check_poly_orthogonality",
-                        lambda spec, d_max: (False, diags))
+                        lambda spec: (False, diags))
     monkeypatch.setattr(quantum.EaqccSpec, "validate_clifford",
                         lambda self: (False, ["Z1 and X1 commute"]))
     code, out, _ = run_cli(capsys, "verify", "all", fixture_path("u1.qcc"))
@@ -216,3 +216,17 @@ def test_verify_all_prints_quantum_diagnostics(monkeypatch, capsys):
     assert lines[at + 2].endswith(": PASS")
     at = lines.index("polynomial check-matrix orthogonality: FAIL")
     assert lines[at + 1:] == ["FAIL " + d for d in diags]
+
+
+@pytest.mark.parametrize("q_line", ["q 2 1 1", "q 2 1 0", "q 2 1 x", "q 2 99"])
+def test_bad_field_header_exits_2(tmp_path, capsys, q_line):
+    # a degree-1 modulus is validated like any other, the modulus is
+    # parsed inside the header check, and the field tables are checked
+    # against the budget before the modulus search starts
+    path = tmp_path / "bad.cc"
+    path.write_text(read_fixture("example1.cc").replace("q 2 1", q_line, 1))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "conv", "wam", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert time.perf_counter() - start < 1.0

@@ -105,6 +105,11 @@ def test_example1_poly_generator(example1):
     assert g.entry_str(0, 1) == "1 + D + D^3 + D^5"
 
 
+def test_memoryless_poly_generator_is_e():
+    g = poly_generator(ConvSeed(field(3), 2, 1, 0, [[1, 2]]), 4)
+    assert str(g) == "( 1 , 2 )"
+
+
 def test_example1_total_wgf_low_orders(example1):
     lam = wam(example1).collapse({"x": 1})
     w = total_wgf(lam, 2)
