@@ -8,9 +8,10 @@ checked division by q^k.
 
 from . import gflinalg
 from .errors import BudgetError, FieldError, ShapeError, WamkitError
-from .poly import WeightPoly
+from .poly import IP_PAIRS, IP_VARS, WeightPoly
+from .polymatrix import macwilliams
 
-DEFAULT_BUDGET = 2 ** 26
+DEFAULT_BUDGET = 2 ** 22
 
 
 def check_budget(what, edges, cells=0, budget=DEFAULT_BUDGET):
@@ -50,11 +51,7 @@ class LinearCode:
         """Yield all q^k codewords, messages in index order."""
         spec, k = self.spec, self.k
         check_budget("codeword enumeration", spec.q ** k, budget=budget)
-        for idx in range(spec.q ** k):
-            msg, t = [0] * k, idx
-            for j in range(k):
-                msg[j] = t % spec.q
-                t //= spec.q
+        for msg in gflinalg.digit_vectors(spec.q, k):
             yield gflinalg.vec_mat(spec, msg, self.generator)
 
 
@@ -105,24 +102,17 @@ def dual_code(code):
 
 def hwgf(code, budget=DEFAULT_BUDGET):
     """Homogeneous Hamming weight generating function sum x^(n-w) y^w."""
-    x = WeightPoly.var("x")
-    y = WeightPoly.var("y")
     counts = {}
     for word in code.enumerate_codewords(budget):
-        w = sum(1 for s in word if s)
-        counts[w] = counts.get(w, 0) + 1
-    out = WeightPoly.zero()
-    for w, c in counts.items():
-        out = out + c * x ** (code.n - w) * y ** w
-    return out
+        w = gflinalg.weight(word)
+        key = (code.n - w, w)
+        counts[key] = counts.get(key, 0) + 1
+    return WeightPoly.from_counts(("x", "y"), counts)
 
 
 def macwilliams_hwgf(g, q, k):
     """Transform g(x, y) -> g(x + (q-1)y, x - y) / q^k, exactly."""
-    x = WeightPoly.var("x")
-    y = WeightPoly.var("y")
-    image = g.substitute({"x": x + (q - 1) * y, "y": x - y})
-    return image.exact_div(q ** k)
+    return macwilliams(g, q, q ** k, (("x", "y"),))
 
 
 def ipwgf(code, info_last=False, budget=DEFAULT_BUDGET):
@@ -145,29 +135,15 @@ def ipwgf(code, info_last=False, budget=DEFAULT_BUDGET):
             if code.generator[i][j] != want:
                 raise ShapeError("generator is not systematic on the "
                                  "requested information set")
-    xi = WeightPoly.var("x_I")
-    yi = WeightPoly.var("y_I")
-    xp = WeightPoly.var("x_P")
-    yp = WeightPoly.var("y_P")
-    out = WeightPoly.zero()
+    counts = {}
     for word in code.enumerate_codewords(budget):
-        wi = sum(1 for j in info if word[j])
-        wp = sum(1 for j in parity if word[j])
-        out = out + (xi ** (k - wi) * yi ** wi
-                     * xp ** (n - k - wp) * yp ** wp)
-    return out
+        wi = gflinalg.weight(word[j] for j in info)
+        wp = gflinalg.weight(word[j] for j in parity)
+        key = (k - wi, wi, n - k - wp, wp)
+        counts[key] = counts.get(key, 0) + 1
+    return WeightPoly.from_counts(IP_VARS, counts)
 
 
 def macwilliams_ipwgf(g, q, k):
     """Input/parity MacWilliams transform; swaps the I and P roles."""
-    xi = WeightPoly.var("x_I")
-    yi = WeightPoly.var("y_I")
-    xp = WeightPoly.var("x_P")
-    yp = WeightPoly.var("y_P")
-    image = g.substitute({
-        "x_I": xp + (q - 1) * yp,
-        "y_I": xp - yp,
-        "x_P": xi + (q - 1) * yi,
-        "y_P": xi - yi,
-    })
-    return image.exact_div(q ** k)
+    return macwilliams(g, q, q ** k, IP_PAIRS)

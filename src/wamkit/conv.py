@@ -17,20 +17,13 @@ from . import gflinalg
 from .block import DEFAULT_BUDGET, check_budget
 from .errors import AlgebraError, ShapeError
 from .fields import character
-from .poly import WeightPoly
-from .polymatrix import PolyMatrix, series_inverse
+from .poly import IP_PAIRS, IP_VARS, WeightPoly
+from .polymatrix import PolyMatrix, macwilliams, series_inverse
 
 
 def state_vectors(spec, m):
     """All of GF(q)^m in canonical order: first coordinate fastest."""
-    out = []
-    for idx in range(spec.q ** m):
-        v, t = [0] * m, idx
-        for j in range(m):
-            v[j] = t % spec.q
-            t //= spec.q
-        out.append(tuple(v))
-    return out
+    return list(gflinalg.digit_vectors(spec.q, m))
 
 
 def state_labels(spec, m):
@@ -138,56 +131,50 @@ def _transitions(seed):
             yield si, index[w2], u, p
 
 
-def wam(seed, budget=DEFAULT_BUDGET):
-    """Weight adjacency matrix with homogeneous x/y entries."""
+def _edge_matrix(seed, names, weights, budget):
+    """The matrix whose (w, w') entry counts the transitions w -> w' by
+    their exponent tuple weights(u, p), one exponent per name."""
     q, m = seed.spec.q, seed.m
     check_budget("WAM", q ** (m + seed.k), q ** (2 * m), budget)
-    labels = state_labels(seed.spec, seed.m)
-    x = WeightPoly.var("x")
-    y = WeightPoly.var("y")
-    out = PolyMatrix.zero(labels)
-    for si, sj, _u, p in _transitions(seed):
-        w = sum(1 for s in p if s)
-        out.entries[si][sj] = out.entries[si][sj] + x ** (seed.n - w) * y ** w
-    return out
+    cells = {}
+    for si, sj, u, p in _transitions(seed):
+        counts = cells.setdefault((si, sj), {})
+        key = weights(u, p)
+        counts[key] = counts.get(key, 0) + 1
+    return PolyMatrix.from_counts(state_labels(seed.spec, m), names, cells)
+
+
+def wam(seed, budget=DEFAULT_BUDGET):
+    """Weight adjacency matrix with homogeneous x/y entries."""
+    n = seed.n
+
+    def weights(_u, p):
+        w = gflinalg.weight(p)
+        return n - w, w
+    return _edge_matrix(seed, ("x", "y"), weights, budget)
 
 
 def ipwam(seed, budget=DEFAULT_BUDGET):
     """Input-parity WAM of a systematic seed."""
     if not isinstance(seed, SystematicConvSeed):
         raise ShapeError("input-parity split needs a systematic seed")
-    q, m = seed.spec.q, seed.m
-    check_budget("WAM", q ** (m + seed.k), q ** (2 * m), budget)
-    labels = state_labels(seed.spec, seed.m)
-    xi, yi = WeightPoly.var("x_I"), WeightPoly.var("y_I")
-    xp, yp = WeightPoly.var("x_P"), WeightPoly.var("y_P")
     n, k = seed.n, seed.k
-    out = PolyMatrix.zero(labels)
-    for si, sj, _u, p in _transitions(seed):
-        wi = sum(1 for j in seed.info_cols if p[j])
-        wp = sum(1 for j in seed.parity_cols if p[j])
-        mono = (xi ** (k - wi) * yi ** wi
-                * xp ** (n - k - wp) * yp ** wp)
-        out.entries[si][sj] = out.entries[si][sj] + mono
-    return out
+
+    def weights(_u, p):
+        wi = gflinalg.weight(p[j] for j in seed.info_cols)
+        wp = gflinalg.weight(p[j] for j in seed.parity_cols)
+        return k - wi, wi, n - k - wp, wp
+    return _edge_matrix(seed, IP_VARS, weights, budget)
 
 
 def iowam(seed, budget=DEFAULT_BUDGET):
     """Input-output WAM: tracks input weight and output weight."""
-    q, m = seed.spec.q, seed.m
-    check_budget("WAM", q ** (m + seed.k), q ** (2 * m), budget)
-    labels = state_labels(seed.spec, seed.m)
-    xi, yi = WeightPoly.var("x_I"), WeightPoly.var("y_I")
-    xo, yo = WeightPoly.var("x_O"), WeightPoly.var("y_O")
     n, k = seed.n, seed.k
-    out = PolyMatrix.zero(labels)
-    for si, sj, u, p in _transitions(seed):
-        wu = sum(1 for s in u if s)
-        wp = sum(1 for s in p if s)
-        mono = (xi ** (k - wu) * yi ** wu
-                * xo ** (n - wp) * yo ** wp)
-        out.entries[si][sj] = out.entries[si][sj] + mono
-    return out
+
+    def weights(u, p):
+        wu, wp = gflinalg.weight(u), gflinalg.weight(p)
+        return k - wu, wu, n - wp, wp
+    return _edge_matrix(seed, ("x_I", "y_I", "x_O", "y_O"), weights, budget)
 
 
 # --- duality ---
@@ -356,24 +343,14 @@ def fourier_matrix(spec, m):
 
 def macwilliams_wam(lam, q, n, k, m, spec):
     """Dual WAM: F Lam(x + (q-1)y, x - y) F^dagger / q^(m+k)."""
-    x, y = WeightPoly.var("x"), WeightPoly.var("y")
-    image = lam.substitute({"x": x + (q - 1) * y, "y": x - y})
-    out = image.conjugate_by(fourier_matrix(spec, m))
-    return out.exact_div(q ** (m + k)).to_int_coeffs()
+    return macwilliams(lam, q, q ** (m + k), (("x", "y"),),
+                       fourier_matrix(spec, m))
 
 
 def macwilliams_ipwam(lam, q, n, k, m, spec):
     """Dual input-parity WAM; swaps the I and P roles under transform."""
-    xi, yi = WeightPoly.var("x_I"), WeightPoly.var("y_I")
-    xp, yp = WeightPoly.var("x_P"), WeightPoly.var("y_P")
-    image = lam.substitute({
-        "x_I": xp + (q - 1) * yp,
-        "y_I": xp - yp,
-        "x_P": xi + (q - 1) * yi,
-        "y_P": xi - yi,
-    })
-    out = image.conjugate_by(fourier_matrix(spec, m))
-    return out.exact_div(q ** (m + k)).to_int_coeffs()
+    return macwilliams(lam, q, q ** (m + k), IP_PAIRS,
+                       fourier_matrix(spec, m))
 
 
 def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):

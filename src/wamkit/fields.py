@@ -10,6 +10,7 @@ once and element operations are dictionary-free integer lookups.
 from .block import check_budget
 from .cyclotomic import root_of_unity
 from .errors import FieldError
+from .gflinalg import digit_vectors
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -69,14 +70,8 @@ def _irreducible(poly, p):
     if poly[0] == 0:  # divisible by x
         return r == 1
     for deg in range(1, r // 2 + 1):
-        for idx in range(p ** deg):
-            cand = [0] * (deg + 1)
-            t = idx
-            for j in range(deg):
-                cand[j] = t % p
-                t //= p
-            cand[deg] = 1
-            _, rem = _poly_divmod(list(poly), cand, p)
+        for digits in digit_vectors(p, deg):
+            _, rem = _poly_divmod(list(poly), list(digits) + [1], p)
             if not _poly_trim(rem):
                 return False
     return True
@@ -84,15 +79,10 @@ def _irreducible(poly, p):
 
 def default_modulus(p, r):
     """Lexicographically least monic irreducible of degree r over GF(p)."""
-    for idx in range(p ** r):
-        cand = [0] * (r + 1)
-        t = idx
-        for j in range(r):
-            cand[j] = t % p
-            t //= p
-        cand[r] = 1
+    for digits in digit_vectors(p, r):
+        cand = digits + (1,)
         if _irreducible(cand, p):
-            return tuple(cand)
+            return cand
     raise FieldError("no irreducible polynomial found (p=%d, r=%d)" % (p, r))
 
 
@@ -123,13 +113,7 @@ class FieldSpec:
 
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
-        coeffs = []
-        for i in range(q):
-            c, t = [0] * r, i
-            for j in range(r):
-                c[j] = t % p
-                t //= p
-            coeffs.append(tuple(c))
+        coeffs = list(digit_vectors(p, r))
         self._coeffs = coeffs
 
         def to_index(c):

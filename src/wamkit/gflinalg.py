@@ -1,7 +1,19 @@
 """Dense linear algebra over GF(q); matrices are lists of lists of
 element indices into a FieldSpec's tables."""
 
+from itertools import product
+
 from .errors import ShapeError
+
+
+def digit_vectors(q, m):
+    """Iterate over range(q)^m as tuples, first coordinate fastest."""
+    return (v[::-1] for v in product(range(q), repeat=m))
+
+
+def weight(v):
+    """Hamming weight: the number of nonzero entries."""
+    return sum(1 for x in v if x)
 
 
 def zeros(rows, cols):

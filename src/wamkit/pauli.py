@@ -5,9 +5,8 @@ I = (0,0), X = (0,1), Z = (1,0), Y = (1,1).  Multiplication is bitwise
 XOR since global phases are quotiented out.
 """
 
-import random
-
 from .errors import ShapeError, WamkitError
+from .gflinalg import digit_vectors
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -97,15 +96,8 @@ def symplectic_product(a, b):
 
 def pauli_state_words(m):
     """All of {I,X,Y,Z}^m in canonical order, first qubit fastest."""
-    out = []
-    for idx in range(4 ** m):
-        t = idx
-        pairs = []
-        for _ in range(m):
-            pairs.append(_LETTER_TO_BITS[LETTERS[t % 4]])
-            t //= 4
-        out.append(PauliWord(pairs))
-    return out
+    return [PauliWord(_LETTER_TO_BITS[LETTERS[t]] for t in digits)
+            for digits in digit_vectors(4, m)]
 
 
 def pauli_state_labels(m):
@@ -152,24 +144,3 @@ class CliffordSeed:
             if x:
                 out = out * self.x_img[i]
         return out
-
-
-def random_clifford_seed(width, rng=None, transvections=None):
-    """A random Clifford seed built from symplectic transvections.
-
-    Each transvection T_h maps v to v * h^<v,h>; a product of 20-50 of
-    them applied to the identity tableau is symplectic by construction.
-    """
-    rng = rng or random.Random()
-    if transvections is None:
-        transvections = rng.randint(20, 50)
-    z_img = [PauliWord.single(width, i, "Z") for i in range(width)]
-    x_img = [PauliWord.single(width, i, "X") for i in range(width)]
-    for _ in range(transvections):
-        h = PauliWord(tuple((rng.randint(0, 1), rng.randint(0, 1))
-                            for _ in range(width)))
-        if not h:
-            continue
-        z_img = [v * h if symplectic_product(v, h) else v for v in z_img]
-        x_img = [v * h if symplectic_product(v, h) else v for v in x_img]
-    return CliffordSeed(z_img, x_img)

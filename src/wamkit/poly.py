@@ -19,6 +19,11 @@ _NVARS = len(VARS)
 _D = _VAR_INDEX["D"]
 _ZERO_EXP = (0,) * _NVARS
 
+# the input/parity variables, flat and as the (x, y) pairs that the
+# MacWilliams transform maps together
+IP_VARS = ("x_I", "y_I", "x_P", "y_P")
+IP_PAIRS = (IP_VARS[:2], IP_VARS[2:])
+
 
 def _min_dmax(a, b):
     if a is None:
@@ -72,6 +77,23 @@ class WeightPoly:
                 raise AlgebraError("unknown variable %r" % (name,))
             e[_VAR_INDEX[name]] = k
         return cls({tuple(e): coeff}, d_max)
+
+    @classmethod
+    def from_counts(cls, names, counts):
+        """sum c * prod names[i]^e[i] over the items (e, c) of `counts`;
+        each exponent tuple e is aligned with the variable names."""
+        slots = []
+        for name in names:
+            if name not in _VAR_INDEX:
+                raise AlgebraError("unknown variable %r" % (name,))
+            slots.append(_VAR_INDEX[name])
+        terms = {}
+        for exps, c in counts.items():
+            e = [0] * _NVARS
+            for i, k in zip(slots, exps):
+                e[i] = k
+            terms[tuple(e)] = c
+        return cls(terms)
 
     # --- ring operations ---
 

@@ -31,6 +31,15 @@ class PolyMatrix:
                             for _ in range(n)])
 
     @classmethod
+    def from_counts(cls, labels, names, cells):
+        """Entry (i, j) is WeightPoly.from_counts(names, cells[i, j]);
+        cells missing from `cells` stay zero."""
+        out = cls.zero(labels)
+        for (i, j), counts in cells.items():
+            out.entries[i][j] = WeightPoly.from_counts(names, counts)
+        return out
+
+    @classmethod
     def identity(cls, labels, d_max=None):
         m = cls.zero(labels, d_max)
         for i in range(len(m.labels)):
@@ -251,6 +260,27 @@ def _group_ring_value(planes):
     if all(v == top for v in planes[1:]):
         return planes[0] - top
     return CyclotomicInt(len(planes), [v - top for v in planes[:-1]])
+
+
+def macwilliams(enum, q, divisor, pairs, kernel=None):
+    """MacWilliams transform of a weight enumerator or of a WAM.
+
+    Each (x, y) variable pair of `pairs` is replaced by x' + (q-1) y',
+    x' - y', where (x', y') is its mirror pair pairs[-1 - t], so the
+    input and parity roles of ((x_I, y_I), (x_P, y_P)) trade places.  A
+    WAM is then conjugated by the per-coordinate state kernel (block
+    codes have no state axes and pass none).  The result is divided by
+    `divisor` exactly and must have integer coefficients.
+    """
+    mapping = {}
+    for (x, y), (xm, ym) in zip(pairs, reversed(pairs)):
+        xv, yv = WeightPoly.var(xm), WeightPoly.var(ym)
+        mapping[x] = xv + (q - 1) * yv
+        mapping[y] = xv - yv
+    out = enum.substitute(mapping)
+    if kernel is not None:
+        out = out.conjugate_by(kernel)
+    return out.exact_div(divisor).to_int_coeffs()
 
 
 def series_inverse(m, d_max):

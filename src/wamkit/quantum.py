@@ -14,11 +14,10 @@ The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 from .block import check_budget
 from .errors import ShapeError
 from .fields import FieldSpec
-from .gflinalg import cleared_response, impulse_response
+from .gflinalg import cleared_response, digit_vectors, impulse_response
 from .pauli import (PauliWord, pauli_state_labels, pauli_state_words,
                     symplectic_product)
-from .poly import WeightPoly
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, macwilliams
 
 _GF2 = FieldSpec(2)
 
@@ -116,13 +115,8 @@ def _enumerate_edges(spec):
     width = seed.width
     mem_words = pauli_state_words(spec.m)
     log_words = pauli_state_words(spec.k)
-    anc_words = []
-    for idx in range(2 ** spec.a):
-        pairs, t = [], idx
-        for _ in range(spec.a):
-            pairs.append((t & 1, 0))
-            t >>= 1
-        anc_words.append(PauliWord(pairs))
+    anc_words = [PauliWord((z, 0) for z in bits)
+                 for bits in digit_vectors(2, spec.a)]
     p_pos = [p - 1 for p in spec.i_p]
     mo_pos = [p - 1 for p in spec.i_mout]
     for mem in mem_words:
@@ -141,23 +135,21 @@ def _enumerate_edges(spec):
 
 def quantum_wam(spec):
     """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest."""
-    check_budget("quantum WAM", _edge_count(spec), 4 ** (2 * spec.m))
-    labels = pauli_state_labels(spec.m)
-    x, y = WeightPoly.var("x"), WeightPoly.var("y")
-    out = PolyMatrix.zero(labels)
+    check_budget("quantum WAM", _edge_count(spec), 16 ** spec.m)
+    cells = {}
     for mem, _log, phys, mem_out in _enumerate_edges(spec):
-        i, j = mem.state_index(), mem_out.state_index()
+        counts = cells.setdefault((mem.state_index(), mem_out.state_index()),
+                                  {})
         w = phys.weight()
-        out.entries[i][j] = out.entries[i][j] + x ** (spec.n - w) * y ** w
-    return out
+        key = (spec.n - w, w)
+        counts[key] = counts.get(key, 0) + 1
+    return PolyMatrix.from_counts(pauli_state_labels(spec.m), ("x", "y"),
+                                  cells)
 
 
 def quantum_macwilliams(lam, n, k, a, m):
     """Dual WAM: F^(x)m Lam(x + 3y, x - y) F^(x)m / (4^m 4^k 2^a)."""
-    x, y = WeightPoly.var("x"), WeightPoly.var("y")
-    image = lam.substitute({"x": x + 3 * y, "y": x - y})
-    out = image.conjugate_by(F1)
-    return out.exact_div(4 ** m * 4 ** k * 2 ** a).to_int_coeffs()
+    return macwilliams(lam, 4, 4 ** m * 4 ** k * 2 ** a, (("x", "y"),), F1)
 
 
 def dual_wam(spec):

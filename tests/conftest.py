@@ -10,7 +10,7 @@ from wamkit.conv import ConvSeed, SystematicConvSeed, state_vectors
 from wamkit.fields import FieldSpec
 from wamkit.formats import (parse_block_code, parse_conv_seed,
                             parse_quantum_spec)
-from wamkit.pauli import random_clifford_seed
+from wamkit.pauli import CliffordSeed, PauliWord, symplectic_product
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import EaqccSpec
@@ -135,6 +135,27 @@ def random_systematic_conv_seed(rng, spec, n, k, m):
              + [rng.randrange(spec.q) for _ in range(n - k + m)]
              for i in range(k)]
     return SystematicConvSeed(spec, n, k, m, upper + lower)
+
+
+def random_clifford_seed(width, rng=None, transvections=None):
+    """A random Clifford seed built from symplectic transvections.
+
+    Each transvection T_h maps v to v * h^<v,h>; a product of 20-50 of
+    them applied to the identity tableau is symplectic by construction.
+    """
+    rng = rng or random.Random()
+    if transvections is None:
+        transvections = rng.randint(20, 50)
+    z_img = [PauliWord.single(width, i, "Z") for i in range(width)]
+    x_img = [PauliWord.single(width, i, "X") for i in range(width)]
+    for _ in range(transvections):
+        h = PauliWord(tuple((rng.randint(0, 1), rng.randint(0, 1))
+                            for _ in range(width)))
+        if not h:
+            continue
+        z_img = [v * h if symplectic_product(v, h) else v for v in z_img]
+        x_img = [v * h if symplectic_product(v, h) else v for v in x_img]
+    return CliffordSeed(z_img, x_img)
 
 
 def random_eaqcc_spec(rng, n, k, c, m):

@@ -1,11 +1,15 @@
 """Block codes: enumeration, duals and transform-vs-oracle checks."""
 
+import time
+
 import pytest
 
 from conftest import (field, poly_of, random_linear_code,
                       random_systematic_code, seeded_rng)
 from wamkit.block import (LinearCode, SystematicCode, dual_code, hwgf, ipwgf,
                           macwilliams_hwgf, macwilliams_ipwgf)
+from wamkit.conv import (ConvSeed, SystematicConvSeed, ipwam,
+                         macwilliams_ipwam, macwilliams_wam, wam)
 from wamkit.errors import BudgetError, ShapeError
 
 
@@ -91,3 +95,37 @@ def test_transform_fails_on_wrong_k(rep3):
     from wamkit.errors import AlgebraError
     with pytest.raises(AlgebraError):
         macwilliams_hwgf(hwgf(rep3), 2, 3)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_block_code_is_the_memoryless_conv_code(p, r):
+    # a block code is a convolutional code with m = 0: its enumerators
+    # and their transforms are entry (0, 0) of the one-state WAMs
+    spec = field(p, r)
+    q = spec.q
+    rng = seeded_rng("block-memoryless-%d-%d" % (p, r))
+    for _ in range(3):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, n - 1)
+        code = random_linear_code(rng, spec, n, k)
+        lam = wam(ConvSeed(spec, n, k, 0, code.generator))
+        assert lam.entries == [[hwgf(code)]]
+        assert (macwilliams_wam(lam, q, n, k, 0, spec).entries
+                == [[macwilliams_hwgf(hwgf(code), q, k)]])
+        code = random_systematic_code(rng, spec, n, k)
+        lam = ipwam(SystematicConvSeed(spec, n, k, 0, code.generator))
+        assert lam.entries == [[ipwgf(code)]]
+        assert (macwilliams_ipwam(lam, q, n, k, 0, spec).entries
+                == [[macwilliams_ipwgf(ipwgf(code), q, k)]])
+
+
+def test_ipwgf_of_a_28_14_code_is_fast():
+    # the input-parity enumerator is counted, not summed monomial by
+    # monomial, so 2^14 codewords take a fraction of a second
+    code = random_systematic_code(seeded_rng("block-ip-28-14"), field(2),
+                                  28, 14)
+    start = time.perf_counter()
+    got = ipwgf(code)
+    assert time.perf_counter() - start < 1.5
+    assert sum(got.terms.values()) == 2 ** 14
+    assert got.coefficient({"x_I": 14, "x_P": 14}) == 1

@@ -176,6 +176,13 @@ def _qubit_identity_spec(m):
     # 4^13 * 2 edges
     (["quantum", "dual-wam"], "edges.qcc", _qubit_identity_spec(13)),
     (["quantum", "state-diagram"], "edges.qcc", _qubit_identity_spec(13)),
+    # 2^24 cells: a binary (n=2, k=1, m=12) WAM, T the first 13 rows of I_14
+    (["conv", "wam"], "m12.cc",
+     "q 2 1\nn 2\nk 1\nm 12\nT\n"
+     + "\n".join(_identity_rows(14).splitlines()[:13]) + "\n"),
+    # GF(4096) field tables of 2^24 cells
+    (["conv", "wam"], "gf4096.cc",
+     read_fixture("example1.cc").replace("q 2 1", "q 2 12", 1)),
 ])
 def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv,
                                                    name, text):

@@ -2,10 +2,11 @@
 
 import pytest
 
-from conftest import matrix_of, random_eaqcc_spec, seeded_rng
+from conftest import (matrix_of, random_clifford_seed, random_eaqcc_spec,
+                      seeded_rng)
 from wamkit.errors import ShapeError
 from wamkit.pauli import (CliffordSeed, PauliWord, pauli_state_labels,
-                          random_clifford_seed, symplectic_product)
+                          symplectic_product)
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import (F1, EaqccSpec, check_poly_orthogonality,
                             constraint_stabilizers, dual_spec,

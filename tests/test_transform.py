@@ -122,6 +122,16 @@ def test_non_integral_result_is_rejected():
         out.exact_div(3)
 
 
+def test_macwilliams_wam_rejects_a_single_gf3_transition():
+    # the whole transform, not only its state pass, refuses a result
+    # that is not an integer polynomial
+    spec = field(3)
+    matrix = PolyMatrix.zero(state_labels(spec, 1))
+    matrix.entries[0][1] = WeightPoly.var("y")
+    with pytest.raises(AlgebraError):
+        macwilliams_wam(matrix, spec.q, 1, 0, 1, spec)
+
+
 def test_conjugate_by_rejects_mismatched_kernel():
     matrix = PolyMatrix.identity(["0", "1", "2"])
     with pytest.raises(AlgebraError):
