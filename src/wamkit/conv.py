@@ -18,7 +18,7 @@ from .block import DEFAULT_BUDGET, check_budget
 from .errors import AlgebraError, ShapeError
 from .fields import character
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
-from .polymatrix import PolyMatrix, macwilliams, series_inverse
+from .polymatrix import PolyMatrix, macwilliams, series_row
 
 
 def state_vectors(spec, m):
@@ -419,11 +419,7 @@ def assemble_encoder(seed, f_matrix):
 
 def total_wgf(lam, d_max=10):
     """<0| (I - Lam D)^(-1) |0> truncated at D^d_max."""
-    d = WeightPoly.var("D", d_max=d_max)
-    m = (PolyMatrix.identity(lam.labels, d_max)
-         - lam.map_entries(lambda e: e.truncated(d_max) * d))
-    inv = series_inverse(m, d_max)
-    return inv.entries[0][0]
+    return series_row(lam, 0, d_max)[0]
 
 
 def dual_total_wgf(lam, q, n, k, m, d_max, spec):
@@ -432,20 +428,17 @@ def dual_total_wgf(lam, q, n, k, m, d_max, spec):
     return total_wgf(dual_lam.collapse({"x": 1}), d_max)
 
 
-def free_wgf(lam, d_max=10):
-    """<0| [I - (Lam - |0><0|) D]^(-1) |0>, constant term kept.
+def _without_zero_loop(lam):
+    """Lam - |0><0|: only the zero-state self-loop weight 1 is removed;
+    any extra terms of the (0, 0) entry stay."""
+    out = PolyMatrix(lam.labels, lam.entries)
+    out.entries[0][0] = lam.entries[0][0] - 1
+    return out
 
-    The projector subtraction removes only the zero-state self-loop
-    weight 1; any extra terms of the (0, 0) entry stay.
-    """
-    labels = lam.labels
-    hole = PolyMatrix.zero(labels)
-    hole.entries[0][0] = WeightPoly.const(1)
-    reduced = lam - hole
-    d = WeightPoly.var("D", d_max=d_max)
-    m = (PolyMatrix.identity(labels, d_max)
-         - reduced.map_entries(lambda e: e.truncated(d_max) * d))
-    return series_inverse(m, d_max).entries[0][0]
+
+def free_wgf(lam, d_max=10):
+    """<0| [I - (Lam - |0><0|) D]^(-1) |0>, constant term kept."""
+    return series_row(_without_zero_loop(lam), 0, d_max)[0]
 
 
 class FreeDistanceResult:
@@ -469,28 +462,18 @@ class FreeDistanceResult:
 
 def free_distance(lam, d_max=10):
     """Least positive y-degree among fundamental paths, if decidable."""
-    w = free_wgf(lam, d_max)
-    positive = [d for d in w.y_degrees() if d > 0]
+    reduced = _without_zero_loop(lam)
+    row = series_row(reduced, 0, d_max)
+    positive = [d for d in row[0].y_degrees() if d > 0]
     if positive:
         return FreeDistanceResult(min(positive), True)
     # no merged path with positive weight seen: are paths still open?
-    labels = lam.labels
-    hole = PolyMatrix.zero(labels)
-    hole.entries[0][0] = WeightPoly.const(1)
-    reduced = lam - hole
-    power = PolyMatrix.identity(labels)
-    alive = False
-    for _ in range(d_max):
-        power = power * reduced
-    for i in range(len(labels)):
-        if power.entries[i][0]:
-            alive = True
-    for j in range(len(labels)):
-        if power.entries[0][j]:
-            alive = True
-    if alive:
+    # row 0 (column 0) of reduced^d_max is the D^d_max coefficient of
+    # row 0 of the series of reduced (of its transpose)
+    transpose = PolyMatrix(reduced.labels, list(zip(*reduced.entries)))
+    if any(e.d_coefficient(d_max)
+           for e in row + series_row(transpose, 0, d_max)):
         return FreeDistanceResult(None, False,
                                   "paths still open at depth %d; increase "
                                   "the truncation depth" % d_max)
     return FreeDistanceResult(None, True, "no nonzero fundamental path")
-

@@ -20,7 +20,7 @@ through the parsers below.
 import json
 
 from .conv import ConvSeed, SystematicConvSeed
-from .errors import FieldError, FormatError, ShapeError
+from .errors import BudgetError, FieldError, FormatError, ShapeError
 from .fields import FieldSpec
 from .block import LinearCode, SystematicCode
 from .pauli import CliffordSeed, PauliWord
@@ -62,7 +62,7 @@ def _field_from_header(values):
         raise FormatError("expected 'q <p> <r> [modulus]'", i)
     try:
         return FieldSpec(p, r, modulus)
-    except FieldError as exc:
+    except (BudgetError, FieldError) as exc:
         raise FormatError(str(exc), i) from exc
 
 

@@ -1,6 +1,7 @@
 """Square matrices of WeightPoly entries indexed by state labels."""
 
 from itertools import chain
+from operator import add
 
 from .cyclotomic import CyclotomicInt, root_of_unity
 from .errors import AlgebraError
@@ -26,9 +27,9 @@ class PolyMatrix:
 
     @classmethod
     def zero(cls, labels, d_max=None):
-        n = len(labels)
-        return cls(labels, [[WeightPoly.zero(d_max) for _ in range(n)]
-                            for _ in range(n)])
+        # WeightPoly is never mutated in place, so every cell shares one
+        n, zero = len(labels), WeightPoly.zero(d_max)
+        return cls(labels, [[zero] * n for _ in range(n)])
 
     @classmethod
     def from_counts(cls, labels, names, cells):
@@ -283,30 +284,51 @@ def macwilliams(enum, q, divisor, pairs, kernel=None):
     return out.exact_div(divisor).to_int_coeffs()
 
 
+def series_row(n, i, d_max):
+    """Row i of sum_{t <= d_max} N^t D^t, each entry truncated at D^d_max.
+
+    N must be D-free.  v_0 = <i|, v_(t+1) = v_t N runs over the nonzero
+    cells of N only, so the cost is O(d_max * nonzero cells * terms)
+    instead of the O(d_max * S^3) of full matrix powers.
+    """
+    if d_max < 0:  # truncation below D^0 drops the identity itself
+        raise AlgebraError("matrix is not of the form I - N*D")
+    cells = [[(j, e.terms) for j, e in enumerate(row) if e]
+             for row in n.entries]
+    if any(exp[_D] for row in cells for _j, terms in row for exp in terms):
+        raise AlgebraError("matrix is not of the form I - N*D")
+    series = [{} for _ in range(n.size)]
+    vec = {i: WeightPoly.const(1)}
+    for t in range(d_max + 1):
+        for j, v in vec.items():
+            series[j].update((exp[:_D] + (t,), c)
+                             for exp, c in v.terms.items())
+        if t == d_max:
+            break
+        nxt = {}
+        for s, v in vec.items():
+            for j, cell in cells[s]:
+                acc = nxt.setdefault(j, {})
+                for ea, ca in v.terms.items():
+                    for eb, cb in cell.items():
+                        e = tuple(map(add, ea, eb))
+                        acc[e] = acc.get(e, 0) + ca * cb
+        vec = {j: WeightPoly(acc) for j, acc in nxt.items()}
+    return [WeightPoly(terms, d_max) for terms in series]
+
+
 def series_inverse(m, d_max):
     """Truncated inverse of a matrix of the form I - N*D.
 
     N must be D-free.  Returns sum_{i<=d_max} N^i D^i with every entry
-    truncated at D^d_max.
+    truncated at D^d_max, one series_row per row.
     """
-    n = m.size
-    d_var = WeightPoly.var("D", d_max=d_max)
     # split: constant-in-D part must be the identity, linear part gives -N
     ident = PolyMatrix.identity(m.labels)
     const = m.map_entries(lambda e: e.d_coefficient(0))
-    if const != ident:
+    if const != ident or any(e.max_d_degree() > 1
+                             for row in m.entries for e in row):
         raise AlgebraError("matrix is not of the form I - N*D")
-    neg_n = m.map_entries(lambda e: e.d_coefficient(1))
-    for row in m.entries:
-        for e in row:
-            if any(exp[_D] > 1 for exp in e.terms):
-                raise AlgebraError("matrix is not of the form I - N*D")
-    big_n = neg_n.map_entries(lambda e: -e)
-    result = PolyMatrix.identity(m.labels, d_max)
-    power = PolyMatrix.identity(m.labels)
-    d_pow = WeightPoly.const(1, d_max)
-    for _ in range(d_max):
-        power = power * big_n
-        d_pow = d_pow * d_var
-        result = result + power.map_entries(lambda e, dp=d_pow: e * dp)
-    return result
+    big_n = m.map_entries(lambda e: -e.d_coefficient(1))
+    return PolyMatrix(m.labels, [series_row(big_n, i, d_max)
+                                 for i in range(m.size)])

@@ -192,6 +192,8 @@ def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv,
     code, _out, err = run_cli(capsys, *argv, str(path))
     assert code == 2
     assert err.startswith("error:") and "exceeds the budget" in err
+    if name == "gf4096.cc":
+        assert err.startswith("error: line 2: ")
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,0 +1,130 @@
+"""The row-vector D-series against dense matrix powers, and its speed."""
+
+import time
+
+import pytest
+
+from conftest import field, matrix_of, random_conv_seed, seeded_rng
+from wamkit.cli import main
+from wamkit.conv import ConvSeed, free_distance, free_wgf, total_wgf, wam
+from wamkit.errors import AlgebraError
+from wamkit.formats import render_conv_seed
+from wamkit.poly import WeightPoly
+from wamkit.polymatrix import PolyMatrix, series_inverse
+
+D_MAX = 6
+
+
+def dense_series(n, d_max):
+    """sum_{t <= d_max} N^t D^t from full matrix products."""
+    out = PolyMatrix.identity(n.labels, d_max)
+    power = PolyMatrix.identity(n.labels)
+    for t in range(1, d_max + 1):
+        power = power * n
+        d_pow = WeightPoly.var("D", t, d_max)
+        out = out + power.map_entries(lambda e, dp=d_pow: e * dp)
+    return out
+
+
+def without_zero_loop(lam):
+    hole = PolyMatrix.zero(lam.labels)
+    hole.entries[0][0] = WeightPoly.const(1)
+    return lam - hole
+
+
+def _seeds():
+    rng = seeded_rng("row-series")
+    for p, r, m in ((2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2),
+                    (2, 2, 1), (2, 2, 2)):
+        n = rng.randint(2, 3)
+        yield random_conv_seed(rng, field(p, r), n, rng.randint(1, n - 1), m)
+
+
+@pytest.mark.parametrize("seed", list(_seeds()),
+                         ids=lambda s: "q%d-m%d" % (s.spec.q, s.m))
+def test_row_series_matches_dense_powers(seed):
+    lam = wam(seed)
+    for mat in (lam, lam.collapse({"x": 1})):
+        total = dense_series(mat, D_MAX).entries[0][0]
+        free = dense_series(without_zero_loop(mat), D_MAX).entries[0][0]
+        for d in range(D_MAX + 1):
+            assert total_wgf(mat, d) == total.truncated(d)
+            assert free_wgf(mat, d) == free.truncated(d)
+            assert total_wgf(mat, d).d_max == d
+    n = lam.collapse({"x": 1})
+    d = WeightPoly.var("D", d_max=D_MAX)
+    m = (PolyMatrix.identity(n.labels, D_MAX)
+         - n.map_entries(lambda e: e * d))
+    assert series_inverse(m, D_MAX) == dense_series(n, D_MAX)
+
+
+def test_free_series_of_a_loop_without_constant_term():
+    # entry (0, 0) is y alone, so the zero-loop subtraction leaves y - 1
+    lam = matrix_of(["0", "1"], [["y", "y^2"], ["1", "y"]])
+    free = dense_series(without_zero_loop(lam), D_MAX).entries[0][0]
+    assert without_zero_loop(lam).entries[0][0] == WeightPoly.var("y") - 1
+    for d in range(D_MAX + 1):
+        assert free_wgf(lam, d) == free.truncated(d)
+    assert free_wgf(lam, 1).coefficient({"D": 1}) == -1
+
+
+def test_wam_with_a_d_term_is_rejected():
+    lam = matrix_of(["0", "1"], [["1", "y*D"], ["y", "1"]])
+    for fn in (total_wgf, free_wgf):
+        with pytest.raises(AlgebraError, match="not of the form I - N\\*D"):
+            fn(lam, 4)
+
+
+def _shift_register(m):
+    """Binary (2, 1, m) feedforward encoder: every nonzero path needs
+    m + 1 steps to merge back into the zero state."""
+    rows = []
+    for i in range(m):
+        taps = [1, i % 2]
+        rows.append(taps + [1 if j == i + 1 else 0 for j in range(m)])
+    rows.append([1, 1] + [1] + [0] * (m - 1))
+    return ConvSeed(field(2), 2, 1, m, rows)
+
+
+def test_dfree_open_path_test_on_the_row_series():
+    seed = _shift_register(4)
+    lam = wam(seed).collapse({"x": 1})
+    assert not free_distance(lam, 4).determined
+    assert free_distance(lam, 5).value is not None
+    # no state ever leaves the zero state: nothing open, nothing merged
+    closed = matrix_of(["0", "1"], [["1", "0"], ["0", "y"]])
+    result = free_distance(closed, 3)
+    assert result.determined and result.value is None
+
+
+def _run_timed(capsys, tmp_path, seed, *argv):
+    path = tmp_path / "seed.cc"
+    path.write_text(render_conv_seed(seed))
+    start = time.perf_counter()
+    codes = [main(list(args) + [str(path)]) for args in argv]
+    elapsed = time.perf_counter() - start
+    return codes, capsys.readouterr().out, elapsed
+
+
+def test_total_and_free_on_binary_m8_are_fast(capsys, tmp_path):
+    seed = random_conv_seed(seeded_rng("series-m8"), field(2), 2, 1, 8)
+    codes, out, elapsed = _run_timed(capsys, tmp_path, seed,
+                                     ["conv", "total"], ["conv", "free"])
+    assert codes == [0, 0] and out.count("\n") == 2
+    assert elapsed < 3.0
+
+
+def test_shallow_dfree_on_binary_m8_is_fast(capsys, tmp_path):
+    codes, out, elapsed = _run_timed(capsys, tmp_path, _shift_register(8),
+                                     ["--dmax", "3", "conv", "dfree"])
+    assert codes == [0]
+    assert out.startswith("d_free not determined: paths still open")
+    assert elapsed < 3.0
+
+
+def test_verify_all_on_gf4_m3_is_fast(capsys, tmp_path):
+    seed = random_conv_seed(seeded_rng("verify-gf4-m3"), field(2, 2), 2, 1, 3)
+    codes, out, elapsed = _run_timed(capsys, tmp_path, seed,
+                                     ["verify", "all"])
+    assert codes == [0] and "FAIL" not in out
+    assert elapsed < 3.0
