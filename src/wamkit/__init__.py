@@ -10,10 +10,9 @@ from .conv import (ConvSeed, FreeDistanceResult, PolyGenMatrix,
                    iowam_from_systematic, ipwam, macwilliams_ipwam,
                    macwilliams_wam, orthogonality_check, poly_generator,
                    total_wgf, wam)
-from .cyclotomic import CyclotomicInt
 from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
                      ShapeError, WamkitError)
-from .fields import FieldElement, FieldSpec, character, field_trace
+from .fields import FieldSpec
 from .pauli import CliffordSeed, PauliWord, symplectic_product
 from .poly import WeightPoly
 from .polymatrix import PolyMatrix, series_inverse

@@ -12,7 +12,8 @@ from . import block, conv, quantum
 from .errors import WamkitError
 from .formats import (dumps, matrix_to_structured, parse_block_code,
                       parse_conv_seed, parse_quantum_spec, poly_to_structured,
-                      render_conv_seed, render_quantum_spec)
+                      render_block_code, render_conv_seed,
+                      render_quantum_spec)
 from .poly import WeightPoly
 
 _COLLAPSE_MAPS = {
@@ -36,25 +37,10 @@ def _build_parser():
     parser.add_argument("--format", choices=["text", "structured", "dot"],
                         default="text", help="output format")
     sub = parser.add_subparsers(dest="group", required=True)
-
-    blk = sub.add_parser("block", help="linear block codes")
-    blk.add_argument("action", choices=["hwgf", "ipwgf", "dual"])
-    blk.add_argument("file")
-
-    cc = sub.add_parser("conv", help="classical convolutional codes")
-    cc.add_argument("action", choices=[
-        "wam", "ipwam", "iowam", "dual-wam", "dual-ipwam", "total",
-        "dual-total", "free", "dfree", "gd", "check-dual"])
-    cc.add_argument("file")
-
-    qc = sub.add_parser("quantum", help="quantum convolutional codes")
-    qc.add_argument("action", choices=[
-        "wam", "dual-wam", "dual-spec", "check-seed", "sd", "state-diagram"])
-    qc.add_argument("file")
-
-    ver = sub.add_parser("verify", help="run every identity check on a file")
-    ver.add_argument("action", choices=["all"])
-    ver.add_argument("file")
+    for group, (text, _parse, actions) in _GROUPS.items():
+        grp = sub.add_parser(group, help=text)
+        grp.add_argument("action", choices=list(actions))
+        grp.add_argument("file")
     return parser
 
 
@@ -78,96 +64,85 @@ def _emit_matrix(matrix, args):
         print(matrix)
 
 
-def _run_block(args):
-    code = parse_block_code(_read(args.file))
-    if args.action == "hwgf":
-        _emit_poly(block.hwgf(code), args)
-    elif args.action == "ipwgf":
-        _emit_poly(block.ipwgf(code), args)
-    else:  # dual
-        dual = block.dual_code(code)
-        print("q %d %d" % (code.spec.p, code.spec.r))
-        print("n %d" % dual.n)
-        print("k %d" % dual.k)
-        for row in dual.generator:
-            print(" ".join(str(x) for x in row))
-    return 0
+def _lam_y(seed):
+    return conv.wam(seed).collapse({"x": 1})
 
 
-def _run_conv(args):
-    seed = parse_conv_seed(_read(args.file))
-    spec, q = seed.spec, seed.spec.q
-    if args.action == "wam":
-        _emit_matrix(conv.wam(seed), args)
-    elif args.action == "ipwam":
-        _emit_matrix(conv.ipwam(seed), args)
-    elif args.action == "iowam":
-        _emit_matrix(conv.iowam(seed), args)
-    elif args.action == "dual-wam":
-        lam = conv.wam(seed)
-        _emit_matrix(conv.macwilliams_wam(lam, q, seed.n, seed.k, seed.m,
-                                          spec), args)
-    elif args.action == "dual-ipwam":
-        lam = conv.ipwam(seed)
-        _emit_matrix(conv.macwilliams_ipwam(lam, q, seed.n, seed.k, seed.m,
-                                            spec), args)
-    elif args.action == "total":
-        lam = conv.wam(seed).collapse({"x": 1})
-        _emit_poly(conv.total_wgf(lam, args.dmax), args)
-    elif args.action == "dual-total":
-        lam = conv.wam(seed)
-        _emit_poly(conv.dual_total_wgf(lam, q, seed.n, seed.k, seed.m,
-                                       args.dmax, spec), args)
-    elif args.action == "free":
-        lam = conv.wam(seed).collapse({"x": 1})
-        _emit_poly(conv.free_wgf(lam, args.dmax), args)
-    elif args.action == "dfree":
-        lam = conv.wam(seed).collapse({"x": 1})
-        result = conv.free_distance(lam, args.dmax)
-        if result.determined and result.value is not None:
-            print("d_free = %d" % result.value)
-        elif result.determined:
-            print("d_free: %s" % result.reason)
-        else:
-            print("d_free not determined: %s" % result.reason)
-    elif args.action == "gd":
-        print(conv.poly_generator(seed, args.dmax))
-    else:  # check-dual
-        dual = conv.dual_seed(seed)
-        sys.stdout.write(render_conv_seed(dual))
-        ok, diags = conv.orthogonality_check(seed, dual)
-        for diag in diags:
-            print("FAIL %s" % diag)
-        print("orthogonality: %s" % ("PASS" if ok else "FAIL"))
-        return 0 if ok else 1
-    return 0
+def _dfree(seed, args):
+    result = conv.free_distance(_lam_y(seed), args.dmax)
+    if result.determined and result.value is not None:
+        print("d_free = %d" % result.value)
+    elif result.determined:
+        print("d_free: %s" % result.reason)
+    else:
+        print("d_free not determined: %s" % result.reason)
 
 
-def _run_quantum(args):
-    spec = parse_quantum_spec(_read(args.file))
-    if args.action == "wam":
-        _emit_matrix(quantum.quantum_wam(spec), args)
-    elif args.action == "dual-wam":
-        _emit_matrix(quantum.dual_wam(spec), args)
-    elif args.action == "dual-spec":
-        sys.stdout.write(render_quantum_spec(quantum.dual_spec(spec)))
-    elif args.action == "check-seed":
-        ok, diags = spec.validate_clifford()
-        for diag in diags:
-            print("FAIL %s" % diag)
-        print("clifford: %s" % ("PASS" if ok else "FAIL"))
-        return 0 if ok else 1
-    elif args.action == "sd":
-        s_z, s_e, logical = quantum.poly_check_matrix(spec, args.dmax)
-        print("S^Z(D):")
-        print(s_z if s_z.rows else "(none)")
-        print("S^E(D):")
-        print(s_e if s_e.rows else "(none)")
-        print("L(D):")
-        print(logical if logical.rows else "(none)")
-    else:  # state-diagram
-        print(quantum.state_diagram_dot(spec))
-    return 0
+def _check_dual(seed, args):
+    dual = conv.dual_seed(seed)
+    sys.stdout.write(render_conv_seed(dual))
+    ok, diags = conv.orthogonality_check(seed, dual)
+    for diag in diags:
+        print("FAIL %s" % diag)
+    print("orthogonality: %s" % ("PASS" if ok else "FAIL"))
+    return 0 if ok else 1
+
+
+def _check_seed(spec, args):
+    ok, diags = spec.validate_clifford()
+    for diag in diags:
+        print("FAIL %s" % diag)
+    print("clifford: %s" % ("PASS" if ok else "FAIL"))
+    return 0 if ok else 1
+
+
+def _sd(spec, args):
+    s_z, s_e, logical = quantum.poly_check_matrix(spec, args.dmax)
+    for name, mat in (("S^Z", s_z), ("S^E", s_e), ("L", logical)):
+        print("%s(D):" % name)
+        print(mat if mat.rows else "(none)")
+
+
+# action tables: each entry runs one action on the parsed file and
+# returns its exit code (None for 0); modules are looked up at call time
+_BLOCK = {
+    "hwgf": lambda code, args: _emit_poly(block.hwgf(code), args),
+    "ipwgf": lambda code, args: _emit_poly(block.ipwgf(code), args),
+    "dual": lambda code, args: print(
+        render_block_code(block.dual_code(code)), end=""),
+}
+
+_CONV = {
+    "wam": lambda seed, args: _emit_matrix(conv.wam(seed), args),
+    "ipwam": lambda seed, args: _emit_matrix(conv.ipwam(seed), args),
+    "iowam": lambda seed, args: _emit_matrix(conv.iowam(seed), args),
+    "dual-wam": lambda seed, args: _emit_matrix(conv.macwilliams_wam(
+        conv.wam(seed), seed.spec.q, seed.n, seed.k, seed.m, seed.spec), args),
+    "dual-ipwam": lambda seed, args: _emit_matrix(conv.macwilliams_ipwam(
+        conv.ipwam(seed), seed.spec.q, seed.n, seed.k, seed.m, seed.spec),
+        args),
+    "total": lambda seed, args: _emit_poly(
+        conv.total_wgf(_lam_y(seed), args.dmax), args),
+    "dual-total": lambda seed, args: _emit_poly(conv.dual_total_wgf(
+        conv.wam(seed), seed.spec.q, seed.n, seed.k, seed.m, args.dmax,
+        seed.spec), args),
+    "free": lambda seed, args: _emit_poly(
+        conv.free_wgf(_lam_y(seed), args.dmax), args),
+    "dfree": _dfree,
+    "gd": lambda seed, args: print(conv.poly_generator(seed, args.dmax)),
+    "check-dual": _check_dual,
+}
+
+_QUANTUM = {
+    "wam": lambda spec, args: _emit_matrix(quantum.quantum_wam(spec), args),
+    "dual-wam": lambda spec, args: _emit_matrix(quantum.dual_wam(spec), args),
+    "dual-spec": lambda spec, args: print(
+        render_quantum_spec(quantum.dual_spec(spec)), end=""),
+    "check-seed": _check_seed,
+    "sd": _sd,
+    "state-diagram": lambda spec, args: print(
+        quantum.state_diagram_dot(spec)),
+}
 
 
 def _check(name, ok, lines, diags=()):
@@ -240,8 +215,7 @@ def _verify_quantum(spec):
     return all_ok, lines
 
 
-def _run_verify(args):
-    text = _read(args.file)
+def _verify_all(text, args):
     if args.file.endswith(".qcc"):
         ok, lines = _verify_quantum(parse_quantum_spec(text))
     elif args.file.endswith(".cc"):
@@ -253,13 +227,22 @@ def _run_verify(args):
     return 0 if ok else 1
 
 
+# group -> (help, parser of the file's text, action table)
+_GROUPS = {
+    "block": ("linear block codes", parse_block_code, _BLOCK),
+    "conv": ("classical convolutional codes", parse_conv_seed, _CONV),
+    "quantum": ("quantum convolutional codes", parse_quantum_spec, _QUANTUM),
+    "verify": ("run every identity check on a file", str,
+               {"all": _verify_all}),
+}
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    runners = {"block": _run_block, "conv": _run_conv,
-               "quantum": _run_quantum, "verify": _run_verify}
+    _help, parse, actions = _GROUPS[args.group]
     try:
-        return runners[args.group](args)
+        return actions[args.action](parse(_read(args.file)), args) or 0
     except (WamkitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ fastest, written as strings of element indices.
 from . import gflinalg
 from .block import DEFAULT_BUDGET, check_budget
 from .errors import AlgebraError, ShapeError
-from .fields import character
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
 from .polymatrix import PolyMatrix, macwilliams, series_row
 
@@ -331,26 +330,28 @@ def poly_generator(seed, d_max=10):
 # --- MacWilliams transforms ---
 
 def fourier_matrix(spec, m):
-    """Kernel of the q^m x q^m character matrix F[a][b] = w^tr(a . b).
+    """Kernel of the q^m x q^m character matrix F[a][b] = w^tr(a . b),
+    w a primitive p-th root of unity.
 
     F is the m-fold Kronecker power of the q x q table w^tr(ab), and
-    PolyMatrix.conjugate_by applies it one coordinate at a time, so only
-    that table is built; it is the same for every m.
+    PolyMatrix.conjugate_by(table, spec.p) applies it one coordinate at
+    a time, so only the exponent table tr(ab) in range(p) is built; it
+    is the same for every m.
     """
-    elems = spec.elements()
-    return [[character(a, b) for b in elems] for a in elems]
+    return [[spec.trace[spec.mul[a][b]] for b in range(spec.q)]
+            for a in range(spec.q)]
 
 
 def macwilliams_wam(lam, q, n, k, m, spec):
     """Dual WAM: F Lam(x + (q-1)y, x - y) F^dagger / q^(m+k)."""
     return macwilliams(lam, q, q ** (m + k), (("x", "y"),),
-                       fourier_matrix(spec, m))
+                       (fourier_matrix(spec, m), spec.p))
 
 
 def macwilliams_ipwam(lam, q, n, k, m, spec):
     """Dual input-parity WAM; swaps the I and P roles under transform."""
     return macwilliams(lam, q, q ** (m + k), IP_PAIRS,
-                       fourier_matrix(spec, m))
+                       (fourier_matrix(spec, m), spec.p))
 
 
 def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):

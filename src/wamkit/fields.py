@@ -8,7 +8,6 @@ once and element operations are dictionary-free integer lookups.
 """
 
 from .block import check_budget
-from .cyclotomic import root_of_unity
 from .errors import FieldError
 from .gflinalg import digit_vectors
 
@@ -114,7 +113,6 @@ class FieldSpec:
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
         coeffs = list(digit_vectors(p, r))
-        self._coeffs = coeffs
 
         def to_index(c):
             idx = 0
@@ -159,12 +157,6 @@ class FieldSpec:
     def sub(self, i, j):
         return self.add[i][self.neg[j]]
 
-    def element(self, index):
-        return FieldElement(self, index)
-
-    def elements(self):
-        return [FieldElement(self, i) for i in range(self.q)]
-
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
                 and (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus))
@@ -174,80 +166,3 @@ class FieldSpec:
 
     def __repr__(self):
         return "FieldSpec(p=%d, r=%d, modulus=%s)" % (self.p, self.r, list(self.modulus))
-
-
-class FieldElement:
-    """A field element; thin wrapper over an index into the spec's tables."""
-
-    __slots__ = ("spec", "index")
-
-    def __init__(self, spec, index):
-        if not 0 <= index < spec.q:
-            raise FieldError("element index %r out of range for %r" % (index, spec))
-        self.spec = spec
-        self.index = index
-
-    @property
-    def coeffs(self):
-        return self.spec._coeffs[self.index]
-
-    def _check(self, other):
-        if isinstance(other, int):
-            other = FieldElement(self.spec, other % self.spec.q if self.spec.r == 1
-                                 else other)
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise FieldError("mixing elements of different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.add[self.index][other.index])
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.index, other.index))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.mul[self.index][other.index])
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg[self.index])
-
-    def inverse(self):
-        if self.index == 0:
-            raise FieldError("zero has no inverse")
-        return FieldElement(self.spec, self.spec.inv[self.index])
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inverse()
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.index == other
-        return (isinstance(other, FieldElement)
-                and self.spec == other.spec and self.index == other.index)
-
-    def __hash__(self):
-        return hash((self.spec, self.index))
-
-    def __repr__(self):
-        return "FieldElement(%d over GF(%d))" % (self.index, self.spec.q)
-
-
-def field_trace(a):
-    """Trace down to the prime subfield; returned as an int in range(p)."""
-    return a.spec.trace[a.index]
-
-
-def character(u, v):
-    """Additive character pairing w^tr(u*v); exact, never floating point."""
-    if u.spec != v.spec:
-        raise FieldError("character arguments from different fields")
-    spec = u.spec
-    t = spec.trace[spec.mul[u.index][v.index]]
-    return root_of_unity(spec.p, t)

@@ -21,8 +21,8 @@ import json
 
 from .conv import ConvSeed, SystematicConvSeed
 from .errors import BudgetError, FieldError, FormatError, ShapeError
-from .fields import FieldSpec
-from .block import LinearCode, SystematicCode
+from .fields import FieldSpec, default_modulus
+from .block import LinearCode, SystematicCode, _ZeroCode
 from .pauli import CliffordSeed, PauliWord
 from .poly import VARS, WeightPoly
 from .polymatrix import PolyMatrix
@@ -102,6 +102,8 @@ def parse_block_code(text):
     n = _int_header(values, "n")
     k = _int_header(values, "k")
     rows = _parse_rows(spec, rest, k, n)
+    if k == 0:
+        return _ZeroCode(spec, n)
     try:
         return SystematicCode(spec, rows)
     except ShapeError:
@@ -128,6 +130,18 @@ def parse_conv_seed(text):
     if systematic:
         return SystematicConvSeed(spec, n, k, m, rows)
     return ConvSeed(spec, n, k, m, rows)
+
+
+def render_block_code(code):
+    """The .bc text of a code; the modulus is written only when it is not
+    the default one, so the text always names the code's own field."""
+    spec = code.spec
+    head = "q %d %d" % (spec.p, spec.r)
+    if spec.modulus != default_modulus(spec.p, spec.r):
+        head += " " + " ".join(str(c) for c in spec.modulus)
+    out = [head, "n %d" % code.n, "k %d" % code.k]
+    out.extend(" ".join(str(x) for x in row) for row in code.generator)
+    return "\n".join(out) + "\n"
 
 
 def render_conv_seed(seed):

@@ -1,16 +1,13 @@
 """Sparse multivariate polynomials over a fixed variable alphabet.
 
 The alphabet is x, y, x_I, y_I, x_P, y_P, x_O, y_O, D.  Terms are stored
-in a dict keyed by the 9-tuple of exponents.  Coefficients are ints, or
-CyclotomicInt during intermediate character-sum computations; any
-coefficient whose root-of-unity part cancels is normalized back to int.
+in a dict keyed by the 9-tuple of exponents.  Coefficients are ints.
 
 An optional degree cap on D truncates formal power series: terms with a
 D-exponent above `d_max` are silently dropped at construction time, so
 every arithmetic result stays truncated.
 """
 
-from .cyclotomic import CyclotomicInt, normalize
 from .errors import AlgebraError
 
 VARS = ("x", "y", "x_I", "y_I", "x_P", "y_P", "x_O", "y_O", "D")
@@ -45,7 +42,6 @@ class WeightPoly:
             for exp, coeff in terms.items():
                 if d_max is not None and exp[_D] > d_max:
                     continue
-                coeff = normalize(coeff)
                 if coeff:
                     clean[exp] = coeff
         self.terms = clean
@@ -98,7 +94,7 @@ class WeightPoly:
     # --- ring operations ---
 
     def _coerce(self, other):
-        if isinstance(other, (int, CyclotomicInt)):
+        if isinstance(other, int):
             return WeightPoly.const(other, self.d_max)
         if isinstance(other, WeightPoly):
             return other
@@ -128,7 +124,7 @@ class WeightPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, CyclotomicInt)):
+        if isinstance(other, int):
             return WeightPoly({e: other * c for e, c in self.terms.items()},
                               self.d_max)
         if not isinstance(other, WeightPoly):
@@ -238,21 +234,17 @@ class WeightPoly:
         """Divide every coefficient by the integer n; error if not exact."""
         out = {}
         for e, c in self.terms.items():
-            if isinstance(c, CyclotomicInt):
-                out[e] = c.exact_div(n)
-            else:
-                q, r = divmod(c, n)
-                if r:
-                    raise AlgebraError("coefficient %r not divisible by %d" % (c, n))
-                out[e] = q
+            q, r = divmod(c, n)
+            if r:
+                raise AlgebraError("coefficient %r not divisible by %d" % (c, n))
+            out[e] = q
         return WeightPoly(out, self.d_max)
 
     def to_int_coeffs(self):
         """Assert every coefficient is a plain integer and return self."""
         for c in self.terms.values():
-            if isinstance(c, CyclotomicInt):
-                raise AlgebraError(
-                    "residual root-of-unity coefficient %s" % (c,))
+            if not isinstance(c, int):
+                raise AlgebraError("coefficient %r is not an integer" % (c,))
         return self
 
     def coefficient(self, exps):
@@ -299,13 +291,9 @@ class WeightPoly:
                     factors.append(VARS[i])
                 elif e > 1:
                     factors.append("%s^%d" % (VARS[i], e))
-            if isinstance(coeff, CyclotomicInt):
-                body = "(%s)" % coeff
-                neg = False
-            else:
-                neg = coeff < 0
-                mag = abs(coeff)
-                body = None if mag == 1 and factors else str(mag)
+            neg = coeff < 0
+            mag = abs(coeff)
+            body = None if mag == 1 and factors else str(mag)
             text = "*".join(([body] if body else []) + factors)
             if not chunks:
                 chunks.append(("-" if neg else "") + text)

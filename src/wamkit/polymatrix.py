@@ -3,7 +3,6 @@
 from itertools import chain
 from operator import add
 
-from .cyclotomic import CyclotomicInt, root_of_unity
 from .errors import AlgebraError
 from .poly import WeightPoly, _D
 
@@ -68,7 +67,7 @@ class PolyMatrix:
                            for ra, rb in zip(self.entries, other.entries)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, WeightPoly, CyclotomicInt)):
+        if isinstance(other, (int, WeightPoly)):
             return self.map_entries(lambda e: e * other)
         self._check(other)
         n = self.size
@@ -97,41 +96,43 @@ class PolyMatrix:
         return PolyMatrix(self.labels,
                           [[fn(e) for e in row] for row in self.entries])
 
+    def _map_nonzero(self, fn):
+        # for maps that send zero to zero: a zero cell is handed back as
+        # it is, so its d_max survives and no new WeightPoly is built
+        return PolyMatrix(self.labels, [[fn(e) if e else e for e in row]
+                                        for row in self.entries])
+
     def substitute(self, mapping):
-        return self.map_entries(lambda e: e.substitute(mapping))
+        return self._map_nonzero(lambda e: e.substitute(mapping))
 
     def collapse(self, mapping):
-        return self.map_entries(lambda e: e.collapse(mapping))
+        return self._map_nonzero(lambda e: e.collapse(mapping))
 
     def exact_div(self, n):
-        return self.map_entries(lambda e: e.exact_div(n))
+        return self._map_nonzero(lambda e: e.exact_div(n))
 
     def to_int_coeffs(self):
-        return self.map_entries(lambda e: e.to_int_coeffs())
+        return self._map_nonzero(lambda e: e.to_int_coeffs())
 
-    def entry_sum(self):
-        acc = WeightPoly.zero()
-        for row in self.entries:
-            for e in row:
-                acc = acc + e
-        return acc
-
-    def conjugate_by(self, f):
+    def conjugate_by(self, f, p=2):
         """F . self . F^dagger, where F is the m-fold Kronecker power of
-        the q x q kernel f and the state count is q^m.
+        the q x q kernel w^f[a][b], w a primitive p-th root of unity,
+        and the state count is q^m.
 
-        The kernel entries are roots of unity (ints +-1 or CyclotomicInt
-        powers of w), such as the table w^tr(ab) of a field or the
-        single-qubit Pauli kernel.  States are read as base-q digit
-        strings, first coordinate fastest, so F is never formed: the
-        kernel is applied to the row axis one coordinate at a time, then
-        its conjugate to the column axis, on one integer grid per
-        exponent key.  For p = 2 the grid holds plain ints and w^t is a
-        sign; for odd p it holds the p planes of the group ring Z[C_p],
-        where w^t rotates the planes and conjugation negates t.
+        The kernel is given by its exponent table f, entries in range(p),
+        such as the table tr(ab) of GF(q) with p its characteristic, or
+        the single-qubit Pauli signs with p = 2 (the default; an odd-p
+        table passed without its p is refused).  States are read as
+        base-q digit strings, first coordinate fastest, so F is never
+        formed: the kernel is applied to the row axis one coordinate at a
+        time, then its conjugate to the column axis, on one integer grid
+        per exponent key.  For p = 2 the grid holds plain ints and w^t is
+        a sign; for odd p it holds the p planes of the group ring Z[C_p],
+        where w^t rotates the planes and conjugation negates t.  A result
+        coefficient that is not an integer raises AlgebraError.
         """
-        p, m, exps = _kernel(f, self.size)
-        conj = [[-t % p for t in row] for row in exps]
+        m = _kernel(f, p, self.size)
+        conj = [[-t % p for t in row] for row in f]
         n = self.size
         # row i of each plane holds the grids of all exponent keys side by
         # side: entry (i, j) of key number t sits at column t * n + j
@@ -146,17 +147,8 @@ class PolyMatrix:
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
                 for exp, c in e.terms.items():
-                    col = keys[exp] * n + j
-                    if isinstance(c, CyclotomicInt):
-                        if c.p != p:
-                            raise AlgebraError("coefficient and kernel use "
-                                               "roots of unity of different "
-                                               "order")
-                        for s, v in enumerate(c.coeffs):
-                            planes[s][i][col] = v
-                    else:
-                        planes[0][i][col] = c
-        _kernel_rows(planes, exps, p, m)
+                    planes[0][i][keys[exp] * n + j] = c
+        _kernel_rows(planes, f, p, m)
         planes = [_transpose_states(plane, n) for plane in planes]
         _kernel_rows(planes, conj, p, m)
         # now entry (i, j) of key number t sits in row j at column t * n + i
@@ -185,9 +177,9 @@ class PolyMatrix:
         return "PolyMatrix(%d states)" % self.size
 
 
-def _kernel(f, size):
-    """(p, m, exps) for a q x q kernel f of p-th roots of unity acting on
-    `size` = q^m states: f[a][b] = w^exps[a][b]."""
+def _kernel(f, p, size):
+    """m for a q x q exponent table f, entries in range(p), acting on
+    `size` = q^m states."""
     q = len(f)
     if q < 2 or any(len(row) != q for row in f):
         raise AlgebraError("kernel is not a square matrix of size >= 2")
@@ -198,14 +190,12 @@ def _kernel(f, size):
     if rest != 1:
         raise AlgebraError("%d states are not a power of the kernel size %d"
                            % (size, q))
-    p = next((v.p for row in f for v in row if isinstance(v, CyclotomicInt)),
-             2)
-    powers = {root_of_unity(p, t): t for t in range(p)}
-    try:
-        return p, m, [[powers[v] for v in row] for row in f]
-    except KeyError as exc:
-        raise AlgebraError("kernel entry %r is not a power of a primitive "
-                           "%d-th root of unity" % (exc.args[0], p)) from None
+    for row in f:
+        for t in row:
+            if not (isinstance(t, int) and 0 <= t < p):
+                raise AlgebraError("kernel exponent %r is not in range(%d)"
+                                   % (t, p))
+    return m
 
 
 def _kernel_rows(grid, exps, p, m):
@@ -255,12 +245,14 @@ def _transpose_states(rows, n):
 
 
 def _group_ring_value(planes):
-    """sum_s planes[s] w^s as an int when it is one, else a CyclotomicInt;
-    the sum of all p powers of w vanishes."""
+    """sum_s planes[s] w^s, which must be an int: the sum of all p powers
+    of w vanishes, so it is one exactly when planes 1..p-1 agree."""
     top = planes[-1]
-    if all(v == top for v in planes[1:]):
-        return planes[0] - top
-    return CyclotomicInt(len(planes), [v - top for v in planes[:-1]])
+    if any(v != top for v in planes[1:]):
+        raise AlgebraError("residual root-of-unity coefficient %s over "
+                           "w^0..w^%d" % ([v - top for v in planes[:-1]],
+                                          len(planes) - 2))
+    return planes[0] - top
 
 
 def macwilliams(enum, q, divisor, pairs, kernel=None):
@@ -269,9 +261,11 @@ def macwilliams(enum, q, divisor, pairs, kernel=None):
     Each (x, y) variable pair of `pairs` is replaced by x' + (q-1) y',
     x' - y', where (x', y') is its mirror pair pairs[-1 - t], so the
     input and parity roles of ((x_I, y_I), (x_P, y_P)) trade places.  A
-    WAM is then conjugated by the per-coordinate state kernel (block
-    codes have no state axes and pass none).  The result is divided by
-    `divisor` exactly and must have integer coefficients.
+    WAM is then conjugated by the per-coordinate state kernel, given as
+    (exponent table, p) (block codes have no state axes and pass none).
+    The checks run in this order: the state pass rejects a coefficient
+    that is not an integer, the division by `divisor` must be exact, and
+    every coefficient of the result must be an int.
     """
     mapping = {}
     for (x, y), (xm, ym) in zip(pairs, reversed(pairs)):
@@ -280,7 +274,7 @@ def macwilliams(enum, q, divisor, pairs, kernel=None):
         mapping[y] = xv - yv
     out = enum.substitute(mapping)
     if kernel is not None:
-        out = out.conjugate_by(kernel)
+        out = out.conjugate_by(*kernel)
     return out.exact_div(divisor).to_int_coeffs()
 
 

@@ -21,12 +21,13 @@ from .polymatrix import PolyMatrix, macwilliams
 
 _GF2 = FieldSpec(2)
 
-# single-qubit transform kernel in the I, X, Y, Z basis
+# single-qubit transform kernel in the I, X, Y, Z basis, as the
+# exponents e of its signs (-1)^e
 F1 = (
-    (1, 1, 1, 1),
-    (1, 1, -1, -1),
-    (1, -1, 1, -1),
-    (1, -1, -1, 1),
+    (0, 0, 0, 0),
+    (0, 0, 1, 1),
+    (0, 1, 0, 1),
+    (0, 1, 1, 0),
 )
 
 
@@ -149,7 +150,8 @@ def quantum_wam(spec):
 
 def quantum_macwilliams(lam, n, k, a, m):
     """Dual WAM: F^(x)m Lam(x + 3y, x - y) F^(x)m / (4^m 4^k 2^a)."""
-    return macwilliams(lam, 4, 4 ** m * 4 ** k * 2 ** a, (("x", "y"),), F1)
+    return macwilliams(lam, 4, 4 ** m * 4 ** k * 2 ** a, (("x", "y"),),
+                       (F1, 2))
 
 
 def dual_wam(spec):

@@ -1,12 +1,14 @@
-"""Field tables, cyclotomic integers, weight polynomials and the
+"""Field tables, character exponent tables, weight polynomials and the
 truncated series machinery."""
+
+from fractions import Fraction
 
 import pytest
 
 from conftest import field
-from wamkit.cyclotomic import CyclotomicInt, normalize, root_of_unity
+from wamkit.conv import fourier_matrix
 from wamkit.errors import AlgebraError, FieldError
-from wamkit.fields import FieldSpec, character, field_trace
+from wamkit.fields import FieldSpec
 from wamkit.poly import VARS, WeightPoly
 from wamkit.polymatrix import PolyMatrix, series_inverse
 
@@ -62,78 +64,41 @@ def test_bad_field_parameters():
 
 
 def test_character_orthogonality():
-    # sum_v chi(u, v) is q for u = 0 and 0 otherwise
-    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+    # sum_b w^tr(ab) is q for a = 0 and 0 otherwise: row 0 of the
+    # exponent table is all zeros, and every other row holds each
+    # exponent t in range(p) exactly q/p times
+    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
         spec = field(p, r)
-        elems = spec.elements()
-        for u in elems:
-            total = sum(character(u, v) for v in elems)
-            total = normalize(total)
-            assert total == (spec.q if u.index == 0 else 0)
+        table = fourier_matrix(spec, 1)
+        assert table[0] == [0] * spec.q
+        for row in table[1:]:
+            assert sorted(row) == [t for t in range(p)
+                                   for _ in range(spec.q // p)]
 
 
 def test_field_trace_prime_field_is_identity():
-    spec = field(5)
-    for a in spec.elements():
-        assert field_trace(a) == a.index
+    assert field(5).trace == list(range(5))
 
 
-# --- cyclotomic integers ---
-
-def test_root_of_unity_binary_case_is_int():
-    assert root_of_unity(2, 0) == 1
-    assert root_of_unity(2, 1) == -1
-    assert isinstance(root_of_unity(2, 1), int)
-
+# --- the group ring of the state pass ---
 
 def test_root_powers_sum_to_zero():
+    # off the diagonal, F I F^dag sums all p powers of w, which vanish
     for p in (3, 5, 7):
-        acc = CyclotomicInt.from_int(p, 0)
-        for k in range(p):
-            acc = acc + CyclotomicInt.root_power(p, k)
-        assert not acc
-
-
-def test_cyclotomic_ring_laws():
-    p = 5
-    w = CyclotomicInt.root_power(p, 1)
-    elems = [CyclotomicInt.from_int(p, 2), w, w * w - 3, w.conjugate() + 1]
-    for a in elems:
-        for b in elems:
-            assert a + b == b + a
-            assert a * b == b * a
-            for c in elems:
-                assert (a + b) * c == a * c + b * c
-                assert (a * b) * c == a * (b * c)
-
-
-def test_conjugation_inverts_roots():
-    for p in (3, 5):
-        for k in range(p):
-            w = CyclotomicInt.root_power(p, k)
-            assert w * w.conjugate() == 1
-            assert w.conjugate() == CyclotomicInt.root_power(p, p - k)
-
-
-def test_norm_is_positive_integer():
-    p = 3
-    w = CyclotomicInt.root_power(p, 1)
-    z = 2 + w
-    n = z * z.conjugate()
-    assert n.is_integer() and n.as_int() == 3  # (2+w)(2+w^2) = 4-2+1
+        ident = PolyMatrix.identity([str(i) for i in range(p)])
+        out = ident.conjugate_by(fourier_matrix(field(p), 1), p)
+        assert out == ident * p
 
 
 def test_exact_div_errors_on_remainder():
-    z = CyclotomicInt.from_int(3, 4)
-    assert z.exact_div(2).as_int() == 2
+    y = WeightPoly.var("y")
+    matrix = PolyMatrix.zero(["0", "1"], d_max=3)
+    matrix.entries[0][1] = 4 * y
+    out = matrix.exact_div(2)
+    assert out.entries[0][1] == 2 * y
+    matrix.entries[1][0] = 3 * y
     with pytest.raises(AlgebraError):
-        z.exact_div(3)
-
-
-def test_normalize_collapses_to_int():
-    z = CyclotomicInt(3, (7, 0))
-    assert normalize(z) == 7
-    assert isinstance(normalize(z), int)
+        matrix.exact_div(2)
 
 
 # --- weight polynomials ---
@@ -249,11 +214,31 @@ def test_matrix_multiplication():
 
 
 def test_conjugate_by_fourier_is_scaled_identity():
-    # F I F^dag = q^m I for the binary m = 1 character matrix
-    f = [[1, 1], [1, -1]]
+    # F I F^dag = q^m I for the binary m = 1 character matrix, whose
+    # sign exponents are tr(ab) over GF(2)
+    f = [[0, 0], [0, 1]]
     ident = PolyMatrix.identity(["0", "1"])
     out = ident.conjugate_by(f)
     assert out == ident * 2
+
+
+def test_zero_preserving_maps_hand_zero_cells_back():
+    y = WeightPoly.var("y")
+    matrix = PolyMatrix.zero(["0", "1"], d_max=3)
+    matrix.entries[0][1] = 2 * y
+    zero = matrix.entries[0][0]
+    for out in (matrix.collapse({"x": 1}), matrix.substitute({"y": y}),
+                matrix.exact_div(2), matrix.to_int_coeffs()):
+        assert all(out.entries[i][j] is zero
+                   for i, j in ((0, 0), (1, 0), (1, 1)))
+    assert matrix.exact_div(2).entries[0][1] == y
+
+
+def test_to_int_coeffs_rejects_non_integer():
+    y = WeightPoly.var("y")
+    assert (3 * y).to_int_coeffs() == 3 * y
+    with pytest.raises(AlgebraError):
+        (y + WeightPoly.const(Fraction(1, 2))).to_int_coeffs()
 
 
 def test_series_inverse_geometric():

@@ -6,10 +6,10 @@ import time
 import pytest
 
 from conftest import fixture_path, read_fixture
-from wamkit import conv, quantum
+from wamkit import conv, gflinalg, quantum
 from wamkit.cli import main
 from wamkit.conv import ipwam, wam
-from wamkit.formats import structured_to_matrix
+from wamkit.formats import parse_block_code, structured_to_matrix
 from wamkit.quantum import quantum_wam
 
 FIXTURE_NAMES = ["rep3.bc", "example1.cc", "example1-nonsys.cc",
@@ -99,6 +99,49 @@ def test_check_dual_passes(capsys):
     assert "orthogonality: PASS" in out
 
 
+def test_block_dual_reads_back_in_the_same_field(tmp_path, capsys):
+    # GF(8) under 1 + x^2 + x^3, which is not the default 1 + x + x^3
+    text = "q 2 3 1 0 1 1\nn 3\nk 1\n3 5 7\n"
+    path = tmp_path / "code.bc"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "block", "dual", str(path))
+    assert code == 0 and out.startswith("q 2 3 1 0 1 1\n")
+    orig, dual = parse_block_code(text), parse_block_code(out)
+    assert dual.spec == orig.spec and (dual.n, dual.k) == (3, 2)
+    assert gflinalg.is_zero(gflinalg.mat_mul(
+        orig.spec, dual.generator, gflinalg.transpose(orig.generator)))
+
+
+def test_block_dual_of_a_full_code_reads_back(tmp_path, capsys):
+    # the dual of a k = n code is the [n, 0] code, written as 'k 0'
+    path = tmp_path / "code.bc"
+    path.write_text("q 3 1\nn 2\nk 2\n1 0\n0 1\n")
+    code, out, _ = run_cli(capsys, "block", "dual", str(path))
+    assert code == 0 and out == "q 3 1\nn 2\nk 0\n"
+    path.write_text(out)
+    assert run_cli(capsys, "block", "hwgf", str(path)) == (0, "x^2\n", "")
+    assert run_cli(capsys, "verify", "all", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "block", "dual", str(path))
+    assert code == 0 and out == "q 3 1\nn 2\nk 2\n1 0\n0 1\n"
+
+
+def test_conv_total_binary_m10_is_quick(tmp_path, capsys):
+    # a (2, 1, 10) shift register: 1024 states but only 2048 edges, so
+    # the x-collapse and the series must not pay for all S^2 cells
+    m = 10
+    rows = ["%d 1 " % (i % 2) + " ".join("1" if j == i + 1 else "0"
+                                         for j in range(m))
+            for i in range(m)]
+    rows.append("1 1 1" + " 0" * (m - 1))
+    path = tmp_path / "m10.cc"
+    path.write_text("q 2 1\nn 2\nk 1\nm %d\nT\n" % m + "\n".join(rows)
+                    + "\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "conv", "total", str(path))
+    assert code == 0 and out.startswith("1 + D + ")
+    assert time.perf_counter() - start < 1.5
+
+
 def test_verify_all_fixtures(capsys):
     for name in FIXTURE_NAMES:
         code, out, _ = run_cli(capsys, "verify", "all", fixture_path(name))
@@ -143,6 +186,20 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--bogus", "block", "hwgf", fixture_path("rep3.bc")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("group, choices", [
+    ("block", "{hwgf,ipwgf,dual}"),
+    ("conv", "{wam,ipwam,iowam,dual-wam,dual-ipwam,total,dual-total,free,"
+             "dfree,gd,check-dual}"),
+    ("quantum", "{wam,dual-wam,dual-spec,check-seed,sd,state-diagram}"),
+    ("verify", "{all}"),
+])
+def test_usage_lists_actions_in_table_order(capsys, group, choices):
+    with pytest.raises(SystemExit) as exc:
+        main([group, "bogus", "file"])
+    assert exc.value.code == 2
+    assert choices in capsys.readouterr().err
 
 
 def _identity_rows(size):

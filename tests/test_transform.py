@@ -1,10 +1,11 @@
 """The per-coordinate state transform against dense oracles.
 
 `PolyMatrix.conjugate_by` applies a q x q kernel once per coordinate;
-here every result is compared with the dense F . M . F^dagger, where F
-is built entry by entry from `fields.character` (or from the
-single-qubit kernel), and the MacWilliams transforms built on it are
-compared with brute-force dual enumeration.
+here every result is compared with the dense F . M . F^dagger, where
+the exponent of w in F is built entry by entry from the field's trace
+and product tables (or from the single-qubit kernel) and each entry is
+summed in the group ring of the p-th roots of unity, and the MacWilliams
+transforms built on it are compared with brute-force dual enumeration.
 """
 
 import pytest
@@ -15,46 +16,41 @@ from conftest import (brute_force_dual_wam, field, random_conv_seed,
 from wamkit.conv import (dual_systematic_seed, fourier_matrix, ipwam,
                          macwilliams_ipwam, macwilliams_wam, state_labels,
                          state_vectors, wam)
-from wamkit.cyclotomic import cyc_conjugate
 from wamkit.errors import AlgebraError, ShapeError
-from wamkit.fields import character
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import F1, dual_spec, quantum_macwilliams, quantum_wam
 
 
 def dense_field_matrix(spec, m):
-    """F[a][b] = prod_j w^tr(a_j b_j), one character per coordinate."""
-    elems = spec.elements()
+    """Exponents of F[a][b] = prod_j w^tr(a_j b_j), mod p."""
     states = state_vectors(spec, m)
-    out = []
-    for a in states:
-        row = []
-        for b in states:
-            value = 1
-            for x, y in zip(a, b):
-                value = character(elems[x], elems[y]) * value
-            row.append(value)
-        out.append(row)
-    return out
+    return [[sum(spec.trace[spec.mul[x][y]] for x, y in zip(a, b)) % spec.p
+             for b in states] for a in states]
 
 
 def dense_qubit_matrix(m):
-    """F1 tensored m times, first qubit the fastest base-4 digit."""
+    """Sign exponents of F1 tensored m times, first qubit the fastest
+    base-4 digit."""
     size = 4 ** m
-    out = [[1] * size for _ in range(size)]
+    out = [[0] * size for _ in range(size)]
     for a in range(size):
         for b in range(size):
             ta, tb = a, b
             for _ in range(m):
-                out[a][b] *= F1[ta % 4][tb % 4]
+                out[a][b] ^= F1[ta % 4][tb % 4]
                 ta //= 4
                 tb //= 4
     return out
 
 
-def dense_conjugate(f, matrix):
-    """sum over the nonzero cells (s, t) of F[i][s] M[s][t] conj(F[j][t])."""
+def dense_conjugate(exps, p, matrix):
+    """sum over the nonzero cells (s, t) of w^(E[i][s] - E[j][t]) M[s][t].
+
+    Entry (i, j) is the list of its coefficients of w^0..w^(p-2): the
+    cells are summed into one plane per power of w, and the top plane is
+    subtracted from the others because the p powers of w sum to zero.
+    """
     n = matrix.size
     cells = [(s, t, e) for s, row in enumerate(matrix.entries)
              for t, e in enumerate(row) if e]
@@ -62,12 +58,43 @@ def dense_conjugate(f, matrix):
     for i in range(n):
         row = []
         for j in range(n):
-            acc = WeightPoly.zero()
+            planes = [WeightPoly.zero()] * p
             for s, t, e in cells:
-                acc = acc + e * (f[i][s] * cyc_conjugate(f[j][t]))
-            row.append(acc)
+                d = (exps[i][s] - exps[j][t]) % p
+                planes[d] = planes[d] + e
+            row.append([v - planes[-1] for v in planes[:-1]])
         out.append(row)
-    return PolyMatrix(matrix.labels, out)
+    return out
+
+
+def matches_dense(matrix, kernel, p, exps):
+    """Check conjugate_by(kernel, p) against the dense sum: equal where
+    that sum is integral, else AlgebraError.  True when it was integral."""
+    dense = dense_conjugate(exps, p, matrix)
+    if any(c for row in dense for cell in row for c in cell[1:]):
+        with pytest.raises(AlgebraError):
+            matrix.conjugate_by(kernel, p)
+        return False
+    assert matrix.conjugate_by(kernel, p) == PolyMatrix(
+        matrix.labels, [[cell[0] for cell in row] for row in dense])
+    return True
+
+
+def scalar_symmetric(spec, m, matrix):
+    """sum over c in GF(p)* of M[c s][c t].  Its transform is integral,
+    as the WAM of a code (closed under prime-field scalars) is: the
+    Galois map w -> w^c permutes the terms of each entry's sum."""
+    states = state_vectors(spec, m)
+    index = {v: i for i, v in enumerate(states)}
+    out = PolyMatrix.zero(matrix.labels)
+    for c in range(1, spec.p):
+        scale = [index[tuple(spec.mul[c][x] for x in v)] for v in states]
+        for s, row in enumerate(matrix.entries):
+            for t, e in enumerate(row):
+                if e:
+                    cs, ct = scale[s], scale[t]
+                    out.entries[cs][ct] = out.entries[cs][ct] + e
+    return out
 
 
 def random_matrix(rng, labels, cells):
@@ -92,11 +119,12 @@ def random_matrix(rng, labels, cells):
 def test_conjugate_by_matches_dense_character_matrix(p, r, m):
     spec = field(p, r)
     rng = seeded_rng("transform-dense-%d-%d-%d" % (p, r, m))
-    dense = dense_field_matrix(spec, m)
+    kernel, dense = fourier_matrix(spec, m), dense_field_matrix(spec, m)
     for _ in range(2):
         matrix = random_matrix(rng, state_labels(spec, m), 8)
-        got = matrix.conjugate_by(fourier_matrix(spec, m))
-        assert got == dense_conjugate(dense, matrix)
+        matches_dense(matrix, kernel, p, dense)
+        assert matches_dense(scalar_symmetric(spec, m, matrix), kernel, p,
+                             dense)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -106,20 +134,18 @@ def test_conjugate_by_matches_dense_qubit_matrix(m):
     dense = dense_qubit_matrix(m)
     for _ in range(2):
         matrix = random_matrix(rng, labels, 8)
-        assert matrix.conjugate_by(F1) == dense_conjugate(dense, matrix)
+        assert matches_dense(matrix, F1, 2, dense)
 
 
 def test_non_integral_result_is_rejected():
-    # a single GF(3) transition is no WAM: its transform keeps w-parts
-    spec = field(3)
-    matrix = PolyMatrix.zero(state_labels(spec, 1))
-    matrix.entries[0][1] = WeightPoly.var("y")
-    out = matrix.conjugate_by(fourier_matrix(spec, 1))
-    assert out == dense_conjugate(dense_field_matrix(spec, 1), matrix)
-    with pytest.raises(AlgebraError):
-        out.to_int_coeffs()
-    with pytest.raises(AlgebraError):
-        out.exact_div(3)
+    # a single transition is no WAM: over an odd field its transform
+    # keeps w-parts, and the state pass refuses it
+    for p, r in [(3, 1), (5, 1), (3, 2)]:
+        spec = field(p, r)
+        matrix = PolyMatrix.zero(state_labels(spec, 1))
+        matrix.entries[0][1] = WeightPoly.var("y")
+        assert not matches_dense(matrix, fourier_matrix(spec, 1), p,
+                                 dense_field_matrix(spec, 1))
 
 
 def test_macwilliams_wam_rejects_a_single_gf3_transition():
@@ -134,10 +160,14 @@ def test_macwilliams_wam_rejects_a_single_gf3_transition():
 
 def test_conjugate_by_rejects_mismatched_kernel():
     matrix = PolyMatrix.identity(["0", "1", "2"])
-    with pytest.raises(AlgebraError):
-        matrix.conjugate_by([[1, 1], [1, -1]])
-    with pytest.raises(AlgebraError):
-        PolyMatrix.identity(["0", "1"]).conjugate_by([[1, 1], [1, 2]])
+    with pytest.raises(AlgebraError):  # 3 states, kernel size 2
+        matrix.conjugate_by([[0, 0], [0, 1]])
+    with pytest.raises(AlgebraError):  # not square
+        matrix.conjugate_by([[0, 0, 0], [0, 1, 2]], 3)
+    with pytest.raises(AlgebraError):  # exponent outside range(p)
+        PolyMatrix.identity(["0", "1"]).conjugate_by([[0, 0], [0, 2]])
+    with pytest.raises(AlgebraError):  # a GF(3) table passed without its p
+        matrix.conjugate_by(fourier_matrix(field(3), 1))
 
 
 @pytest.mark.parametrize("p, r, n, k, m", [(5, 1, 2, 1, 1), (5, 1, 2, 1, 2),
