@@ -35,8 +35,9 @@ class LinearCode:
         self.generator = [list(row) for row in generator]
         self.k = len(self.generator)
         if self.k == 0:
-            raise WamkitError("zero-row generator; pass n explicitly via the "
-                              "(spec, [], n) constructor helper")
+            raise WamkitError("zero-row generator; the [n, 0] code is "
+                              "block._ZeroCode(spec, n), or a block-code "
+                              "file with 'k 0'")
         self.n = len(self.generator[0])
         if any(len(row) != self.n for row in self.generator):
             raise ShapeError("ragged generator matrix")

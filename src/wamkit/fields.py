@@ -112,30 +112,41 @@ class FieldSpec:
 
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
-        coeffs = list(digit_vectors(p, r))
-
-        def to_index(c):
-            idx = 0
-            for j in reversed(range(r)):
-                idx = idx * p + (c[j] % p)
-            return idx
-
-        self.add = [[to_index([(a + b) % p for a, b in zip(coeffs[i], coeffs[j])])
-                     for j in range(q)] for i in range(q)]
-        self.neg = [to_index([(-a) % p for a in coeffs[i]]) for i in range(q)]
-        mod = list(self.modulus)
-        self.mul = []
-        for i in range(q):
-            row = []
-            for j in range(q):
-                prod = _poly_mulmod(list(coeffs[i]) or [0], list(coeffs[j]) or [0], mod, p)
-                prod += [0] * (r - len(prod))
-                row.append(to_index(prod))
-            self.mul.append(row)
-        self.inv = [None] * q
-        for i in range(1, q):
-            self.inv[i] = self._pow(i, q - 2)
+        # digit-wise: index a * w + i0 holds digit a at weight w = p^t
+        # above the t lower digits of i0
+        self.add, self.neg = [[0]], [0]
+        for t in range(r):
+            w = p ** t
+            self.add = [[s + w * ((a + b) % p) for b in range(p) for s in row]
+                        for a in range(p) for row in self.add]
+            self.neg = [s + w * (-a % p) for a in range(p) for s in self.neg]
+        exp = self._exp_table()
+        log = [None] * q
+        for e, i in enumerate(exp):
+            log[i] = e
+        logs = log[1:]
+        exp2 = exp + exp
+        self.mul = [[0] * q] + [[0] + [exp2[li + lj] for lj in logs]
+                                for li in logs]
+        self.inv = [None] + [exp[-li] for li in logs]
         self.trace = [self._trace(i) for i in range(q)]
+
+    def _exp_table(self):
+        """[g^0, ..., g^(q-2)] for the least primitive index g; the
+        modulus need not be primitive, so x itself may not generate."""
+        p, q, mod = self.p, self.q, list(self.modulus)
+        for g in range(1, q):
+            base = [g // p ** t % p for t in range(self.r)]
+            exp, cur = [1], [1]
+            while len(exp) < q:
+                cur = _poly_mulmod(cur, base, mod, p)
+                i = sum(c * p ** t for t, c in enumerate(cur))
+                if i == 1:
+                    break
+                exp.append(i)
+            if len(exp) == q - 1:
+                return exp
+        raise FieldError("no primitive element found")  # every field has one
 
     def _pow(self, i, e):
         acc = 1

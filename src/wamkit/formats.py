@@ -234,8 +234,8 @@ def poly_to_structured(poly):
 def matrix_to_structured(matrix):
     return {
         "labels": list(matrix.labels),
-        "entries": [[_term_list(e.to_int_coeffs()) for e in row]
-                    for row in matrix.entries],
+        "entries": [[_term_list(e.to_int_coeffs()) if e.terms else []
+                     for e in row] for row in matrix.entries],
     }
 
 

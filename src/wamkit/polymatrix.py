@@ -1,10 +1,11 @@
 """Square matrices of WeightPoly entries indexed by state labels."""
 
 from itertools import chain
+from math import comb
 from operator import add
 
 from .errors import AlgebraError
-from .poly import WeightPoly, _D
+from .poly import VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP
 
 
 class PolyMatrix:
@@ -154,17 +155,18 @@ class PolyMatrix:
         # now entry (i, j) of key number t sits in row j at column t * n + i
         d_max = min((e.d_max for row in self.entries for e in row
                      if e.d_max is not None), default=None)
-        out = [[None] * n for _ in range(n)]
+        zero = WeightPoly.zero(d_max)
+        out = [[zero] * n for _ in range(n)]
         for j in range(n):
-            rows = [plane[j] for plane in planes]
-            for i in range(n):
-                if p == 2:
-                    values = rows[0][i::n]
-                else:
-                    values = [_group_ring_value(v)
-                              for v in zip(*(row[i::n] for row in rows))]
-                out[i][j] = WeightPoly({key: v for key, v in zip(keys, values)
-                                        if v}, d_max)
+            if p == 2:
+                row = planes[0][j]
+            else:
+                row = [_group_ring_value(v)
+                       for v in zip(*(plane[j] for plane in planes))]
+            blocks = [row[t:t + n] for t in range(0, width, n)]
+            for i, values in enumerate(zip(*blocks)):
+                if any(values):
+                    out[i][j] = WeightPoly(dict(zip(keys, values)), d_max)
         return PolyMatrix(self.labels, out)
 
     def __str__(self):
@@ -260,22 +262,67 @@ def macwilliams(enum, q, divisor, pairs, kernel=None):
 
     Each (x, y) variable pair of `pairs` is replaced by x' + (q-1) y',
     x' - y', where (x', y') is its mirror pair pairs[-1 - t], so the
-    input and parity roles of ((x_I, y_I), (x_P, y_P)) trade places.  A
-    WAM is then conjugated by the per-coordinate state kernel, given as
-    (exponent table, p) (block codes have no state axes and pass none).
+    input and parity roles of ((x_I, y_I), (x_P, y_P)) trade places.
+    Each exponent tuple's image comes from integer Krawtchouk values
+    once per call, and only nonzero cells are mapped; a variable
+    outside `pairs` must not occur.  A WAM is then conjugated by the
+    per-coordinate state kernel, given as (exponent table, p) (block
+    codes have no state axes and pass none).
     The checks run in this order: the state pass rejects a coefficient
     that is not an integer, the division by `divisor` must be exact, and
     every coefficient of the result must be an int.
     """
-    mapping = {}
-    for (x, y), (xm, ym) in zip(pairs, reversed(pairs)):
-        xv, yv = WeightPoly.var(xm), WeightPoly.var(ym)
-        mapping[x] = xv + (q - 1) * yv
-        mapping[y] = xv - yv
-    out = enum.substitute(mapping)
+    slots = [(_VAR_INDEX[x], _VAR_INDEX[y]) for x, y in pairs]
+    mapped = set(chain.from_iterable(slots))
+    images = {}
+
+    def image(exp):
+        for i, e in enumerate(exp):
+            if e and i not in mapped:
+                raise AlgebraError("variable %r occurs but has no image"
+                                   % (VARS[i],))
+        # x^a y^b -> sum_j K_j(b; a + b, q) x'^(a+b-j) y'^j for each pair;
+        # the pairs have disjoint images, so their product adds no terms
+        terms = {_ZERO_EXP: 1}
+        for (x, y), (xm, ym) in zip(slots, reversed(slots)):
+            a, b = exp[x], exp[y]
+            row = _krawtchouk_row(a, b, q)
+            nxt = {}
+            for base, c in terms.items():
+                for j, k in enumerate(row):
+                    if k:
+                        e = list(base)
+                        e[xm] += a + b - j
+                        e[ym] += j
+                        nxt[tuple(e)] = c * k
+            terms = nxt
+        return terms
+
+    def transform(cell):
+        out = {}
+        for exp, c in cell.terms.items():
+            img = images.get(exp)
+            if img is None:
+                img = images[exp] = image(exp)
+            for e, k in img.items():
+                out[e] = out.get(e, 0) + c * k
+        return WeightPoly(out, cell.d_max)
+
+    if isinstance(enum, WeightPoly):
+        out = transform(enum)
+    else:
+        out = enum._map_nonzero(transform)
     if kernel is not None:
         out = out.conjugate_by(*kernel)
     return out.exact_div(divisor).to_int_coeffs()
+
+
+def _krawtchouk_row(a, b, q):
+    """[c_0, ..., c_(a+b)] with (x + (q-1)y)^a (x - y)^b = sum_j c_j
+    x^(a+b-j) y^j, so c_j is the Krawtchouk value K_j(b; a + b, q)."""
+    return [sum(comb(a, j - i) * (q - 1) ** (j - i) * comb(b, i) * (-1) ** i
+                for i in range(max(0, j - a), min(j, b) + 1))
+            for j in range(a + b + 1)]
 
 
 def series_row(n, i, d_max):

@@ -1,6 +1,7 @@
 """Field tables, character exponent tables, weight polynomials and the
 truncated series machinery."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from conftest import field
 from wamkit.conv import fourier_matrix
 from wamkit.errors import AlgebraError, FieldError
-from wamkit.fields import FieldSpec
+from wamkit.fields import FieldSpec, _is_prime, _poly_mulmod
+from wamkit.gflinalg import digit_vectors
 from wamkit.poly import VARS, WeightPoly
 from wamkit.polymatrix import PolyMatrix, series_inverse
 
@@ -78,6 +80,60 @@ def test_character_orthogonality():
 
 def test_field_trace_prime_field_is_identity():
     assert field(5).trace == list(range(5))
+
+
+def polynomial_tables(p, r, modulus):
+    """add, neg, mul and inv of GF(p^r) mod `modulus`, cell by cell from
+    the coefficient vectors: the reference for the log/antilog build."""
+    if r == 1:  # polynomials of degree 0: arithmetic mod p
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        mul = [[a * b % p for b in range(p)] for a in range(p)]
+        neg = [-a % p for a in range(p)]
+    else:
+        coeffs = list(digit_vectors(p, r))
+        index = {c: i for i, c in enumerate(coeffs)}
+
+        def idx(c):
+            return index[tuple((list(c) + [0] * r)[:r])]
+
+        add = [[idx([(a + b) % p for a, b in zip(ca, cb)]) for cb in coeffs]
+               for ca in coeffs]
+        neg = [idx([-a % p for a in ca]) for ca in coeffs]
+        mul = [[idx(_poly_mulmod(list(ca), list(cb), list(modulus), p))
+                for cb in coeffs] for ca in coeffs]
+    inv = [None] + [row.index(1) for row in mul[1:]]
+    return add, neg, mul, inv
+
+
+def test_log_tables_match_polynomial_tables():
+    # the default GF(9) modulus x^2 + 1 is not primitive: x has order 4
+    assert FieldSpec(3, 2).modulus == (1, 0, 1)
+    fields = [(p, r) for p in range(2, 257) if _is_prime(p)
+              for r in range(1, 9) if p ** r <= 256]
+    assert len(fields) == 70
+    for p, r in fields:
+        spec = FieldSpec(p, r)
+        assert ((spec.add, spec.neg, spec.mul, spec.inv)
+                == polynomial_tables(p, r, spec.modulus)), (p, r)
+
+
+@pytest.mark.parametrize("p, r, modulus", [
+    (2, 4, (1, 1, 1, 1, 1)),  # x has order 5, so x is not primitive
+    (2, 3, (1, 0, 1, 1)), (2, 6, (1, 1, 0, 1, 1, 0, 1)),
+    (3, 2, (2, 1, 1)), (5, 2, (2, 1, 1)), (7, 2, (3, 1, 1))])
+def test_log_tables_with_a_given_modulus(p, r, modulus):
+    spec = FieldSpec(p, r, modulus=modulus)
+    assert spec.modulus != FieldSpec(p, r).modulus
+    assert ((spec.add, spec.neg, spec.mul, spec.inv)
+            == polynomial_tables(p, r, modulus))
+
+
+def test_gf512_tables_are_fast():
+    start = time.perf_counter()
+    spec = FieldSpec(2, 9)
+    elapsed = time.perf_counter() - start
+    assert spec.mul[2][spec.inv[2]] == 1
+    assert elapsed < 1.5, "FieldSpec(2, 9) took %.2f s" % elapsed
 
 
 # --- the group ring of the state pass ---

@@ -6,11 +6,12 @@ import pytest
 
 from conftest import (field, poly_of, random_linear_code,
                       random_systematic_code, seeded_rng)
-from wamkit.block import (LinearCode, SystematicCode, dual_code, hwgf, ipwgf,
-                          macwilliams_hwgf, macwilliams_ipwgf)
+from wamkit.block import (LinearCode, SystematicCode, _ZeroCode, dual_code,
+                          hwgf, ipwgf, macwilliams_hwgf, macwilliams_ipwgf)
 from wamkit.conv import (ConvSeed, SystematicConvSeed, ipwam,
                          macwilliams_ipwam, macwilliams_wam, wam)
-from wamkit.errors import BudgetError, ShapeError
+from wamkit.errors import BudgetError, ShapeError, WamkitError
+from wamkit.formats import parse_block_code
 
 
 def test_rep3_hwgf(rep3):
@@ -129,3 +130,14 @@ def test_ipwgf_of_a_28_14_code_is_fast():
     assert time.perf_counter() - start < 1.5
     assert sum(got.terms.values()) == 2 ** 14
     assert got.coefficient({"x_I": 14, "x_P": 14}) == 1
+
+
+def test_zero_row_generator_names_what_exists():
+    spec = field(2)
+    with pytest.raises(WamkitError) as err:
+        LinearCode(spec, [])
+    assert "block._ZeroCode(spec, n)" in str(err.value)
+    assert "'k 0'" in str(err.value)
+    code = _ZeroCode(spec, 3)
+    assert (code.k, code.n) == (0, 3)
+    assert hwgf(code) == hwgf(parse_block_code("q 2 1\nn 3\nk 0\n"))

@@ -8,6 +8,8 @@ summed in the group ring of the p-th roots of unity, and the MacWilliams
 transforms built on it are compared with brute-force dual enumeration.
 """
 
+import time
+
 import pytest
 
 from conftest import (brute_force_dual_wam, field, random_conv_seed,
@@ -17,8 +19,8 @@ from wamkit.conv import (dual_systematic_seed, fourier_matrix, ipwam,
                          macwilliams_ipwam, macwilliams_wam, state_labels,
                          state_vectors, wam)
 from wamkit.errors import AlgebraError, ShapeError
-from wamkit.poly import WeightPoly
-from wamkit.polymatrix import PolyMatrix
+from wamkit.poly import IP_PAIRS, WeightPoly
+from wamkit.polymatrix import PolyMatrix, macwilliams
 from wamkit.quantum import F1, dual_spec, quantum_macwilliams, quantum_wam
 
 
@@ -205,3 +207,76 @@ def test_quantum_transform_involution_m4():
     lam_hat = quantum_macwilliams(lam, n, k, spec.a, m)
     assert lam_hat == quantum_wam(dual_spec(spec))
     assert quantum_macwilliams(lam_hat, n, c, spec.a, m) == lam
+
+
+# --- the weight axis as a Krawtchouk table ---
+
+def substitution(q, pairs):
+    """The images x -> x' + (q-1) y', y -> x' - y' of WeightPoly.substitute,
+    (x', y') the mirror pair of (x, y)."""
+    mapping = {}
+    for (x, y), (xm, ym) in zip(pairs, reversed(pairs)):
+        xv, yv = WeightPoly.var(xm), WeightPoly.var(ym)
+        mapping[x] = xv + (q - 1) * yv
+        mapping[y] = xv - yv
+    return mapping
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_krawtchouk_image_matches_substitute(q):
+    pairs = (("x", "y"),)
+    mapping = substitution(q, pairs)
+    for deg in range(7):
+        for b in range(deg + 1):
+            mono = WeightPoly.monomial(3, {"x": deg - b, "y": b})
+            assert macwilliams(mono, q, 1, pairs) == mono.substitute(mapping)
+    mapping = substitution(q, IP_PAIRS)
+    for exps in [(0, 0, 0, 0), (1, 0, 0, 2), (2, 1, 1, 1), (0, 3, 2, 0),
+                 (1, 2, 3, 0), (3, 0, 0, 3)]:
+        mono = WeightPoly.monomial(-2, dict(zip(("x_I", "y_I", "x_P", "y_P"),
+                                                exps)))
+        assert macwilliams(mono, q, 1, IP_PAIRS) == mono.substitute(mapping)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+def test_krawtchouk_images_match_substitute_on_wams(p, r):
+    # one image per exponent tuple is shared by every cell that holds it
+    spec = field(p, r)
+    seed = random_systematic_conv_seed(seeded_rng("krawtchouk-%d-%d" % (p, r)),
+                                       spec, 2, 1, 2)
+    for lam, pairs in [(wam(seed), (("x", "y"),)), (ipwam(seed), IP_PAIRS)]:
+        assert (macwilliams(lam, spec.q, 1, pairs)
+                == lam.substitute(substitution(spec.q, pairs)))
+
+
+def test_unmapped_variable_is_rejected(example1):
+    spec = example1.spec
+    with pytest.raises(AlgebraError, match="'x_I' occurs but has no image"):
+        macwilliams_wam(ipwam(example1), 2, 2, 1, 2, spec)
+    lam = wam(example1)
+    lam.entries[0][1] = lam.entries[0][1] * WeightPoly.var("D")
+    with pytest.raises(AlgebraError, match="'D' occurs but has no image"):
+        macwilliams_wam(lam, 2, 2, 1, 2, spec)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+def test_dual_wam_zero_cells_are_one_shared_poly(p, r):
+    # a conv dual WAM has S * q^(n-k) nonzero cells out of S^2
+    spec, n, k, m = field(p, r), 2, 1, 2
+    seed = random_conv_seed(seeded_rng("zero-cells-%d-%d" % (p, r)), spec,
+                            n, k, m)
+    lam_hat = macwilliams_wam(wam(seed), spec.q, n, k, m, spec)
+    cells = [e for row in lam_hat.entries for e in row]
+    assert sum(1 for e in cells if e) == spec.q ** (m + n - k)
+    assert len({id(e) for e in cells if not e}) == 1
+
+
+def test_binary_m9_dual_wam_is_fast():
+    spec = field(2)
+    seed = random_conv_seed(seeded_rng("dual-wam-m9"), spec, 2, 1, 9)
+    lam = wam(seed)
+    start = time.perf_counter()
+    lam_hat = macwilliams_wam(lam, 2, 2, 1, 9, spec)
+    elapsed = time.perf_counter() - start
+    assert sum(1 for row in lam_hat.entries for e in row if e) == 2 ** 10
+    assert elapsed < 2.0, "binary m = 9 dual WAM took %.2f s" % elapsed
