@@ -6,6 +6,9 @@ budget, and all transforms are exact integer computations with a final
 checked division by q^k.
 """
 
+from collections import Counter
+from itertools import chain
+
 from . import gflinalg
 from .errors import BudgetError, FieldError, ShapeError, WamkitError
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
@@ -101,14 +104,34 @@ def dual_code(code):
     return LinearCode(spec, basis)
 
 
+def weight_exponents(groups, weights):
+    """(|g| - w, w) for each coordinate group g and its weight w, flat."""
+    return tuple(chain.from_iterable((len(g) - w, w)
+                                     for g, w in zip(groups, weights)))
+
+
+def _enumerator(code, names, groups, budget):
+    """The enumerator over all q^k codewords by their Hamming weights on
+    each coordinate group.  Each codeword is lo - hi for one of the
+    q^floor(k/2) packed images lo of the first generator rows and one of
+    the q^ceil(k/2) images hi of the others (a span is closed under
+    negation), and its nonzero coordinates are the nonzero fields of
+    lo XOR hi."""
+    spec, half = code.spec, code.k // 2
+    check_budget("codeword enumeration", spec.q ** code.k, budget=budget)
+    lo = gflinalg.span_images(spec, code.generator[:half])
+    hi = gflinalg.span_images(spec, code.generator[half:])
+    counts = Counter()
+    for a in lo:
+        counts.update(gflinalg.group_weights(spec.q, list(map(a.__xor__, hi)),
+                                             groups))
+    return WeightPoly.from_counts(names, {
+        weight_exponents(groups, ws): c for ws, c in counts.items()})
+
+
 def hwgf(code, budget=DEFAULT_BUDGET):
     """Homogeneous Hamming weight generating function sum x^(n-w) y^w."""
-    counts = {}
-    for word in code.enumerate_codewords(budget):
-        w = gflinalg.weight(word)
-        key = (code.n - w, w)
-        counts[key] = counts.get(key, 0) + 1
-    return WeightPoly.from_counts(("x", "y"), counts)
+    return _enumerator(code, ("x", "y"), [range(code.n)], budget)
 
 
 def macwilliams_hwgf(g, q, k):
@@ -136,13 +159,7 @@ def ipwgf(code, info_last=False, budget=DEFAULT_BUDGET):
             if code.generator[i][j] != want:
                 raise ShapeError("generator is not systematic on the "
                                  "requested information set")
-    counts = {}
-    for word in code.enumerate_codewords(budget):
-        wi = gflinalg.weight(word[j] for j in info)
-        wp = gflinalg.weight(word[j] for j in parity)
-        key = (k - wi, wi, n - k - wp, wp)
-        counts[key] = counts.get(key, 0) + 1
-    return WeightPoly.from_counts(IP_VARS, counts)
+    return _enumerator(code, IP_VARS, [info, parity], budget)
 
 
 def macwilliams_ipwgf(g, q, k):

@@ -9,7 +9,7 @@ import functools
 import sys
 
 from . import block, conv, quantum
-from .errors import WamkitError
+from .errors import ShapeError, WamkitError
 from .formats import (dumps, matrix_to_structured, parse_block_code,
                       parse_conv_seed, parse_quantum_spec, poly_to_structured,
                       render_block_code, render_conv_seed,
@@ -169,32 +169,48 @@ def _verify_block(code):
     return all_ok, lines
 
 
+def _dual_or_error(build, seed):
+    """(build(seed), None), or (None, the ShapeError) when the seed's
+    dual has no seed of the required shape."""
+    try:
+        return build(seed), None
+    except ShapeError as exc:
+        return None, exc
+
+
 def _verify_conv(seed, dmax):
+    """The checks' lines, in order; the checks that need a dual seed are
+    left out when it cannot be built, and the first such error is
+    raised after the other lines are printed."""
     lines, all_ok = [], True
     spec, q = seed.spec, seed.spec.q
     lam = conv.wam(seed)
-    dual = conv.dual_seed(seed)
-    ok, diags = conv.orthogonality_check(seed, dual)
-    all_ok &= _check("dual seed orthogonality", ok, lines, diags)
+    dual, error = _dual_or_error(conv.dual_seed, seed)
+    if dual is not None:
+        ok, diags = conv.orthogonality_check(seed, dual)
+        all_ok &= _check("dual seed orthogonality", ok, lines, diags)
     lam_hat = conv.macwilliams_wam(lam, q, seed.n, seed.k, seed.m, spec)
-    all_ok &= _check("wam transform matches dual enumeration",
-                     lam_hat == conv.wam(dual), lines)
+    if dual is not None:
+        all_ok &= _check("wam transform matches dual enumeration",
+                         lam_hat == conv.wam(dual), lines)
     back = conv.macwilliams_wam(lam_hat, q, seed.n, seed.n - seed.k, seed.m,
                                 spec)
     all_ok &= _check("wam transform involution", back == lam, lines)
     if isinstance(seed, conv.SystematicConvSeed) and not seed.info_last:
         ip_hat = conv.macwilliams_ipwam(conv.ipwam(seed), q, seed.n, seed.k,
                                         seed.m, spec)
-        dual_sys = conv.dual_systematic_seed(seed)
-        all_ok &= _check("ipwam transform matches dual enumeration",
-                         ip_hat == conv.ipwam(dual_sys), lines)
+        dual_sys, sys_error = _dual_or_error(conv.dual_systematic_seed, seed)
+        error = error or sys_error
+        if dual_sys is not None:
+            all_ok &= _check("ipwam transform matches dual enumeration",
+                             ip_hat == conv.ipwam(dual_sys), lines)
     lam_y = lam.collapse({"x": 1})
     w_total = conv.total_wgf(lam_y, dmax)
     w_free = conv.free_wgf(lam_y, dmax)
     d = WeightPoly.var("D", d_max=dmax)
     all_ok &= _check("free/total series relation",
                      w_free * (1 + w_total * d) == w_total, lines)
-    return all_ok, lines
+    return all_ok, lines, error
 
 
 def _verify_quantum(spec):
@@ -216,14 +232,17 @@ def _verify_quantum(spec):
 
 
 def _verify_all(text, args):
+    error = None
     if args.file.endswith(".qcc"):
         ok, lines = _verify_quantum(parse_quantum_spec(text))
     elif args.file.endswith(".cc"):
-        ok, lines = _verify_conv(parse_conv_seed(text), args.dmax)
+        ok, lines, error = _verify_conv(parse_conv_seed(text), args.dmax)
     else:
         ok, lines = _verify_block(parse_block_code(text))
     for line in lines:
         print(line)
+    if error is not None:
+        raise error
     return 0 if ok else 1
 
 

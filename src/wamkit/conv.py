@@ -13,8 +13,12 @@ State labels enumerate GF(q)^m with the first coordinate varying
 fastest, written as strings of element indices.
 """
 
+from collections import Counter
+from itertools import repeat
+from operator import getitem
+
 from . import gflinalg
-from .block import DEFAULT_BUDGET, check_budget
+from .block import DEFAULT_BUDGET, check_budget, weight_exponents
 from .errors import AlgebraError, ShapeError
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
 from .polymatrix import PolyMatrix, macwilliams, series_row
@@ -108,72 +112,71 @@ class SystematicConvSeed(ConvSeed):
         return [[row[j] for j in self.parity_cols] for row in self.e_block]
 
 
-def _transitions(seed):
-    """Yield (state_index, next_state_index, input_block, output_block)."""
-    spec = seed.spec
-    states = state_vectors(spec, seed.m)
-    index = {v: i for i, v in enumerate(states)}
-    inputs = state_vectors(spec, seed.k)
-    c, a = seed.c_block, seed.a_block
-    e, b = seed.e_block, seed.b_block
-    for si, w in enumerate(states):
-        wc = gflinalg.vec_mat(spec, list(w), c) if seed.m else [0] * seed.n
-        wa = gflinalg.vec_mat(spec, list(w), a) if seed.m else []
-        for u in inputs:
-            if seed.k:
-                ue = gflinalg.vec_mat(spec, list(u), e)
-                ub = gflinalg.vec_mat(spec, list(u), b)
-            else:
-                ue, ub = [0] * seed.n, [0] * seed.m
-            p = [spec.add[x][y] for x, y in zip(wc, ue)]
-            w2 = tuple(spec.add[x][y] for x, y in zip(wa, ub))
-            yield si, index[w2], u, p
-
-
-def _edge_matrix(seed, names, weights, budget):
+def _edge_matrix(seed, names, groups, budget):
     """The matrix whose (w, w') entry counts the transitions w -> w' by
-    their exponent tuple weights(u, p), one exponent per name."""
-    q, m = seed.spec.q, seed.m
-    check_budget("WAM", q ** (m + seed.k), q ** (2 * m), budget)
+    the exponents weight_exponents(groups, ...) of their Hamming weights
+    on each coordinate group of (p : u), p the output and u the input.
+
+    The transition of state w on input -u is (w C : 0 : w A) minus
+    (u E : u : u B), one of q^m and one of q^k packed span images, and
+    its nonzero coordinates are the nonzero fields of their XOR (u and
+    -u run over the same inputs and have the same weight).  Over GF(2^r)
+    the XOR is the difference, so its top m fields are the next state's
+    index; for odd p the next state's digits are subtracted through the
+    field table.
+    """
+    spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
+    q, b = spec.q, gflinalg.field_bits(spec.q)
+    check_budget("WAM", q ** (m + k), q ** (2 * m), budget)
+    ident = gflinalg.identity(k)
+    lo = gflinalg.span_images(spec, [row[:n] + [0] * k + row[n:]
+                                     for row in seed.t_matrix[:m]])
+    hi = gflinalg.span_images(spec, [row[:n] + e + row[n:] for row, e
+                                     in zip(seed.t_matrix[m:], ident)])
+    shift = (n + k) * b
+    if spec.p != 2:
+        # digit t of the next state is (wA)_t - (uB)_t: diff[t][x][y] is
+        # x - y times q^t, and a state keeps its rows diff[t][wA_t]
+        diff = [[[spec.sub(x, y) * q ** t for y in range(q)]
+                 for x in range(q)] for t in range(m)]
+        digits = [_digits(v, shift, m, b) for v in hi]
     cells = {}
-    for si, sj, u, p in _transitions(seed):
-        counts = cells.setdefault((si, sj), {})
-        key = weights(u, p)
-        counts[key] = counts.get(key, 0) + 1
-    return PolyMatrix.from_counts(state_labels(seed.spec, m), names, cells)
+    for si, a in enumerate(lo):
+        edges = list(map(a.__xor__, hi))
+        if spec.p == 2:
+            nexts = map(int.__rshift__, edges, repeat(shift))
+        else:
+            rows = list(map(getitem, diff, _digits(a, shift, m, b)))
+            nexts = [sum(map(getitem, rows, d)) for d in digits]
+        weights = gflinalg.group_weights(q, edges, groups)
+        for (sj, ws), c in Counter(zip(nexts, weights)).items():
+            cells.setdefault((si, sj), {})[weight_exponents(groups, ws)] = c
+    return PolyMatrix.from_counts(state_labels(spec, m), names, cells)
+
+
+def _digits(v, shift, count, b):
+    """Fields shift/b .. shift/b + count - 1 of the packed vector v."""
+    return [v >> (shift + t * b) & (1 << b) - 1 for t in range(count)]
 
 
 def wam(seed, budget=DEFAULT_BUDGET):
     """Weight adjacency matrix with homogeneous x/y entries."""
-    n = seed.n
-
-    def weights(_u, p):
-        w = gflinalg.weight(p)
-        return n - w, w
-    return _edge_matrix(seed, ("x", "y"), weights, budget)
+    return _edge_matrix(seed, ("x", "y"), [range(seed.n)], budget)
 
 
 def ipwam(seed, budget=DEFAULT_BUDGET):
     """Input-parity WAM of a systematic seed."""
     if not isinstance(seed, SystematicConvSeed):
         raise ShapeError("input-parity split needs a systematic seed")
-    n, k = seed.n, seed.k
-
-    def weights(_u, p):
-        wi = gflinalg.weight(p[j] for j in seed.info_cols)
-        wp = gflinalg.weight(p[j] for j in seed.parity_cols)
-        return k - wi, wi, n - k - wp, wp
-    return _edge_matrix(seed, IP_VARS, weights, budget)
+    return _edge_matrix(seed, IP_VARS, [seed.info_cols, seed.parity_cols],
+                        budget)
 
 
 def iowam(seed, budget=DEFAULT_BUDGET):
     """Input-output WAM: tracks input weight and output weight."""
     n, k = seed.n, seed.k
-
-    def weights(u, p):
-        wu, wp = gflinalg.weight(u), gflinalg.weight(p)
-        return k - wu, wu, n - wp, wp
-    return _edge_matrix(seed, ("x_I", "y_I", "x_O", "y_O"), weights, budget)
+    return _edge_matrix(seed, ("x_I", "y_I", "x_O", "y_O"),
+                        [range(n, n + k), range(n)], budget)
 
 
 # --- duality ---

@@ -1,7 +1,7 @@
 """Dense linear algebra over GF(q); matrices are lists of lists of
 element indices into a FieldSpec's tables."""
 
-from itertools import product
+from itertools import product, repeat
 
 from .errors import ShapeError
 
@@ -11,9 +11,47 @@ def digit_vectors(q, m):
     return (v[::-1] for v in product(range(q), repeat=m))
 
 
-def weight(v):
-    """Hamming weight: the number of nonzero entries."""
-    return sum(1 for x in v if x)
+# --- packed spans: a vector over GF(q) as one int, coordinate j holding
+# its element index in bits [j*b, (j+1)*b), b = field_bits(q) ---
+
+def field_bits(q):
+    return (q - 1).bit_length()
+
+
+def span_images(spec, rows):
+    """The images v . rows of every v in digit_vectors(q, len(rows)), in
+    that order, packed.  Field j of a XOR b is zero exactly when
+    a_j = b_j, that is when a - b is zero at j; over GF(2^r) a XOR b is
+    the packed a + b = a - b itself."""
+    add, mul = spec.add, spec.mul
+    vecs = [[0] * len(rows[0])] if rows else [[]]
+    for row in rows:
+        multiples = [[mul[c][x] for x in row] for c in range(spec.q)]
+        vecs = [[add[x][y] for x, y in zip(v, mrow)]
+                for mrow in multiples for v in vecs]
+    b = field_bits(spec.q)
+    return [sum(x << (j * b) for j, x in enumerate(v)) for v in vecs]
+
+
+def masked_weights(values, mask, shifts):
+    """For each packed value v of the list `values`, the number of bits
+    of `mask` set in v | (v >> s for s in shifts): with bit 0 of the
+    field of each coordinate of a group as the mask and shifts
+    range(1, b), the group's Hamming weight.  Runs as one pipeline of
+    builtins over the whole list."""
+    folded = values
+    for s in shifts:
+        folded = map(int.__or__, folded, map(int.__rshift__, values,
+                                             repeat(s)))
+    return map(int.bit_count, map(mask.__and__, folded))
+
+
+def group_weights(q, words, groups):
+    """The tuples of Hamming weights of the packed words of the list
+    `words` on each coordinate group, one tuple per word."""
+    b = field_bits(q)
+    return zip(*(masked_weights(words, sum(1 << (j * b) for j in g),
+                                range(1, b)) for g in groups))
 
 
 def zeros(rows, cols):

@@ -107,6 +107,9 @@ class PolyMatrix:
         return self._map_nonzero(lambda e: e.substitute(mapping))
 
     def collapse(self, mapping):
+        # cells are never mutated, so an empty mapping hands back self
+        if not mapping:
+            return self
         return self._map_nonzero(lambda e: e.collapse(mapping))
 
     def exact_div(self, n):

@@ -11,15 +11,22 @@ memory word, the physical output weight, and the output memory word.
 The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 """
 
+from collections import Counter
+from itertools import repeat
+
 from .block import check_budget
 from .errors import ShapeError
 from .fields import FieldSpec
-from .gflinalg import cleared_response, digit_vectors, impulse_response
+from .gflinalg import (cleared_response, impulse_response, masked_weights,
+                       span_images)
 from .pauli import (PauliWord, pauli_state_labels, pauli_state_words,
                     symplectic_product)
 from .polymatrix import PolyMatrix, macwilliams
 
 _GF2 = FieldSpec(2)
+
+# the letter of a qubit by its (z, x) bits
+_LETTER = (("I", "X"), ("Z", "Y"))
 
 # single-qubit transform kernel in the I, X, Y, Z basis, as the
 # exponents e of its signs (-1)^e
@@ -109,41 +116,55 @@ def _edge_count(spec):
     return 4 ** spec.m * 4 ** spec.k * 2 ** spec.a
 
 
-def _enumerate_edges(spec):
-    """Yield (mem_in, logical, physical, mem_out) over the enumeration
-    set {U (M x L x S^Z x I) U^dagger}."""
-    seed = spec.seed
-    width = seed.width
-    mem_words = pauli_state_words(spec.m)
-    log_words = pauli_state_words(spec.k)
-    anc_words = [PauliWord((z, 0) for z in bits)
-                 for bits in digit_vectors(2, spec.a)]
-    p_pos = [p - 1 for p in spec.i_p]
-    mo_pos = [p - 1 for p in spec.i_mout]
-    for mem in mem_words:
-        for log in log_words:
-            for anc in anc_words:
-                pairs = [(0, 0)] * width
-                for t, pos in enumerate(spec.i_m):
-                    pairs[pos - 1] = mem.pairs[t]
-                for t, pos in enumerate(spec.i_l):
-                    pairs[pos - 1] = log.pairs[t]
-                for t, pos in enumerate(spec.i_a):
-                    pairs[pos - 1] = anc.pairs[t]
-                img = seed.conjugate(PauliWord(pairs))
-                yield (mem, log, img.restrict(p_pos), img.restrict(mo_pos))
+def _span_tables(spec):
+    """(memory images, logical (x) ancilla images) of the seed, packed
+    over GF(2) as z|x of the physical qubits, then z|x of the output
+    memory qubits, in the order of pauli_state_words(m) and of the
+    logical words with the Z-type ancilla words varying fastest."""
+    n2 = 2 * spec.n
+    rows = [r[0:n2:2] + r[1:n2:2] + r[n2::2] + r[n2 + 1::2]
+            for r in binary_symplectic_matrix(spec)]
+
+    def pauli_rows(block):
+        # the letter of index a + 2b in I, X, Y, Z is X^a Y^b, so a qubit
+        # spans its words with the rows of X and of Y = Z X
+        out = []
+        for z, x in zip(block[::2], block[1::2]):
+            out += [x, [s ^ t for s, t in zip(z, x)]]
+        return out
+
+    m2, k2 = 2 * spec.m, 2 * spec.k
+    return (span_images(_GF2, pauli_rows(rows[:m2])),
+            span_images(_GF2, rows[m2 + k2:m2 + k2 + 2 * spec.a:2]
+                        + pauli_rows(rows[m2:m2 + k2])))
+
+
+def _edges(spec):
+    """Per memory word, in order: the packed images of its edges, its
+    own image XOR each logical (x) ancilla image, and the index of each
+    edge's output memory word."""
+    m = spec.m
+    mem_images, la_images = _span_tables(spec)
+    # the 2m bits z|x of an output memory word to the word's index
+    index = [0] * 4 ** m
+    for i, word in enumerate(pauli_state_words(m)):
+        index[sum((z | x << m) << t
+                  for t, (z, x) in enumerate(word.pairs))] = i
+    for a in mem_images:
+        edges = list(map(a.__xor__, la_images))
+        yield edges, map(index.__getitem__, map(int.__rshift__, edges,
+                                                repeat(2 * spec.n)))
 
 
 def quantum_wam(spec):
     """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest."""
     check_budget("quantum WAM", _edge_count(spec), 16 ** spec.m)
-    cells = {}
-    for mem, _log, phys, mem_out in _enumerate_edges(spec):
-        counts = cells.setdefault((mem.state_index(), mem_out.state_index()),
-                                  {})
-        w = phys.weight()
-        key = (spec.n - w, w)
-        counts[key] = counts.get(key, 0) + 1
+    n, cells = spec.n, {}
+    for si, (edges, nexts) in enumerate(_edges(spec)):
+        # a physical qubit is busy when its z or its x bit is set
+        weights = masked_weights(edges, (1 << n) - 1, (n,))
+        for (sj, w), c in Counter(zip(nexts, weights)).items():
+            cells.setdefault((si, sj), {})[n - w, w] = c
     return PolyMatrix.from_counts(pauli_state_labels(spec.m), ("x", "y"),
                                   cells)
 
@@ -297,11 +318,20 @@ def check_poly_orthogonality(spec):
 def state_diagram_edges(spec):
     """Edges (mem_in, mem_out, logical_label, physical_label)."""
     check_budget("state diagram", _edge_count(spec))
-    edges = []
-    for mem, log, phys, mem_out in _enumerate_edges(spec):
-        edges.append((mem.letters() or "-", mem_out.letters() or "-",
-                      log.letters() or "-", phys.letters()))
-    return edges
+    n = spec.n
+    mem = [w or "-" for w in pauli_state_labels(spec.m)]
+    logical = [w or "-" for w in pauli_state_labels(spec.k)
+               for _ in range(2 ** spec.a)]
+    out = []
+    for src, (edges, nexts) in zip(mem, _edges(spec)):
+        out.extend((src, mem[j], log, _physical_letters(v, n))
+                   for v, j, log in zip(edges, nexts, logical))
+    return out
+
+
+def _physical_letters(v, n):
+    """The letters of the physical word, z|x in the low 2n bits of v."""
+    return "".join(_LETTER[v >> t & 1][v >> (n + t) & 1] for t in range(n))
 
 
 def state_diagram_dot(spec):

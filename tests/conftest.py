@@ -10,7 +10,8 @@ from wamkit.conv import ConvSeed, SystematicConvSeed, state_vectors
 from wamkit.fields import FieldSpec
 from wamkit.formats import (parse_block_code, parse_conv_seed,
                             parse_quantum_spec)
-from wamkit.pauli import CliffordSeed, PauliWord, symplectic_product
+from wamkit.pauli import (CliffordSeed, PauliWord, pauli_state_words,
+                          symplectic_product)
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import EaqccSpec
@@ -181,6 +182,46 @@ def seeded_rng(salt):
 
 
 # --- brute-force oracles shared between suites ---
+
+def direct_conv_edges(seed):
+    """(state_in, state_out, input, output) of every transition, from the
+    defining map (w : u) T = (p : w') by one vec_mat per edge; states
+    outer, inputs inner, each in state_vectors order."""
+    spec = seed.spec
+    states = state_vectors(spec, seed.m)
+    index = {v: i for i, v in enumerate(states)}
+    edges = []
+    for w in states:
+        for u in state_vectors(spec, seed.k):
+            word = gflinalg.vec_mat(spec, list(w) + list(u), seed.t_matrix)
+            edges.append((index[w], index[tuple(word[seed.n:])], u,
+                          word[:seed.n]))
+    return edges
+
+
+def direct_quantum_edges(spec):
+    """(memory, logical, physical, output memory) Pauli words of every
+    edge, the image of M (x) L (x) S^Z by one CliffordSeed.conjugate per
+    edge; memory, then logical, then ancilla words, first qubit fastest."""
+    seed = spec.seed
+    p_pos = [p - 1 for p in spec.i_p]
+    mo_pos = [p - 1 for p in spec.i_mout]
+    edges = []
+    for mem in pauli_state_words(spec.m):
+        for log in pauli_state_words(spec.k):
+            for anc in range(2 ** spec.a):
+                pairs = [(0, 0)] * seed.width
+                for t, pos in enumerate(spec.i_m):
+                    pairs[pos - 1] = mem.pairs[t]
+                for t, pos in enumerate(spec.i_l):
+                    pairs[pos - 1] = log.pairs[t]
+                for t, pos in enumerate(spec.i_a):
+                    pairs[pos - 1] = ((anc >> t) & 1, 0)
+                img = seed.conjugate(PauliWord(pairs))
+                edges.append((mem, log, img.restrict(p_pos),
+                              img.restrict(mo_pos)))
+    return edges
+
 
 def span_words(spec, basis):
     """Every word in the row span of `basis`, by exhaustive combination."""

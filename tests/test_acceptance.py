@@ -10,10 +10,10 @@ import time
 
 import pytest
 
-from conftest import (brute_force_dual_wam, field, fixture_path, matrix_of,
+from conftest import (brute_force_dual_wam, direct_conv_edges,
+                      direct_quantum_edges, field, fixture_path, matrix_of,
                       random_conv_seed, random_eaqcc_spec,
                       random_linear_code, random_systematic_code, seeded_rng)
-from wamkit import gflinalg
 from wamkit.block import (dual_code, hwgf, ipwgf, macwilliams_hwgf,
                           macwilliams_ipwgf)
 from wamkit.cli import main as cli_main
@@ -21,11 +21,10 @@ from wamkit.errors import ShapeError
 from wamkit.conv import (dual_seed, dual_total_wgf, fourier_matrix,
                          free_distance, free_wgf, iowam, ipwam,
                          macwilliams_ipwam, macwilliams_wam, orthogonality_check,
-                         state_vectors, total_wgf, wam)
+                         total_wgf, wam)
 from wamkit.formats import (parse_block_code, parse_conv_seed,
                             parse_quantum_spec, structured_to_matrix,
                             matrix_to_structured)
-from wamkit.pauli import PauliWord, pauli_state_words
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import dual_spec, quantum_macwilliams, quantum_wam
@@ -68,47 +67,20 @@ def load_quantum(name):
         return parse_quantum_spec(handle.read())
 
 
-# --- independent trellis-edge oracles (straight from the defining maps,
-# not via the wam/_transitions code paths) ---
+# --- independent trellis-edge oracles (the per-edge vec_mat and
+# CliffordSeed.conjugate enumerations of conftest, not the packed spans) ---
 
 def classical_edges(seed):
     """(state_in, state_out, output_weight) triples of one time step."""
-    spec = seed.spec
-    states = state_vectors(spec, seed.m)
-    index = {v: i for i, v in enumerate(states)}
-    edges = []
-    for w in states:
-        for u in state_vectors(spec, seed.k):
-            vec = list(w) + list(u)
-            word = gflinalg.vec_mat(spec, vec, seed.t_matrix)
-            p, w2 = word[:seed.n], tuple(word[seed.n:])
-            edges.append((index[tuple(w)], index[w2],
-                          sum(1 for s in p if s)))
-    return edges
+    return [(i, j, sum(1 for s in p if s))
+            for i, j, _u, p in direct_conv_edges(seed)]
 
 
 def quantum_edges(spec):
     """(state_in, state_out, physical_weight, logical_is_identity)."""
-    seed = spec.seed
-    p_pos = [p - 1 for p in spec.i_p]
-    mo_pos = [p - 1 for p in spec.i_mout]
-    edges = []
-    for mem in pauli_state_words(spec.m):
-        for log in pauli_state_words(spec.k):
-            for anc_idx in range(2 ** spec.a):
-                pairs = [(0, 0)] * seed.width
-                for t, pos in enumerate(spec.i_m):
-                    pairs[pos - 1] = mem.pairs[t]
-                for t, pos in enumerate(spec.i_l):
-                    pairs[pos - 1] = log.pairs[t]
-                for t, pos in enumerate(spec.i_a):
-                    pairs[pos - 1] = ((anc_idx >> t) & 1, 0)
-                img = seed.conjugate(PauliWord(pairs))
-                out_mem = img.restrict(mo_pos)
-                weight = img.restrict(p_pos).weight()
-                edges.append((mem.state_index(), out_mem.state_index(),
-                              weight, not bool(log)))
-    return edges
+    return [(mem.state_index(), out_mem.state_index(), phys.weight(),
+             not bool(log))
+            for mem, log, phys, out_mem in direct_quantum_edges(spec)]
 
 
 def walk_enumerator(edges, states, depth):

@@ -209,6 +209,15 @@ def test_collapse_matches_substitute_with_mixed_images():
         poly.collapse({"z": 1})
 
 
+def test_matrix_collapse_with_no_mapping_is_the_matrix():
+    # cells are never mutated, so sharing them is safe
+    x, y = WeightPoly.var("x"), WeightPoly.var("y")
+    matrix = PolyMatrix(["0", "1"], [[x, WeightPoly.zero()],
+                                     [y, WeightPoly.const(1)]])
+    assert matrix.collapse({}) is matrix
+    assert matrix.collapse({"x": 1}).entries[0][0] == WeightPoly.const(1)
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(AlgebraError):
         WeightPoly.var("z")

@@ -267,6 +267,30 @@ def test_verify_all_prints_conv_diagnostics(monkeypatch, capsys):
     assert lines[at + 2].endswith(": PASS")
 
 
+@pytest.mark.parametrize("text,lines,error", [
+    # no dual seed of block shape: only the checks that need none
+    ("q 2 1\nn 2\nk 1\nm 1\nT\n1 1 1\n1 1 1\n",
+     ["wam transform involution: PASS",
+      "free/total series relation: PASS"],
+     "error: dual basis has no pivots on the memory block; no seed of the "
+     "required block shape exists\n"),
+    # a dual seed, but no systematic one: all but the ipwam check
+    ("q 2 1\nn 3\nk 1\nm 1\nsystematic\nT\n0 1 1 0\n1 1 0 1\n",
+     ["dual seed orthogonality: PASS",
+      "wam transform matches dual enumeration: PASS",
+      "wam transform involution: PASS",
+      "free/total series relation: PASS"],
+     "error: dual seed admits no systematic form on the trailing "
+     "information columns\n"),
+])
+def test_verify_all_without_dual_seed_runs_the_other_checks(
+        tmp_path, capsys, text, lines, error):
+    path = tmp_path / "nodual.cc"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "all", str(path))
+    assert (code, out.splitlines(), err) == (2, lines, error)
+
+
 def test_verify_all_prints_quantum_diagnostics(monkeypatch, capsys):
     diags = ["L row 1 vs S^Z row 1: nonzero pairing at offsets [0]",
              "L row 2 vs S^E row 1: nonzero pairing at offsets [1]"]
