@@ -14,7 +14,7 @@ fastest, written as strings of element indices.
 """
 
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from operator import getitem
 
 from . import gflinalg
@@ -140,18 +140,21 @@ def _edge_matrix(seed, names, groups, budget):
         diff = [[[spec.sub(x, y) * q ** t for y in range(q)]
                  for x in range(q)] for t in range(m)]
         digits = [_digits(v, shift, m, b) for v in hi]
-    cells = {}
-    for si, a in enumerate(lo):
+    rows = []
+    for a in lo:
         edges = list(map(a.__xor__, hi))
         if spec.p == 2:
             nexts = map(int.__rshift__, edges, repeat(shift))
         else:
-            rows = list(map(getitem, diff, _digits(a, shift, m, b)))
-            nexts = [sum(map(getitem, rows, d)) for d in digits]
+            diffs = list(map(getitem, diff, _digits(a, shift, m, b)))
+            nexts = [sum(map(getitem, diffs, d)) for d in digits]
         weights = gflinalg.group_weights(q, edges, groups)
+        counts = {}
         for (sj, ws), c in Counter(zip(nexts, weights)).items():
-            cells.setdefault((si, sj), {})[weight_exponents(groups, ws)] = c
-    return PolyMatrix.from_counts(state_labels(spec, m), names, cells)
+            counts.setdefault(sj, {})[weight_exponents(groups, ws)] = c
+        rows.append({sj: WeightPoly.from_counts(names, cell)
+                     for sj, cell in counts.items()})
+    return PolyMatrix(state_labels(spec, m), rows)
 
 
 def _digits(v, shift, count, b):
@@ -211,31 +214,20 @@ def dual_systematic_seed(seed):
     spec = seed.spec
     dual = dual_seed(seed)
     m, n, kd = dual.m, dual.n, dual.k
-    work = [list(r) for r in dual.gen_matrix()]
-    # bring the E' block to the identity on the last n-k output columns
-    info_cols = [m + j for j in range(n - kd, n)]
-    lower = work[m:]
-    for t, col in enumerate(info_cols):
-        pivot = next((i for i in range(t, kd) if lower[i][col]), None)
-        if pivot is None:
-            raise ShapeError("dual seed admits no systematic form on the "
-                             "trailing information columns")
-        lower[t], lower[pivot] = lower[pivot], lower[t]
-        inv = spec.inv[lower[t][col]]
-        lower[t] = [spec.mul[inv][x] for x in lower[t]]
-        for i in range(kd):
-            if i != t and lower[i][col]:
-                f = lower[i][col]
-                lower[i] = [spec.sub(x, spec.mul[f][y])
-                            for x, y in zip(lower[i], lower[t])]
-    # clear the info columns from the memory rows
-    for i in range(m):
-        for t, col in enumerate(info_cols):
-            f = work[i][col]
-            if f:
-                work[i] = [spec.sub(x, spec.mul[f][y])
-                           for x, y in zip(work[i], lower[t])]
-    t_rows = [row[m:] for row in work[:m]] + [row[m:] for row in lower]
+    # columns in the order memory block, last n-k outputs, the rest: the
+    # rref is (I_m 0; 0 I_kd) on the first m + n-k of them exactly when a
+    # systematic form exists
+    info = range(m + n - kd, m + n)
+    order = [*range(m), *info,
+             *(c for c in range(m, 2 * m + n) if c not in info)]
+    red, pivots = gflinalg.rref(spec, [[row[c] for c in order]
+                                       for row in dual.gen_matrix()])
+    if pivots != list(range(m + kd)):
+        raise ShapeError("dual seed admits no systematic form on the "
+                         "trailing information columns")
+    # place[c] is the position of column c in `order`
+    place = sorted(range(2 * m + n), key=order.__getitem__)
+    t_rows = [[row[t] for t in place[m:]] for row in red]
     return SystematicConvSeed(spec, n, kd, m, t_rows, info_last=True)
 
 
@@ -374,8 +366,8 @@ def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):
         raise ShapeError("feedback matrix must be m x k")
     assembled = assemble_encoder(seed, f_matrix)
     direct = iowam(assembled, budget)
-    for row in direct.entries:
-        for e in row:
+    for row in direct.rows:
+        for e in row.values():
             if len(e.terms) > 1:
                 raise AlgebraError(
                     "assembled encoder has a non-monomial IOWAM entry; "
@@ -387,14 +379,15 @@ def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):
     fb = gflinalg.mat_mul(spec, f_matrix, seed.b_block)
     states = state_vectors(spec, m)
     index = {v: i for i, v in enumerate(states)}
-    labels = state_labels(spec, m)
-    out = PolyMatrix.zero(labels)
-    for i, w in enumerate(states):
+    rows = []
+    for i, (w, row) in enumerate(zip(states, lam_out.rows)):
         shift = gflinalg.vec_mat(spec, list(w), fb) if m else []
-        for j, w2 in enumerate(states):
-            tgt = tuple(spec.sub(a, b) for a, b in zip(w2, shift))
-            out.entries[i][j] = (input_part.entries[i][index[tgt]]
-                                 * lam_out.entries[i][j])
+        cells = {}
+        for j, e in row.items():
+            tgt = tuple(spec.sub(a, b) for a, b in zip(states[j], shift))
+            cells[j] = input_part[i, index[tgt]] * e
+        rows.append(cells)
+    out = PolyMatrix(state_labels(spec, m), rows)
     if out != direct:
         raise AlgebraError("factorized IOWAM disagrees with the direct "
                            "enumeration; the encoder violates the "
@@ -435,9 +428,9 @@ def dual_total_wgf(lam, q, n, k, m, d_max, spec):
 def _without_zero_loop(lam):
     """Lam - |0><0|: only the zero-state self-loop weight 1 is removed;
     any extra terms of the (0, 0) entry stay."""
-    out = PolyMatrix(lam.labels, lam.entries)
-    out.entries[0][0] = lam.entries[0][0] - 1
-    return out
+    rows = list(lam.rows)
+    rows[0] = {**rows[0], 0: lam[0, 0] - 1}
+    return PolyMatrix(lam.labels, rows)
 
 
 def free_wgf(lam, d_max=10):
@@ -474,9 +467,9 @@ def free_distance(lam, d_max=10):
     # no merged path with positive weight seen: are paths still open?
     # row 0 (column 0) of reduced^d_max is the D^d_max coefficient of
     # row 0 of the series of reduced (of its transpose)
-    transpose = PolyMatrix(reduced.labels, list(zip(*reduced.entries)))
+    column = series_row(reduced.transpose(), 0, d_max)
     if any(e.d_coefficient(d_max)
-           for e in row + series_row(transpose, 0, d_max)):
+           for e in chain(row.values(), column.values())):
         return FreeDistanceResult(None, False,
                                   "paths still open at depth %d; increase "
                                   "the truncation depth" % d_max)

@@ -20,7 +20,8 @@ through the parsers below.
 import json
 
 from .conv import ConvSeed, SystematicConvSeed
-from .errors import BudgetError, FieldError, FormatError, ShapeError
+from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
+                     ShapeError)
 from .fields import FieldSpec, default_modulus
 from .block import LinearCode, SystematicCode, _ZeroCode
 from .pauli import CliffordSeed, PauliWord
@@ -232,10 +233,11 @@ def poly_to_structured(poly):
 
 
 def matrix_to_structured(matrix):
+    cols = range(matrix.size)
     return {
         "labels": list(matrix.labels),
-        "entries": [[_term_list(e.to_int_coeffs()) if e.terms else []
-                     for e in row] for row in matrix.entries],
+        "entries": [[_term_list(row[j].to_int_coeffs()) if j in row else []
+                     for j in cols] for row in matrix.rows],
     }
 
 
@@ -251,9 +253,12 @@ def structured_to_poly(data):
 
 
 def structured_to_matrix(data):
+    n, entries = len(data["labels"]), data["entries"]
+    if len(entries) != n or any(len(row) != n for row in entries):
+        raise AlgebraError("entries are not %dx%d" % (n, n))
     return PolyMatrix(data["labels"],
-                      [[_poly_from_terms(cell) for cell in row]
-                       for row in data["entries"]])
+                      [{j: _poly_from_terms(cell) for j, cell in enumerate(row)}
+                       for row in entries])
 
 
 def dumps(data):

@@ -2,7 +2,7 @@
 
 from itertools import chain
 from math import comb
-from operator import add
+from operator import add, neg
 
 from .errors import AlgebraError
 from .poly import VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP
@@ -12,44 +12,34 @@ class PolyMatrix:
     """A labelled square matrix with polynomial entries.
 
     Labels fix both the row and column order; two matrices only combine
-    when their label lists agree exactly.
+    when their label lists agree exactly.  `rows` holds one dict per row,
+    {column index: nonzero WeightPoly}: a zero cell is not stored, and
+    m[i, j] reads it as zero.  A matrix is never changed once built.
     """
 
-    __slots__ = ("labels", "entries")
+    __slots__ = ("labels", "rows")
 
-    def __init__(self, labels, entries):
+    def __init__(self, labels, rows):
         labels = list(labels)
-        n = len(labels)
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise AlgebraError("entries are not %dx%d" % (n, n))
+        if len(rows) != len(labels):
+            raise AlgebraError("%d rows for %d labels"
+                               % (len(rows), len(labels)))
         self.labels = labels
-        self.entries = [list(row) for row in entries]
-
-    @classmethod
-    def zero(cls, labels, d_max=None):
-        # WeightPoly is never mutated in place, so every cell shares one
-        n, zero = len(labels), WeightPoly.zero(d_max)
-        return cls(labels, [[zero] * n for _ in range(n)])
-
-    @classmethod
-    def from_counts(cls, labels, names, cells):
-        """Entry (i, j) is WeightPoly.from_counts(names, cells[i, j]);
-        cells missing from `cells` stay zero."""
-        out = cls.zero(labels)
-        for (i, j), counts in cells.items():
-            out.entries[i][j] = WeightPoly.from_counts(names, counts)
-        return out
+        self.rows = [{j: e for j, e in row.items() if e} for row in rows]
 
     @classmethod
     def identity(cls, labels, d_max=None):
-        m = cls.zero(labels, d_max)
-        for i in range(len(m.labels)):
-            m.entries[i][i] = WeightPoly.const(1, d_max)
-        return m
+        return cls(labels, [{i: WeightPoly.const(1, d_max)}
+                            for i in range(len(labels))])
 
     @property
     def size(self):
         return len(self.labels)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        cell = self.rows[i].get(j)
+        return WeightPoly.zero() if cell is None else cell
 
     def _check(self, other):
         if not isinstance(other, PolyMatrix) or other.labels != self.labels:
@@ -57,66 +47,65 @@ class PolyMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return PolyMatrix(self.labels,
-                          [[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
+        rows = []
+        for ra, rb in zip(self.rows, other.rows):
+            row = dict(ra)
+            for j, e in rb.items():
+                row[j] = row[j] + e if j in row else e
+            rows.append(row)
+        return PolyMatrix(self.labels, rows)
 
     def __sub__(self, other):
         self._check(other)
-        return PolyMatrix(self.labels,
-                          [[a - b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
+        return self + other.map_entries(neg)
 
     def __mul__(self, other):
         if isinstance(other, (int, WeightPoly)):
             return self.map_entries(lambda e: e * other)
         self._check(other)
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = WeightPoly.zero()
-                for t in range(n):
-                    a = self.entries[i][t]
-                    b = other.entries[t][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.labels, out)
+        rows = []
+        for ra in self.rows:
+            row = {}
+            for t, a in ra.items():
+                for j, b in other.rows[t].items():
+                    row[j] = row[j] + a * b if j in row else a * b
+            rows.append(row)
+        return PolyMatrix(self.labels, rows)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix)
                 and self.labels == other.labels
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
     def map_entries(self, fn):
-        return PolyMatrix(self.labels,
-                          [[fn(e) for e in row] for row in self.entries])
+        """fn applied to every stored cell; fn must send zero to zero, and
+        the cells it maps to zero are dropped."""
+        return PolyMatrix(self.labels, [{j: fn(e) for j, e in row.items()}
+                                        for row in self.rows])
 
-    def _map_nonzero(self, fn):
-        # for maps that send zero to zero: a zero cell is handed back as
-        # it is, so its d_max survives and no new WeightPoly is built
-        return PolyMatrix(self.labels, [[fn(e) if e else e for e in row]
-                                        for row in self.entries])
+    def transpose(self):
+        rows = [{} for _ in self.labels]
+        for i, row in enumerate(self.rows):
+            for j, e in row.items():
+                rows[j][i] = e
+        return PolyMatrix(self.labels, rows)
 
     def substitute(self, mapping):
-        return self._map_nonzero(lambda e: e.substitute(mapping))
+        return self.map_entries(lambda e: e.substitute(mapping))
 
     def collapse(self, mapping):
         # cells are never mutated, so an empty mapping hands back self
         if not mapping:
             return self
-        return self._map_nonzero(lambda e: e.collapse(mapping))
+        return self.map_entries(lambda e: e.collapse(mapping))
 
     def exact_div(self, n):
-        return self._map_nonzero(lambda e: e.exact_div(n))
+        return self.map_entries(lambda e: e.exact_div(n))
 
     def to_int_coeffs(self):
-        return self._map_nonzero(lambda e: e.to_int_coeffs())
+        return self.map_entries(WeightPoly.to_int_coeffs)
 
     def conjugate_by(self, f, p=2):
         """F . self . F^dagger, where F is the m-fold Kronecker power of
@@ -141,25 +130,24 @@ class PolyMatrix:
         # row i of each plane holds the grids of all exponent keys side by
         # side: entry (i, j) of key number t sits at column t * n + j
         keys = {}
-        for row in self.entries:
-            for e in row:
+        for row in self.rows:
+            for e in row.values():
                 for exp in e.terms:
                     keys.setdefault(exp, len(keys))
         width = len(keys) * n
         planes = [[[0] * width for _ in range(n)]
                   for _ in range(1 if p == 2 else p)]
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
+        for i, row in enumerate(self.rows):
+            for j, e in row.items():
                 for exp, c in e.terms.items():
                     planes[0][i][keys[exp] * n + j] = c
         _kernel_rows(planes, f, p, m)
         planes = [_transpose_states(plane, n) for plane in planes]
         _kernel_rows(planes, conj, p, m)
         # now entry (i, j) of key number t sits in row j at column t * n + i
-        d_max = min((e.d_max for row in self.entries for e in row
+        d_max = min((e.d_max for row in self.rows for e in row.values()
                      if e.d_max is not None), default=None)
-        zero = WeightPoly.zero(d_max)
-        out = [[zero] * n for _ in range(n)]
+        out = [{} for _ in range(n)]
         for j in range(n):
             if p == 2:
                 row = planes[0][j]
@@ -173,9 +161,12 @@ class PolyMatrix:
         return PolyMatrix(self.labels, out)
 
     def __str__(self):
+        # every cell is written, an absent one as the "0" of str(0)
         lines = ["states: " + " ".join(self.labels)]
-        for label, row in zip(self.labels, self.entries):
-            lines.append("%s: %s" % (label, " | ".join(str(e) for e in row)))
+        cols = range(self.size)
+        for label, row in zip(self.labels, self.rows):
+            lines.append("%s: %s" % (label, " | ".join(str(row.get(j, 0))
+                                                       for j in cols)))
         return "\n".join(lines)
 
     def __repr__(self):
@@ -267,7 +258,7 @@ def macwilliams(enum, q, divisor, pairs, kernel=None):
     x' - y', where (x', y') is its mirror pair pairs[-1 - t], so the
     input and parity roles of ((x_I, y_I), (x_P, y_P)) trade places.
     Each exponent tuple's image comes from integer Krawtchouk values
-    once per call, and only nonzero cells are mapped; a variable
+    once per call, and only the stored (nonzero) cells are mapped; a variable
     outside `pairs` must not occur.  A WAM is then conjugated by the
     per-coordinate state kernel, given as (exponent table, p) (block
     codes have no state axes and pass none).
@@ -314,7 +305,7 @@ def macwilliams(enum, q, divisor, pairs, kernel=None):
     if isinstance(enum, WeightPoly):
         out = transform(enum)
     else:
-        out = enum._map_nonzero(transform)
+        out = enum.map_entries(transform)
     if kernel is not None:
         out = out.conjugate_by(*kernel)
     return out.exact_div(divisor).to_int_coeffs()
@@ -329,36 +320,35 @@ def _krawtchouk_row(a, b, q):
 
 
 def series_row(n, i, d_max):
-    """Row i of sum_{t <= d_max} N^t D^t, each entry truncated at D^d_max.
+    """Row i of sum_{t <= d_max} N^t D^t, each entry truncated at D^d_max,
+    as {column index: WeightPoly} over the columns that v_t reaches.
 
-    N must be D-free.  v_0 = <i|, v_(t+1) = v_t N runs over the nonzero
+    N must be D-free.  v_0 = <i|, v_(t+1) = v_t N runs over the stored
     cells of N only, so the cost is O(d_max * nonzero cells * terms)
     instead of the O(d_max * S^3) of full matrix powers.
     """
     if d_max < 0:  # truncation below D^0 drops the identity itself
         raise AlgebraError("matrix is not of the form I - N*D")
-    cells = [[(j, e.terms) for j, e in enumerate(row) if e]
-             for row in n.entries]
-    if any(exp[_D] for row in cells for _j, terms in row for exp in terms):
+    if any(exp[_D] for row in n.rows for e in row.values() for exp in e.terms):
         raise AlgebraError("matrix is not of the form I - N*D")
-    series = [{} for _ in range(n.size)]
+    series = {}
     vec = {i: WeightPoly.const(1)}
     for t in range(d_max + 1):
         for j, v in vec.items():
-            series[j].update((exp[:_D] + (t,), c)
-                             for exp, c in v.terms.items())
+            series.setdefault(j, {}).update((exp[:_D] + (t,), c)
+                                            for exp, c in v.terms.items())
         if t == d_max:
             break
         nxt = {}
         for s, v in vec.items():
-            for j, cell in cells[s]:
+            for j, cell in n.rows[s].items():
                 acc = nxt.setdefault(j, {})
                 for ea, ca in v.terms.items():
-                    for eb, cb in cell.items():
+                    for eb, cb in cell.terms.items():
                         e = tuple(map(add, ea, eb))
                         acc[e] = acc.get(e, 0) + ca * cb
         vec = {j: WeightPoly(acc) for j, acc in nxt.items()}
-    return [WeightPoly(terms, d_max) for terms in series]
+    return {j: WeightPoly(terms, d_max) for j, terms in series.items()}
 
 
 def series_inverse(m, d_max):
@@ -371,7 +361,7 @@ def series_inverse(m, d_max):
     ident = PolyMatrix.identity(m.labels)
     const = m.map_entries(lambda e: e.d_coefficient(0))
     if const != ident or any(e.max_d_degree() > 1
-                             for row in m.entries for e in row):
+                             for row in m.rows for e in row.values()):
         raise AlgebraError("matrix is not of the form I - N*D")
     big_n = m.map_entries(lambda e: -e.d_coefficient(1))
     return PolyMatrix(m.labels, [series_row(big_n, i, d_max)

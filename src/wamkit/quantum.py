@@ -21,6 +21,7 @@ from .gflinalg import (cleared_response, impulse_response, masked_weights,
                        span_images)
 from .pauli import (PauliWord, pauli_state_labels, pauli_state_words,
                     symplectic_product)
+from .poly import WeightPoly
 from .polymatrix import PolyMatrix, macwilliams
 
 _GF2 = FieldSpec(2)
@@ -159,14 +160,16 @@ def _edges(spec):
 def quantum_wam(spec):
     """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest."""
     check_budget("quantum WAM", _edge_count(spec), 16 ** spec.m)
-    n, cells = spec.n, {}
-    for si, (edges, nexts) in enumerate(_edges(spec)):
+    n, rows = spec.n, []
+    for edges, nexts in _edges(spec):
         # a physical qubit is busy when its z or its x bit is set
         weights = masked_weights(edges, (1 << n) - 1, (n,))
+        counts = {}
         for (sj, w), c in Counter(zip(nexts, weights)).items():
-            cells.setdefault((si, sj), {})[n - w, w] = c
-    return PolyMatrix.from_counts(pauli_state_labels(spec.m), ("x", "y"),
-                                  cells)
+            counts.setdefault(sj, {})[n - w, w] = c
+        rows.append({sj: WeightPoly.from_counts(("x", "y"), cell)
+                     for sj, cell in counts.items()})
+    return PolyMatrix(pauli_state_labels(spec.m), rows)
 
 
 def quantum_macwilliams(lam, n, k, a, m):

@@ -99,8 +99,18 @@ def poly_of(text):
 
 
 def matrix_of(labels, rows):
-    return PolyMatrix(labels, [[poly_of(cell) for cell in row]
+    return PolyMatrix(labels, [{j: poly_of(cell) for j, cell in enumerate(row)}
                                for row in rows])
+
+
+def shift_register_text(m):
+    """.cc text of a binary (2, 1, m) shift register: 2^m states but only
+    2^(m+1) edges."""
+    rows = ["%d 1 " % (i % 2) + " ".join("1" if j == i + 1 else "0"
+                                         for j in range(m))
+            for i in range(m)]
+    rows.append("1 1 1" + " 0" * (m - 1))
+    return "q 2 1\nn 2\nk 1\nm %d\nT\n" % m + "\n".join(rows) + "\n"
 
 
 # --- randomized generators for the property suites ---
@@ -263,10 +273,10 @@ def brute_force_dual_wam(seed):
     states = state_vectors(spec, m)
     index = {v: i for i, v in enumerate(states)}
     x, y = WeightPoly.var("x"), WeightPoly.var("y")
-    out = PolyMatrix.zero(state_labels(spec, m))
+    rows = [{} for _ in states]
     for word in dual_constraint_words(seed):
         w, p, w2 = word[:m], word[m:m + n], word[m + n:]
         wt = sum(1 for s in p if s)
         i, j = index[tuple(w)], index[tuple(w2)]
-        out.entries[i][j] = out.entries[i][j] + x ** (n - wt) * y ** wt
-    return out
+        rows[i][j] = rows[i].get(j, 0) + x ** (n - wt) * y ** wt
+    return PolyMatrix(state_labels(spec, m), rows)

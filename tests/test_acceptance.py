@@ -200,7 +200,7 @@ def test_criterion_03_u1_wam_duality():
         ["y^2", "y^2", "y^2", "y^2"],
         ["y^2", "y", "y", "y^2"],
         ["y^2", "y", "y^2", "y"]])
-    transpose = PolyMatrix(lam.labels, [[lam.entries[j][i] for j in range(4)]
+    transpose = PolyMatrix(lam.labels, [{j: lam[j, i] for j in range(4)}
                                         for i in range(4)])
     ok = (lam.collapse({"x": 1}) == expect
           and lam_hat == transpose
@@ -238,11 +238,11 @@ def test_criterion_05_example3_recovery():
         ["0", "y^2", "y^2", "0"],
         ["x*y", "0", "0", "y^2"]])
     x, y = WeightPoly.var("x"), WeightPoly.var("y")
-    restricted = PolyMatrix.zero(PAULI4)
+    rows = [{} for _ in PAULI4]
     for i, j, w, log_is_identity in quantum_edges(spec):
         if log_is_identity:
-            restricted.entries[i][j] = (restricted.entries[i][j]
-                                        + x ** (spec.n - w) * y ** w)
+            rows[i][j] = rows[i].get(j, 0) + x ** (spec.n - w) * y ** w
+    restricted = PolyMatrix(PAULI4, rows)
     dual = dual_spec(spec)
     lam = quantum_macwilliams(lam_perp, spec.n, dual.k, dual.a, dual.m)
     expect = matrix_of(PAULI4, [
@@ -371,7 +371,7 @@ def test_criterion_08_series_identities():
         for i in range(7):
             conj = power.conjugate_by(f).exact_div(
                 q ** (m + k * i)).to_int_coeffs()
-            if conj.entries[0][0] != route1.d_coefficient(i):
+            if conj[0, 0] != route1.d_coefficient(i):
                 ok = False
                 detail.append("%s: dual-total routes differ at D^%d"
                               % (name, i))

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import field
-from wamkit.conv import fourier_matrix
+from conftest import direct_conv_edges, field
+from wamkit.conv import fourier_matrix, iowam, ipwam, macwilliams_wam, wam
 from wamkit.errors import AlgebraError, FieldError
 from wamkit.fields import FieldSpec, _is_prime, _poly_mulmod
 from wamkit.gflinalg import digit_vectors
 from wamkit.poly import VARS, WeightPoly
 from wamkit.polymatrix import PolyMatrix, series_inverse
+from wamkit.quantum import quantum_wam
 
 
 # --- finite fields ---
@@ -148,11 +149,10 @@ def test_root_powers_sum_to_zero():
 
 def test_exact_div_errors_on_remainder():
     y = WeightPoly.var("y")
-    matrix = PolyMatrix.zero(["0", "1"], d_max=3)
-    matrix.entries[0][1] = 4 * y
+    matrix = PolyMatrix(["0", "1"], [{1: 4 * y}, {}])
     out = matrix.exact_div(2)
-    assert out.entries[0][1] == 2 * y
-    matrix.entries[1][0] = 3 * y
+    assert out[0, 1] == 2 * y
+    matrix = PolyMatrix(["0", "1"], [{1: 4 * y}, {0: 3 * y}])
     with pytest.raises(AlgebraError):
         matrix.exact_div(2)
 
@@ -212,10 +212,9 @@ def test_collapse_matches_substitute_with_mixed_images():
 def test_matrix_collapse_with_no_mapping_is_the_matrix():
     # cells are never mutated, so sharing them is safe
     x, y = WeightPoly.var("x"), WeightPoly.var("y")
-    matrix = PolyMatrix(["0", "1"], [[x, WeightPoly.zero()],
-                                     [y, WeightPoly.const(1)]])
+    matrix = _two_state([[x, WeightPoly.zero()], [y, WeightPoly.const(1)]])
     assert matrix.collapse({}) is matrix
-    assert matrix.collapse({"x": 1}).entries[0][0] == WeightPoly.const(1)
+    assert matrix.collapse({"x": 1})[0, 0] == WeightPoly.const(1)
 
 
 def test_unknown_variable_rejected():
@@ -259,7 +258,7 @@ def test_macwilliams_substitution_roundtrip():
 # --- polynomial matrices ---
 
 def _two_state(entries):
-    return PolyMatrix(["0", "1"], entries)
+    return PolyMatrix(["0", "1"], [dict(enumerate(row)) for row in entries])
 
 
 def test_matrix_label_mismatch_rejected():
@@ -273,9 +272,9 @@ def test_matrix_multiplication():
     y = WeightPoly.var("y")
     a = _two_state([[WeightPoly.const(1), y], [y, WeightPoly.zero()]])
     sq = a * a
-    assert sq.entries[0][0] == 1 + y ** 2
-    assert sq.entries[0][1] == y
-    assert sq.entries[1][1] == y ** 2
+    assert sq[0, 0] == 1 + y ** 2
+    assert sq[0, 1] == y
+    assert sq[1, 1] == y ** 2
 
 
 def test_conjugate_by_fourier_is_scaled_identity():
@@ -287,16 +286,26 @@ def test_conjugate_by_fourier_is_scaled_identity():
     assert out == ident * 2
 
 
-def test_zero_preserving_maps_hand_zero_cells_back():
+def test_matrices_store_only_nonzero_cells(example1, u1):
+    spec, n, k, m = example1.spec, example1.n, example1.k, example1.m
     y = WeightPoly.var("y")
-    matrix = PolyMatrix.zero(["0", "1"], d_max=3)
-    matrix.entries[0][1] = 2 * y
-    zero = matrix.entries[0][0]
-    for out in (matrix.collapse({"x": 1}), matrix.substitute({"y": y}),
-                matrix.exact_div(2), matrix.to_int_coeffs()):
-        assert all(out.entries[i][j] is zero
-                   for i, j in ((0, 0), (1, 0), (1, 1)))
-    assert matrix.exact_div(2).entries[0][1] == y
+    lam = wam(example1)
+    sym, mixed = _two_state([[1 + y, y], [y, y]]), _two_state(
+        [[WeightPoly.const(1), WeightPoly.const(-1)]] * 2)
+    outs = [lam, ipwam(example1), iowam(example1), quantum_wam(u1),
+            macwilliams_wam(lam, spec.q, n, k, m, spec),
+            lam.collapse({"x": 1}), lam.exact_div(1), lam.transpose(),
+            lam + lam * -1, sym - sym.transpose(), mixed * mixed]
+    for out in outs:
+        assert all(e for row in out.rows for e in row.values())
+    # the last three cancel in every cell
+    assert [sum(map(len, out.rows)) for out in outs[-3:]] == [0, 0, 0]
+    absent = [(i, j) for i in range(lam.size) for j in range(lam.size)
+              if j not in lam.rows[i]]
+    assert absent and all(lam[i, j] == 0 for i, j in absent)
+    # a binary (2, 1, 2) WAM: one stored cell per transition, no other
+    edges = {(i, j) for i, j, _u, _p in direct_conv_edges(example1)}
+    assert {(i, j) for i, row in enumerate(lam.rows) for j in row} == edges
 
 
 def test_to_int_coeffs_rejects_non_integer():
@@ -314,8 +323,8 @@ def test_series_inverse_geometric():
     m = PolyMatrix.identity(["0", "1"], 4) - lam.map_entries(lambda e: e * d)
     inv = series_inverse(m, 4)
     expect = sum((y * d) ** i for i in range(5))
-    assert inv.entries[0][0] == expect + 0  # coerce to WeightPoly
-    assert inv.entries[1][1] == WeightPoly.const(1, 4)
+    assert inv[0, 0] == expect + 0  # coerce to WeightPoly
+    assert inv[1, 1] == WeightPoly.const(1, 4)
 
 
 def test_series_inverse_rejects_wrong_shape():

@@ -110,14 +110,14 @@ def test_block_code_is_the_memoryless_conv_code(p, r):
         k = rng.randint(1, n - 1)
         code = random_linear_code(rng, spec, n, k)
         lam = wam(ConvSeed(spec, n, k, 0, code.generator))
-        assert lam.entries == [[hwgf(code)]]
-        assert (macwilliams_wam(lam, q, n, k, 0, spec).entries
-                == [[macwilliams_hwgf(hwgf(code), q, k)]])
+        assert lam.rows == [{0: hwgf(code)}]
+        assert (macwilliams_wam(lam, q, n, k, 0, spec).rows
+                == [{0: macwilliams_hwgf(hwgf(code), q, k)}])
         code = random_systematic_code(rng, spec, n, k)
         lam = ipwam(SystematicConvSeed(spec, n, k, 0, code.generator))
-        assert lam.entries == [[ipwgf(code)]]
-        assert (macwilliams_ipwam(lam, q, n, k, 0, spec).entries
-                == [[macwilliams_ipwgf(ipwgf(code), q, k)]])
+        assert lam.rows == [{0: ipwgf(code)}]
+        assert (macwilliams_ipwam(lam, q, n, k, 0, spec).rows
+                == [{0: macwilliams_ipwgf(ipwgf(code), q, k)}])
 
 
 def test_ipwgf_of_a_28_14_code_is_fast():

@@ -5,11 +5,13 @@ import time
 
 import pytest
 
-from conftest import fixture_path, read_fixture
+from conftest import fixture_path, read_fixture, shift_register_text
 from wamkit import conv, gflinalg, quantum
 from wamkit.cli import main
 from wamkit.conv import ipwam, wam
-from wamkit.formats import parse_block_code, structured_to_matrix
+from wamkit.errors import AlgebraError
+from wamkit.formats import (matrix_to_structured, parse_block_code,
+                            structured_to_matrix)
 from wamkit.quantum import quantum_wam
 
 FIXTURE_NAMES = ["rep3.bc", "example1.cc", "example1-nonsys.cc",
@@ -76,6 +78,16 @@ def test_structured_wam_round_trip_quantum(capsys, u1):
     assert structured_to_matrix(json.loads(out)) == quantum_wam(u1)
 
 
+def test_structured_matrix_rejects_a_short_row(example1):
+    data = matrix_to_structured(ipwam(example1))
+    data["entries"][1].pop()
+    with pytest.raises(AlgebraError, match="entries are not 4x4"):
+        structured_to_matrix(data)
+    data["entries"].pop(1)
+    with pytest.raises(AlgebraError, match="entries are not 4x4"):
+        structured_to_matrix(data)
+
+
 def test_structured_poly_round_trip(capsys, rep3):
     from wamkit.block import hwgf
     from wamkit.formats import structured_to_poly
@@ -125,21 +137,20 @@ def test_block_dual_of_a_full_code_reads_back(tmp_path, capsys):
     assert code == 0 and out == "q 3 1\nn 2\nk 2\n1 0\n0 1\n"
 
 
-def test_conv_total_binary_m10_is_quick(tmp_path, capsys):
-    # a (2, 1, 10) shift register: 1024 states but only 2048 edges, so
-    # the x-collapse and the series must not pay for all S^2 cells
-    m = 10
-    rows = ["%d 1 " % (i % 2) + " ".join("1" if j == i + 1 else "0"
-                                         for j in range(m))
-            for i in range(m)]
-    rows.append("1 1 1" + " 0" * (m - 1))
-    path = tmp_path / "m10.cc"
-    path.write_text("q 2 1\nn 2\nk 1\nm %d\nT\n" % m + "\n".join(rows)
-                    + "\n")
+@pytest.mark.parametrize("action, m, head, bound", [
+    ("total", 10, "1 + D + ", 1.5), ("dfree", 11, "d_free", 1.0)],
+    ids=["total-m10", "dfree-m11"])
+def test_conv_shift_register_is_quick(tmp_path, capsys, action, m, head,
+                                      bound):
+    # a (2, 1, m) shift register has 2^m states but only 2^(m+1) edges, so
+    # the x-collapse, the series and the transpose must not pay for all
+    # S^2 cells
+    path = tmp_path / "shift.cc"
+    path.write_text(shift_register_text(m))
     start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "conv", "total", str(path))
-    assert code == 0 and out.startswith("1 + D + ")
-    assert time.perf_counter() - start < 1.5
+    code, out, _ = run_cli(capsys, "conv", action, str(path))
+    assert code == 0 and out.startswith(head)
+    assert time.perf_counter() - start < bound
 
 
 def test_verify_all_fixtures(capsys):

@@ -1,10 +1,12 @@
 """Convolutional codes: WAM flavors, duality, series enumerators."""
 
+import tracemalloc
+
 import pytest
 
 from conftest import (brute_force_dual_wam, field, matrix_of, poly_of,
                       random_conv_seed, random_systematic_conv_seed,
-                      seeded_rng)
+                      seeded_rng, shift_register_text)
 from wamkit.conv import (ConvSeed, SystematicConvSeed, assemble_encoder,
                          dual_seed, dual_systematic_seed, dual_total_wgf,
                          free_distance, free_wgf, iowam, iowam_from_systematic,
@@ -12,6 +14,7 @@ from wamkit.conv import (ConvSeed, SystematicConvSeed, assemble_encoder,
                          orthogonality_check, poly_generator, state_labels,
                          total_wgf, wam)
 from wamkit.errors import ShapeError
+from wamkit.formats import parse_conv_seed
 from wamkit.poly import WeightPoly
 
 STATES4 = ["00", "10", "01", "11"]
@@ -126,8 +129,8 @@ def test_free_distance_reports_shallow_truncation():
     # a pure accumulator never re-merges: one state, self-loop of weight y
     from wamkit.polymatrix import PolyMatrix
     lam = PolyMatrix(["0", "1"],
-                     [[WeightPoly.const(1), WeightPoly.var("y")],
-                      [WeightPoly.zero(), WeightPoly.var("y")]])
+                     [{0: WeightPoly.const(1), 1: WeightPoly.var("y")},
+                      {0: WeightPoly.zero(), 1: WeightPoly.var("y")}])
     result = free_distance(lam, 6)
     assert not result.determined
     assert "depth" in result.reason
@@ -190,7 +193,7 @@ def test_transform_involution_random():
 def test_random_systematic_duals():
     rng = seeded_rng("conv-sys-dual")
     for _ in range(8):
-        spec = field(rng.choice([2, 3]))
+        spec = field(*rng.choice([(2, 1), (3, 1), (2, 2), (5, 1)]))
         n = rng.randint(2, 3)
         k = rng.randint(1, n - 1)
         m = rng.randint(1, 2)
@@ -219,3 +222,18 @@ def test_dual_total_matches_dual_enumeration(example1):
     route1 = dual_total_wgf(lam, 2, 2, 1, 2, 8, example1.spec)
     dual_lam = brute_force_dual_wam(example1).collapse({"x": 1})
     assert route1 == total_wgf(dual_lam, 8)
+
+
+def test_sparse_wam_memory_is_per_edge():
+    # a (2, 1, 11) shift register: 4096 edges among 2048 states, so its
+    # WAM must not hold anything per cell of the 2048 x 2048 matrix
+    # (tracemalloc counts Python's own allocations only)
+    seed = parse_conv_seed(shift_register_text(11))
+    tracemalloc.start()
+    try:
+        lam = wam(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, "conv.wam peaked at %.1f MB" % (peak / 2 ** 20)
+    assert sum(map(len, lam.rows)) == 2 ** 12

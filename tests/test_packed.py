@@ -40,13 +40,21 @@ def _split(word, groups):
     return out
 
 
+def _from_cells(labels, names, cells):
+    """The matrix whose cell (i, j) is WeightPoly.from_counts(names,
+    cells[i, j]); cells missing from `cells` are zero."""
+    rows = [{} for _ in labels]
+    for (i, j), counts in cells.items():
+        rows[i][j] = WeightPoly.from_counts(names, counts)
+    return PolyMatrix(labels, rows)
+
+
 def _direct_matrix(seed, names, key):
     cells = {}
     for i, j, u, p in direct_conv_edges(seed):
         counts = cells.setdefault((i, j), {})
         counts[key(u, p)] = counts.get(key(u, p), 0) + 1
-    return PolyMatrix.from_counts(state_labels(seed.spec, seed.m), names,
-                                  cells)
+    return _from_cells(state_labels(seed.spec, seed.m), names, cells)
 
 
 def _check_conv(seed):
@@ -139,7 +147,7 @@ def test_quantum_enumerators_match_per_edge_conjugation(n, k, c, m):
                 (mem.state_index(), out.state_index()), {})
             key = (n - phys.weight(), phys.weight())
             counts[key] = counts.get(key, 0) + 1
-        assert quantum_wam(spec) == PolyMatrix.from_counts(
+        assert quantum_wam(spec) == _from_cells(
             quantum_wam(spec).labels, ("x", "y"), cells)
 
 
