@@ -3,7 +3,7 @@ generating functions with their MacWilliams transforms.
 
 All enumeration is exhaustive over the q^k messages, guarded by a
 budget, and all transforms are exact integer computations with a final
-checked division by q^k.
+checked division by the code's size q^k, read off the enumerator.
 """
 
 from collections import Counter
@@ -134,9 +134,9 @@ def hwgf(code, budget=DEFAULT_BUDGET):
     return _enumerator(code, ("x", "y"), [range(code.n)], budget)
 
 
-def macwilliams_hwgf(g, q, k):
-    """Transform g(x, y) -> g(x + (q-1)y, x - y) / q^k, exactly."""
-    return macwilliams(g, q, q ** k, (("x", "y"),))
+def macwilliams_hwgf(g, q):
+    """Transform g(x, y) -> g(x + (q-1)y, x - y) / g(1, 1), exactly."""
+    return macwilliams(g, q, (("x", "y"),))
 
 
 def ipwgf(code, info_last=False, budget=DEFAULT_BUDGET):
@@ -162,6 +162,6 @@ def ipwgf(code, info_last=False, budget=DEFAULT_BUDGET):
     return _enumerator(code, IP_VARS, [info, parity], budget)
 
 
-def macwilliams_ipwgf(g, q, k):
+def macwilliams_ipwgf(g, q):
     """Input/parity MacWilliams transform; swaps the I and P roles."""
-    return macwilliams(g, q, q ** k, IP_PAIRS)
+    return macwilliams(g, q, IP_PAIRS)

@@ -117,15 +117,13 @@ _CONV = {
     "ipwam": lambda seed, args: _emit_matrix(conv.ipwam(seed), args),
     "iowam": lambda seed, args: _emit_matrix(conv.iowam(seed), args),
     "dual-wam": lambda seed, args: _emit_matrix(conv.macwilliams_wam(
-        conv.wam(seed), seed.spec.q, seed.n, seed.k, seed.m, seed.spec), args),
+        conv.wam(seed), seed.spec), args),
     "dual-ipwam": lambda seed, args: _emit_matrix(conv.macwilliams_ipwam(
-        conv.ipwam(seed), seed.spec.q, seed.n, seed.k, seed.m, seed.spec),
-        args),
+        conv.ipwam(seed), seed.spec), args),
     "total": lambda seed, args: _emit_poly(
         conv.total_wgf(_lam_y(seed), args.dmax), args),
     "dual-total": lambda seed, args: _emit_poly(conv.dual_total_wgf(
-        conv.wam(seed), seed.spec.q, seed.n, seed.k, seed.m, args.dmax,
-        seed.spec), args),
+        conv.wam(seed), args.dmax, seed.spec), args),
     "free": lambda seed, args: _emit_poly(
         conv.free_wgf(_lam_y(seed), args.dmax), args),
     "dfree": _dfree,
@@ -154,16 +152,15 @@ def _check(name, ok, lines, diags=()):
 
 def _verify_block(code):
     lines, all_ok = [], True
-    q, k = code.spec.q, code.k
     dual = block.dual_code(code)
-    transformed = block.macwilliams_hwgf(block.hwgf(code), q, k)
+    transformed = block.macwilliams_hwgf(block.hwgf(code), code.spec.q)
     all_ok &= _check("hwgf transform matches dual enumeration",
                      transformed == block.hwgf(dual), lines)
-    back = block.macwilliams_hwgf(transformed, q, code.n - k)
+    back = block.macwilliams_hwgf(transformed, code.spec.q)
     all_ok &= _check("hwgf transform involution",
                      back == block.hwgf(code), lines)
     if isinstance(code, block.SystematicCode):
-        ipt = block.macwilliams_ipwgf(block.ipwgf(code), q, k)
+        ipt = block.macwilliams_ipwgf(block.ipwgf(code), code.spec.q)
         all_ok &= _check("ipwgf transform matches dual enumeration",
                          ipt == block.ipwgf(dual, info_last=True), lines)
     return all_ok, lines
@@ -183,22 +180,19 @@ def _verify_conv(seed, dmax):
     left out when it cannot be built, and the first such error is
     raised after the other lines are printed."""
     lines, all_ok = [], True
-    spec, q = seed.spec, seed.spec.q
     lam = conv.wam(seed)
     dual, error = _dual_or_error(conv.dual_seed, seed)
     if dual is not None:
         ok, diags = conv.orthogonality_check(seed, dual)
         all_ok &= _check("dual seed orthogonality", ok, lines, diags)
-    lam_hat = conv.macwilliams_wam(lam, q, seed.n, seed.k, seed.m, spec)
+    lam_hat = conv.macwilliams_wam(lam, seed.spec)
     if dual is not None:
         all_ok &= _check("wam transform matches dual enumeration",
                          lam_hat == conv.wam(dual), lines)
-    back = conv.macwilliams_wam(lam_hat, q, seed.n, seed.n - seed.k, seed.m,
-                                spec)
+    back = conv.macwilliams_wam(lam_hat, seed.spec)
     all_ok &= _check("wam transform involution", back == lam, lines)
     if isinstance(seed, conv.SystematicConvSeed) and not seed.info_last:
-        ip_hat = conv.macwilliams_ipwam(conv.ipwam(seed), q, seed.n, seed.k,
-                                        seed.m, spec)
+        ip_hat = conv.macwilliams_ipwam(conv.ipwam(seed), seed.spec)
         dual_sys, sys_error = _dual_or_error(conv.dual_systematic_seed, seed)
         error = error or sys_error
         if dual_sys is not None:
@@ -219,11 +213,10 @@ def _verify_quantum(spec):
     all_ok &= _check("clifford seed symplectic relations", ok, lines, diags)
     lam = quantum.quantum_wam(spec)
     dual = quantum.dual_spec(spec)
-    lam_hat = quantum.quantum_macwilliams(lam, spec.n, spec.k, spec.a, spec.m)
+    lam_hat = quantum.quantum_macwilliams(lam)
     all_ok &= _check("wam transform matches dual enumeration",
                      lam_hat == quantum.quantum_wam(dual), lines)
-    back = quantum.quantum_macwilliams(lam_hat, spec.n, dual.k, dual.a,
-                                       dual.m)
+    back = quantum.quantum_macwilliams(lam_hat)
     all_ok &= _check("wam transform involution", back == lam, lines)
     ok, diags = quantum.check_poly_orthogonality(spec)
     all_ok &= _check("polynomial check-matrix orthogonality", ok, lines,

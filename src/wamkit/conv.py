@@ -324,7 +324,7 @@ def poly_generator(seed, d_max=10):
 
 # --- MacWilliams transforms ---
 
-def fourier_matrix(spec, m):
+def fourier_matrix(spec):
     """Kernel of the q^m x q^m character matrix F[a][b] = w^tr(a . b),
     w a primitive p-th root of unity.
 
@@ -337,16 +337,15 @@ def fourier_matrix(spec, m):
             for a in range(spec.q)]
 
 
-def macwilliams_wam(lam, q, n, k, m, spec):
-    """Dual WAM: F Lam(x + (q-1)y, x - y) F^dagger / q^(m+k)."""
-    return macwilliams(lam, q, q ** (m + k), (("x", "y"),),
-                       (fourier_matrix(spec, m), spec.p))
+def macwilliams_wam(lam, spec):
+    """Dual WAM: F Lam(x + (q-1)y, x - y) F^dagger / (q^(m+k) edges)."""
+    return macwilliams(lam, spec.q, (("x", "y"),),
+                       (fourier_matrix(spec), spec.p))
 
 
-def macwilliams_ipwam(lam, q, n, k, m, spec):
+def macwilliams_ipwam(lam, spec):
     """Dual input-parity WAM; swaps the I and P roles under transform."""
-    return macwilliams(lam, q, q ** (m + k), IP_PAIRS,
-                       (fourier_matrix(spec, m), spec.p))
+    return macwilliams(lam, spec.q, IP_PAIRS, (fourier_matrix(spec), spec.p))
 
 
 def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):
@@ -361,7 +360,7 @@ def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):
     if not isinstance(seed, SystematicConvSeed) or seed.info_last:
         raise ShapeError("expected a standard-form systematic seed")
     spec = seed.spec
-    m, k, n = seed.m, seed.k, seed.n
+    m, k = seed.m, seed.k
     if len(f_matrix) != m or any(len(r) != k for r in f_matrix):
         raise ShapeError("feedback matrix must be m x k")
     assembled = assemble_encoder(seed, f_matrix)
@@ -374,8 +373,7 @@ def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):
                     "the factorization formula does not apply")
     delta_s = iowam(seed, budget)
     input_part = delta_s.collapse({"x_O": 1, "y_O": 1})
-    lam_out = wam(seed, budget).substitute(
-        {"x": WeightPoly.var("x_O"), "y": WeightPoly.var("y_O")})
+    lam_out = delta_s.collapse({"x_I": 1, "y_I": 1})
     fb = gflinalg.mat_mul(spec, f_matrix, seed.b_block)
     states = state_vectors(spec, m)
     index = {v: i for i, v in enumerate(states)}
@@ -419,9 +417,9 @@ def total_wgf(lam, d_max=10):
     return series_row(lam, 0, d_max)[0]
 
 
-def dual_total_wgf(lam, q, n, k, m, d_max, spec):
+def dual_total_wgf(lam, d_max, spec):
     """Total WGF of the dual, routed through the homogeneous dual WAM."""
-    dual_lam = macwilliams_wam(lam, q, n, k, m, spec)
+    dual_lam = macwilliams_wam(lam, spec)
     return total_wgf(dual_lam.collapse({"x": 1}), d_max)
 
 

@@ -72,9 +72,12 @@ def _int_header(values, key):
         raise FormatError("missing '%s' line" % key)
     i, parts = values[key]
     try:
-        return int(parts[0])
+        value = int(parts[0])
     except (IndexError, ValueError):
         raise FormatError("expected '%s <int>'" % key, i)
+    if value < 0:
+        raise FormatError("%s must not be negative, got %d" % (key, value), i)
+    return value
 
 
 def _parse_rows(spec, rest, count, width):
@@ -169,11 +172,12 @@ def parse_quantum_spec(text):
     k = _int_header(ints, "k")
     c = _int_header(ints, "c")
     m = _int_header(ints, "m")
-    roles = {key: [] for key in _ROLE_KEYS}
-    images = {}
+    roles, images = {}, {}
     for i, line in rest:
         if ":" in line and line.split(":", 1)[0].strip() in _ROLE_KEYS:
             key, tail = line.split(":", 1)
+            if key.strip() in roles:
+                raise FormatError("second %s: line" % key.strip(), i)
             try:
                 roles[key.strip()] = [int(x) for x in tail.split()]
             except ValueError:
@@ -190,6 +194,8 @@ def parse_quantum_spec(text):
                 raise FormatError("qubit index %d out of range" % pos, i)
             if len(rhs) != n + m:
                 raise FormatError("image must have %d letters" % (n + m), i)
+            if (lhs[0], pos) in images:
+                raise FormatError("second image line for %s" % lhs, i)
             images[(lhs[0], pos)] = PauliWord.from_str(rhs)
         else:
             raise FormatError("unrecognized line %r" % line, i)
@@ -201,8 +207,7 @@ def parse_quantum_spec(text):
     seed = CliffordSeed([images[("Z", p)] for p in range(1, width + 1)],
                         [images[("X", p)] for p in range(1, width + 1)])
     return EaqccSpec(seed, n, k, c, m,
-                     roles["IM"], roles["IL"], roles["IA"], roles["IE"],
-                     roles["IMout"], roles["IP"])
+                     *(roles.get(key, []) for key in _ROLE_KEYS))
 
 
 def render_quantum_spec(spec):

@@ -180,7 +180,7 @@ def _kernel(f, p, size):
     if q < 2 or any(len(row) != q for row in f):
         raise AlgebraError("kernel is not a square matrix of size >= 2")
     m, rest = 0, size
-    while rest % q == 0:
+    while rest > 1 and rest % q == 0:
         rest //= q
         m += 1
     if rest != 1:
@@ -251,20 +251,36 @@ def _group_ring_value(planes):
     return planes[0] - top
 
 
-def macwilliams(enum, q, divisor, pairs, kernel=None):
-    """MacWilliams transform of a weight enumerator or of a WAM.
+def macwilliams(enum, q, pairs, kernel=None):
+    """MacWilliams transform of the weight enumerator or WAM of a code:
+    krawtchouk_map on the weight axis, then for a WAM the state kernel,
+    given as (exponent table, p) (block codes pass none), then division
+    by the code's size, the enumerator at all ones (the sum of the stored
+    coefficients).  A size that is not a power of the prime of q raises
+    AlgebraError first; the state pass then rejects a non-integer value,
+    the division must be exact, and every coefficient must be an int.
+    """
+    cells = ([enum] if isinstance(enum, WeightPoly)
+             else chain.from_iterable(row.values() for row in enum.rows))
+    count = sum(sum(e.terms.values()) for e in cells)
+    # count is a power p^e of the prime p of q exactly when it divides
+    # q^b, b its bit length: p^e <= count < 2^b <= p^b
+    if count < 1 or q ** count.bit_length() % count:
+        raise AlgebraError("the enumerator at all ones is %d, not a power of "
+                           "the prime of q = %d" % (count, q))
+    out = krawtchouk_map(enum, q, pairs)
+    if kernel is not None:
+        out = out.conjugate_by(*kernel)
+    return out.exact_div(count).to_int_coeffs()
 
-    Each (x, y) variable pair of `pairs` is replaced by x' + (q-1) y',
-    x' - y', where (x', y') is its mirror pair pairs[-1 - t], so the
-    input and parity roles of ((x_I, y_I), (x_P, y_P)) trade places.
-    Each exponent tuple's image comes from integer Krawtchouk values
-    once per call, and only the stored (nonzero) cells are mapped; a variable
-    outside `pairs` must not occur.  A WAM is then conjugated by the
-    per-coordinate state kernel, given as (exponent table, p) (block
-    codes have no state axes and pass none).
-    The checks run in this order: the state pass rejects a coefficient
-    that is not an integer, the division by `divisor` must be exact, and
-    every coefficient of the result must be an int.
+
+def krawtchouk_map(enum, q, pairs):
+    """The weight axis of the MacWilliams transform, undivided: each
+    (x, y) pair of `pairs` goes to x' + (q-1) y', x' - y', (x', y') its
+    mirror pair pairs[-1 - t], so the input and parity roles of
+    ((x_I, y_I), (x_P, y_P)) trade places.  Each exponent tuple's image
+    comes from integer Krawtchouk values once per call, and only the
+    stored cells are mapped; a variable outside `pairs` must not occur.
     """
     slots = [(_VAR_INDEX[x], _VAR_INDEX[y]) for x, y in pairs]
     mapped = set(chain.from_iterable(slots))
@@ -303,12 +319,8 @@ def macwilliams(enum, q, divisor, pairs, kernel=None):
         return WeightPoly(out, cell.d_max)
 
     if isinstance(enum, WeightPoly):
-        out = transform(enum)
-    else:
-        out = enum.map_entries(transform)
-    if kernel is not None:
-        out = out.conjugate_by(*kernel)
-    return out.exact_div(divisor).to_int_coeffs()
+        return transform(enum)
+    return enum.map_entries(transform)
 
 
 def _krawtchouk_row(a, b, q):

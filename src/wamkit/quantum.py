@@ -172,15 +172,13 @@ def quantum_wam(spec):
     return PolyMatrix(pauli_state_labels(spec.m), rows)
 
 
-def quantum_macwilliams(lam, n, k, a, m):
-    """Dual WAM: F^(x)m Lam(x + 3y, x - y) F^(x)m / (4^m 4^k 2^a)."""
-    return macwilliams(lam, 4, 4 ** m * 4 ** k * 2 ** a, (("x", "y"),),
-                       (F1, 2))
+def quantum_macwilliams(lam):
+    """Dual WAM: F^(x)m Lam(x + 3y, x - y) F^(x)m / (4^m 4^k 2^a edges)."""
+    return macwilliams(lam, 4, (("x", "y"),), (F1, 2))
 
 
 def dual_wam(spec):
-    return quantum_macwilliams(quantum_wam(spec), spec.n, spec.k, spec.a,
-                               spec.m)
+    return quantum_macwilliams(quantum_wam(spec))
 
 
 # --- polynomial check matrices ---

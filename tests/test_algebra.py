@@ -72,7 +72,7 @@ def test_character_orthogonality():
     # exponent t in range(p) exactly q/p times
     for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
         spec = field(p, r)
-        table = fourier_matrix(spec, 1)
+        table = fourier_matrix(spec)
         assert table[0] == [0] * spec.q
         for row in table[1:]:
             assert sorted(row) == [t for t in range(p)
@@ -143,7 +143,7 @@ def test_root_powers_sum_to_zero():
     # off the diagonal, F I F^dag sums all p powers of w, which vanish
     for p in (3, 5, 7):
         ident = PolyMatrix.identity([str(i) for i in range(p)])
-        out = ident.conjugate_by(fourier_matrix(field(p), 1), p)
+        out = ident.conjugate_by(fourier_matrix(field(p)), p)
         assert out == ident * p
 
 
@@ -287,13 +287,13 @@ def test_conjugate_by_fourier_is_scaled_identity():
 
 
 def test_matrices_store_only_nonzero_cells(example1, u1):
-    spec, n, k, m = example1.spec, example1.n, example1.k, example1.m
+    spec = example1.spec
     y = WeightPoly.var("y")
     lam = wam(example1)
     sym, mixed = _two_state([[1 + y, y], [y, y]]), _two_state(
         [[WeightPoly.const(1), WeightPoly.const(-1)]] * 2)
     outs = [lam, ipwam(example1), iowam(example1), quantum_wam(u1),
-            macwilliams_wam(lam, spec.q, n, k, m, spec),
+            macwilliams_wam(lam, spec),
             lam.collapse({"x": 1}), lam.exact_div(1), lam.transpose(),
             lam + lam * -1, sym - sym.transpose(), mixed * mixed]
     for out in outs:

@@ -10,8 +10,9 @@ from wamkit.block import (LinearCode, SystematicCode, _ZeroCode, dual_code,
                           hwgf, ipwgf, macwilliams_hwgf, macwilliams_ipwgf)
 from wamkit.conv import (ConvSeed, SystematicConvSeed, ipwam,
                          macwilliams_ipwam, macwilliams_wam, wam)
-from wamkit.errors import BudgetError, ShapeError, WamkitError
+from wamkit.errors import AlgebraError, BudgetError, ShapeError, WamkitError
 from wamkit.formats import parse_block_code
+from wamkit.poly import WeightPoly
 
 
 def test_rep3_hwgf(rep3):
@@ -25,7 +26,7 @@ def test_rep3_dual_is_parity_check(rep3):
 
 
 def test_rep3_transform_matches_dual(rep3):
-    assert macwilliams_hwgf(hwgf(rep3), 2, 1) == hwgf(dual_code(rep3))
+    assert macwilliams_hwgf(hwgf(rep3), 2) == hwgf(dual_code(rep3))
 
 
 def test_rep3_dual_ipwgf(rep3):
@@ -33,7 +34,7 @@ def test_rep3_dual_ipwgf(rep3):
     dual = dual_code(rep3)
     got = ipwgf(dual, info_last=True)
     assert got == poly_of("xI^2*xP + 2*xI*yI*yP + yI^2*xP")
-    assert macwilliams_ipwgf(ipwgf(rep3), 2, 1) == got
+    assert macwilliams_ipwgf(ipwgf(rep3), 2) == got
 
 
 def test_systematic_shape_enforced():
@@ -77,7 +78,7 @@ def test_hwgf_transform_property_small():
             n = rng.randint(2, 5)
             k = rng.randint(1, n - 1)
             code = random_linear_code(rng, spec, n, k)
-            assert macwilliams_hwgf(hwgf(code), q, k) == hwgf(dual_code(code))
+            assert macwilliams_hwgf(hwgf(code), q) == hwgf(dual_code(code))
 
 
 def test_ipwgf_transform_property_small():
@@ -87,15 +88,22 @@ def test_ipwgf_transform_property_small():
         n = rng.randint(2, 6)
         k = rng.randint(1, n - 1)
         code = random_systematic_code(rng, spec, n, k)
-        got = macwilliams_ipwgf(ipwgf(code), spec.q, k)
+        got = macwilliams_ipwgf(ipwgf(code), spec.q)
         assert got == ipwgf(dual_code(code), info_last=True)
 
 
-def test_transform_fails_on_wrong_k(rep3):
-    # dividing by the wrong power of q cannot be exact for this code
-    from wamkit.errors import AlgebraError
-    with pytest.raises(AlgebraError):
-        macwilliams_hwgf(hwgf(rep3), 2, 3)
+def test_transform_refuses_a_non_code(rep3):
+    # the divisor is the enumerator at all ones, the size of the code; a
+    # count that is not a power of the prime of q is no code's size
+    x = WeightPoly.var("x")
+    for transform, g, q, count in [
+            (macwilliams_hwgf, WeightPoly.zero(), 2, 0),
+            (macwilliams_hwgf, hwgf(rep3) + x ** 3, 2, 3),
+            (macwilliams_hwgf, hwgf(rep3) * 3, 4, 6),
+            (macwilliams_ipwgf, -ipwgf(rep3), 2, -2),
+            (macwilliams_ipwgf, WeightPoly.zero(), 3, 0)]:
+        with pytest.raises(AlgebraError, match="at all ones is %d," % count):
+            transform(g, q)
 
 
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -111,13 +119,13 @@ def test_block_code_is_the_memoryless_conv_code(p, r):
         code = random_linear_code(rng, spec, n, k)
         lam = wam(ConvSeed(spec, n, k, 0, code.generator))
         assert lam.rows == [{0: hwgf(code)}]
-        assert (macwilliams_wam(lam, q, n, k, 0, spec).rows
-                == [{0: macwilliams_hwgf(hwgf(code), q, k)}])
+        assert (macwilliams_wam(lam, spec).rows
+                == [{0: macwilliams_hwgf(hwgf(code), q)}])
         code = random_systematic_code(rng, spec, n, k)
         lam = ipwam(SystematicConvSeed(spec, n, k, 0, code.generator))
         assert lam.rows == [{0: ipwgf(code)}]
-        assert (macwilliams_ipwam(lam, q, n, k, 0, spec).rows
-                == [{0: macwilliams_ipwgf(ipwgf(code), q, k)}])
+        assert (macwilliams_ipwam(lam, spec).rows
+                == [{0: macwilliams_ipwgf(ipwgf(code), q)}])
 
 
 def test_ipwgf_of_a_28_14_code_is_fast():

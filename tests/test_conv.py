@@ -70,7 +70,7 @@ def test_ipwam_collapses_to_wam(example1):
 
 
 def test_example1_dual_ipwam(example1):
-    lam_hat = macwilliams_ipwam(ipwam(example1), 2, 2, 1, 2, example1.spec)
+    lam_hat = macwilliams_ipwam(ipwam(example1), example1.spec)
     got = lam_hat.collapse({"x_I": 1, "x_P": 1})
     assert got == matrix_of(STATES4, DUAL_IPWAM_Y)
     # the transform agrees with direct enumeration of the dual seed
@@ -175,7 +175,7 @@ def test_wam_transform_matches_dual_enumeration_random():
         k = rng.randint(1, n)
         m = rng.randint(1, 2)
         seed = random_conv_seed(rng, spec, n, k, m)
-        lam_hat = macwilliams_wam(wam(seed), spec.q, n, k, m, spec)
+        lam_hat = macwilliams_wam(wam(seed), spec)
         assert lam_hat == brute_force_dual_wam(seed)
 
 
@@ -185,8 +185,8 @@ def test_transform_involution_random():
         spec = field(2)
         seed = random_conv_seed(rng, spec, 3, rng.randint(1, 2), 2)
         lam = wam(seed)
-        lam_hat = macwilliams_wam(lam, 2, 3, seed.k, 2, spec)
-        back = macwilliams_wam(lam_hat, 2, 3, 3 - seed.k, 2, spec)
+        lam_hat = macwilliams_wam(lam, spec)
+        back = macwilliams_wam(lam_hat, spec)
         assert back == lam
 
 
@@ -203,7 +203,7 @@ def test_random_systematic_duals():
         except ShapeError:
             continue  # obstruction surfaced, which is a legal outcome
         assert dual.info_last and dual.k == n - k
-        got = macwilliams_ipwam(ipwam(seed), spec.q, n, k, m, spec)
+        got = macwilliams_ipwam(ipwam(seed), spec)
         assert got == ipwam(dual)
 
 
@@ -219,7 +219,7 @@ def test_free_total_series_relations(example1):
 
 def test_dual_total_matches_dual_enumeration(example1):
     lam = wam(example1)
-    route1 = dual_total_wgf(lam, 2, 2, 1, 2, 8, example1.spec)
+    route1 = dual_total_wgf(lam, 8, example1.spec)
     dual_lam = brute_force_dual_wam(example1).collapse({"x": 1})
     assert route1 == total_wgf(dual_lam, 8)
 

@@ -1,5 +1,8 @@
 """Parser fuzz test: mutated fixture files must end with exit 0, 1 or 2,
-never with a traceback or a hang."""
+never with a traceback or a hang.  Two mutation classes must be refused
+by every action with exit 2 and the line at fault: a negative size on
+an n, k, m or c header line, and a second .qcc line for the same role
+or the same generator's image."""
 
 import contextlib
 import io
@@ -9,11 +12,13 @@ import signal
 import pytest
 
 from conftest import FIXTURES, read_fixture, seeded_rng
-from wamkit.cli import main
+from wamkit.cli import _GROUPS, main
 
 TOKENS = ("-1", "0", "x", "99", "->", ":", "T", "1")
 ACTIONS = {".bc": ["block", "hwgf"], ".cc": ["conv", "check-dual"],
            ".qcc": ["quantum", "sd"]}
+GROUPS = {".bc": "block", ".cc": "conv", ".qcc": "quantum"}
+SIZE_KEYS = ("n", "k", "m", "c")
 CASE_SECONDS = 2.0
 
 
@@ -100,3 +105,73 @@ def test_mutated_fixtures_exit_cleanly(tmp_path):
         signal.signal(signal.SIGALRM, previous)
     assert not failures, "%d failing cases, first: %s" % (len(failures),
                                                           failures[0])
+
+
+def _negative_sizes(lines):
+    """(mutated lines, line number at fault): each size header line set
+    to a negative value."""
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if tokens and tokens[0] in SIZE_KEYS:
+            for value in ("-1", "-3"):
+                yield lines[:i] + ["%s %s" % (tokens[0], value)] + \
+                    lines[i + 1:], i + 1
+
+
+def _repeated_lines(lines):
+    """(mutated lines, line number at fault): a role or image line
+    appended again, once per value of a line of the same kind, its own
+    value included."""
+    kinds = {}
+    for line in lines:
+        for sep in (":", "->"):
+            if sep in line and not line.startswith("#"):
+                key, value = line.split(sep, 1)
+                kinds.setdefault(sep, []).append((key, value))
+                break
+    for sep, items in kinds.items():
+        for key, _value in items:
+            for _key, value in items:
+                yield lines + [key + sep + value], len(lines) + 1
+
+
+def _refusal_cases():
+    for name in sorted(os.listdir(FIXTURES)):
+        ext = os.path.splitext(name)[1]
+        if ext not in GROUPS:
+            continue
+        lines = read_fixture(name).splitlines()
+        yield from ((name, "negative size", case, line)
+                    for case, line in _negative_sizes(lines))
+        if ext == ".qcc":
+            yield from ((name, "repeated line", case, line)
+                        for case, line in _repeated_lines(lines))
+
+
+def test_negative_sizes_and_repeated_lines_name_their_line(tmp_path):
+    failures, kinds = [], set()
+    for name, kind, lines, line in _refusal_cases():
+        kinds.add((os.path.splitext(name)[1], kind))
+        ext = os.path.splitext(name)[1]
+        path = tmp_path / ("case" + ext)
+        path.write_text("\n".join(lines) + "\n")
+        group = GROUPS[ext]
+        runs = [[group, action] for action in sorted(_GROUPS[group][2])]
+        for argv in runs + [["verify", "all"]]:
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv + [str(path)])
+            except Exception as exc:  # a traceback is a failure
+                code = "%s: %s" % (type(exc).__name__, exc)
+            want = "error: line %d: " % line
+            if code != 2 or out.getvalue() or \
+                    not err.getvalue().startswith(want):
+                failures.append("%s %s on %s (%s): exit %r, stderr %r"
+                                % (argv[0], argv[1], name, kind, code,
+                                   err.getvalue()))
+    assert kinds == {(".bc", "negative size"), (".cc", "negative size"),
+                     (".qcc", "negative size"), (".qcc", "repeated line")}
+    assert not failures, "%d failing runs, first: %s" % (len(failures),
+                                                         failures[0])

@@ -118,7 +118,7 @@ def test_u1_wam(u1):
 
 def test_u1_dual_is_transpose(u1):
     lam = quantum_wam(u1)
-    lam_hat = quantum_macwilliams(lam, u1.n, u1.k, u1.a, u1.m)
+    lam_hat = quantum_macwilliams(lam)
     transpose = PolyMatrix(lam.labels,
                            [{j: lam[j, i] for j in range(4)}
                             for i in range(4)])
@@ -129,7 +129,7 @@ def test_u1_dual_is_transpose(u1):
 def test_u2_ea_wam_and_dual(u2_ea):
     lam = quantum_wam(u2_ea)
     assert lam.collapse({"x": 1}) == matrix_of(PAULI4, U2_EA_LAMBDA_Y)
-    lam_hat = quantum_macwilliams(lam, u2_ea.n, u2_ea.k, u2_ea.a, u2_ea.m)
+    lam_hat = quantum_macwilliams(lam)
     assert lam_hat.collapse({"x": 1}) == matrix_of(PAULI4, U2_EA_DUAL_Y)
     assert lam_hat == quantum_wam(dual_spec(u2_ea))
 
@@ -138,7 +138,7 @@ def test_example3_recovered_from_dual(u2_qcc):
     dual = dual_spec(u2_qcc)
     lam_perp = quantum_wam(dual)
     assert lam_perp == matrix_of(PAULI4, EXAMPLE3_DUAL)
-    lam = quantum_macwilliams(lam_perp, u2_qcc.n, dual.k, dual.a, dual.m)
+    lam = quantum_macwilliams(lam_perp)
     assert lam.collapse({"x": 1}) == matrix_of(PAULI4, EXAMPLE3_LAMBDA_Y)
     assert lam == quantum_wam(u2_qcc)
 
@@ -270,7 +270,7 @@ def test_quantum_property_smoke():
         c = rng.randint(0, n - k)
         spec = random_eaqcc_spec(rng, n, k, c, m)
         lam = quantum_wam(spec)
-        lam_hat = quantum_macwilliams(lam, n, k, spec.a, m)
+        lam_hat = quantum_macwilliams(lam)
         assert lam_hat == quantum_wam(dual_spec(spec))
-        back = quantum_macwilliams(lam_hat, n, c, spec.a, m)
+        back = quantum_macwilliams(lam_hat)
         assert back == lam

@@ -8,6 +8,7 @@ summed in the group ring of the p-th roots of unity, and the MacWilliams
 transforms built on it are compared with brute-force dual enumeration.
 """
 
+import inspect
 import time
 
 import pytest
@@ -15,12 +16,13 @@ import pytest
 from conftest import (brute_force_dual_wam, field, random_conv_seed,
                       random_eaqcc_spec, random_systematic_conv_seed,
                       seeded_rng)
-from wamkit.conv import (dual_systematic_seed, fourier_matrix, ipwam,
-                         macwilliams_ipwam, macwilliams_wam, state_labels,
-                         state_vectors, wam)
+from wamkit.block import macwilliams_hwgf, macwilliams_ipwgf
+from wamkit.conv import (dual_systematic_seed, dual_total_wgf, fourier_matrix,
+                         ipwam, macwilliams_ipwam, macwilliams_wam,
+                         state_labels, state_vectors, wam)
 from wamkit.errors import AlgebraError, ShapeError
 from wamkit.poly import IP_PAIRS, WeightPoly
-from wamkit.polymatrix import PolyMatrix, macwilliams
+from wamkit.polymatrix import PolyMatrix, krawtchouk_map, macwilliams
 from wamkit.quantum import F1, dual_spec, quantum_macwilliams, quantum_wam
 
 
@@ -122,7 +124,7 @@ def random_matrix(rng, labels, cells):
 def test_conjugate_by_matches_dense_character_matrix(p, r, m):
     spec = field(p, r)
     rng = seeded_rng("transform-dense-%d-%d-%d" % (p, r, m))
-    kernel, dense = fourier_matrix(spec, m), dense_field_matrix(spec, m)
+    kernel, dense = fourier_matrix(spec), dense_field_matrix(spec, m)
     for _ in range(2):
         matrix = random_matrix(rng, state_labels(spec, m), 8)
         matches_dense(matrix, kernel, p, dense)
@@ -147,7 +149,7 @@ def test_non_integral_result_is_rejected():
         spec = field(p, r)
         matrix = PolyMatrix(state_labels(spec, 1),
                             [{1: WeightPoly.var("y")}] + [{}] * (spec.q - 1))
-        assert not matches_dense(matrix, fourier_matrix(spec, 1), p,
+        assert not matches_dense(matrix, fourier_matrix(spec), p,
                                  dense_field_matrix(spec, 1))
 
 
@@ -158,7 +160,7 @@ def test_macwilliams_wam_rejects_a_single_gf3_transition():
     matrix = PolyMatrix(state_labels(spec, 1),
                         [{1: WeightPoly.var("y")}] + [{}] * (spec.q - 1))
     with pytest.raises(AlgebraError):
-        macwilliams_wam(matrix, spec.q, 1, 0, 1, spec)
+        macwilliams_wam(matrix, spec)
 
 
 def test_conjugate_by_rejects_mismatched_kernel():
@@ -170,7 +172,9 @@ def test_conjugate_by_rejects_mismatched_kernel():
     with pytest.raises(AlgebraError):  # exponent outside range(p)
         PolyMatrix.identity(["0", "1"]).conjugate_by([[0, 0], [0, 2]])
     with pytest.raises(AlgebraError):  # a GF(3) table passed without its p
-        matrix.conjugate_by(fourier_matrix(field(3), 1))
+        matrix.conjugate_by(fourier_matrix(field(3)))
+    with pytest.raises(AlgebraError):  # no states: 0 is no power of 2
+        PolyMatrix([], []).conjugate_by([[0, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("p, r, n, k, m", [(5, 1, 2, 1, 1), (5, 1, 2, 1, 2),
@@ -180,7 +184,7 @@ def test_wam_transform_matches_dual_enumeration_odd_fields(p, r, n, k, m):
     rng = seeded_rng("transform-odd-%d-%d-%d-%d-%d" % (p, r, n, k, m))
     for _ in range(2):
         seed = random_conv_seed(rng, spec, n, k, m)
-        lam_hat = macwilliams_wam(wam(seed), spec.q, n, k, m, spec)
+        lam_hat = macwilliams_wam(wam(seed), spec)
         assert lam_hat == brute_force_dual_wam(seed)
 
 
@@ -194,7 +198,7 @@ def test_ipwam_transform_matches_dual_enumeration_gf5():
             dual = dual_systematic_seed(seed)
         except ShapeError:
             continue
-        got = macwilliams_ipwam(ipwam(seed), spec.q, 2, 1, 1, spec)
+        got = macwilliams_ipwam(ipwam(seed), spec)
         assert got == ipwam(dual)
         checked += 1
     assert checked
@@ -205,9 +209,9 @@ def test_quantum_transform_involution_m4():
     n, k, c, m = 1, 0, 1, 4
     spec = random_eaqcc_spec(rng, n, k, c, m)
     lam = quantum_wam(spec)
-    lam_hat = quantum_macwilliams(lam, n, k, spec.a, m)
+    lam_hat = quantum_macwilliams(lam)
     assert lam_hat == quantum_wam(dual_spec(spec))
-    assert quantum_macwilliams(lam_hat, n, c, spec.a, m) == lam
+    assert quantum_macwilliams(lam_hat) == lam
 
 
 # --- the weight axis as a Krawtchouk table ---
@@ -230,13 +234,13 @@ def test_krawtchouk_image_matches_substitute(q):
     for deg in range(7):
         for b in range(deg + 1):
             mono = WeightPoly.monomial(3, {"x": deg - b, "y": b})
-            assert macwilliams(mono, q, 1, pairs) == mono.substitute(mapping)
+            assert krawtchouk_map(mono, q, pairs) == mono.substitute(mapping)
     mapping = substitution(q, IP_PAIRS)
     for exps in [(0, 0, 0, 0), (1, 0, 0, 2), (2, 1, 1, 1), (0, 3, 2, 0),
                  (1, 2, 3, 0), (3, 0, 0, 3)]:
         mono = WeightPoly.monomial(-2, dict(zip(("x_I", "y_I", "x_P", "y_P"),
                                                 exps)))
-        assert macwilliams(mono, q, 1, IP_PAIRS) == mono.substitute(mapping)
+        assert krawtchouk_map(mono, q, IP_PAIRS) == mono.substitute(mapping)
 
 
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
@@ -246,20 +250,57 @@ def test_krawtchouk_images_match_substitute_on_wams(p, r):
     seed = random_systematic_conv_seed(seeded_rng("krawtchouk-%d-%d" % (p, r)),
                                        spec, 2, 1, 2)
     for lam, pairs in [(wam(seed), (("x", "y"),)), (ipwam(seed), IP_PAIRS)]:
-        assert (macwilliams(lam, spec.q, 1, pairs)
+        assert (krawtchouk_map(lam, spec.q, pairs)
                 == lam.substitute(substitution(spec.q, pairs)))
 
 
 def test_unmapped_variable_is_rejected(example1):
     spec = example1.spec
     with pytest.raises(AlgebraError, match="'x_I' occurs but has no image"):
-        macwilliams_wam(ipwam(example1), 2, 2, 1, 2, spec)
+        macwilliams_wam(ipwam(example1), spec)
     lam = wam(example1)
     lam = PolyMatrix(lam.labels,
                      [{**lam.rows[0], 1: lam[0, 1] * WeightPoly.var("D")}]
                      + lam.rows[1:])
     with pytest.raises(AlgebraError, match="'D' occurs but has no image"):
-        macwilliams_wam(lam, 2, 2, 1, 2, spec)
+        macwilliams_wam(lam, spec)
+
+
+def test_wam_transforms_refuse_a_non_code(example1, u1):
+    # the divisor is the edge count, the sum of Lam(1, 1) over the cells:
+    # 2^(m+k) = 8 for example1, 4^m 4^k 2^a = 16 for u1, 3^(m+k) = 9 for
+    # a GF(3) (2, 1, 1) seed; a count that is not a power of p is refused
+    spec, gf3 = example1.spec, field(3)
+    lam, ip, q_lam = wam(example1), ipwam(example1), quantum_wam(u1)
+    lam3 = wam(random_conv_seed(seeded_rng("non-code-gf3"), gf3, 2, 1, 1))
+    cases = [
+        (lambda: macwilliams_wam(lam * 0, spec), 0),
+        (lambda: macwilliams_wam(lam * 3, spec), 24),
+        (lambda: macwilliams_ipwam(ip * 0, spec), 0),
+        (lambda: macwilliams_ipwam(ip + ip + ip, spec), 24),
+        (lambda: dual_total_wgf(lam * -1, 10, spec), -8),
+        (lambda: macwilliams_wam(lam3 * 0, gf3), 0),
+        (lambda: macwilliams_wam(lam3 * 2, gf3), 18),
+        (lambda: quantum_macwilliams(q_lam * 0), 0),
+        (lambda: quantum_macwilliams(q_lam * 3), 48),
+    ]
+    for transform, count in cases:
+        with pytest.raises(AlgebraError, match="at all ones is %d," % count):
+            transform()
+
+
+def test_transform_signatures_take_no_sizes():
+    # the divisor and the state count are read from the input, and the
+    # field from its spec
+    expect = {macwilliams_hwgf: "(g, q)", macwilliams_ipwgf: "(g, q)",
+              macwilliams_wam: "(lam, spec)",
+              macwilliams_ipwam: "(lam, spec)",
+              quantum_macwilliams: "(lam)",
+              dual_total_wgf: "(lam, d_max, spec)",
+              fourier_matrix: "(spec)",
+              macwilliams: "(enum, q, pairs, kernel=None)"}
+    for fn, sig in expect.items():
+        assert str(inspect.signature(fn)) == sig, fn.__name__
 
 
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
@@ -268,7 +309,7 @@ def test_dual_wam_stores_only_its_nonzero_cells(p, r):
     spec, n, k, m = field(p, r), 2, 1, 2
     seed = random_conv_seed(seeded_rng("zero-cells-%d-%d" % (p, r)), spec,
                             n, k, m)
-    lam_hat = macwilliams_wam(wam(seed), spec.q, n, k, m, spec)
+    lam_hat = macwilliams_wam(wam(seed), spec)
     cells = [e for row in lam_hat.rows for e in row.values()]
     assert len(cells) == spec.q ** (m + n - k)
     assert all(cells)
@@ -279,7 +320,7 @@ def test_binary_m9_dual_wam_is_fast():
     seed = random_conv_seed(seeded_rng("dual-wam-m9"), spec, 2, 1, 9)
     lam = wam(seed)
     start = time.perf_counter()
-    lam_hat = macwilliams_wam(lam, 2, 2, 1, 9, spec)
+    lam_hat = macwilliams_wam(lam, spec)
     elapsed = time.perf_counter() - start
     assert sum(1 for row in lam_hat.rows for e in row.values() if e) == 2 ** 10
     assert elapsed < 2.0, "binary m = 9 dual WAM took %.2f s" % elapsed
