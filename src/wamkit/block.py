@@ -6,13 +6,12 @@ budget, and all transforms are exact integer computations with a final
 checked division by the code's size q^k, read off the enumerator.
 """
 
-from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 
 from . import gflinalg
 from .errors import BudgetError, FieldError, ShapeError, WamkitError
-from .poly import IP_PAIRS, IP_VARS, WeightPoly
-from .polymatrix import macwilliams
+from .poly import IP_PAIRS, IP_VARS
+from .polymatrix import edge_rows, macwilliams
 
 DEFAULT_BUDGET = 2 ** 22
 
@@ -96,37 +95,27 @@ def dual_code(code):
     computation without special casing.
     """
     spec = code.spec
-    if code.k == 0:
-        return LinearCode(spec, gflinalg.identity(code.n))
-    basis = gflinalg.nullspace(spec, code.generator)
+    basis = (gflinalg.nullspace(spec, code.generator) if code.k
+             else gflinalg.identity(code.n))
     if not basis:
         return _ZeroCode(spec, code.n)
     return LinearCode(spec, basis)
 
 
-def weight_exponents(groups, weights):
-    """(|g| - w, w) for each coordinate group g and its weight w, flat."""
-    return tuple(chain.from_iterable((len(g) - w, w)
-                                     for g, w in zip(groups, weights)))
-
-
 def _enumerator(code, names, groups, budget):
     """The enumerator over all q^k codewords by their Hamming weights on
-    each coordinate group.  Each codeword is lo - hi for one of the
-    q^floor(k/2) packed images lo of the first generator rows and one of
-    the q^ceil(k/2) images hi of the others (a span is closed under
-    negation), and its nonzero coordinates are the nonzero fields of
-    lo XOR hi."""
+    each coordinate group, as the one source of polymatrix.edge_rows.
+    Each codeword is lo - hi for one of the q^floor(k/2) packed images
+    lo of the first generator rows and one of the q^ceil(k/2) images hi
+    of the others (a span is closed under negation), and its nonzero
+    coordinates are the nonzero fields of lo XOR hi."""
     spec, half = code.spec, code.k // 2
     check_budget("codeword enumeration", spec.q ** code.k, budget=budget)
     lo = gflinalg.span_images(spec, code.generator[:half])
     hi = gflinalg.span_images(spec, code.generator[half:])
-    counts = Counter()
-    for a in lo:
-        counts.update(gflinalg.group_weights(spec.q, list(map(a.__xor__, hi)),
-                                             groups))
-    return WeightPoly.from_counts(names, {
-        weight_exponents(groups, ws): c for ws, c in counts.items()})
+    edges = chain.from_iterable(zip(repeat(0), *gflinalg.group_weights(
+        spec.q, list(map(a.__xor__, hi)), groups)) for a in lo)
+    return edge_rows(names, groups, [edges])[0][0]
 
 
 def hwgf(code, budget=DEFAULT_BUDGET):

@@ -13,15 +13,14 @@ State labels enumerate GF(q)^m with the first coordinate varying
 fastest, written as strings of element indices.
 """
 
-from collections import Counter
 from itertools import chain, repeat
 from operator import getitem
 
 from . import gflinalg
-from .block import DEFAULT_BUDGET, check_budget, weight_exponents
+from .block import DEFAULT_BUDGET, check_budget
 from .errors import AlgebraError, ShapeError
-from .poly import IP_PAIRS, IP_VARS, WeightPoly
-from .polymatrix import PolyMatrix, macwilliams, series_row
+from .poly import IP_PAIRS, IP_VARS
+from .polymatrix import PolyMatrix, edge_rows, macwilliams, series_row
 
 
 def state_vectors(spec, m):
@@ -114,8 +113,8 @@ class SystematicConvSeed(ConvSeed):
 
 def _edge_matrix(seed, names, groups, budget):
     """The matrix whose (w, w') entry counts the transitions w -> w' by
-    the exponents weight_exponents(groups, ...) of their Hamming weights
-    on each coordinate group of (p : u), p the output and u the input.
+    their Hamming weights on each coordinate group of (p : u), p the
+    output and u the input, through polymatrix.edge_rows.
 
     The transition of state w on input -u is (w C : 0 : w A) minus
     (u E : u : u B), one of q^m and one of q^k packed span images, and
@@ -140,21 +139,19 @@ def _edge_matrix(seed, names, groups, budget):
         diff = [[[spec.sub(x, y) * q ** t for y in range(q)]
                  for x in range(q)] for t in range(m)]
         digits = [_digits(v, shift, m, b) for v in hi]
-    rows = []
-    for a in lo:
-        edges = list(map(a.__xor__, hi))
-        if spec.p == 2:
-            nexts = map(int.__rshift__, edges, repeat(shift))
-        else:
-            diffs = list(map(getitem, diff, _digits(a, shift, m, b)))
-            nexts = [sum(map(getitem, diffs, d)) for d in digits]
-        weights = gflinalg.group_weights(q, edges, groups)
-        counts = {}
-        for (sj, ws), c in Counter(zip(nexts, weights)).items():
-            counts.setdefault(sj, {})[weight_exponents(groups, ws)] = c
-        rows.append({sj: WeightPoly.from_counts(names, cell)
-                     for sj, cell in counts.items()})
-    return PolyMatrix(state_labels(spec, m), rows)
+
+    def sources():
+        for a in lo:
+            edges = list(map(a.__xor__, hi))
+            if spec.p == 2:
+                nexts = map(int.__rshift__, edges, repeat(shift))
+            else:
+                diffs = list(map(getitem, diff, _digits(a, shift, m, b)))
+                nexts = [sum(map(getitem, diffs, d)) for d in digits]
+            yield zip(nexts, *gflinalg.group_weights(q, edges, groups))
+
+    return PolyMatrix(state_labels(spec, m), edge_rows(names, groups,
+                                                       sources()))
 
 
 def _digits(v, shift, count, b):

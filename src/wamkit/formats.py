@@ -40,12 +40,15 @@ def _lines(text):
 
 
 def _parse_header(lines, keys):
-    """Pull 'key value...' lines for the given keys; returns (dict, rest)."""
+    """Pull 'key value...' lines for the given keys, each at most once;
+    returns (dict, rest)."""
     values = {}
     rest = []
     for i, line in lines:
         parts = line.split()
-        if parts[0] in keys and parts[0] not in values:
+        if parts[0] in values:
+            raise FormatError("second %r line" % parts[0], i)
+        if parts[0] in keys:
             values[parts[0]] = (i, parts[1:])
         else:
             rest.append((i, line))

@@ -33,25 +33,18 @@ def span_images(spec, rows):
     return [sum(x << (j * b) for j, x in enumerate(v)) for v in vecs]
 
 
-def masked_weights(values, mask, shifts):
-    """For each packed value v of the list `values`, the number of bits
-    of `mask` set in v | (v >> s for s in shifts): with bit 0 of the
-    field of each coordinate of a group as the mask and shifts
-    range(1, b), the group's Hamming weight.  Runs as one pipeline of
-    builtins over the whole list."""
-    folded = values
-    for s in shifts:
-        folded = map(int.__or__, folded, map(int.__rshift__, values,
-                                             repeat(s)))
-    return map(int.bit_count, map(mask.__and__, folded))
-
-
 def group_weights(q, words, groups):
-    """The tuples of Hamming weights of the packed words of the list
-    `words` on each coordinate group, one tuple per word."""
+    """One iterator per coordinate group over the Hamming weights of the
+    packed words of the list `words` on that group: the bit counts of
+    each word's fields ORed into their low bits (once per call) under
+    the group's mask.  Runs as pipelines of builtins over the list."""
     b = field_bits(q)
-    return zip(*(masked_weights(words, sum(1 << (j * b) for j in g),
-                                range(1, b)) for g in groups))
+    folded = words
+    for s in range(1, b):
+        folded = list(map(int.__or__, folded, map(int.__rshift__, words,
+                                                  repeat(s))))
+    return [map(int.bit_count, map(sum(1 << (j * b) for j in g).__and__,
+                                   folded)) for g in groups]
 
 
 def zeros(rows, cols):

@@ -1,5 +1,6 @@
 """Square matrices of WeightPoly entries indexed by state labels."""
 
+from collections import Counter
 from itertools import chain
 from math import comb
 from operator import add, neg
@@ -171,6 +172,29 @@ class PolyMatrix:
 
     def __repr__(self):
         return "PolyMatrix(%d states)" % self.size
+
+
+def edge_rows(names, groups, sources):
+    """One row {next state: WeightPoly} per source state, from the (next
+    state, w_1, ..., w_g) tuples of its edges: weights w on the
+    coordinate groups g count as the product of x^(|g| - w) y^w over the
+    (x, y) pairs of the flat `names`.  Each weight tuple's key is built
+    once per call."""
+    slots = [_VAR_INDEX[name] for name in names]
+    pairs = list(zip(slots[::2], slots[1::2], map(len, groups)))
+    keys, rows = {}, []
+    for edges in sources:
+        cells = {}
+        for edge, c in Counter(edges).items():
+            ws = edge[1:]
+            if ws not in keys:
+                e = list(_ZERO_EXP)
+                for (x, y, size), w in zip(pairs, ws):
+                    e[x], e[y] = size - w, w
+                keys[ws] = tuple(e)
+            cells.setdefault(edge[0], {})[keys[ws]] = c
+        rows.append({j: WeightPoly(terms) for j, terms in cells.items()})
+    return rows
 
 
 def _kernel(f, p, size):

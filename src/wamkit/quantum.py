@@ -11,23 +11,17 @@ memory word, the physical output weight, and the output memory word.
 The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 """
 
-from collections import Counter
 from itertools import repeat
 
 from .block import check_budget
 from .errors import ShapeError
 from .fields import FieldSpec
-from .gflinalg import (cleared_response, impulse_response, masked_weights,
+from .gflinalg import (cleared_response, group_weights, impulse_response,
                        span_images)
-from .pauli import (PauliWord, pauli_state_labels, pauli_state_words,
-                    symplectic_product)
-from .poly import WeightPoly
-from .polymatrix import PolyMatrix, macwilliams
+from .pauli import LETTERS, PauliWord, pauli_state_labels, symplectic_product
+from .polymatrix import PolyMatrix, edge_rows, macwilliams
 
 _GF2 = FieldSpec(2)
-
-# the letter of a qubit by its (z, x) bits
-_LETTER = (("I", "X"), ("Z", "Y"))
 
 # single-qubit transform kernel in the I, X, Y, Z basis, as the
 # exponents e of its signs (-1)^e
@@ -118,12 +112,13 @@ def _edge_count(spec):
 
 
 def _span_tables(spec):
-    """(memory images, logical (x) ancilla images) of the seed, packed
-    over GF(2) as z|x of the physical qubits, then z|x of the output
-    memory qubits, in the order of pauli_state_words(m) and of the
-    logical words with the Z-type ancilla words varying fastest."""
-    n2 = 2 * spec.n
-    rows = [r[0:n2:2] + r[1:n2:2] + r[n2::2] + r[n2 + 1::2]
+    """(memory images, logical (x) ancilla images) of the seed in the
+    order of pauli_state_words(m) and of the logical words with the
+    Z-type ancilla words varying fastest, packed in the GF(4) layout: a
+    2-bit field per physical, then output memory qubit, holding its
+    letter's index in I, X, Y, Z.  X^a Y^b has (z, x) = (b, a XOR b) and
+    field a + 2b, so a product of words is the XOR of their fields."""
+    rows = [[v for z, x in zip(r[::2], r[1::2]) for v in (z ^ x, z)]
             for r in binary_symplectic_matrix(spec)]
 
     def pauli_rows(block):
@@ -142,34 +137,22 @@ def _span_tables(spec):
 
 def _edges(spec):
     """Per memory word, in order: the packed images of its edges, its
-    own image XOR each logical (x) ancilla image, and the index of each
-    edge's output memory word."""
-    m = spec.m
+    own image XOR each logical (x) ancilla image."""
     mem_images, la_images = _span_tables(spec)
-    # the 2m bits z|x of an output memory word to the word's index
-    index = [0] * 4 ** m
-    for i, word in enumerate(pauli_state_words(m)):
-        index[sum((z | x << m) << t
-                  for t, (z, x) in enumerate(word.pairs))] = i
     for a in mem_images:
-        edges = list(map(a.__xor__, la_images))
-        yield edges, map(index.__getitem__, map(int.__rshift__, edges,
-                                                repeat(2 * spec.n)))
+        yield list(map(a.__xor__, la_images))
 
 
 def quantum_wam(spec):
     """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest."""
     check_budget("quantum WAM", _edge_count(spec), 16 ** spec.m)
-    n, rows = spec.n, []
-    for edges, nexts in _edges(spec):
-        # a physical qubit is busy when its z or its x bit is set
-        weights = masked_weights(edges, (1 << n) - 1, (n,))
-        counts = {}
-        for (sj, w), c in Counter(zip(nexts, weights)).items():
-            counts.setdefault(sj, {})[n - w, w] = c
-        rows.append({sj: WeightPoly.from_counts(("x", "y"), cell)
-                     for sj, cell in counts.items()})
-    return PolyMatrix(pauli_state_labels(spec.m), rows)
+    # the fields above the 2n bits of the physical qubits are the index
+    # of the edge's output memory word
+    physical = [range(spec.n)]
+    return PolyMatrix(pauli_state_labels(spec.m), edge_rows(
+        ("x", "y"), physical,
+        (zip(map(int.__rshift__, edges, repeat(2 * spec.n)),
+             *group_weights(4, edges, physical)) for edges in _edges(spec))))
 
 
 def quantum_macwilliams(lam):
@@ -324,15 +307,16 @@ def state_diagram_edges(spec):
     logical = [w or "-" for w in pauli_state_labels(spec.k)
                for _ in range(2 ** spec.a)]
     out = []
-    for src, (edges, nexts) in zip(mem, _edges(spec)):
-        out.extend((src, mem[j], log, _physical_letters(v, n))
-                   for v, j, log in zip(edges, nexts, logical))
+    for src, edges in zip(mem, _edges(spec)):
+        out.extend((src, mem[v >> 2 * n], log, _physical_letters(v, n))
+                   for v, log in zip(edges, logical))
     return out
 
 
 def _physical_letters(v, n):
-    """The letters of the physical word, z|x in the low 2n bits of v."""
-    return "".join(_LETTER[v >> t & 1][v >> (n + t) & 1] for t in range(n))
+    """The letters of the physical word, one 2-bit field per qubit in the
+    low 2n bits of v."""
+    return "".join(LETTERS[v >> 2 * t & 3] for t in range(n))
 
 
 def state_diagram_dot(spec):

@@ -137,6 +137,17 @@ def test_block_dual_of_a_full_code_reads_back(tmp_path, capsys):
     assert code == 0 and out == "q 3 1\nn 2\nk 2\n1 0\n0 1\n"
 
 
+def test_zero_length_code_is_its_own_dual(tmp_path, capsys):
+    path = tmp_path / "code.bc"
+    path.write_text("q 2 1\nn 0\nk 0\n")
+    assert run_cli(capsys, "block", "dual", str(path)) == (
+        0, "q 2 1\nn 0\nk 0\n", "")
+    assert run_cli(capsys, "block", "hwgf", str(path)) == (0, "1\n", "")
+    assert run_cli(capsys, "verify", "all", str(path)) == (
+        0, "hwgf transform matches dual enumeration: PASS\n"
+           "hwgf transform involution: PASS\n", "")
+
+
 @pytest.mark.parametrize("action, m, head, bound", [
     ("total", 10, "1 + D + ", 1.5), ("dfree", 11, "d_free", 1.0)],
     ids=["total-m10", "dfree-m11"])

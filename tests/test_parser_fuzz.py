@@ -1,13 +1,14 @@
 """Parser fuzz test: mutated fixture files must end with exit 0, 1 or 2,
 never with a traceback or a hang.  Two mutation classes must be refused
 by every action with exit 2 and the line at fault: a negative size on
-an n, k, m or c header line, and a second .qcc line for the same role
-or the same generator's image."""
+an n, k, m or c header line, and a second line for the same q or size
+header key, .qcc role or generator's image."""
 
 import contextlib
 import io
 import os
 import signal
+from itertools import chain
 
 import pytest
 
@@ -19,6 +20,7 @@ ACTIONS = {".bc": ["block", "hwgf"], ".cc": ["conv", "check-dual"],
            ".qcc": ["quantum", "sd"]}
 GROUPS = {".bc": "block", ".cc": "conv", ".qcc": "quantum"}
 SIZE_KEYS = ("n", "k", "m", "c")
+HEADER_KEYS = ("q",) + SIZE_KEYS
 CASE_SECONDS = 2.0
 
 
@@ -118,6 +120,15 @@ def _negative_sizes(lines):
                     lines[i + 1:], i + 1
 
 
+def _repeated_headers(lines):
+    """(mutated lines, line number at fault): each q or size header line
+    repeated directly after itself."""
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if tokens and tokens[0] in HEADER_KEYS:
+            yield lines[:i + 1] + [line] + lines[i + 1:], i + 2
+
+
 def _repeated_lines(lines):
     """(mutated lines, line number at fault): a role or image line
     appended again, once per value of a line of the same kind, its own
@@ -141,16 +152,19 @@ def _refusal_cases():
         if ext not in GROUPS:
             continue
         lines = read_fixture(name).splitlines()
-        yield from ((name, "negative size", case, line)
+        yield from ((name, "negative size", case, "error: line %d: " % line)
                     for case, line in _negative_sizes(lines))
+        repeats = _repeated_headers(lines)
         if ext == ".qcc":
-            yield from ((name, "repeated line", case, line)
-                        for case, line in _repeated_lines(lines))
+            repeats = chain(repeats, _repeated_lines(lines))
+        yield from ((name, "repeated line", case,
+                     "error: line %d: second" % line)
+                    for case, line in repeats)
 
 
 def test_negative_sizes_and_repeated_lines_name_their_line(tmp_path):
     failures, kinds = [], set()
-    for name, kind, lines, line in _refusal_cases():
+    for name, kind, lines, want in _refusal_cases():
         kinds.add((os.path.splitext(name)[1], kind))
         ext = os.path.splitext(name)[1]
         path = tmp_path / ("case" + ext)
@@ -165,13 +179,12 @@ def test_negative_sizes_and_repeated_lines_name_their_line(tmp_path):
                     code = main(argv + [str(path)])
             except Exception as exc:  # a traceback is a failure
                 code = "%s: %s" % (type(exc).__name__, exc)
-            want = "error: line %d: " % line
             if code != 2 or out.getvalue() or \
                     not err.getvalue().startswith(want):
                 failures.append("%s %s on %s (%s): exit %r, stderr %r"
                                 % (argv[0], argv[1], name, kind, code,
                                    err.getvalue()))
-    assert kinds == {(".bc", "negative size"), (".cc", "negative size"),
-                     (".qcc", "negative size"), (".qcc", "repeated line")}
+    assert kinds == {(ext, kind) for ext in GROUPS
+                     for kind in ("negative size", "repeated line")}
     assert not failures, "%d failing runs, first: %s" % (len(failures),
                                                          failures[0])
