@@ -9,22 +9,9 @@ checked division by the code's size q^k, read off the enumerator.
 from itertools import chain, repeat
 
 from . import gflinalg
-from .errors import BudgetError, FieldError, ShapeError, WamkitError
+from .errors import FieldError, ShapeError, WamkitError, check_budget
 from .poly import IP_PAIRS, IP_VARS
 from .polymatrix import edge_rows, macwilliams
-
-DEFAULT_BUDGET = 2 ** 22
-
-
-def check_budget(what, edges, cells=0, budget=DEFAULT_BUDGET):
-    """Raise BudgetError if building `what` would enumerate more than
-    `budget` edges (or codewords) or fill more than `budget` matrix cells.
-    Callers check before they allocate anything."""
-    for count, noun in ((edges, "edges"), (cells, "matrix cells")):
-        if count > budget:
-            raise BudgetError("%s needs %d %s, which exceeds the budget of %d"
-                              % (what, count, noun, budget))
-
 
 class LinearCode:
     """An [n, k] code over GF(q), given by a full-rank generator matrix.
@@ -50,10 +37,10 @@ class LinearCode:
         if gflinalg.rank(spec, self.generator) != self.k:
             raise ShapeError("generator rows are linearly dependent")
 
-    def enumerate_codewords(self, budget=DEFAULT_BUDGET):
+    def enumerate_codewords(self):
         """Yield all q^k codewords, messages in index order."""
         spec, k = self.spec, self.k
-        check_budget("codeword enumeration", spec.q ** k, budget=budget)
+        check_budget("codeword enumeration", spec.q ** k)
         for msg in gflinalg.digit_vectors(spec.q, k):
             yield gflinalg.vec_mat(spec, msg, self.generator)
 
@@ -67,7 +54,7 @@ class _ZeroCode:
         self.k = 0
         self.n = n
 
-    def enumerate_codewords(self, budget=DEFAULT_BUDGET):
+    def enumerate_codewords(self):
         yield [0] * self.n
 
 
@@ -76,11 +63,8 @@ class SystematicCode(LinearCode):
 
     def __init__(self, spec, generator):
         super().__init__(spec, generator)
-        for i in range(self.k):
-            for j in range(self.k):
-                want = 1 if i == j else 0
-                if self.generator[i][j] != want:
-                    raise ShapeError("generator is not of the form (I_k | A)")
+        if not gflinalg.is_identity_on(self.generator, range(self.k)):
+            raise ShapeError("generator is not of the form (I_k | A)")
 
     @property
     def parity_part(self):
@@ -102,7 +86,7 @@ def dual_code(code):
     return LinearCode(spec, basis)
 
 
-def _enumerator(code, names, groups, budget):
+def _enumerator(code, names, groups):
     """The enumerator over all q^k codewords by their Hamming weights on
     each coordinate group, as the one source of polymatrix.edge_rows.
     Each codeword is lo - hi for one of the q^floor(k/2) packed images
@@ -110,7 +94,7 @@ def _enumerator(code, names, groups, budget):
     of the others (a span is closed under negation), and its nonzero
     coordinates are the nonzero fields of lo XOR hi."""
     spec, half = code.spec, code.k // 2
-    check_budget("codeword enumeration", spec.q ** code.k, budget=budget)
+    check_budget("codeword enumeration", spec.q ** code.k)
     lo = gflinalg.span_images(spec, code.generator[:half])
     hi = gflinalg.span_images(spec, code.generator[half:])
     edges = chain.from_iterable(zip(repeat(0), *gflinalg.group_weights(
@@ -118,9 +102,9 @@ def _enumerator(code, names, groups, budget):
     return edge_rows(names, groups, [edges])[0][0]
 
 
-def hwgf(code, budget=DEFAULT_BUDGET):
+def hwgf(code):
     """Homogeneous Hamming weight generating function sum x^(n-w) y^w."""
-    return _enumerator(code, ("x", "y"), [range(code.n)], budget)
+    return _enumerator(code, ("x", "y"), [range(code.n)])
 
 
 def macwilliams_hwgf(g, q):
@@ -128,7 +112,7 @@ def macwilliams_hwgf(g, q):
     return macwilliams(g, q, (("x", "y"),))
 
 
-def ipwgf(code, info_last=False, budget=DEFAULT_BUDGET):
+def ipwgf(code, info_last=False):
     """Input-parity split weight generating function.
 
     The information set is the first k coordinates (or the last k when
@@ -142,13 +126,10 @@ def ipwgf(code, info_last=False, budget=DEFAULT_BUDGET):
     else:
         info = list(range(k))
     parity = [j for j in range(n) if j not in info]
-    for i in range(k):
-        for jj, j in enumerate(info):
-            want = 1 if i == jj else 0
-            if code.generator[i][j] != want:
-                raise ShapeError("generator is not systematic on the "
-                                 "requested information set")
-    return _enumerator(code, IP_VARS, [info, parity], budget)
+    if not gflinalg.is_identity_on(code.generator, info):
+        raise ShapeError("generator is not systematic on the requested "
+                         "information set")
+    return _enumerator(code, IP_VARS, [info, parity])
 
 
 def macwilliams_ipwgf(g, q):

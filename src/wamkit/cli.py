@@ -34,7 +34,7 @@ def _build_parser():
                         help="series truncation depth (default 10)")
     parser.add_argument("--collapse", choices=["y", "yIyP", "yIyO"],
                         help="set the matching x-variables to 1")
-    parser.add_argument("--format", choices=["text", "structured", "dot"],
+    parser.add_argument("--format", choices=["text", "structured"],
                         default="text", help="output format")
     sub = parser.add_subparsers(dest="group", required=True)
     for group, (text, _parse, actions) in _GROUPS.items():

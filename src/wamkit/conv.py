@@ -17,8 +17,7 @@ from itertools import chain, repeat
 from operator import getitem
 
 from . import gflinalg
-from .block import DEFAULT_BUDGET, check_budget
-from .errors import AlgebraError, ShapeError
+from .errors import AlgebraError, ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS
 from .polymatrix import PolyMatrix, edge_rows, macwilliams, series_row
 
@@ -84,23 +83,19 @@ class SystematicConvSeed(ConvSeed):
 
     def __init__(self, spec, n, k, m, t_matrix, info_last=False):
         super().__init__(spec, n, k, m, t_matrix)
+        if k > n:
+            raise ShapeError("a systematic seed needs k <= n")
         self.info_last = info_last
         if info_last:
             self.info_cols = list(range(n - k, n))
         else:
             self.info_cols = list(range(k))
-        par = [j for j in range(n) if j not in self.info_cols]
-        for i in range(m):
-            for j in self.info_cols:
-                if self.c_block[i][j] != 0:
-                    raise ShapeError("C is nonzero on the information columns")
-        for i in range(k):
-            for jj, j in enumerate(self.info_cols):
-                want = 1 if i == jj else 0
-                if self.e_block[i][j] != want:
-                    raise ShapeError("E is not the identity on the "
-                                     "information columns")
-        self.parity_cols = par
+        self.parity_cols = [j for j in range(n) if j not in self.info_cols]
+        if any(row[j] for row in self.c_block for j in self.info_cols):
+            raise ShapeError("C is nonzero on the information columns")
+        if not gflinalg.is_identity_on(self.e_block, self.info_cols):
+            raise ShapeError("E is not the identity on the information "
+                             "columns")
 
     @property
     def c0_block(self):
@@ -111,7 +106,7 @@ class SystematicConvSeed(ConvSeed):
         return [[row[j] for j in self.parity_cols] for row in self.e_block]
 
 
-def _edge_matrix(seed, names, groups, budget):
+def _edge_matrix(seed, names, groups):
     """The matrix whose (w, w') entry counts the transitions w -> w' by
     their Hamming weights on each coordinate group of (p : u), p the
     output and u the input, through polymatrix.edge_rows.
@@ -126,7 +121,7 @@ def _edge_matrix(seed, names, groups, budget):
     """
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
-    check_budget("WAM", q ** (m + k), q ** (2 * m), budget)
+    check_budget("WAM", q ** (m + k), q ** (2 * m))
     ident = gflinalg.identity(k)
     lo = gflinalg.span_images(spec, [row[:n] + [0] * k + row[n:]
                                      for row in seed.t_matrix[:m]])
@@ -159,27 +154,31 @@ def _digits(v, shift, count, b):
     return [v >> (shift + t * b) & (1 << b) - 1 for t in range(count)]
 
 
-def wam(seed, budget=DEFAULT_BUDGET):
+def wam(seed):
     """Weight adjacency matrix with homogeneous x/y entries."""
-    return _edge_matrix(seed, ("x", "y"), [range(seed.n)], budget)
+    return _edge_matrix(seed, ("x", "y"), [range(seed.n)])
 
 
-def ipwam(seed, budget=DEFAULT_BUDGET):
+def ipwam(seed):
     """Input-parity WAM of a systematic seed."""
     if not isinstance(seed, SystematicConvSeed):
         raise ShapeError("input-parity split needs a systematic seed")
-    return _edge_matrix(seed, IP_VARS, [seed.info_cols, seed.parity_cols],
-                        budget)
+    return _edge_matrix(seed, IP_VARS, [seed.info_cols, seed.parity_cols])
 
 
-def iowam(seed, budget=DEFAULT_BUDGET):
+def iowam(seed):
     """Input-output WAM: tracks input weight and output weight."""
     n, k = seed.n, seed.k
     return _edge_matrix(seed, ("x_I", "y_I", "x_O", "y_O"),
-                        [range(n, n + k), range(n)], budget)
+                        [range(n, n + k), range(n)])
 
 
 # --- duality ---
+
+def _twist(spec, rows, cut):
+    """rows . diag(I, -I): every entry from column `cut` on negated."""
+    return [row[:cut] + [spec.neg[x] for x in row[cut:]] for row in rows]
+
 
 def dual_seed(seed):
     """Seed of the dual constraint code.
@@ -195,8 +194,7 @@ def dual_seed(seed):
     m, n, k = seed.m, seed.n, seed.k
     basis = gflinalg.nullspace(spec, seed.gen_matrix())
     # undo the sign twist on the trailing memory block
-    twisted = [row[:m + n] + [spec.neg[x] for x in row[m + n:]] for row in basis]
-    red, pivots = gflinalg.rref(spec, twisted)
+    red, pivots = gflinalg.rref(spec, _twist(spec, basis, m + n))
     if pivots[:m] != list(range(m)):
         raise ShapeError("dual basis has no pivots on the memory block; "
                          "no seed of the required block shape exists")
@@ -235,45 +233,33 @@ def orthogonality_check(seed, dual):
     failed relation.  A dimension mismatch short circuits with its own
     diagnostic instead of raising.
 
-    For feedback encoders the impulse responses are infinite, so the
-    product identity is checked with denominators cleared:
-
-        [det(I - D A) G(D)] . [det(D I - A'^T) H(1/D)^T]
-
-    is a product of polynomial matrices of degree <= m each and must be
-    identically zero.  The right factor is the cleared response of
-    (E'^T, C'^T, A'^T, B'^T) with its m + 1 coefficients reversed.
+    The block relations are the four blocks of G~ diag(I_m, I_n, -I_m)
+    G~'^T, the product of the constraint generators that dual_seed
+    makes vanish.  For feedback encoders the impulse responses are
+    infinite, so the product identity is checked with denominators
+    cleared: det(I - D A) G(D) and det(I - D A') H(D) are the cleared
+    responses of the two seeds, polynomial matrices of degree <= m, and
+    their gflinalg.pairing must be identically zero.
     """
-    spec = seed.spec
-    diags = []
+    spec, m, n = seed.spec, seed.m, seed.n
     if (seed.spec != dual.spec or seed.n != dual.n or seed.m != dual.m
             or dual.k != seed.n - seed.k):
         return False, ["dimension mismatch: dual of an (n=%d, k=%d, m=%d) "
                        "seed must be (n=%d, k=%d, m=%d)"
                        % (seed.n, seed.k, seed.m,
                           seed.n, seed.n - seed.k, seed.m)]
-    mm = gflinalg.mat_mul
-    tr = gflinalg.transpose
-    c, a, e, b = seed.c_block, seed.a_block, seed.e_block, seed.b_block
-    cd, ad = dual.c_block, dual.a_block
-    ed, bd = dual.e_block, dual.b_block
-    lhs = gflinalg.mat_add(spec, gflinalg.identity(seed.m),
-                           gflinalg.mat_add(spec, mm(spec, c, tr(cd)),
-                                            gflinalg.mat_neg(spec, mm(spec, a, tr(ad)))))
-    if not gflinalg.is_zero(lhs):
-        diags.append("I + C C'^T - A A'^T != 0")
-    if not gflinalg.is_zero(gflinalg.mat_add(
-            spec, mm(spec, e, tr(ed)), gflinalg.mat_neg(spec, mm(spec, b, tr(bd))))):
-        diags.append("E E'^T - B B'^T != 0")
-    if not gflinalg.is_zero(gflinalg.mat_add(
-            spec, mm(spec, c, tr(ed)), gflinalg.mat_neg(spec, mm(spec, a, tr(bd))))):
-        diags.append("C E'^T - A B'^T != 0")
-    if not gflinalg.is_zero(gflinalg.mat_add(
-            spec, mm(spec, e, tr(cd)), gflinalg.mat_neg(spec, mm(spec, b, tr(ad))))):
-        diags.append("E C'^T - B A'^T != 0")
-    g = gflinalg.cleared_response(spec, e, b, a, c)
-    h = gflinalg.cleared_response(spec, tr(ed), tr(cd), tr(ad), tr(bd))[::-1]
-    if not all(gflinalg.is_zero(x) for x in gflinalg.poly_mat_mul(spec, g, h)):
+    prod = gflinalg.mat_mul(spec, seed.gen_matrix(), gflinalg.transpose(
+        _twist(spec, dual.gen_matrix(), m + n)))
+    top, bottom = prod[:m], prod[m:]
+    diags = [relation + " != 0" for rows, cols, relation in (
+        (top, slice(m), "I + C C'^T - A A'^T"),
+        (bottom, slice(m, None), "E E'^T - B B'^T"),
+        (top, slice(m, None), "C E'^T - A B'^T"),
+        (bottom, slice(m), "E C'^T - B A'^T"))
+        if any(any(row[cols]) for row in rows)]
+    g, h = (gflinalg.cleared_response(spec, s.e_block, s.b_block, s.a_block,
+                                      s.c_block) for s in (seed, dual))
+    if not all(gflinalg.is_zero(x) for x in gflinalg.pairing(spec, g, h)):
         diags.append("G(D) H(1/D)^T is not identically zero")
     return not diags, diags
 
@@ -345,7 +331,7 @@ def macwilliams_ipwam(lam, spec):
     return macwilliams(lam, spec.q, IP_PAIRS, (fourier_matrix(spec), spec.p))
 
 
-def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):
+def iowam_from_systematic(seed, f_matrix):
     """IOWAM of the nonsystematic encoder G~ assembled from a systematic
     seed by feedback matrix F (m x k) and L = I_k.
 
@@ -361,14 +347,14 @@ def iowam_from_systematic(seed, f_matrix, budget=DEFAULT_BUDGET):
     if len(f_matrix) != m or any(len(r) != k for r in f_matrix):
         raise ShapeError("feedback matrix must be m x k")
     assembled = assemble_encoder(seed, f_matrix)
-    direct = iowam(assembled, budget)
+    direct = iowam(assembled)
     for row in direct.rows:
         for e in row.values():
             if len(e.terms) > 1:
                 raise AlgebraError(
                     "assembled encoder has a non-monomial IOWAM entry; "
                     "the factorization formula does not apply")
-    delta_s = iowam(seed, budget)
+    delta_s = iowam(seed)
     input_part = delta_s.collapse({"x_O": 1, "y_O": 1})
     lam_out = delta_s.collapse({"x_I": 1, "y_I": 1})
     fb = gflinalg.mat_mul(spec, f_matrix, seed.b_block)

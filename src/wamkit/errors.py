@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all wamkit modules."""
+"""Exception hierarchy shared by all wamkit modules, and the one budget
+that every enumeration and table is checked against."""
 
 
 class WamkitError(Exception):
@@ -16,6 +17,19 @@ class AlgebraError(WamkitError):
 
 class BudgetError(WamkitError):
     """An enumeration would exceed the configured budget."""
+
+
+BUDGET = 2 ** 22
+
+
+def check_budget(what, edges, cells=0):
+    """Raise BudgetError if building `what` would enumerate more than
+    BUDGET edges (or codewords) or fill more than BUDGET matrix cells.
+    Callers check before they allocate anything."""
+    for count, noun in ((edges, "edges"), (cells, "matrix cells")):
+        if count > BUDGET:
+            raise BudgetError("%s needs %d %s, which exceeds the budget of %d"
+                              % (what, count, noun, BUDGET))
 
 
 class ShapeError(WamkitError):

@@ -7,8 +7,7 @@ Arithmetic is table driven, so FieldSpec construction does all the work
 once and element operations are dictionary-free integer lookups.
 """
 
-from .block import check_budget
-from .errors import FieldError
+from .errors import FieldError, check_budget
 from .gflinalg import digit_vectors
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)

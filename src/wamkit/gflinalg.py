@@ -62,10 +62,6 @@ def mat_add(spec, a, b):
     return [[spec.add[x][y] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_neg(spec, a):
-    return [[spec.neg[x] for x in row] for row in a]
-
-
 def mat_mul(spec, a, b):
     if a and b and len(a[0]) != len(b):
         raise ShapeError("matrix dimensions %dx%d and %dx%d do not chain"
@@ -144,6 +140,13 @@ def nullspace(spec, a):
 
 def is_zero(a):
     return all(all(x == 0 for x in row) for row in a)
+
+
+def is_identity_on(rows, cols):
+    """Whether rows[i][cols[j]] is 1 when i == j and 0 otherwise: on the
+    columns `cols` the rows are the leading rows of an identity."""
+    return all(row[c] == (i == j) for i, row in enumerate(rows)
+               for j, c in enumerate(cols))
 
 
 # --- polynomial matrices over GF(q)[D]: lists of coefficient matrices,
@@ -232,3 +235,9 @@ def poly_mat_mul(spec, a, b):
     return [_mat_sum(spec, [mat_mul(spec, a[i], b[d - i])
                             for i in range(len(a)) if 0 <= d - i < len(b)])
             for d in range(len(a) + len(b) - 1)]
+
+
+def pairing(spec, a, b):
+    """Coefficients of a(D) b(1/D)^T D^(len(b) - 1): coefficient e sums
+    a_d b_(d+t)^T over d at the offset t = len(b) - 1 - e."""
+    return poly_mat_mul(spec, a, [transpose(mat) for mat in reversed(b)])

@@ -13,12 +13,11 @@ The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 
 from itertools import repeat
 
-from .block import check_budget
-from .errors import ShapeError
+from .errors import ShapeError, check_budget
 from .fields import FieldSpec
 from .gflinalg import (cleared_response, group_weights, impulse_response,
-                       span_images)
-from .pauli import LETTERS, PauliWord, pauli_state_labels, symplectic_product
+                       pairing, span_images)
+from .pauli import LETTERS, PauliWord, pauli_state_labels
 from .polymatrix import PolyMatrix, edge_rows, macwilliams
 
 _GF2 = FieldSpec(2)
@@ -84,27 +83,19 @@ def constraint_stabilizers(spec):
     m + n + m qubits ordered (memory in : physical : memory out).
 
     Memory and entangled inputs contribute a Z-type and an X-type
-    generator each; ancilla inputs contribute the Z-type one only.
+    generator each; ancilla inputs contribute the Z-type one only.  The
+    (physical : memory out) part of each is its row of
+    binary_symplectic_matrix.
     """
-    out = []
-    for t, pos in enumerate(spec.i_m):
-        for kind in ("Z", "X"):
-            head = PauliWord.single(spec.m, t, kind)
-            out.append(_extend(spec, head, pos, kind))
-    for pos in spec.i_e:
-        for kind in ("Z", "X"):
-            out.append(_extend(spec, PauliWord.identity(spec.m), pos, kind))
-    for pos in spec.i_a:
-        out.append(_extend(spec, PauliWord.identity(spec.m), pos, "Z"))
-    return out
-
-
-def _extend(spec, head, pos, kind):
-    img = spec.seed.conjugate(
-        PauliWord.single(spec.seed.width, pos - 1, kind))
-    body = img.restrict([p - 1 for p in spec.i_p])
-    tail = img.restrict([p - 1 for p in spec.i_mout])
-    return PauliWord(head.pairs + body.pairs + tail.pairs)
+    rows = binary_symplectic_matrix(spec)
+    anc = 2 * (spec.m + spec.k)
+    ent = anc + 2 * spec.a
+    heads = ([PauliWord.single(spec.m, t, kind)
+              for t in range(spec.m) for kind in "ZX"]
+             + [PauliWord.identity(spec.m)] * (2 * spec.c + spec.a))
+    return [PauliWord(head.pairs + tuple(zip(row[::2], row[1::2])))
+            for head, row in zip(heads, rows[:2 * spec.m] + rows[ent:]
+                                 + rows[anc:ent:2])]
 
 
 def _edge_count(spec):
@@ -255,24 +246,6 @@ def poly_check_matrix(spec, d_max=10):
     return check_matrix("S^Z"), check_matrix("S^E"), check_matrix("L")
 
 
-def _pairing_offsets(row_a, row_b):
-    """Offsets t where sum_d <a_d, b_(d+t)> is odd; rows are lists of
-    Pauli words, degree 0 first."""
-    degs_a = [d for d, word in enumerate(row_a) if word]
-    degs_b = [d for d, word in enumerate(row_b) if word]
-    if not degs_a or not degs_b:
-        return []
-    bad = []
-    for t in range(degs_b[0] - degs_a[-1], degs_b[-1] - degs_a[0] + 1):
-        acc = 0
-        for d in degs_a:
-            if d + t in degs_b:
-                acc ^= symplectic_product(row_a[d], row_b[d + t])
-        if acc:
-            bad.append(t)
-    return bad
-
-
 def check_poly_orthogonality(spec):
     """Logical rows must commute with all stabilizer rows at every
     D-offset; returns (ok, diagnostics).
@@ -280,17 +253,24 @@ def check_poly_orthogonality(spec):
     Memory loops make the raw impulse responses infinite, so the
     pairing is checked on the rows cleared by det(I - D A), which are
     polynomials of degree <= 2m; clearing by this unit power series
-    preserves whether the pairing vanishes at every offset.
+    preserves whether the pairing vanishes at every offset.  Swapping z
+    and x in every qubit's bit pair of the stabilizer rows turns
+    gflinalg.pairing's dot product into the symplectic form.
     """
     a_blk, f_blk, blocks = _symplectic_blocks(spec)
-    rows = {name: _row_polys(cleared_response(_GF2, head, mem, a_blk, f_blk),
-                             spec.n)
-            for name, (head, mem) in blocks.items()}
+    cleared = {name: cleared_response(_GF2, head, mem, a_blk, f_blk)
+               for name, (head, mem) in blocks.items()}
+    pairings = {name: pairing(_GF2, cleared["L"], [
+        [[v for z, x in zip(row[::2], row[1::2]) for v in (x, z)]
+         for row in mat] for mat in cleared[name]])
+        for name in ("S^Z", "S^E")}
     diags = []
-    for i, lrow in enumerate(rows["L"]):
-        for name in ("S^Z", "S^E"):
-            for j, srow in enumerate(rows[name]):
-                bad = _pairing_offsets(lrow, srow)
+    for i in range(2 * spec.k):
+        for name, coeffs in pairings.items():
+            for j in range(len(coeffs[0][i])):
+                # coefficient e holds the offset 2m - e
+                bad = [t for t, mat in enumerate(reversed(coeffs),
+                                                 -2 * spec.m) if mat[i][j]]
                 if bad:
                     diags.append("L row %d vs %s row %d: nonzero pairing at "
                                  "offsets %s" % (i + 1, name, j + 1, bad))

@@ -210,6 +210,13 @@ def test_unknown_flag_rejected(capsys):
     assert exc.value.code == 2
 
 
+def test_format_dot_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "dot", "block", "hwgf", fixture_path("rep3.bc")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("group, choices", [
     ("block", "{hwgf,ipwgf,dual}"),
     ("conv", "{wam,ipwam,iowam,dual-wam,dual-ipwam,total,dual-total,free,"

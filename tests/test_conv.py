@@ -7,6 +7,7 @@ import pytest
 from conftest import (brute_force_dual_wam, field, matrix_of, poly_of,
                       random_conv_seed, random_systematic_conv_seed,
                       seeded_rng, shift_register_text)
+from wamkit.block import LinearCode, SystematicCode, ipwgf
 from wamkit.conv import (ConvSeed, SystematicConvSeed, assemble_encoder,
                          dual_seed, dual_systematic_seed, dual_total_wgf,
                          free_distance, free_wgf, iowam, iowam_from_systematic,
@@ -154,6 +155,80 @@ def test_orthogonality_check_flags_wrong_dual(example1):
     wrong = ConvSeed(example1.spec, 2, 1, 2, example1.t_matrix)
     ok, diags = orthogonality_check(example1, wrong)
     assert not ok and diags
+
+
+def _wrong_dual(rng, spec, m):
+    """A random seed and dual_seed's T of it with one entry changed."""
+    while True:
+        n = rng.randint(2, 3)
+        k = rng.randint(1, n - 1)
+        seed = random_conv_seed(rng, spec, n, k, m)
+        try:
+            t = [list(row) for row in dual_seed(seed).t_matrix]
+        except ShapeError:
+            continue
+        i, j = rng.randrange(len(t)), rng.randrange(len(t[0]))
+        t[i][j] = (t[i][j] + rng.randrange(1, spec.q)) % spec.q
+        try:
+            return seed, ConvSeed(spec, n, n - k, m, t)
+        except ShapeError:
+            continue
+
+
+GH = "G(D) H(1/D)^T is not identically zero"
+
+# diagnostics of these seeded wrong duals, keyed by (p, r, m); the
+# memoryless ones name the E E'^T - B B'^T block
+PINNED_ORTHOGONALITY_DIAGS = {
+    (2, 1, 0): ["E E'^T - B B'^T != 0", GH],
+    (2, 1, 1): ["I + C C'^T - A A'^T != 0", "E C'^T - B A'^T != 0", GH],
+    (2, 1, 2): ["E E'^T - B B'^T != 0", GH],
+    (3, 1, 0): ["E E'^T - B B'^T != 0", GH],
+    (3, 1, 1): ["C E'^T - A B'^T != 0", GH],
+    (3, 1, 2): ["I + C C'^T - A A'^T != 0", "E C'^T - B A'^T != 0", GH],
+    (2, 2, 0): ["E E'^T - B B'^T != 0", GH],
+    (2, 2, 1): ["C E'^T - A B'^T != 0", GH],
+    (2, 2, 2): ["E E'^T - B B'^T != 0", "C E'^T - A B'^T != 0", GH],
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ORTHOGONALITY_DIAGS),
+                         ids="GF({0[0]}^{0[1]})-m{0[2]}".format)
+def test_orthogonality_diagnostics_are_pinned(key):
+    p, r, m = key
+    seed, wrong = _wrong_dual(seeded_rng("wrong-dual-%d-%d-%d" % key),
+                              field(p, r), m)
+    assert orthogonality_check(seed, wrong) == (
+        False, PINNED_ORTHOGONALITY_DIAGS[key])
+
+
+def test_memoryless_wrong_dual_names_its_block():
+    seed = ConvSeed(field(2), 2, 1, 0, [[1, 1]])
+    wrong = ConvSeed(field(2), 2, 1, 0, [[1, 0]])
+    assert orthogonality_check(seed, wrong) == (
+        False, ["E E'^T - B B'^T != 0", GH])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SystematicCode(field(2), [[1, 1, 0], [0, 1, 1]]),
+     "generator is not of the form (I_k | A)"),
+    (lambda: ipwgf(LinearCode(field(2), [[1, 0, 1], [0, 1, 1]]),
+                   info_last=True),
+     "generator is not systematic on the requested information set"),
+    # C and E both broken: C is named first
+    (lambda: SystematicConvSeed(field(2), 2, 1, 1, [[1, 1, 0], [0, 1, 1]]),
+     "C is nonzero on the information columns"),
+    (lambda: SystematicConvSeed(field(2), 2, 1, 1, [[0, 1, 0], [0, 1, 1]]),
+     "E is not the identity on the information columns"),
+    (lambda: SystematicConvSeed(field(2), 1, 2, 1,
+                                [[0, 0], [1, 0], [0, 1]]),
+     "a systematic seed needs k <= n"),
+], ids=["block", "block-info-last", "conv-c-first", "conv-e",
+        "conv-k-above-n"])
+def test_systematic_shape_messages(build, message):
+    with pytest.raises(ShapeError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_dual_seed_shape_obstruction():

@@ -14,7 +14,7 @@ from conftest import (direct_conv_edges, direct_quantum_edges, field,
                       random_conv_seed, random_eaqcc_spec, random_linear_code,
                       random_systematic_code, random_systematic_conv_seed,
                       seeded_rng)
-from wamkit import gflinalg, quantum
+from wamkit import errors, gflinalg, quantum
 from wamkit.block import dual_code, hwgf, ipwgf
 from wamkit.conv import (SystematicConvSeed, dual_systematic_seed, iowam,
                          ipwam, state_labels, wam)
@@ -163,10 +163,11 @@ def test_oversized_block_enumeration_fails_before_any_table(monkeypatch):
     spec = field(2)
     code = random_systematic_code(seeded_rng("budget-block"), spec, 24, 12)
     _refuse_tables(monkeypatch)
+    monkeypatch.setattr(errors, "BUDGET", 2 ** 11)
     with pytest.raises(BudgetError):
-        hwgf(code, budget=2 ** 11)
+        hwgf(code)
     with pytest.raises(BudgetError):
-        ipwgf(code, budget=2 ** 11)
+        ipwgf(code)
 
 
 def test_oversized_state_diagram_fails_before_any_table(monkeypatch):
