@@ -35,6 +35,8 @@ class ConvSeed:
     """A convolutional encoder seed T = (C A; E B) over GF(q)."""
 
     def __init__(self, spec, n, k, m, t_matrix):
+        if k > n:
+            raise ShapeError("a seed needs k <= n")
         self.spec = spec
         self.n, self.k, self.m = n, k, m
         t_matrix = [list(row) for row in t_matrix]
@@ -82,9 +84,9 @@ class SystematicConvSeed(ConvSeed):
     """
 
     def __init__(self, spec, n, k, m, t_matrix, info_last=False):
-        super().__init__(spec, n, k, m, t_matrix)
         if k > n:
             raise ShapeError("a systematic seed needs k <= n")
+        super().__init__(spec, n, k, m, t_matrix)
         self.info_last = info_last
         if info_last:
             self.info_cols = list(range(n - k, n))

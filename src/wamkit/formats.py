@@ -241,12 +241,14 @@ def poly_to_structured(poly):
 
 
 def matrix_to_structured(matrix):
-    cols = range(matrix.size)
-    return {
-        "labels": list(matrix.labels),
-        "entries": [[_term_list(row[j].to_int_coeffs()) if j in row else []
-                     for j in cols] for row in matrix.rows],
-    }
+    # an absent cell is the one shared [], which is only ever serialized
+    entries = []
+    for row in matrix.rows:
+        cells = [[]] * matrix.size
+        for j, e in row.items():
+            cells[j] = _term_list(e.to_int_coeffs())
+        entries.append(cells)
+    return {"labels": list(matrix.labels), "entries": entries}
 
 
 def _poly_from_terms(terms):

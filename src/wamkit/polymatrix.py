@@ -1,9 +1,11 @@
 """Square matrices of WeightPoly entries indexed by state labels."""
 
+import re
 from collections import Counter
+from functools import reduce
 from itertools import chain
 from math import comb
-from operator import add, neg
+from operator import add, neg, or_
 
 from .errors import AlgebraError
 from .poly import VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP
@@ -119,55 +121,77 @@ class PolyMatrix:
         table passed without its p is refused).  States are read as
         base-q digit strings, first coordinate fastest, so F is never
         formed: the kernel is applied to the row axis one coordinate at a
-        time, then its conjugate to the column axis, on one integer grid
-        per exponent key.  For p = 2 the grid holds plain ints and w^t is
-        a sign; for odd p it holds the p planes of the group ring Z[C_p],
-        where w^t rotates the planes and conjugation negates t.  A result
-        coefficient that is not an integer raises AlgebraError.
+        time, then its conjugate to the column axis.  A value lives in
+        the group ring Z[C_p] as p nonnegative planes, where w^t rotates
+        the planes and conjugation negates t; a coefficient c < 0 is |c|
+        on planes 1..p-1, as -1 = w + ... + w^(p-1).  Each plane is one
+        int: entry (i, j) of exponent key number t is its w-byte field
+        (t * S + i) * S + j, so a coordinate is a few whole-plane shifts,
+        masks and additions.  A result coefficient that is not an
+        integer raises AlgebraError.
         """
         m = _kernel(f, p, self.size)
-        conj = [[-t % p for t in row] for row in f]
-        n = self.size
-        # row i of each plane holds the grids of all exponent keys side by
-        # side: entry (i, j) of key number t sits at column t * n + j
-        keys = {}
+        q, n = len(f), self.size
+        keys, total = {}, 0
         for row in self.rows:
             for e in row.values():
-                for exp in e.terms:
+                for exp, c in e.terms.items():
                     keys.setdefault(exp, len(keys))
-        width = len(keys) * n
-        planes = [[[0] * width for _ in range(n)]
-                  for _ in range(1 if p == 2 else p)]
+                    total += abs(c)
+        # a field only ever holds a sub-sum of the input's |c|
+        w = max(1, (total.bit_length() + 7) // 8)
+        size = len(keys) * n * n * w
+        plus, minus = bytearray(size), bytearray(size)
         for i, row in enumerate(self.rows):
             for j, e in row.items():
                 for exp, c in e.terms.items():
-                    planes[0][i][keys[exp] * n + j] = c
-        _kernel_rows(planes, f, p, m)
-        planes = [_transpose_states(plane, n) for plane in planes]
-        _kernel_rows(planes, conj, p, m)
-        # now entry (i, j) of key number t sits in row j at column t * n + i
+                    at = ((keys[exp] * n + i) * n + j) * w
+                    (plus if c > 0 else minus)[at:at + w] = abs(c).to_bytes(
+                        w, "little")
+        planes = ([int.from_bytes(plus, "little")]
+                  + [int.from_bytes(minus, "little")] * (p - 1))
+        del plus, minus
+        conj = [[-t % p for t in row] for row in f]
+        for exps, stride in ((f, n * w), (conj, w)):
+            for _ in range(m):
+                _kernel_stage(planes, exps, stride, size)
+                stride *= q
+        top = planes[-1]
+        if any(plane != top for plane in planes[1:]):
+            # name the first bad entry by column, then key, then row
+            bad = reduce(or_, (plane ^ top for plane in planes[1:]))
+            first = min(_nonzero_fields(bad.to_bytes(size, "little"), w),
+                        key=lambda x: (x % n, x // n // n, x // n % n))
+            field = (1 << 8 * w) - 1
+            v = [plane >> 8 * w * first & field for plane in planes]
+            raise AlgebraError("residual root-of-unity coefficient %s over "
+                               "w^0..w^%d" % ([c - v[-1] for c in v[:-1]],
+                                              p - 2))
         d_max = min((e.d_max for row in self.rows for e in row.values()
                      if e.d_max is not None), default=None)
+        # the value is plane 0 minus plane p-1, nonzero where they differ
+        lo = planes[0].to_bytes(size, "little")
+        hi = top.to_bytes(size, "little")
+        key_list, cells = list(keys), {}
+        for x in _nonzero_fields((planes[0] ^ top).to_bytes(size, "little"),
+                                 w):
+            t, cell = divmod(x, n * n)
+            cells.setdefault(cell, {})[key_list[t]] = (
+                int.from_bytes(lo[x * w:x * w + w], "little")
+                - int.from_bytes(hi[x * w:x * w + w], "little"))
         out = [{} for _ in range(n)]
-        for j in range(n):
-            if p == 2:
-                row = planes[0][j]
-            else:
-                row = [_group_ring_value(v)
-                       for v in zip(*(plane[j] for plane in planes))]
-            blocks = [row[t:t + n] for t in range(0, width, n)]
-            for i, values in enumerate(zip(*blocks)):
-                if any(values):
-                    out[i][j] = WeightPoly(dict(zip(keys, values)), d_max)
+        for cell in sorted(cells):
+            out[cell // n][cell % n] = WeightPoly(cells[cell], d_max)
         return PolyMatrix(self.labels, out)
 
     def __str__(self):
         # every cell is written, an absent one as the "0" of str(0)
         lines = ["states: " + " ".join(self.labels)]
-        cols = range(self.size)
         for label, row in zip(self.labels, self.rows):
-            lines.append("%s: %s" % (label, " | ".join(str(row.get(j, 0))
-                                                       for j in cols)))
+            cells = ["0"] * self.size
+            for j, e in row.items():
+                cells[j] = str(e)
+            lines.append("%s: %s" % (label, " | ".join(cells)))
         return "\n".join(lines)
 
     def __repr__(self):
@@ -218,61 +242,33 @@ def _kernel(f, p, size):
     return m
 
 
-def _kernel_rows(grid, exps, p, m):
-    """Apply the kernel to the row axis of every plane, in place, once
-    per coordinate; coordinate j of a row index is its base-q digit of
-    weight q^j."""
-    q = len(exps)
-    n = len(grid[0])
-    for j in range(m):
-        stride = q ** j
-        for block in range(0, n, q * stride):
-            for base in range(block, block + stride):
-                idx = range(base, base + q * stride, stride)
-                src = [[plane[r] for r in idx] for plane in grid]
-                for exp_row, r in zip(exps, idx):
-                    for plane, row in zip(grid, _combine(src, exp_row, p)):
-                        plane[r] = row
+def _kernel_stage(planes, exps, stride, size):
+    """Apply the kernel exps to one state coordinate of the packed
+    planes, in place: the coordinate's digit u of an entry moves its
+    field by u * stride bytes in a `size`-byte plane.  Output digit a on
+    plane s sums input digit u on plane s - exps[a][u]."""
+    q, p = len(exps), len(planes)
+    mask = int.from_bytes((b"\xff" * stride + b"\x00" * (q - 1) * stride)
+                          * (size // (q * stride)), "little")
+    bits = 8 * stride
+    # a shift by 0 would copy the plane, and so would a sum started at 0
+    digits = [[(plane >> u * bits if u else plane) & mask for plane in planes]
+              for u in range(q)]
+    for s in range(p):
+        for a, row in enumerate(exps):
+            part = reduce(add, (digits[u][(s - e) % p]
+                                for u, e in enumerate(row)))
+            planes[s] = part if a == 0 else planes[s] | part << a * bits
 
 
-def _combine(src, exp_row, p):
-    """The planes of sum_t w^exp_row[t] x_t, where src[s][t] is plane s
-    of x_t.  For p = 2 there is one plane and w = -1; for odd p, w^e
-    moves plane s to plane s + e."""
-    acc = [None] * len(src)
-    for t, e in enumerate(exp_row):
-        for s, rows in enumerate(src):
-            row = rows[t]
-            if p == 2:
-                d, neg = 0, e
-            else:
-                d, neg = (s + e) % p, False
-            cur = acc[d]
-            if cur is None:
-                acc[d] = [-v for v in row] if neg else row
-            elif neg:
-                acc[d] = [u - v for u, v in zip(cur, row)]
-            else:
-                acc[d] = [u + v for u, v in zip(cur, row)]
-    return acc
-
-
-def _transpose_states(rows, n):
-    """Swap the state axes of side-by-side grids: out[j][t * n + i] is
-    rows[i][t * n + j]."""
-    cols = list(zip(*rows))
-    return [list(chain.from_iterable(cols[j::n])) for j in range(n)]
-
-
-def _group_ring_value(planes):
-    """sum_s planes[s] w^s, which must be an int: the sum of all p powers
-    of w vanishes, so it is one exactly when planes 1..p-1 agree."""
-    top = planes[-1]
-    if any(v != top for v in planes[1:]):
-        raise AlgebraError("residual root-of-unity coefficient %s over "
-                           "w^0..w^%d" % ([v - top for v in planes[:-1]],
-                                          len(planes) - 2))
-    return planes[0] - top
+def _nonzero_fields(data, w):
+    """Ascending indices of the w-byte fields of `data` that hold a
+    nonzero byte."""
+    nxt = 0
+    for run in re.finditer(rb"[^\x00]+", data):
+        first = max(run.start() // w, nxt)
+        nxt = (run.end() - 1) // w + 1
+        yield from range(first, nxt)
 
 
 def macwilliams(enum, q, pairs, kernel=None):

@@ -5,13 +5,16 @@ import time
 
 import pytest
 
-from conftest import fixture_path, read_fixture, shift_register_text
+from conftest import (fixture_path, read_fixture, seeded_rng,
+                      shift_register_text)
 from wamkit import conv, gflinalg, quantum
-from wamkit.cli import main
+from wamkit.cli import _CONV, main
 from wamkit.conv import ipwam, wam
 from wamkit.errors import AlgebraError
-from wamkit.formats import (matrix_to_structured, parse_block_code,
-                            structured_to_matrix)
+from wamkit.formats import (dumps, matrix_to_structured, parse_block_code,
+                            poly_to_structured, structured_to_matrix)
+from wamkit.poly import WeightPoly
+from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import quantum_wam
 
 FIXTURE_NAMES = ["rep3.bc", "example1.cc", "example1-nonsys.cc",
@@ -86,6 +89,29 @@ def test_structured_matrix_rejects_a_short_row(example1):
     data["entries"].pop(1)
     with pytest.raises(AlgebraError, match="entries are not 4x4"):
         structured_to_matrix(data)
+
+
+def test_renderers_match_a_per_cell_rendering():
+    # both renderers fill in the absent cells without visiting them
+    rng = seeded_rng("render-sparse")
+    labels = [str(i) for i in range(12)]
+    n = len(labels)
+    rows = [{} for _ in labels]
+    for _ in range(20):
+        rows[rng.randrange(n)][rng.randrange(n)] = WeightPoly.monomial(
+            rng.choice([-2, 1, 3]), {"x": rng.randint(0, 3),
+                                     "y": rng.randint(0, 3)})
+    matrix = PolyMatrix(labels, rows)
+    text = ["states: " + " ".join(labels)]
+    text += ["%s: %s" % (label, " | ".join(str(matrix[i, j])
+                                           for j in range(n)))
+             for i, label in enumerate(labels)]
+    assert str(matrix) == "\n".join(text)
+    dense = {"labels": labels,
+             "entries": [[poly_to_structured(matrix[i, j])["terms"]
+                          for j in range(n)] for i in range(n)]}
+    assert matrix_to_structured(matrix) == dense
+    assert dumps(matrix_to_structured(matrix)) == dumps(dense)
 
 
 def test_structured_poly_round_trip(capsys, rep3):
@@ -184,6 +210,16 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "conv", "wam", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def test_conv_seed_with_k_above_n_exits_2(tmp_path, capsys):
+    path = tmp_path / "rate2.cc"
+    path.write_text("q 2 1\nn 1\nk 2\nm 1\nT\n0 0\n1 0\n0 1\n")
+    runs = [("conv", action) for action in _CONV] + [("verify", "all")]
+    for group, action in runs:
+        code, out, err = run_cli(capsys, group, action, str(path))
+        assert (code, out, err) == (2, "", "error: a seed needs k <= n\n"), \
+            action
 
 
 def test_format_error_reports_line(tmp_path, capsys):

@@ -231,6 +231,13 @@ def test_systematic_shape_messages(build, message):
     assert str(exc.value) == message
 
 
+def test_conv_seed_refuses_k_above_n():
+    # rank m + k fits in 2m + n columns, so only this check refuses rate 2
+    with pytest.raises(ShapeError) as exc:
+        ConvSeed(field(2), 1, 2, 1, [[0, 0], [1, 0], [0, 1]])
+    assert str(exc.value) == "a seed needs k <= n"
+
+
 def test_dual_seed_shape_obstruction():
     seed = ConvSeed(field(2), 2, 1, 1, [[0, 0, 0], [0, 0, 1]])
     with pytest.raises(ShapeError):

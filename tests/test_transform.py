@@ -102,8 +102,9 @@ def scalar_symmetric(spec, m, matrix):
     return PolyMatrix(matrix.labels, rows)
 
 
-def random_matrix(rng, labels, cells):
-    """Sparse matrix with small integer polynomials in x, y and D."""
+def random_matrix(rng, labels, cells, big=False):
+    """Sparse matrix with integer polynomials in x, y and D, their
+    coefficients small or, with `big`, above 2^64."""
     n = len(labels)
     x, y, d = (WeightPoly.var(v) for v in ("x", "y", "D"))
     rows = [{} for _ in labels]
@@ -114,19 +115,22 @@ def random_matrix(rng, labels, cells):
             mono = x ** rng.randint(0, 2) * y ** rng.randint(0, 2)
             if rng.random() < 0.3:
                 mono = mono * d
-            poly = poly + rng.choice([-3, -2, -1, 1, 2, 3]) * mono
+            scale = 2 ** 64 + rng.randrange(2 ** 40) if big else 1
+            poly = poly + rng.choice([-3, -2, -1, 1, 2, 3]) * scale * mono
         rows[i][j] = poly
     return PolyMatrix(labels, rows)
 
 
-@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2),
+                                  (7, 1), (2, 3)])
 @pytest.mark.parametrize("m", [1, 2])
 def test_conjugate_by_matches_dense_character_matrix(p, r, m):
     spec = field(p, r)
     rng = seeded_rng("transform-dense-%d-%d-%d" % (p, r, m))
     kernel, dense = fourier_matrix(spec), dense_field_matrix(spec, m)
-    for _ in range(2):
-        matrix = random_matrix(rng, state_labels(spec, m), 8)
+    # the last pass needs fields wider than 8 bytes
+    for big in (False, False, True):
+        matrix = random_matrix(rng, state_labels(spec, m), 8, big)
         matches_dense(matrix, kernel, p, dense)
         assert matches_dense(scalar_symmetric(spec, m, matrix), kernel, p,
                              dense)
@@ -151,6 +155,16 @@ def test_non_integral_result_is_rejected():
                             [{1: WeightPoly.var("y")}] + [{}] * (spec.q - 1))
         assert not matches_dense(matrix, fourier_matrix(spec), p,
                                  dense_field_matrix(spec, 1))
+    # the first entry that is no integer names its residual
+    for p, residual in [(3, "[-1, -1] over w^0..w^1"),
+                        (5, "[-1, -1, -1, -1] over w^0..w^3")]:
+        spec = field(p)
+        matrix = PolyMatrix(state_labels(spec, 1),
+                            [{1: WeightPoly.var("y")}] + [{}] * (p - 1))
+        with pytest.raises(AlgebraError) as exc:
+            matrix.conjugate_by(fourier_matrix(spec), p)
+        assert str(exc.value) == ("residual root-of-unity coefficient "
+                                  + residual)
 
 
 def test_macwilliams_wam_rejects_a_single_gf3_transition():
@@ -313,6 +327,25 @@ def test_dual_wam_stores_only_its_nonzero_cells(p, r):
     cells = [e for row in lam_hat.rows for e in row.values()]
     assert len(cells) == spec.q ** (m + n - k)
     assert all(cells)
+
+
+def test_binary_m10_dual_wam_is_fast():
+    spec = field(2)
+    lam = wam(random_conv_seed(seeded_rng("dual-wam-m10"), spec, 2, 1, 10))
+    start = time.perf_counter()
+    lam_hat = macwilliams_wam(lam, spec)
+    elapsed = time.perf_counter() - start
+    assert sum(map(len, lam_hat.rows)) == 2 ** 11
+    assert elapsed < 3.0, "binary m = 10 dual WAM took %.2f s" % elapsed
+
+
+def test_quantum_m5_transform_is_fast():
+    spec = random_eaqcc_spec(seeded_rng("quantum-transform-m5"), 2, 1, 1, 5)
+    lam = quantum_wam(spec)
+    start = time.perf_counter()
+    quantum_macwilliams(lam)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 4.0, "quantum m = 5 transform took %.2f s" % elapsed
 
 
 def test_binary_m9_dual_wam_is_fast():
