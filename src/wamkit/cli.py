@@ -252,6 +252,8 @@ _GROUPS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.dmax < 0:
+        parser.error("argument --dmax: %d is negative" % args.dmax)
     _help, parse, actions = _GROUPS[args.group]
     try:
         return actions[args.action](parse(_read(args.file)), args) or 0

@@ -13,13 +13,13 @@ State labels enumerate GF(q)^m with the first coordinate varying
 fastest, written as strings of element indices.
 """
 
-from itertools import chain, repeat
+from itertools import repeat
 from operator import getitem
 
 from . import gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS
-from .polymatrix import PolyMatrix, edge_rows, macwilliams, series_row
+from .polymatrix import PolyMatrix, edge_rows, macwilliams, series_entry
 
 
 def state_vectors(spec, m):
@@ -123,7 +123,7 @@ def _edge_matrix(seed, names, groups):
     """
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
-    check_budget("WAM", q ** (m + k), q ** (2 * m))
+    check_budget("WAM", q ** (m + k))
     ident = gflinalg.identity(k)
     lo = gflinalg.span_images(spec, [row[:n] + [0] * k + row[n:]
                                      for row in seed.t_matrix[:m]])
@@ -399,7 +399,7 @@ def assemble_encoder(seed, f_matrix):
 
 def total_wgf(lam, d_max=10):
     """<0| (I - Lam D)^(-1) |0> truncated at D^d_max."""
-    return series_row(lam, 0, d_max)[0]
+    return series_entry(lam, 0, d_max)[0]
 
 
 def dual_total_wgf(lam, d_max, spec):
@@ -418,7 +418,7 @@ def _without_zero_loop(lam):
 
 def free_wgf(lam, d_max=10):
     """<0| [I - (Lam - |0><0|) D]^(-1) |0>, constant term kept."""
-    return series_row(_without_zero_loop(lam), 0, d_max)[0]
+    return series_entry(_without_zero_loop(lam), 0, d_max)[0]
 
 
 class FreeDistanceResult:
@@ -443,16 +443,14 @@ class FreeDistanceResult:
 def free_distance(lam, d_max=10):
     """Least positive y-degree among fundamental paths, if decidable."""
     reduced = _without_zero_loop(lam)
-    row = series_row(reduced, 0, d_max)
-    positive = [d for d in row[0].y_degrees() if d > 0]
+    entry, row_open = series_entry(reduced, 0, d_max)
+    positive = [d for d in entry.y_degrees() if d > 0]
     if positive:
         return FreeDistanceResult(min(positive), True)
-    # no merged path with positive weight seen: are paths still open?
-    # row 0 (column 0) of reduced^d_max is the D^d_max coefficient of
-    # row 0 of the series of reduced (of its transpose)
-    column = series_row(reduced.transpose(), 0, d_max)
-    if any(e.d_coefficient(d_max)
-           for e in chain(row.values(), column.values())):
+    # no merged path with positive weight seen: are paths still open,
+    # that is, is row 0 or column 0 (row 0 of the transpose) of
+    # reduced^d_max nonzero?
+    if row_open or series_entry(reduced.transpose(), 0, d_max)[1]:
         return FreeDistanceResult(None, False,
                                   "paths still open at depth %d; increase "
                                   "the truncation depth" % d_max)

@@ -22,11 +22,13 @@ class BudgetError(WamkitError):
 BUDGET = 2 ** 22
 
 
-def check_budget(what, edges, cells=0):
+def check_budget(what, edges, cells=0, nbytes=0):
     """Raise BudgetError if building `what` would enumerate more than
-    BUDGET edges (or codewords) or fill more than BUDGET matrix cells.
-    Callers check before they allocate anything."""
-    for count, noun in ((edges, "edges"), (cells, "matrix cells")):
+    BUDGET edges (or codewords), fill more than BUDGET matrix cells or
+    pack more than BUDGET bytes.  Callers check before they allocate
+    anything."""
+    for count, noun in ((edges, "edges"), (cells, "matrix cells"),
+                        (nbytes, "bytes")):
         if count > BUDGET:
             raise BudgetError("%s needs %d %s, which exceeds the budget of %d"
                               % (what, count, noun, BUDGET))

@@ -21,7 +21,7 @@ import json
 
 from .conv import ConvSeed, SystematicConvSeed
 from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
-                     ShapeError)
+                     ShapeError, check_budget)
 from .fields import FieldSpec, default_modulus
 from .block import LinearCode, SystematicCode, _ZeroCode
 from .pauli import CliffordSeed, PauliWord
@@ -242,6 +242,7 @@ def poly_to_structured(poly):
 
 def matrix_to_structured(matrix):
     # an absent cell is the one shared [], which is only ever serialized
+    check_budget("WAM", 0, matrix.size ** 2)
     entries = []
     for row in matrix.rows:
         cells = [[]] * matrix.size

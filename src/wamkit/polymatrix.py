@@ -7,7 +7,8 @@ from itertools import chain
 from math import comb
 from operator import add, neg, or_
 
-from .errors import AlgebraError
+from . import errors
+from .errors import AlgebraError, check_budget
 from .poly import VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP
 
 
@@ -132,6 +133,7 @@ class PolyMatrix:
         """
         m = _kernel(f, p, self.size)
         q, n = len(f), self.size
+        check_budget("WAM", 0, n * n)
         keys, total = {}, 0
         for row in self.rows:
             for e in row.values():
@@ -186,6 +188,7 @@ class PolyMatrix:
 
     def __str__(self):
         # every cell is written, an absent one as the "0" of str(0)
+        check_budget("WAM", 0, self.size ** 2)
         lines = ["states: " + " ".join(self.labels)]
         for label, row in zip(self.labels, self.rows):
             cells = ["0"] * self.size
@@ -351,43 +354,98 @@ def _krawtchouk_row(a, b, q):
             for j in range(a + b + 1)]
 
 
-def series_row(n, i, d_max):
-    """Row i of sum_{t <= d_max} N^t D^t, each entry truncated at D^d_max,
-    as {column index: WeightPoly} over the columns that v_t reaches.
+def series_entry(n, i, d_max):
+    """Entry (i, i) of sum_{t <= d_max} N^t D^t, truncated at D^d_max,
+    and whether row i of N^d_max is nonzero, that is whether paths
+    leaving state i are still open at depth d_max."""
+    columns, open_paths = _series(n, i, d_max, (i,))
+    return WeightPoly(columns[i], d_max), open_paths
 
-    N must be D-free.  v_0 = <i|, v_(t+1) = v_t N runs over the stored
-    cells of N only, so the cost is O(d_max * nonzero cells * terms)
-    instead of the O(d_max * S^3) of full matrix powers.
+
+def _series(n, i, d_max, columns):
+    """Row i of sum_{t <= d_max} N^t D^t over `columns`, as {column:
+    terms}, and whether row i of N^d_max is nonzero.
+
+    N must be D-free.  v_0 = <i|, v_(t+1) = v_t N, and each state's
+    entry of v_t, a polynomial in the variables of N, is two ints: the
+    plus and the minus plane of its coefficients.  The monomial with
+    exponents e is the little-endian w-byte field sum_v e_v R_v, R_v the
+    place value of v in the mixed radix of the degree bounds
+    deg_v(v_t) <= d_max deg_v(N), so a stored term c x^e of N moves a plane by the field of e, times |c|
+    when |c| != 1, and c < 0 swaps the planes.  The planes only ever
+    hold sums of |c| products, at most rmax^t in all, rmax the largest
+    row sum of |c| over N, so fields of ceil(bitlen(rmax^d_max) / 8)
+    bytes never overflow.  Only `columns` are decoded, each v_t as it
+    comes: the value is plus - minus on the nonzero fields of their XOR.
     """
     if d_max < 0:  # truncation below D^0 drops the identity itself
         raise AlgebraError("matrix is not of the form I - N*D")
-    if any(exp[_D] for row in n.rows for e in row.values() for exp in e.terms):
+    exps = {exp for row in n.rows for e in row.values() for exp in e.terms}
+    if any(exp[_D] for exp in exps):
         raise AlgebraError("matrix is not of the form I - N*D")
-    series = {}
-    vec = {i: WeightPoly.const(1)}
+    layout, fields = [], 1
+    for slot in range(_D):
+        deg = max((exp[slot] for exp in exps), default=0)
+        if deg:
+            layout.append((slot, fields, d_max * deg + 1))
+            fields *= d_max * deg + 1
+    rmax = max((sum(abs(c) for e in row.values() for c in e.terms.values())
+                for row in n.rows), default=0)
+    # rmax^d_max has more than d_max * (bitlen(rmax) - 1) bits: a depth
+    # refused on that width is refused before the power is formed
+    w = d_max * max(rmax.bit_length() - 1, 0) // 8 + 1
+    if n.size * fields * w <= errors.BUDGET:
+        w = max(1, ((rmax ** d_max).bit_length() + 7) // 8)
+    check_budget("the series to D^%d" % d_max, 0,
+                 nbytes=n.size * fields * w)
+    bits, size = 8 * w, fields * w
+    edges = [[(j, bits * sum(exp[slot] * stride for slot, stride, _ in layout),
+               abs(c), c < 0)
+              for j, e in row.items() for exp, c in e.terms.items()]
+             for row in n.rows]
+    out, vec = {}, {i: (1, 0)}
     for t in range(d_max + 1):
-        for j, v in vec.items():
-            series.setdefault(j, {}).update((exp[:_D] + (t,), c)
-                                            for exp, c in v.terms.items())
+        exp = [0] * _D + [t]
+        for j in columns:
+            if j in vec:
+                plus, minus = vec[j]
+                lo, hi = plus.to_bytes(size, "little"), minus.to_bytes(
+                    size, "little")
+                terms = out.setdefault(j, {})
+                for x in _nonzero_fields((plus ^ minus).to_bytes(
+                        size, "little"), w):
+                    for slot, stride, radix in layout:
+                        exp[slot] = x // stride % radix
+                    at = x * w
+                    terms[tuple(exp)] = (
+                        int.from_bytes(lo[at:at + w], "little")
+                        - int.from_bytes(hi[at:at + w], "little"))
         if t == d_max:
             break
         nxt = {}
-        for s, v in vec.items():
-            for j, cell in n.rows[s].items():
-                acc = nxt.setdefault(j, {})
-                for ea, ca in v.terms.items():
-                    for eb, cb in cell.terms.items():
-                        e = tuple(map(add, ea, eb))
-                        acc[e] = acc.get(e, 0) + ca * cb
-        vec = {j: WeightPoly(acc) for j, acc in nxt.items()}
-    return {j: WeightPoly(terms, d_max) for j, terms in series.items()}
+        for s, (plus, minus) in vec.items():
+            for j, shift, c, swap in edges[s]:
+                a, b = plus << shift, minus << shift
+                if c != 1:
+                    a, b = a * c, b * c
+                if swap:
+                    a, b = b, a
+                if j in nxt:
+                    a, b = a + nxt[j][0], b + nxt[j][1]
+                nxt[j] = a, b
+        # a state whose planes agree holds zero, and so do its successors
+        vec = {j: planes for j, planes in nxt.items()
+               if planes[0] != planes[1]}
+        if not vec:
+            break
+    return out, bool(vec)
 
 
 def series_inverse(m, d_max):
     """Truncated inverse of a matrix of the form I - N*D.
 
     N must be D-free.  Returns sum_{i<=d_max} N^i D^i with every entry
-    truncated at D^d_max, one series_row per row.
+    truncated at D^d_max, every row and column from the packed series.
     """
     # split: constant-in-D part must be the identity, linear part gives -N
     ident = PolyMatrix.identity(m.labels)
@@ -396,5 +454,7 @@ def series_inverse(m, d_max):
                              for row in m.rows for e in row.values()):
         raise AlgebraError("matrix is not of the form I - N*D")
     big_n = m.map_entries(lambda e: -e.d_coefficient(1))
-    return PolyMatrix(m.labels, [series_row(big_n, i, d_max)
-                                 for i in range(m.size)])
+    return PolyMatrix(m.labels, [
+        {j: WeightPoly(terms, d_max)
+         for j, terms in _series(big_n, i, d_max, range(m.size))[0].items()}
+        for i in range(m.size)])

@@ -319,6 +319,30 @@ def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv,
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["conv", "total"], "example1.cc"), (["conv", "free"], "example1.cc"),
+    (["conv", "dual-total"], "example1.cc"), (["conv", "dfree"], "example1.cc"),
+    (["conv", "gd"], "example1.cc"), (["quantum", "sd"], "u1.qcc"),
+    (["verify", "all"], "example1.cc")])
+def test_negative_dmax_is_a_usage_error(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["--dmax", "-1"] + argv + [fixture_path(name)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --dmax: -1 is negative\n")
+
+
+def test_over_deep_series_exits_2_before_allocating(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--dmax", "100000", "conv", "total",
+                             fixture_path("example1.cc"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the series to D^100000 needs ")
+    assert "exceeds the budget" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_all_prints_conv_diagnostics(monkeypatch, capsys):
     diag = "I + C C'^T - A A'^T != 0"
     monkeypatch.setattr(conv, "orthogonality_check",

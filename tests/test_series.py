@@ -1,16 +1,20 @@
-"""The row-vector D-series against dense matrix powers, and its speed."""
+"""The packed D-series against dense matrix powers, and its speed."""
 
 import time
+import tracemalloc
 
 import pytest
 
-from conftest import field, matrix_of, random_conv_seed, seeded_rng
+from conftest import (field, matrix_of, random_conv_seed,
+                      random_systematic_conv_seed, seeded_rng,
+                      shift_register_text)
 from wamkit.cli import main
-from wamkit.conv import ConvSeed, free_distance, free_wgf, total_wgf, wam
+from wamkit.conv import (ConvSeed, free_distance, free_wgf, iowam, ipwam,
+                         total_wgf, wam)
 from wamkit.errors import AlgebraError
 from wamkit.formats import render_conv_seed
 from wamkit.poly import WeightPoly
-from wamkit.polymatrix import PolyMatrix, series_inverse
+from wamkit.polymatrix import PolyMatrix, series_entry, series_inverse
 
 D_MAX = 6
 
@@ -58,6 +62,38 @@ def test_row_series_matches_dense_powers(seed):
     assert series_inverse(m, D_MAX) == dense_series(n, D_MAX)
 
 
+def _oracle_cases():
+    rng = seeded_rng("packed-series")
+    sys_seed = random_systematic_conv_seed(rng, field(2), 3, 1, 2)
+    lam = wam(random_conv_seed(rng, field(3), 2, 1, 1))
+    yield pytest.param(ipwam(sys_seed), id="ipwam")
+    yield pytest.param(iowam(random_conv_seed(rng, field(2), 3, 2, 1)),
+                       id="iowam")
+    yield pytest.param(lam * -1, id="negated")
+    yield pytest.param(lam * 2 ** 70, id="wide")
+    # state 2 has no out-edges, and x - 2y gives both signs on one row
+    labels, zero = ["0", "1", "2"], ["0", "0", "0"]
+    yield pytest.param(
+        matrix_of(labels, [["y", "x", "x^2"], ["1", "0", "y"], zero])
+        - matrix_of(labels, [["0", "2*y", "0"], zero, zero]), id="sink")
+
+
+@pytest.mark.parametrize("n", list(_oracle_cases()))
+def test_packed_series_matches_dense_powers(n):
+    dense = dense_series(n, D_MAX)
+    for i in range(n.size):
+        for d in range(D_MAX + 1):
+            entry, open_paths = series_entry(n, i, d)
+            assert entry == dense[i, i].truncated(d) and entry.d_max == d
+            assert open_paths == any(dense[i, j].d_coefficient(d)
+                                     for j in range(n.size))
+    d = WeightPoly.var("D", d_max=D_MAX)
+    m = (PolyMatrix.identity(n.labels, D_MAX)
+         - n.map_entries(lambda e: e * d))
+    assert series_inverse(m, D_MAX) == dense
+    assert series_inverse(m, 0) == PolyMatrix.identity(n.labels)
+
+
 def test_free_series_of_a_loop_without_constant_term():
     # entry (0, 0) is y alone, so the zero-loop subtraction leaves y - 1
     lam = matrix_of(["0", "1"], [["y", "y^2"], ["1", "y"]])
@@ -95,6 +131,12 @@ def test_dfree_open_path_test_on_the_row_series():
     closed = matrix_of(["0", "1"], [["1", "0"], ["0", "y"]])
     result = free_distance(closed, 3)
     assert result.determined and result.value is None
+    # nothing leaves the zero state, but paths into it stay open: only
+    # column 0 of the reduced matrix's powers is nonzero
+    inbound = matrix_of(["0", "1"], [["1", "0"], ["y", "y"]])
+    result = free_distance(inbound, 3)
+    assert not result.determined and result.value is None
+    assert result.reason.startswith("paths still open at depth 3")
 
 
 def _run_timed(capsys, tmp_path, seed, *argv):
@@ -128,3 +170,38 @@ def test_verify_all_on_gf4_m3_is_fast(capsys, tmp_path):
                                      ["verify", "all"])
     assert codes == [0] and "FAIL" not in out
     assert elapsed < 3.0
+
+
+def _shift_register_job(tmp_path, m, *argv):
+    path = tmp_path / "shift.cc"
+    path.write_text(shift_register_text(m))
+    return main(list(argv) + [str(path)])
+
+
+def _peak_bytes(job):
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_series_on_binary_m6_is_fast_and_small(capsys, tmp_path):
+    # tracemalloc slows the run, so it is timed without it
+    start = time.perf_counter()
+    assert _shift_register_job(tmp_path, 6, "--dmax", "200", "conv",
+                               "total") == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert elapsed < 3.0
+    assert _peak_bytes(lambda: _shift_register_job(
+        tmp_path, 6, "--dmax", "200", "conv", "total")) < 32 * 2 ** 20
+    assert capsys.readouterr().out == out
+
+
+def test_total_on_binary_m12_needs_no_s_squared_cells(capsys, tmp_path):
+    # 2^24 cells would exceed the budget, but the WAM has 2^13 edges
+    assert _peak_bytes(lambda: _shift_register_job(
+        tmp_path, 12, "conv", "total")) < 16 * 2 ** 20
+    assert capsys.readouterr().out.startswith("1 + D + ")
