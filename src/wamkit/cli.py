@@ -9,7 +9,7 @@ import functools
 import sys
 
 from . import block, conv, quantum
-from .errors import ShapeError, WamkitError
+from .errors import ShapeError, WamkitError, check_budget
 from .formats import (dumps, matrix_to_structured, parse_block_code,
                       parse_conv_seed, parse_quantum_spec, poly_to_structured,
                       render_block_code, render_conv_seed,
@@ -59,9 +59,18 @@ def _emit_poly(poly, args):
 def _emit_matrix(matrix, args):
     matrix = matrix.collapse(_COLLAPSE_MAPS[args.collapse])
     if args.format == "structured":
-        sys.stdout.write(dumps(matrix_to_structured(matrix)))
+        sys.stdout.write(matrix_to_structured(matrix))
     else:
         print(matrix)
+
+
+def _whole_wam(seed):
+    """seed, once its WAM's q^(m+k) edges and then its q^(2m) cells are
+    charged to the budget: an action that renders or transforms the
+    whole S x S matrix is refused before the WAM is enumerated."""
+    q = seed.spec.q
+    check_budget("WAM", q ** (seed.m + seed.k), q ** (2 * seed.m))
+    return seed
 
 
 def _lam_y(seed):
@@ -113,17 +122,20 @@ _BLOCK = {
 }
 
 _CONV = {
-    "wam": lambda seed, args: _emit_matrix(conv.wam(seed), args),
-    "ipwam": lambda seed, args: _emit_matrix(conv.ipwam(seed), args),
-    "iowam": lambda seed, args: _emit_matrix(conv.iowam(seed), args),
+    "wam": lambda seed, args: _emit_matrix(conv.wam(_whole_wam(seed)),
+                                           args),
+    "ipwam": lambda seed, args: _emit_matrix(conv.ipwam(_whole_wam(seed)),
+                                             args),
+    "iowam": lambda seed, args: _emit_matrix(conv.iowam(_whole_wam(seed)),
+                                             args),
     "dual-wam": lambda seed, args: _emit_matrix(conv.macwilliams_wam(
-        conv.wam(seed), seed.spec), args),
+        conv.wam(_whole_wam(seed)), seed.spec), args),
     "dual-ipwam": lambda seed, args: _emit_matrix(conv.macwilliams_ipwam(
-        conv.ipwam(seed), seed.spec), args),
+        conv.ipwam(_whole_wam(seed)), seed.spec), args),
     "total": lambda seed, args: _emit_poly(
         conv.total_wgf(_lam_y(seed), args.dmax), args),
     "dual-total": lambda seed, args: _emit_poly(conv.dual_total_wgf(
-        conv.wam(seed), args.dmax, seed.spec), args),
+        conv.wam(_whole_wam(seed)), args.dmax, seed.spec), args),
     "free": lambda seed, args: _emit_poly(
         conv.free_wgf(_lam_y(seed), args.dmax), args),
     "dfree": _dfree,
@@ -180,7 +192,7 @@ def _verify_conv(seed, dmax):
     left out when it cannot be built, and the first such error is
     raised after the other lines are printed."""
     lines, all_ok = [], True
-    lam = conv.wam(seed)
+    lam = conv.wam(_whole_wam(seed))
     dual, error = _dual_or_error(conv.dual_seed, seed)
     if dual is not None:
         ok, diags = conv.orthogonality_check(seed, dual)

@@ -14,7 +14,8 @@ quantum (.qcc):         n, k, c, m; role lines IM:/IL:/IA:/IE:/IMout:/IP:
 Structured output is JSON: a polynomial is {"terms": [...]} and a
 matrix {"labels": [...], "entries": [[term-list, ...], ...]}, each term
 {"coeff": int, "exponents": {var: exp}}.  Both shapes round-trip
-through the parsers below.
+through the parsers below; a matrix is written straight to the text of
+`dumps`, so it is read back through json.loads.
 """
 
 import json
@@ -25,7 +26,7 @@ from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
 from .fields import FieldSpec, default_modulus
 from .block import LinearCode, SystematicCode, _ZeroCode
 from .pauli import CliffordSeed, PauliWord
-from .poly import VARS, WeightPoly
+from .poly import VARS, WeightPoly, term_table
 from .polymatrix import PolyMatrix
 from .quantum import EaqccSpec
 
@@ -228,28 +229,45 @@ def render_quantum_spec(spec):
 
 # --- structured JSON ---
 
-def _term_list(poly):
-    out = []
-    for exp, coeff in poly._sorted_terms():
-        exps = {VARS[i]: e for i, e in enumerate(exp) if e}
-        out.append({"coeff": coeff, "exponents": exps})
-    return out
+def _exponents(exp):
+    return {VARS[i]: e for i, e in enumerate(exp) if e}
 
 
 def poly_to_structured(poly):
-    return {"terms": _term_list(poly.to_int_coeffs())}
+    terms = poly.to_int_coeffs().terms
+    return {"terms": [{"coeff": terms[exp], "exponents": exps}
+                      for exp, (_rank, exps) in term_table(
+                          terms, _exponents).items()]}
+
+
+# the variable slots in the key order of dumps, "D" before the lower case
+_JSON_SLOTS = sorted(range(len(VARS)), key=VARS.__getitem__)
+
+
+def _exponents_json(exp):
+    """The text that follows a term's "coeff" value in dumps."""
+    return ',"exponents":{%s}}' % ",".join([
+        '"%s":%d' % (VARS[i], exp[i]) for i in _JSON_SLOTS if exp[i]])
 
 
 def matrix_to_structured(matrix):
-    # an absent cell is the one shared [], which is only ever serialized
+    """The structured document of a matrix as text, byte for byte what
+    dumps writes for its dense dict: each row starts from "[]" cells and
+    fills in the stored ones, each term from the call's term table."""
     check_budget("WAM", 0, matrix.size ** 2)
-    entries = []
+    table = term_table(matrix.exponents(), _exponents_json)
+    rank = table.__getitem__
+    rows = []
     for row in matrix.rows:
-        cells = [[]] * matrix.size
+        cells = ["[]"] * matrix.size
         for j, e in row.items():
-            cells[j] = _term_list(e.to_int_coeffs())
-        entries.append(cells)
-    return {"labels": list(matrix.labels), "entries": entries}
+            terms = e.to_int_coeffs().terms
+            cells[j] = "[%s]" % ",".join([
+                '{"coeff":%d' % terms[exp] + table[exp][1]
+                for exp in sorted(terms, key=rank)])
+        rows.append("[" + ",".join(cells) + "]")
+    return '{"entries":[%s],"labels":%s}\n' % (
+        ",".join(rows), json.dumps(matrix.labels, separators=(",", ":")))
 
 
 def _poly_from_terms(terms):

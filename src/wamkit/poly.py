@@ -274,32 +274,57 @@ class WeightPoly:
 
     # --- canonical rendering ---
 
-    def _sorted_terms(self):
-        def key(item):
-            exp = item[0]
-            return (sum(exp), tuple(-e for e in exp))
-        return sorted(self.terms.items(), key=key)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exp, coeff in self._sorted_terms():
-            factors = []
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(VARS[i])
-                elif e > 1:
-                    factors.append("%s^%d" % (VARS[i], e))
-            neg = coeff < 0
-            mag = abs(coeff)
-            body = None if mag == 1 and factors else str(mag)
-            text = "*".join(([body] if body else []) + factors)
-            if not chunks:
-                chunks.append(("-" if neg else "") + text)
-            else:
-                chunks.append(("- " if neg else "+ ") + text)
-        return " ".join(chunks)
+        # the table's keys are the terms in canonical order
+        table = term_table(self.terms, factor_text)
+        return terms_text(self.terms, table, table)
 
     def __repr__(self):
         return "WeightPoly(%s)" % (self,)
+
+
+# --- canonical order and the per-call term table ---
+
+def canonical(exps):
+    """The exponent tuples `exps` in the one order every output writes:
+    total degree ascending, then the tuples in descending order (two
+    C-level sorts, the second stable)."""
+    out = sorted(exps, reverse=True)
+    out.sort(key=sum)
+    return out
+
+
+def term_table(exps, fragment):
+    """{exp: (rank, fragment(exp))} over the distinct exponent tuples
+    `exps`, in canonical order, rank the place in that order.  A render
+    call builds one table for all the terms it writes."""
+    return {exp: (rank, fragment(exp))
+            for rank, exp in enumerate(canonical(exps))}
+
+
+def factor_text(exp):
+    """The variables of a monomial as text, such as "x^2*y"; "" for 1."""
+    return "*".join([VARS[i] if e == 1 else "%s^%d" % (VARS[i], e)
+                     for i, e in enumerate(exp) if e])
+
+
+def terms_text(terms, order, table):
+    """The polynomial {exp: coeff} as text, its exponent tuples taken in
+    the order of `order`, each one's factors from a table of
+    factor_text."""
+    if not terms:
+        return "0"
+    chunks = []
+    for exp in order:
+        c, factors = terms[exp], table[exp][1]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = factors
+        else:
+            body = "%s*%s" % (mag, factors)
+        chunks.append((" - " if c < 0 else " + ") + body)
+    # the first term drops its separator but keeps a minus sign
+    text = "".join(chunks)
+    return ("-" if text[1] == "-" else "") + text[3:]

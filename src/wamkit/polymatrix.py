@@ -9,7 +9,8 @@ from operator import add, neg, or_
 
 from . import errors
 from .errors import AlgebraError, check_budget
-from .poly import VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP
+from .poly import (VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, _min_dmax,
+                   factor_text, term_table, terms_text)
 
 
 class PolyMatrix:
@@ -100,10 +101,28 @@ class PolyMatrix:
         return self.map_entries(lambda e: e.substitute(mapping))
 
     def collapse(self, mapping):
+        """WeightPoly.collapse of every stored cell, each distinct
+        exponent tuple mapped once per call: a cell is the sum of its
+        coefficients times their monomials' images, truncated at its own
+        d_max or a smaller one of an image it uses."""
         # cells are never mutated, so an empty mapping hands back self
         if not mapping:
             return self
-        return self.map_entries(lambda e: e.collapse(mapping))
+        images = {}
+
+        def transform(cell):
+            out, d_max = {}, cell.d_max
+            for exp, c in cell.terms.items():
+                img = images.get(exp)
+                if img is None:
+                    img = images[exp] = WeightPoly({exp: 1}).collapse(mapping)
+                if img.d_max is not None:
+                    d_max = _min_dmax(d_max, img.d_max)
+                for e, k in img.terms.items():
+                    out[e] = out.get(e, 0) + c * k
+            return WeightPoly(out, d_max)
+
+        return self.map_entries(transform)
 
     def exact_div(self, n):
         return self.map_entries(lambda e: e.exact_div(n))
@@ -189,13 +208,21 @@ class PolyMatrix:
     def __str__(self):
         # every cell is written, an absent one as the "0" of str(0)
         check_budget("WAM", 0, self.size ** 2)
+        table = term_table(self.exponents(), factor_text)
+        rank = table.__getitem__
         lines = ["states: " + " ".join(self.labels)]
         for label, row in zip(self.labels, self.rows):
             cells = ["0"] * self.size
             for j, e in row.items():
-                cells[j] = str(e)
+                cells[j] = terms_text(e.terms, sorted(e.terms, key=rank),
+                                      table)
             lines.append("%s: %s" % (label, " | ".join(cells)))
         return "\n".join(lines)
+
+    def exponents(self):
+        """The set of exponent tuples of the stored cells."""
+        return set(chain.from_iterable(e.terms for row in self.rows
+                                       for e in row.values()))
 
     def __repr__(self):
         return "PolyMatrix(%d states)" % self.size
@@ -380,7 +407,7 @@ def _series(n, i, d_max, columns):
     """
     if d_max < 0:  # truncation below D^0 drops the identity itself
         raise AlgebraError("matrix is not of the form I - N*D")
-    exps = {exp for row in n.rows for e in row.values() for exp in e.terms}
+    exps = n.exponents()
     if any(exp[_D] for exp in exps):
         raise AlgebraError("matrix is not of the form I - N*D")
     layout, fields = [], 1

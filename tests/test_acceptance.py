@@ -6,6 +6,7 @@ fundamental-path search) are computed from first principles in this
 file or in conftest, independently of the transform code under test.
 """
 
+import json
 import time
 
 import pytest
@@ -425,7 +426,8 @@ def test_criterion_11_verify_all_and_round_trips():
             detail.append("verify all %s exited %d" % (name, code))
     seed = load_conv("example1.cc")
     for matrix in (ipwam(seed), quantum_wam(load_quantum("u1.qcc"))):
-        if structured_to_matrix(matrix_to_structured(matrix)) != matrix:
+        data = json.loads(matrix_to_structured(matrix))
+        if structured_to_matrix(data) != matrix:
             ok = False
             detail.append("structured round trip failed")
     report(11, ok, "; ".join(detail))

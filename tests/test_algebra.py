@@ -217,6 +217,30 @@ def test_matrix_collapse_with_no_mapping_is_the_matrix():
     assert matrix.collapse({"x": 1})[0, 0] == WeightPoly.const(1)
 
 
+def test_matrix_collapse_matches_the_cell_collapse():
+    # each distinct exponent tuple is mapped once per call; every cell
+    # must still equal its own collapse, d_max included
+    x, y, d = (WeightPoly.var(v) for v in ("x", "y", "D"))
+    xi, yp = WeightPoly.var("x_I"), WeightPoly.var("y_P")
+    matrix = _two_state([
+        [(3 * x ** 2 * y * xi - 2 * y ** 3 * yp * d + 5 * xi ** 2
+          ).truncated(4), x * y * yp - 7],
+        [(d * x + y * d ** 2).truncated(2), x * xi - xi * y]])
+    for mapping in ({"x": 2, "x_I": x + y, "y_P": -1, "D": y * d},
+                    {"x": 1}, {"y_P": xi ** 2 - 1, "x_I": 0},
+                    {"x": WeightPoly.var("D", d_max=1) * y, "x_I": 1},
+                    {"x": y}):
+        got = matrix.collapse(mapping)
+        for i in range(2):
+            for j in range(2):
+                want = matrix[i, j].collapse(mapping)
+                cell = got.rows[i].get(j)
+                if not want:
+                    assert cell is None
+                else:
+                    assert (cell, cell.d_max) == (want, want.d_max)
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(AlgebraError):
         WeightPoly.var("z")

@@ -82,7 +82,7 @@ def test_structured_wam_round_trip_quantum(capsys, u1):
 
 
 def test_structured_matrix_rejects_a_short_row(example1):
-    data = matrix_to_structured(ipwam(example1))
+    data = json.loads(matrix_to_structured(ipwam(example1)))
     data["entries"][1].pop()
     with pytest.raises(AlgebraError, match="entries are not 4x4"):
         structured_to_matrix(data)
@@ -110,8 +110,8 @@ def test_renderers_match_a_per_cell_rendering():
     dense = {"labels": labels,
              "entries": [[poly_to_structured(matrix[i, j])["terms"]
                           for j in range(n)] for i in range(n)]}
-    assert matrix_to_structured(matrix) == dense
-    assert dumps(matrix_to_structured(matrix)) == dumps(dense)
+    assert json.loads(matrix_to_structured(matrix)) == dense
+    assert matrix_to_structured(matrix) == dumps(dense)
 
 
 def test_structured_poly_round_trip(capsys, rep3):
@@ -317,6 +317,47 @@ def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv,
     if name == "gf4096.cc":
         assert err.startswith("error: line 2: ")
     assert time.perf_counter() - start < 1.0
+
+
+def _gf9_systematic_text():
+    """A systematic GF(9) (3, 2, 4) seed: 3^16 WAM cells from 3^12 edges."""
+    rng = seeded_rng("gf9-s2")
+    rows = [[0, 0] + [rng.randrange(9) for _ in range(5)] for _ in range(4)]
+    rows += [[1, 0] + [rng.randrange(9) for _ in range(5)],
+             [0, 1] + [rng.randrange(9) for _ in range(5)]]
+    return ("q 3 2\nn 3\nk 2\nm 4\nsystematic\nT\n"
+            + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("group, action", [
+    ("conv", "wam"), ("conv", "ipwam"), ("conv", "iowam"),
+    ("conv", "dual-wam"), ("conv", "dual-ipwam"), ("conv", "dual-total"),
+    ("verify", "all")])
+def test_whole_wam_actions_refuse_before_enumerating(tmp_path, capsys, fmt,
+                                                    group, action):
+    # within the edge budget, so only the S^2 charge up front refuses it
+    path = tmp_path / "gf9.cc"
+    path.write_text(_gf9_systematic_text())
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--format", fmt, group, action,
+                             str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: WAM needs 43046721 matrix cells, which exceeds "
+                   "the budget of 4194304\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("action, head", [
+    ("free", "1"), ("dfree", "d_free")])
+def test_series_actions_stay_admitted_beyond_the_cell_budget(
+        tmp_path, capsys, action, head):
+    # 2^24 cells of a binary m = 12 shift register, but 2^13 edges (conv
+    # total: test_total_on_binary_m12_needs_no_s_squared_cells)
+    path = tmp_path / "shift.cc"
+    path.write_text(shift_register_text(12))
+    code, out, _ = run_cli(capsys, "conv", action, str(path))
+    assert code == 0 and out.startswith(head)
 
 
 @pytest.mark.parametrize("argv, name", [
