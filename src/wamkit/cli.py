@@ -10,7 +10,7 @@ import sys
 
 from . import block, conv, quantum
 from .errors import ShapeError, WamkitError, check_budget
-from .formats import (dumps, matrix_to_structured, parse_block_code,
+from .formats import (matrix_to_structured, parse_block_code,
                       parse_conv_seed, parse_quantum_spec, poly_to_structured,
                       render_block_code, render_conv_seed,
                       render_quantum_spec)
@@ -51,7 +51,7 @@ def _read(path):
 
 def _emit_poly(poly, args):
     if args.format == "structured":
-        sys.stdout.write(dumps(poly_to_structured(poly)))
+        sys.stdout.write(poly_to_structured(poly))
     else:
         print(poly)
 

@@ -14,15 +14,15 @@ quantum (.qcc):         n, k, c, m; role lines IM:/IL:/IA:/IE:/IMout:/IP:
 Structured output is JSON: a polynomial is {"terms": [...]} and a
 matrix {"labels": [...], "entries": [[term-list, ...], ...]}, each term
 {"coeff": int, "exponents": {var: exp}}.  Both shapes round-trip
-through the parsers below; a matrix is written straight to the text of
-`dumps`, so it is read back through json.loads.
+through the parsers below; both are written straight to the text of
+`dumps`, so they are read back through json.loads.
 """
 
 import json
 
 from .conv import ConvSeed, SystematicConvSeed
 from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
-                     ShapeError, check_budget)
+                     ShapeError, WamkitError, check_budget)
 from .fields import FieldSpec, default_modulus
 from .block import LinearCode, SystematicCode, _ZeroCode
 from .pauli import CliffordSeed, PauliWord
@@ -200,7 +200,10 @@ def parse_quantum_spec(text):
                 raise FormatError("image must have %d letters" % (n + m), i)
             if (lhs[0], pos) in images:
                 raise FormatError("second image line for %s" % lhs, i)
-            images[(lhs[0], pos)] = PauliWord.from_str(rhs)
+            try:
+                images[(lhs[0], pos)] = PauliWord.from_str(rhs)
+            except WamkitError as exc:
+                raise FormatError(str(exc), i) from exc
         else:
             raise FormatError("unrecognized line %r" % line, i)
     width = n + m
@@ -229,17 +232,6 @@ def render_quantum_spec(spec):
 
 # --- structured JSON ---
 
-def _exponents(exp):
-    return {VARS[i]: e for i, e in enumerate(exp) if e}
-
-
-def poly_to_structured(poly):
-    terms = poly.to_int_coeffs().terms
-    return {"terms": [{"coeff": terms[exp], "exponents": exps}
-                      for exp, (_rank, exps) in term_table(
-                          terms, _exponents).items()]}
-
-
 # the variable slots in the key order of dumps, "D" before the lower case
 _JSON_SLOTS = sorted(range(len(VARS)), key=VARS.__getitem__)
 
@@ -248,6 +240,17 @@ def _exponents_json(exp):
     """The text that follows a term's "coeff" value in dumps."""
     return ',"exponents":{%s}}' % ",".join([
         '"%s":%d' % (VARS[i], exp[i]) for i in _JSON_SLOTS if exp[i]])
+
+
+def poly_to_structured(poly):
+    """The structured document of a polynomial as text, byte for byte
+    what dumps writes for {"terms": [...]}, each term from the call's
+    term table."""
+    terms = poly.to_int_coeffs().terms
+    return '{"terms":[%s]}\n' % ",".join([
+        '{"coeff":%d' % terms[exp] + fragment
+        for exp, (_rank, fragment) in term_table(
+            terms, _exponents_json).items()])
 
 
 def matrix_to_structured(matrix):
@@ -291,4 +294,6 @@ def structured_to_matrix(data):
 
 
 def dumps(data):
+    """The structured text of a document dict, the bytes that both
+    renderers above write directly."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"

@@ -3,7 +3,7 @@ element indices into a FieldSpec's tables."""
 
 from itertools import product, repeat
 
-from .errors import ShapeError
+from .errors import ShapeError, check_budget
 
 
 def digit_vectors(q, m):
@@ -153,8 +153,13 @@ def is_identity_on(rows, cols):
 # degree 0 first ---
 
 def impulse_response(spec, head, mem, a, out, d):
-    """Coefficients of head + sum_{i=1..d} mem a^(i-1) out D^i."""
-    zero = zeros(len(head), len(head[0]) if head else 0)
+    """Coefficients of head + sum_{i=1..d} mem a^(i-1) out D^i.  The
+    d + 1 coefficient matrices are charged to the budget first, an empty
+    one as one cell, as the loop runs d times whatever their size."""
+    rows, cols = len(head), len(head[0]) if head else 0
+    check_budget("the impulse response to D^%d" % d, 0,
+                 (d + 1) * max(1, rows * cols))
+    zero = zeros(rows, cols)
     coeffs, left = [head], mem
     for _ in range(d):
         coeffs.append(mat_mul(spec, left, out) if out else zero)

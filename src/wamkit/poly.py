@@ -8,6 +8,8 @@ D-exponent above `d_max` are silently dropped at construction time, so
 every arithmetic result stays truncated.
 """
 
+from operator import add
+
 from .errors import AlgebraError
 
 VARS = ("x", "y", "x_I", "y_I", "x_P", "y_P", "x_O", "y_O", "D")
@@ -135,7 +137,7 @@ class WeightPoly:
             for eb, cb in other.terms.items():
                 if d_max is not None and ea[_D] + eb[_D] > d_max:
                     continue
-                e = tuple(a + b for a, b in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 terms[e] = terms.get(e, 0) + ca * cb
         return WeightPoly(terms, d_max)
 
@@ -170,25 +172,7 @@ class WeightPoly:
         variable that occurs with positive exponent but has no image is
         an error, so accidental partial substitutions cannot slip by.
         """
-        images = {}
-        for name, img in mapping.items():
-            if name not in _VAR_INDEX:
-                raise AlgebraError("unknown variable %r" % (name,))
-            if isinstance(img, int):
-                img = WeightPoly.const(img, self.d_max)
-            images[_VAR_INDEX[name]] = img
-        out = WeightPoly.zero(self.d_max)
-        for exp, coeff in self.terms.items():
-            term = WeightPoly.const(coeff, self.d_max)
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                if i not in images:
-                    raise AlgebraError(
-                        "variable %r occurs but has no image" % (VARS[i],))
-                term = term * images[i] ** e
-            out = out + term
-        return out
+        return monomial_map(mapping, keep=False)(self)
 
     def collapse(self, mapping):
         """Like substitute, but variables without an image are kept.
@@ -196,37 +180,7 @@ class WeightPoly:
         Only the mapped variables are rewritten: an int image folds into
         the coefficient and a polynomial image multiplies in.
         """
-        images = {}
-        for name, img in mapping.items():
-            if name not in _VAR_INDEX:
-                raise AlgebraError("unknown variable %r" % (name,))
-            images[_VAR_INDEX[name]] = img
-        if not images:
-            return WeightPoly(self.terms, self.d_max)
-        terms, products = {}, []
-        for exp, coeff in self.terms.items():
-            exp = list(exp)
-            factors = []
-            for i, img in images.items():
-                e = exp[i]
-                if e:
-                    exp[i] = 0
-                    if isinstance(img, int):
-                        coeff = coeff * img ** e
-                    else:
-                        factors.append(img ** e)
-            exp = tuple(exp)
-            if factors:
-                term = WeightPoly({exp: coeff}, self.d_max)
-                for factor in factors:
-                    term = term * factor
-                products.append(term)
-            else:
-                terms[exp] = terms.get(exp, 0) + coeff
-        out = WeightPoly(terms, self.d_max)
-        for term in products:
-            out = out + term
-        return out
+        return monomial_map(mapping, keep=True)(self)
 
     # --- coefficient utilities ---
 
@@ -281,6 +235,73 @@ class WeightPoly:
 
     def __repr__(self):
         return "WeightPoly(%s)" % (self,)
+
+
+# --- the monomial map behind substitute and collapse ---
+
+def monomial_map(mapping, keep):
+    """The map cell -> sum c * image(exp) over the terms c x^exp of a
+    WeightPoly cell, one map per substitute or collapse call.
+
+    `mapping` maps variable names to WeightPoly or int images.  Each
+    distinct exponent tuple's image is built once per map, from powers
+    of the polynomial images that are themselves built once; an int
+    image folds into the coefficient.  A variable with no image is kept
+    when `keep` is set and raises AlgebraError when it is not.  A cell
+    is truncated at its own d_max or a smaller one of an image it uses.
+    """
+    images = {}
+    for name, img in mapping.items():
+        if name not in _VAR_INDEX:
+            raise AlgebraError("unknown variable %r" % (name,))
+        images[_VAR_INDEX[name]] = img
+    # powers[i][e] is the image of variable i to the power e
+    powers = {i: [1, img] for i, img in images.items()
+              if not isinstance(img, int)}
+    cache = {}
+
+    def image(exp):
+        """(d_max, terms) of the image of the monomial x^exp."""
+        rest, coeff, factors = list(exp), 1, []
+        for i, e in enumerate(exp):
+            if not e:
+                continue
+            if i not in images:
+                if not keep:
+                    raise AlgebraError("variable %r occurs but has no image"
+                                       % (VARS[i],))
+                continue
+            rest[i] = 0
+            if i in powers:
+                pw = powers[i]
+                while len(pw) <= e:
+                    pw.append(pw[-1] * pw[1])
+                factors.append(pw[e])
+            else:
+                coeff *= images[i] ** e
+        # a unit monomial is left out of the product
+        if factors and coeff == 1 and not any(rest):
+            out = factors.pop()
+        else:
+            out = WeightPoly({tuple(rest): coeff})
+        for factor in factors:
+            out = out * factor
+        return out.d_max, tuple(out.terms.items())
+
+    def transform(cell):
+        out, d_max = {}, cell.d_max
+        for exp, c in cell.terms.items():
+            hit = cache.get(exp)
+            if hit is None:
+                hit = cache[exp] = image(exp)
+            cap, terms = hit
+            if cap is not None:
+                d_max = _min_dmax(d_max, cap)
+            for e, k in terms:
+                out[e] = out.get(e, 0) + c * k
+        return WeightPoly(out, d_max)
+
+    return transform
 
 
 # --- canonical order and the per-call term table ---

@@ -4,13 +4,12 @@ import re
 from collections import Counter
 from functools import reduce
 from itertools import chain
-from math import comb
 from operator import add, neg, or_
 
 from . import errors
 from .errors import AlgebraError, check_budget
-from .poly import (VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, _min_dmax,
-                   factor_text, term_table, terms_text)
+from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, factor_text,
+                   monomial_map, term_table, terms_text)
 
 
 class PolyMatrix:
@@ -98,31 +97,18 @@ class PolyMatrix:
         return PolyMatrix(self.labels, rows)
 
     def substitute(self, mapping):
-        return self.map_entries(lambda e: e.substitute(mapping))
+        """WeightPoly.substitute of every stored cell, through one
+        monomial map per call, so each distinct exponent tuple is mapped
+        once."""
+        return self.map_entries(monomial_map(mapping, keep=False))
 
     def collapse(self, mapping):
-        """WeightPoly.collapse of every stored cell, each distinct
-        exponent tuple mapped once per call: a cell is the sum of its
-        coefficients times their monomials' images, truncated at its own
-        d_max or a smaller one of an image it uses."""
+        """WeightPoly.collapse of every stored cell, through one monomial
+        map per call, so each distinct exponent tuple is mapped once."""
         # cells are never mutated, so an empty mapping hands back self
         if not mapping:
             return self
-        images = {}
-
-        def transform(cell):
-            out, d_max = {}, cell.d_max
-            for exp, c in cell.terms.items():
-                img = images.get(exp)
-                if img is None:
-                    img = images[exp] = WeightPoly({exp: 1}).collapse(mapping)
-                if img.d_max is not None:
-                    d_max = _min_dmax(d_max, img.d_max)
-                for e, k in img.terms.items():
-                    out[e] = out.get(e, 0) + c * k
-            return WeightPoly(out, d_max)
-
-        return self.map_entries(transform)
+        return self.map_entries(monomial_map(mapping, keep=True))
 
     def exact_div(self, n):
         return self.map_entries(lambda e: e.exact_div(n))
@@ -302,13 +288,18 @@ def _nonzero_fields(data, w):
 
 
 def macwilliams(enum, q, pairs, kernel=None):
-    """MacWilliams transform of the weight enumerator or WAM of a code:
-    krawtchouk_map on the weight axis, then for a WAM the state kernel,
-    given as (exponent table, p) (block codes pass none), then division
-    by the code's size, the enumerator at all ones (the sum of the stored
-    coefficients).  A size that is not a power of the prime of q raises
-    AlgebraError first; the state pass then rejects a non-integer value,
-    the division must be exact, and every coefficient must be an int.
+    """MacWilliams transform of the weight enumerator or WAM of a code.
+
+    The weight axis is one substitution: each (x, y) pair of `pairs`
+    goes to x' + (q-1) y', x' - y', (x', y') its mirror pair
+    pairs[-1 - t], so the input and parity roles of ((x_I, y_I),
+    (x_P, y_P)) trade places, and a variable outside `pairs` must not
+    occur.  Then for a WAM the state kernel, given as (exponent table,
+    p) (block codes pass none), then division by the code's size, the
+    enumerator at all ones (the sum of the stored coefficients).  A size
+    that is not a power of the prime of q raises AlgebraError first; the
+    state pass then rejects a non-integer value, the division must be
+    exact, and every coefficient must be an int.
     """
     cells = ([enum] if isinstance(enum, WeightPoly)
              else chain.from_iterable(row.values() for row in enum.rows))
@@ -318,67 +309,14 @@ def macwilliams(enum, q, pairs, kernel=None):
     if count < 1 or q ** count.bit_length() % count:
         raise AlgebraError("the enumerator at all ones is %d, not a power of "
                            "the prime of q = %d" % (count, q))
-    out = krawtchouk_map(enum, q, pairs)
+    mapping = {}
+    for (x, y), (xm, ym) in zip(pairs, reversed(pairs)):
+        xv, yv = WeightPoly.var(xm), WeightPoly.var(ym)
+        mapping[x], mapping[y] = xv + (q - 1) * yv, xv - yv
+    out = enum.substitute(mapping)
     if kernel is not None:
         out = out.conjugate_by(*kernel)
     return out.exact_div(count).to_int_coeffs()
-
-
-def krawtchouk_map(enum, q, pairs):
-    """The weight axis of the MacWilliams transform, undivided: each
-    (x, y) pair of `pairs` goes to x' + (q-1) y', x' - y', (x', y') its
-    mirror pair pairs[-1 - t], so the input and parity roles of
-    ((x_I, y_I), (x_P, y_P)) trade places.  Each exponent tuple's image
-    comes from integer Krawtchouk values once per call, and only the
-    stored cells are mapped; a variable outside `pairs` must not occur.
-    """
-    slots = [(_VAR_INDEX[x], _VAR_INDEX[y]) for x, y in pairs]
-    mapped = set(chain.from_iterable(slots))
-    images = {}
-
-    def image(exp):
-        for i, e in enumerate(exp):
-            if e and i not in mapped:
-                raise AlgebraError("variable %r occurs but has no image"
-                                   % (VARS[i],))
-        # x^a y^b -> sum_j K_j(b; a + b, q) x'^(a+b-j) y'^j for each pair;
-        # the pairs have disjoint images, so their product adds no terms
-        terms = {_ZERO_EXP: 1}
-        for (x, y), (xm, ym) in zip(slots, reversed(slots)):
-            a, b = exp[x], exp[y]
-            row = _krawtchouk_row(a, b, q)
-            nxt = {}
-            for base, c in terms.items():
-                for j, k in enumerate(row):
-                    if k:
-                        e = list(base)
-                        e[xm] += a + b - j
-                        e[ym] += j
-                        nxt[tuple(e)] = c * k
-            terms = nxt
-        return terms
-
-    def transform(cell):
-        out = {}
-        for exp, c in cell.terms.items():
-            img = images.get(exp)
-            if img is None:
-                img = images[exp] = image(exp)
-            for e, k in img.items():
-                out[e] = out.get(e, 0) + c * k
-        return WeightPoly(out, cell.d_max)
-
-    if isinstance(enum, WeightPoly):
-        return transform(enum)
-    return enum.map_entries(transform)
-
-
-def _krawtchouk_row(a, b, q):
-    """[c_0, ..., c_(a+b)] with (x + (q-1)y)^a (x - y)^b = sum_j c_j
-    x^(a+b-j) y^j, so c_j is the Krawtchouk value K_j(b; a + b, q)."""
-    return [sum(comb(a, j - i) * (q - 1) ** (j - i) * comb(b, i) * (-1) ** i
-                for i in range(max(0, j - a), min(j, b) + 1))
-            for j in range(a + b + 1)]
 
 
 def series_entry(n, i, d_max):

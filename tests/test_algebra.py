@@ -194,6 +194,22 @@ def test_collapse_keeps_unmapped_variables():
     assert p.collapse({}) == p
 
 
+def _substitute_by_terms(poly, mapping):
+    """The substitution as a sum of per-term ring products, each variable
+    with its image (or an int image as a constant) to its power."""
+    out = WeightPoly.zero(poly.d_max)
+    for exp, coeff in poly.terms.items():
+        term = WeightPoly.const(coeff, poly.d_max)
+        for name, e in zip(VARS, exp):
+            img = mapping[name]
+            if isinstance(img, int):
+                img = WeightPoly.const(img, poly.d_max)
+            if e:
+                term = term * img ** e
+        out = out + term
+    return out
+
+
 def test_collapse_matches_substitute_with_mixed_images():
     x, y, d = (WeightPoly.var(v) for v in ("x", "y", "D"))
     xi, yp = WeightPoly.var("x_I"), WeightPoly.var("y_P")
@@ -201,8 +217,12 @@ def test_collapse_matches_substitute_with_mixed_images():
             + x * y * yp - 7).truncated(4)
     keep = {v: WeightPoly.var(v) for v in VARS}
     for mapping in ({"x": 2, "x_I": x + y, "y_P": -1, "D": y * d},
-                    {"x": 1}, {"y_P": xi ** 2 - 1, "x_I": 0}):
-        assert poly.collapse(mapping) == poly.substitute(dict(keep, **mapping))
+                    {"x": 1}, {"y_P": xi ** 2 - 1, "x_I": 0},
+                    {"x": WeightPoly.var("D", d_max=1) * y, "x_I": 1}):
+        full = dict(keep, **mapping)
+        want = _substitute_by_terms(poly, full)
+        for got in (poly.collapse(mapping), poly.substitute(full)):
+            assert (got, got.d_max) == (want, want.d_max)
     copy = poly.collapse({})
     assert copy == poly and copy is not poly
     with pytest.raises(AlgebraError):
@@ -219,9 +239,10 @@ def test_matrix_collapse_with_no_mapping_is_the_matrix():
 
 def test_matrix_collapse_matches_the_cell_collapse():
     # each distinct exponent tuple is mapped once per call; every cell
-    # must still equal its own collapse, d_max included
+    # must still equal its own collapse (and substitute), d_max included
     x, y, d = (WeightPoly.var(v) for v in ("x", "y", "D"))
     xi, yp = WeightPoly.var("x_I"), WeightPoly.var("y_P")
+    keep = {v: WeightPoly.var(v) for v in VARS}
     matrix = _two_state([
         [(3 * x ** 2 * y * xi - 2 * y ** 3 * yp * d + 5 * xi ** 2
           ).truncated(4), x * y * yp - 7],
@@ -230,15 +251,17 @@ def test_matrix_collapse_matches_the_cell_collapse():
                     {"x": 1}, {"y_P": xi ** 2 - 1, "x_I": 0},
                     {"x": WeightPoly.var("D", d_max=1) * y, "x_I": 1},
                     {"x": y}):
-        got = matrix.collapse(mapping)
-        for i in range(2):
-            for j in range(2):
-                want = matrix[i, j].collapse(mapping)
-                cell = got.rows[i].get(j)
-                if not want:
-                    assert cell is None
-                else:
-                    assert (cell, cell.d_max) == (want, want.d_max)
+        full = dict(keep, **mapping)
+        for method, images in (("collapse", mapping), ("substitute", full)):
+            got = getattr(matrix, method)(images)
+            for i in range(2):
+                for j in range(2):
+                    want = getattr(matrix[i, j], method)(images)
+                    cell = got.rows[i].get(j)
+                    if not want:
+                        assert cell is None
+                    else:
+                        assert (cell, cell.d_max) == (want, want.d_max)
 
 
 def test_unknown_variable_rejected():

@@ -107,9 +107,10 @@ def test_renderers_match_a_per_cell_rendering():
                                            for j in range(n)))
              for i, label in enumerate(labels)]
     assert str(matrix) == "\n".join(text)
+    cells = [[json.loads(poly_to_structured(matrix[i, j])) for j in range(n)]
+             for i in range(n)]
     dense = {"labels": labels,
-             "entries": [[poly_to_structured(matrix[i, j])["terms"]
-                          for j in range(n)] for i in range(n)]}
+             "entries": [[cell["terms"] for cell in row] for row in cells]}
     assert json.loads(matrix_to_structured(matrix)) == dense
     assert matrix_to_structured(matrix) == dumps(dense)
 
@@ -380,6 +381,21 @@ def test_over_deep_series_exits_2_before_allocating(capsys):
                              fixture_path("example1.cc"))
     assert (code, out) == (2, "")
     assert err.startswith("error: the series to D^100000 needs ")
+    assert "exceeds the budget" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["conv", "gd"], "example1.cc"), (["quantum", "sd"], "u1.qcc"),
+    (["quantum", "sd"], "u2-qcc.qcc")])
+def test_over_deep_impulse_response_exits_2_at_once(capsys, argv, name):
+    # u2-qcc.qcc has c = 0, so its S^E rows form an empty matrix
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--dmax", "1000000000", *argv,
+                             fixture_path(name))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the impulse response to D^1000000000 "
+                          "needs ")
     assert "exceeds the budget" in err
     assert time.perf_counter() - start < 1.0
 

@@ -188,3 +188,13 @@ def test_negative_sizes_and_repeated_lines_name_their_line(tmp_path):
                      for kind in ("negative size", "repeated line")}
     assert not failures, "%d failing runs, first: %s" % (len(failures),
                                                          failures[0])
+
+
+def test_bad_pauli_letter_names_its_line(tmp_path, capsys):
+    path = tmp_path / "case.qcc"
+    path.write_text(read_fixture("u1.qcc").replace("Z1 -> ZIX", "Z1 -> QIX"))
+    runs = [["quantum", action] for action in sorted(_GROUPS["quantum"][2])]
+    for argv in runs + [["verify", "all"]]:
+        assert main(argv + [str(path)]) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: line 12: bad Pauli letter 'Q'\n")

@@ -106,8 +106,10 @@ def test_matrix_text_is_dumps_of_the_dense_document():
         assert json.loads(text) == dense
         for i in range(n):
             for j in range(n):
-                assert poly_to_structured(matrix[i, j]) == {
-                    "terms": dense["entries"][i][j]}
+                doc = {"terms": dense["entries"][i][j]}
+                text = poly_to_structured(matrix[i, j])
+                assert text == dumps(doc)
+                assert json.loads(text) == doc
 
 
 def test_structured_renderers_check_every_cell_is_integral():
@@ -132,6 +134,7 @@ def test_text_renderers_match_the_per_term_rendering():
 
 
 def test_deep_total_text_matches_the_per_term_rendering(tmp_path, capsys):
+    # coefficients of up to 190 bits
     path = tmp_path / "shift.cc"
     path.write_text(shift_register_text(6))
     assert main(["--dmax", "200", "conv", "total", str(path)]) == 0
@@ -140,6 +143,9 @@ def test_deep_total_text_matches_the_per_term_rendering(tmp_path, capsys):
         {"x": 1}), 200)
     assert len(poly.terms) > 30000
     assert out == _old_text(poly) + "\n"
+    assert main(["--format", "structured", "--dmax", "200", "conv", "total",
+                 str(path)]) == 0
+    assert capsys.readouterr().out == dumps({"terms": _old_terms(poly)})
 
 
 def test_deep_text_render_is_quick():

@@ -10,6 +10,7 @@ transforms built on it are compared with brute-force dual enumeration.
 
 import inspect
 import time
+from math import comb
 
 import pytest
 
@@ -21,8 +22,8 @@ from wamkit.conv import (dual_systematic_seed, dual_total_wgf, fourier_matrix,
                          ipwam, macwilliams_ipwam, macwilliams_wam,
                          state_labels, state_vectors, wam)
 from wamkit.errors import AlgebraError, ShapeError
-from wamkit.poly import IP_PAIRS, WeightPoly
-from wamkit.polymatrix import PolyMatrix, krawtchouk_map, macwilliams
+from wamkit.poly import IP_PAIRS, VARS, WeightPoly
+from wamkit.polymatrix import PolyMatrix, macwilliams
 from wamkit.quantum import F1, dual_spec, quantum_macwilliams, quantum_wam
 
 
@@ -228,7 +229,7 @@ def test_quantum_transform_involution_m4():
     assert quantum_macwilliams(lam_hat) == lam
 
 
-# --- the weight axis as a Krawtchouk table ---
+# --- the weight axis against the Krawtchouk closed form ---
 
 def substitution(q, pairs):
     """The images x -> x' + (q-1) y', y -> x' - y' of WeightPoly.substitute,
@@ -241,6 +242,25 @@ def substitution(q, pairs):
     return mapping
 
 
+def krawtchouk(j, b, n, q):
+    """K_j(b; n, q) = sum_i (-1)^i (q-1)^(j-i) C(b, i) C(n-b, j-i)."""
+    return sum((-1) ** i * (q - 1) ** (j - i) * comb(b, i) * comb(n - b, j - i)
+               for i in range(j + 1))
+
+
+def krawtchouk_image(exp, q, pairs):
+    """The image of the monomial x^exp under substitution(q, pairs), from
+    the closed form: x^a y^b -> sum_j K_j(b; a + b, q) x'^(a+b-j) y'^j
+    for each pair, (x', y') its mirror pair."""
+    out = WeightPoly.const(1)
+    for (x, y), (xm, ym) in zip(pairs, reversed(pairs)):
+        a, b = exp[VARS.index(x)], exp[VARS.index(y)]
+        out = out * sum(WeightPoly.monomial(krawtchouk(j, b, a + b, q),
+                                            {xm: a + b - j, ym: j})
+                        for j in range(a + b + 1))
+    return out
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_krawtchouk_image_matches_substitute(q):
     pairs = (("x", "y"),)
@@ -248,13 +268,17 @@ def test_krawtchouk_image_matches_substitute(q):
     for deg in range(7):
         for b in range(deg + 1):
             mono = WeightPoly.monomial(3, {"x": deg - b, "y": b})
-            assert krawtchouk_map(mono, q, pairs) == mono.substitute(mapping)
+            (exp,) = mono.terms
+            assert (mono.substitute(mapping)
+                    == 3 * krawtchouk_image(exp, q, pairs))
     mapping = substitution(q, IP_PAIRS)
     for exps in [(0, 0, 0, 0), (1, 0, 0, 2), (2, 1, 1, 1), (0, 3, 2, 0),
                  (1, 2, 3, 0), (3, 0, 0, 3)]:
         mono = WeightPoly.monomial(-2, dict(zip(("x_I", "y_I", "x_P", "y_P"),
                                                 exps)))
-        assert krawtchouk_map(mono, q, IP_PAIRS) == mono.substitute(mapping)
+        (exp,) = mono.terms
+        assert (mono.substitute(mapping)
+                == -2 * krawtchouk_image(exp, q, IP_PAIRS))
 
 
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
@@ -264,8 +288,10 @@ def test_krawtchouk_images_match_substitute_on_wams(p, r):
     seed = random_systematic_conv_seed(seeded_rng("krawtchouk-%d-%d" % (p, r)),
                                        spec, 2, 1, 2)
     for lam, pairs in [(wam(seed), (("x", "y"),)), (ipwam(seed), IP_PAIRS)]:
-        assert (krawtchouk_map(lam, spec.q, pairs)
-                == lam.substitute(substitution(spec.q, pairs)))
+        want = lam.map_entries(lambda cell: sum(
+            c * krawtchouk_image(exp, spec.q, pairs)
+            for exp, c in cell.terms.items()))
+        assert lam.substitute(substitution(spec.q, pairs)) == want
 
 
 def test_unmapped_variable_is_rejected(example1):
