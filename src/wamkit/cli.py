@@ -109,7 +109,7 @@ def _sd(spec, args):
     s_z, s_e, logical = quantum.poly_check_matrix(spec, args.dmax)
     for name, mat in (("S^Z", s_z), ("S^E", s_e), ("L", logical)):
         print("%s(D):" % name)
-        print(mat if mat.rows else "(none)")
+        print(mat if len(mat) else "(none)")
 
 
 # action tables: each entry runs one action on the parsed file and
@@ -213,9 +213,10 @@ def _verify_conv(seed, dmax):
     lam_y = lam.collapse({"x": 1})
     w_total = conv.total_wgf(lam_y, dmax)
     w_free = conv.free_wgf(lam_y, dmax)
-    d = WeightPoly.var("D", d_max=dmax)
+    d = WeightPoly.var("D")
     all_ok &= _check("free/total series relation",
-                     w_free * (1 + w_total * d) == w_total, lines)
+                     (w_free * (1 + w_total * d)).truncated(dmax) == w_total,
+                     lines)
     return all_ok, lines, error
 
 

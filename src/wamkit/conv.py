@@ -267,44 +267,37 @@ def orthogonality_check(seed, dual):
 
 
 class PolyGenMatrix:
-    """k x n polynomial generator matrix, entries as {degree: element}."""
+    """k x n polynomial generator matrix, held as its coefficient
+    matrices over GF(q), degree 0 first."""
 
-    def __init__(self, spec, entries, d_max):
-        self.spec = spec
-        self.entries = entries
-        self.d_max = d_max
-        self.k = len(entries)
-        self.n = len(entries[0]) if entries else 0
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
     def entry_str(self, i, j):
-        ent = self.entries[i][j]
-        if not ent:
-            return "0"
         parts = []
-        for d in sorted(ent):
-            c = ent[d]
+        for d, mat in enumerate(self.coeffs):
+            c = mat[i][j]
+            if not c:
+                continue
             if d == 0:
                 parts.append(str(c))
             else:
                 dd = "D" if d == 1 else "D^%d" % d
                 parts.append(dd if c == 1 else "%d*%s" % (c, dd))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __str__(self):
-        rows = []
-        for i in range(self.k):
-            rows.append("( " + " , ".join(self.entry_str(i, j)
-                                          for j in range(self.n)) + " )")
-        return "\n".join(rows)
+        head = self.coeffs[0]
+        return "\n".join("( " + " , ".join(self.entry_str(i, j)
+                                           for j in range(len(row))) + " )"
+                         for i, row in enumerate(head))
 
 
 def poly_generator(seed, d_max=10):
     """Truncated expansion of G(D) = E + sum_i B A^(i-1) C D^i."""
-    coeffs = gflinalg.impulse_response(seed.spec, seed.e_block, seed.b_block,
-                                       seed.a_block, seed.c_block, d_max)
-    entries = [[{d: mat[i][j] for d, mat in enumerate(coeffs) if mat[i][j]}
-                for j in range(seed.n)] for i in range(seed.k)]
-    return PolyGenMatrix(seed.spec, entries, d_max)
+    return PolyGenMatrix(gflinalg.impulse_response(
+        seed.spec, seed.e_block, seed.b_block, seed.a_block, seed.c_block,
+        d_max))
 
 
 # --- MacWilliams transforms ---

@@ -10,9 +10,6 @@ once and element operations are dictionary-free integer lookups.
 from .errors import FieldError, check_budget
 from .gflinalg import digit_vectors
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-
-
 def _is_prime(p):
     if p < 2:
         return False

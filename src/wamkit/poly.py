@@ -3,9 +3,9 @@
 The alphabet is x, y, x_I, y_I, x_P, y_P, x_O, y_O, D.  Terms are stored
 in a dict keyed by the 9-tuple of exponents.  Coefficients are ints.
 
-An optional degree cap on D truncates formal power series: terms with a
-D-exponent above `d_max` are silently dropped at construction time, so
-every arithmetic result stays truncated.
+A power series in D is held as the polynomial of its terms up to D^d,
+built that way where the series is expanded; `truncated(d)` drops the
+terms above D^d of any polynomial.
 """
 
 from operator import add
@@ -24,26 +24,16 @@ IP_VARS = ("x_I", "y_I", "x_P", "y_P")
 IP_PAIRS = (IP_VARS[:2], IP_VARS[2:])
 
 
-def _min_dmax(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class WeightPoly:
-    """A polynomial (or D-truncated series) with exact coefficients."""
+    """A polynomial with exact coefficients; zero terms are not stored."""
 
-    __slots__ = ("terms", "d_max")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, d_max=None):
-        self.d_max = d_max
+    def __init__(self, terms=None):
+        # an explicit loop: a dict comprehension costs more per small cell
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                if d_max is not None and exp[_D] > d_max:
-                    continue
                 if coeff:
                     clean[exp] = coeff
         self.terms = clean
@@ -51,30 +41,30 @@ class WeightPoly:
     # --- constructors ---
 
     @classmethod
-    def zero(cls, d_max=None):
-        return cls({}, d_max)
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def const(cls, c, d_max=None):
-        return cls({_ZERO_EXP: c}, d_max)
+    def const(cls, c):
+        return cls({_ZERO_EXP: c})
 
     @classmethod
-    def var(cls, name, exp=1, d_max=None):
+    def var(cls, name, exp=1):
         if name not in _VAR_INDEX:
             raise AlgebraError("unknown variable %r" % (name,))
         e = [0] * _NVARS
         e[_VAR_INDEX[name]] = exp
-        return cls({tuple(e): 1}, d_max)
+        return cls({tuple(e): 1})
 
     @classmethod
-    def monomial(cls, coeff, exps, d_max=None):
+    def monomial(cls, coeff, exps):
         """`exps` maps variable names to exponents."""
         e = [0] * _NVARS
         for name, k in exps.items():
             if name not in _VAR_INDEX:
                 raise AlgebraError("unknown variable %r" % (name,))
             e[_VAR_INDEX[name]] = k
-        return cls({tuple(e): coeff}, d_max)
+        return cls({tuple(e): coeff})
 
     @classmethod
     def from_counts(cls, names, counts):
@@ -97,7 +87,7 @@ class WeightPoly:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return WeightPoly.const(other, self.d_max)
+            return WeightPoly.const(other)
         if isinstance(other, WeightPoly):
             return other
         return None
@@ -109,12 +99,12 @@ class WeightPoly:
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             terms[exp] = terms.get(exp, 0) + c
-        return WeightPoly(terms, _min_dmax(self.d_max, other.d_max))
+        return WeightPoly(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeightPoly({e: -c for e, c in self.terms.items()}, self.d_max)
+        return WeightPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -127,26 +117,22 @@ class WeightPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return WeightPoly({e: other * c for e, c in self.terms.items()},
-                              self.d_max)
+            return WeightPoly({e: other * c for e, c in self.terms.items()})
         if not isinstance(other, WeightPoly):
             return NotImplemented
-        d_max = _min_dmax(self.d_max, other.d_max)
         terms = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                if d_max is not None and ea[_D] + eb[_D] > d_max:
-                    continue
                 e = tuple(map(add, ea, eb))
                 terms[e] = terms.get(e, 0) + ca * cb
-        return WeightPoly(terms, d_max)
+        return WeightPoly(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise AlgebraError("negative powers are not defined")
-        acc = WeightPoly.const(1, self.d_max)
+        acc = WeightPoly.const(1)
         for _ in range(n):
             acc = acc * self
         return acc
@@ -192,7 +178,7 @@ class WeightPoly:
             if r:
                 raise AlgebraError("coefficient %r not divisible by %d" % (c, n))
             out[e] = q
-        return WeightPoly(out, self.d_max)
+        return WeightPoly(out)
 
     def to_int_coeffs(self):
         """Assert every coefficient is a plain integer and return self."""
@@ -223,8 +209,9 @@ class WeightPoly:
         ys = [_VAR_INDEX[v] for v in ("y", "y_I", "y_P", "y_O")]
         return sorted({sum(e[i] for i in ys) for e in self.terms})
 
-    def truncated(self, d_max):
-        return WeightPoly(self.terms, d_max)
+    def truncated(self, d):
+        """self without its terms above D^d."""
+        return WeightPoly({e: c for e, c in self.terms.items() if e[_D] <= d})
 
     # --- canonical rendering ---
 
@@ -247,8 +234,7 @@ def monomial_map(mapping, keep):
     distinct exponent tuple's image is built once per map, from powers
     of the polynomial images that are themselves built once; an int
     image folds into the coefficient.  A variable with no image is kept
-    when `keep` is set and raises AlgebraError when it is not.  A cell
-    is truncated at its own d_max or a smaller one of an image it uses.
+    when `keep` is set and raises AlgebraError when it is not.
     """
     images = {}
     for name, img in mapping.items():
@@ -261,7 +247,7 @@ def monomial_map(mapping, keep):
     cache = {}
 
     def image(exp):
-        """(d_max, terms) of the image of the monomial x^exp."""
+        """The terms of the image of the monomial x^exp."""
         rest, coeff, factors = list(exp), 1, []
         for i, e in enumerate(exp):
             if not e:
@@ -286,20 +272,17 @@ def monomial_map(mapping, keep):
             out = WeightPoly({tuple(rest): coeff})
         for factor in factors:
             out = out * factor
-        return out.d_max, tuple(out.terms.items())
+        return tuple(out.terms.items())
 
     def transform(cell):
-        out, d_max = {}, cell.d_max
+        out = {}
         for exp, c in cell.terms.items():
-            hit = cache.get(exp)
-            if hit is None:
-                hit = cache[exp] = image(exp)
-            cap, terms = hit
-            if cap is not None:
-                d_max = _min_dmax(d_max, cap)
+            terms = cache.get(exp)
+            if terms is None:
+                terms = cache[exp] = image(exp)
             for e, k in terms:
                 out[e] = out.get(e, 0) + c * k
-        return WeightPoly(out, d_max)
+        return WeightPoly(out)
 
     return transform
 

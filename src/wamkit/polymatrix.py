@@ -32,8 +32,8 @@ class PolyMatrix:
         self.rows = [{j: e for j, e in row.items() if e} for row in rows]
 
     @classmethod
-    def identity(cls, labels, d_max=None):
-        return cls(labels, [{i: WeightPoly.const(1, d_max)}
+    def identity(cls, labels):
+        return cls(labels, [{i: WeightPoly.const(1)}
                             for i in range(len(labels))])
 
     @property
@@ -174,8 +174,6 @@ class PolyMatrix:
             raise AlgebraError("residual root-of-unity coefficient %s over "
                                "w^0..w^%d" % ([c - v[-1] for c in v[:-1]],
                                               p - 2))
-        d_max = min((e.d_max for row in self.rows for e in row.values()
-                     if e.d_max is not None), default=None)
         # the value is plane 0 minus plane p-1, nonzero where they differ
         lo = planes[0].to_bytes(size, "little")
         hi = top.to_bytes(size, "little")
@@ -188,7 +186,7 @@ class PolyMatrix:
                 - int.from_bytes(hi[x * w:x * w + w], "little"))
         out = [{} for _ in range(n)]
         for cell in sorted(cells):
-            out[cell // n][cell % n] = WeightPoly(cells[cell], d_max)
+            out[cell // n][cell % n] = WeightPoly(cells[cell])
         return PolyMatrix(self.labels, out)
 
     def __str__(self):
@@ -320,11 +318,10 @@ def macwilliams(enum, q, pairs, kernel=None):
 
 
 def series_entry(n, i, d_max):
-    """Entry (i, i) of sum_{t <= d_max} N^t D^t, truncated at D^d_max,
-    and whether row i of N^d_max is nonzero, that is whether paths
+    """Entry (i, i) of sum_{t <= d_max} N^t D^t, and whether row i of N^d_max is nonzero, that is whether paths
     leaving state i are still open at depth d_max."""
     columns, open_paths = _series(n, i, d_max, (i,))
-    return WeightPoly(columns[i], d_max), open_paths
+    return WeightPoly(columns[i]), open_paths
 
 
 def _series(n, i, d_max, columns):
@@ -409,8 +406,8 @@ def _series(n, i, d_max, columns):
 def series_inverse(m, d_max):
     """Truncated inverse of a matrix of the form I - N*D.
 
-    N must be D-free.  Returns sum_{i<=d_max} N^i D^i with every entry
-    truncated at D^d_max, every row and column from the packed series.
+    N must be D-free.  Returns sum_{i<=d_max} N^i D^i, every row and
+    column from the packed series.
     """
     # split: constant-in-D part must be the identity, linear part gives -N
     ident = PolyMatrix.identity(m.labels)
@@ -420,6 +417,6 @@ def series_inverse(m, d_max):
         raise AlgebraError("matrix is not of the form I - N*D")
     big_n = m.map_entries(lambda e: -e.d_coefficient(1))
     return PolyMatrix(m.labels, [
-        {j: WeightPoly(terms, d_max)
+        {j: WeightPoly(terms)
          for j, terms in _series(big_n, i, d_max, range(m.size))[0].items()}
         for i in range(m.size)])

@@ -158,28 +158,29 @@ def dual_wam(spec):
 # --- polynomial check matrices ---
 
 class PolyCheckMatrix:
-    """Rows of binary symplectic vectors with D coefficients.
+    """Rows of binary symplectic vectors with D coefficients, held as
+    their coefficient matrices, degree 0 first, each row the (z, x) bit
+    pairs of the n qubits."""
 
-    Each row is a dict degree -> tuple of (z, x) pairs on n qubits.
-    """
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = rows
+    def __len__(self):
+        return len(self.coeffs[0])
 
     def row_str(self, i):
-        row = self.rows[i]
-        if not row:
-            return "I" * self.n
         parts = []
-        for d in sorted(row):
-            word = PauliWord(row[d]).letters()
+        for d, mat in enumerate(self.coeffs):
+            row = mat[i]
+            if not any(row):
+                continue
+            word = PauliWord(zip(row[::2], row[1::2])).letters()
             parts.append(word if d == 0 else
                          ("D*%s" % word if d == 1 else "D^%d*%s" % (d, word)))
-        return " + ".join(parts)
+        return " + ".join(parts) or "I" * (len(self.coeffs[0][i]) // 2)
 
     def __str__(self):
-        return "\n".join(self.row_str(i) for i in range(len(self.rows)))
+        return "\n".join(self.row_str(i) for i in range(len(self)))
 
 
 def binary_symplectic_matrix(spec):
@@ -219,14 +220,6 @@ def _symplectic_blocks(spec):
                           "S^E": entangled}
 
 
-def _row_polys(coeffs, n):
-    """Split a polynomial bit matrix into rows, each a list of Pauli
-    words on n qubits, degree 0 first."""
-    return [[PauliWord(tuple((mat[i][2 * t], mat[i][2 * t + 1])
-                             for t in range(n))) for mat in coeffs]
-            for i in range(len(coeffs[0]))]
-
-
 def poly_check_matrix(spec, d_max=10):
     """Truncated polynomial stabilizer/logical matrices.
 
@@ -238,10 +231,8 @@ def poly_check_matrix(spec, d_max=10):
 
     def check_matrix(name):
         head, mem = blocks[name]
-        coeffs = impulse_response(_GF2, head, mem, a_blk, f_blk, d_max)
-        return PolyCheckMatrix(spec.n, [
-            {d: word.pairs for d, word in enumerate(row) if word}
-            for row in _row_polys(coeffs, spec.n)])
+        return PolyCheckMatrix(impulse_response(_GF2, head, mem, a_blk, f_blk,
+                                                d_max))
 
     return check_matrix("S^Z"), check_matrix("S^E"), check_matrix("L")
 

@@ -87,7 +87,7 @@ def test_cleared_response_is_det_times_generator(p, r):
                 for j in range(n):
                     acc = 0
                     for t in range(min(d, m) + 1):
-                        g = gen.entries[i][j].get(d - t, 0)
+                        g = gen.coeffs[d - t][i][j]
                         acc = spec.add[acc][spec.mul[det[t]][g]]
                     # det(I - D A) G(D) is a polynomial of degree <= m
                     assert acc == (cleared[d][i][j] if d <= m else 0)

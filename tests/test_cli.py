@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -398,6 +399,34 @@ def test_over_deep_impulse_response_exits_2_at_once(capsys, argv, name):
                           "needs ")
     assert "exceeds the budget" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_deep_sd_peak_memory_is_its_coefficient_matrices(capsys):
+    # u1's four check rows are rendered from the impulse response's
+    # coefficient matrices, about 0.75 KB a step with the printed text
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "--dmax", "5000", "quantum", "sd",
+                               fixture_path("u1.qcc"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "D^5000*" in out
+    assert peak < 5 * 2 ** 20
+
+
+def test_verify_all_fails_a_free_series_off_at_its_last_order(
+        monkeypatch, capsys):
+    # a term at D^dmax survives the truncation of free * (1 + total * D)
+    free_wgf = conv.free_wgf
+    monkeypatch.setattr(conv, "free_wgf", lambda lam, d_max: free_wgf(
+        lam, d_max) + WeightPoly.var("D", d_max))
+    code, out, _ = run_cli(capsys, "--dmax", "7", "verify", "all",
+                           fixture_path("example1.cc"))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "free/total series relation: FAIL"
+    assert all(line.endswith(": PASS") for line in lines[:-1])
 
 
 def test_verify_all_prints_conv_diagnostics(monkeypatch, capsys):

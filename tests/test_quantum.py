@@ -243,14 +243,14 @@ def test_example3_diagram_is_zero_logical_restriction(u2_qcc):
 def test_poly_check_matrix_shapes(u1, u2_ea):
     for spec in (u1, u2_ea):
         s_z, s_e, logical = poly_check_matrix(spec, 6)
-        assert len(s_z.rows) == spec.a
-        assert len(s_e.rows) == 2 * spec.c
-        assert len(logical.rows) == 2 * spec.k
+        assert len(s_z) == spec.a
+        assert len(s_e) == 2 * spec.c
+        assert len(logical) == 2 * spec.k
 
 
 def test_poly_check_row_str(u2_ea):
     _s_z, s_e, _logical = poly_check_matrix(u2_ea, 4)
-    for i in range(len(s_e.rows)):
+    for i in range(len(s_e)):
         text = s_e.row_str(i)
         assert text and all(part.lstrip("D^0123456789*")
                             for part in text.split(" + "))

@@ -62,7 +62,8 @@ def _random_poly(rng, names, d_max=None):
             exp[VARS.index(name)] = rng.choice([0, 0, 1, 2, 3, 11])
         terms[tuple(exp)] = rng.choice([1, -1, 2, -3, 12, 2 ** 70,
                                         -2 ** 70])
-    return WeightPoly(terms, d_max)
+    poly = WeightPoly(terms)
+    return poly if d_max is None else poly.truncated(d_max)
 
 
 def _matrices():
