@@ -215,7 +215,7 @@ def _verify_conv(seed, dmax):
     w_free = conv.free_wgf(lam_y, dmax)
     d = WeightPoly.var("D")
     all_ok &= _check("free/total series relation",
-                     (w_free * (1 + w_total * d)).truncated(dmax) == w_total,
+                     w_free.truncated_mul(1 + w_total * d, dmax) == w_total,
                      lines)
     return all_ok, lines, error
 

@@ -5,7 +5,8 @@ in a dict keyed by the 9-tuple of exponents.  Coefficients are ints.
 
 A power series in D is held as the polynomial of its terms up to D^d,
 built that way where the series is expanded; `truncated(d)` drops the
-terms above D^d of any polynomial.
+terms above D^d of any polynomial, and `truncated_mul(other, d)` is a
+product that never forms them.
 """
 
 from operator import add
@@ -128,6 +129,18 @@ class WeightPoly:
         return WeightPoly(terms)
 
     __rmul__ = __mul__
+
+    def truncated_mul(self, other, d):
+        """(self * other).truncated(d), without forming the terms above
+        D^d: about half the pairs of a product of two series to D^d."""
+        terms = {}
+        for ea, ca in self.terms.items():
+            room = d - ea[_D]
+            for eb, cb in other.terms.items():
+                if eb[_D] <= room:
+                    e = tuple(map(add, ea, eb))
+                    terms[e] = terms.get(e, 0) + ca * cb
+        return WeightPoly(terms)
 
     def __pow__(self, n):
         if n < 0:

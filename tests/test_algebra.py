@@ -274,6 +274,7 @@ def test_unknown_variable_rejected():
 def test_d_truncation_drops_high_orders():
     d = WeightPoly.var("D")
     p = ((1 + d) ** 5).truncated(3)
+    assert (1 + d).truncated_mul((1 + d) ** 4, 3) == p
     assert p.max_d_degree() == 3
     assert p.coefficient({"D": 3}) == 10
     assert p.coefficient({"D": 4}) == 0
