@@ -10,6 +10,7 @@ once and element operations are dictionary-free integer lookups.
 from .errors import FieldError, check_budget
 from .gflinalg import digit_vectors
 
+
 def _is_prime(p):
     if p < 2:
         return False

@@ -318,8 +318,9 @@ def macwilliams(enum, q, pairs, kernel=None):
 
 
 def series_entry(n, i, d_max):
-    """Entry (i, i) of sum_{t <= d_max} N^t D^t, and whether row i of N^d_max is nonzero, that is whether paths
-    leaving state i are still open at depth d_max."""
+    """Entry (i, i) of sum_{t <= d_max} N^t D^t, and whether row i of
+    N^d_max is nonzero, that is whether paths leaving state i are still
+    open at depth d_max."""
     columns, open_paths = _series(n, i, d_max, (i,))
     return WeightPoly(columns[i]), open_paths
 
