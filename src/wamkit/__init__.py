@@ -5,8 +5,9 @@ convolutional codes."""
 from .block import (LinearCode, SystematicCode, dual_code, hwgf, ipwgf,
                     macwilliams_hwgf, macwilliams_ipwgf)
 from .conv import (ConvSeed, FreeDistanceResult, PolyGenMatrix,
-                   SystematicConvSeed, dual_seed, dual_systematic_seed,
-                   dual_total_wgf, free_distance, free_wgf, iowam,
+                   SystematicConvSeed, dual_ipwam, dual_seed,
+                   dual_systematic_seed, dual_total_wgf, dual_wam,
+                   free_distance, free_wgf, iowam,
                    iowam_from_systematic, ipwam, macwilliams_ipwam,
                    macwilliams_wam, orthogonality_check, poly_generator,
                    total_wgf, wam)

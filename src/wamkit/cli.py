@@ -128,14 +128,14 @@ _CONV = {
                                              args),
     "iowam": lambda seed, args: _emit_matrix(conv.iowam(_whole_wam(seed)),
                                              args),
-    "dual-wam": lambda seed, args: _emit_matrix(conv.macwilliams_wam(
-        conv.wam(_whole_wam(seed)), seed.spec), args),
-    "dual-ipwam": lambda seed, args: _emit_matrix(conv.macwilliams_ipwam(
-        conv.ipwam(_whole_wam(seed)), seed.spec), args),
+    "dual-wam": lambda seed, args: _emit_matrix(
+        conv.dual_wam(_whole_wam(seed)), args),
+    "dual-ipwam": lambda seed, args: _emit_matrix(
+        conv.dual_ipwam(_whole_wam(seed)), args),
     "total": lambda seed, args: _emit_poly(
         conv.total_wgf(_lam_y(seed), args.dmax), args),
-    "dual-total": lambda seed, args: _emit_poly(conv.dual_total_wgf(
-        conv.wam(_whole_wam(seed)), args.dmax, seed.spec), args),
+    "dual-total": lambda seed, args: _emit_poly(conv.total_wgf(
+        conv.dual_wam(seed).collapse({"x": 1}), args.dmax), args),
     "free": lambda seed, args: _emit_poly(
         conv.free_wgf(_lam_y(seed), args.dmax), args),
     "dfree": _dfree,
@@ -197,14 +197,14 @@ def _verify_conv(seed, dmax):
     if dual is not None:
         ok, diags = conv.orthogonality_check(seed, dual)
         all_ok &= _check("dual seed orthogonality", ok, lines, diags)
-    lam_hat = conv.macwilliams_wam(lam, seed.spec)
+    lam_hat = conv.dual_wam(seed)
     if dual is not None:
         all_ok &= _check("wam transform matches dual enumeration",
                          lam_hat == conv.wam(dual), lines)
     back = conv.macwilliams_wam(lam_hat, seed.spec)
     all_ok &= _check("wam transform involution", back == lam, lines)
     if isinstance(seed, conv.SystematicConvSeed) and not seed.info_last:
-        ip_hat = conv.macwilliams_ipwam(conv.ipwam(seed), seed.spec)
+        ip_hat = conv.dual_ipwam(seed)
         dual_sys, sys_error = _dual_or_error(conv.dual_systematic_seed, seed)
         error = error or sys_error
         if dual_sys is not None:

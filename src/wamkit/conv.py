@@ -14,12 +14,15 @@ fastest, written as strings of element indices.
 """
 
 from itertools import repeat
-from operator import getitem
+from math import prod
+from operator import getitem, mul
 
 from . import gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
-from .poly import IP_PAIRS, IP_VARS
-from .polymatrix import PolyMatrix, edge_rows, macwilliams, series_entry
+from .poly import IP_PAIRS, IP_VARS, WeightPoly, monomial_map
+from .polymatrix import (PolyMatrix, character_pass, code_size, edge_rows,
+                         macwilliams, series_entry, weight_exponents,
+                         weight_mapping)
 
 
 def state_vectors(spec, m):
@@ -163,9 +166,13 @@ def wam(seed):
 
 def ipwam(seed):
     """Input-parity WAM of a systematic seed."""
+    return _edge_matrix(seed, IP_VARS, _ip_groups(seed))
+
+
+def _ip_groups(seed):
     if not isinstance(seed, SystematicConvSeed):
         raise ShapeError("input-parity split needs a systematic seed")
-    return _edge_matrix(seed, IP_VARS, [seed.info_cols, seed.parity_cols])
+    return [seed.info_cols, seed.parity_cols]
 
 
 def iowam(seed):
@@ -324,6 +331,88 @@ def macwilliams_wam(lam, spec):
 def macwilliams_ipwam(lam, spec):
     """Dual input-parity WAM; swaps the I and P roles under transform."""
     return macwilliams(lam, spec.q, IP_PAIRS, (fourier_matrix(spec), spec.p))
+
+
+def dual_wam(seed):
+    """macwilliams_wam(wam(seed), seed.spec), from the seed's edges."""
+    return _dual_edge_matrix(seed, ("x", "y"), [range(seed.n)])
+
+
+def dual_ipwam(seed):
+    """macwilliams_ipwam(ipwam(seed), seed.spec), from the seed's
+    edges."""
+    return _dual_edge_matrix(seed, IP_VARS, _ip_groups(seed))
+
+
+def _dual_edge_matrix(seed, names, groups):
+    """The MacWilliams transform of _edge_matrix(seed, names, groups),
+    through the q^(m+k) edges instead of the S x S state grid.
+
+    Cell (a, b) of F Lam~ F^dagger sums g(w, u) w^tr(w.a - (wA + uB).b)
+    over the edges (w, u), g(w, u) the weight substitution's image of
+    the edge's monomial, so it is G^(a - b A^T, -b B^T): G^ is the
+    character transform of g over F^(m+k).  The edges are the XORs of
+    the output images wC and uE, each the edge (w, -u), so their
+    transform at (alpha, beta) is G^(alpha, -beta), and cell
+    (alpha + b A^T, b) reads point (alpha, b B^T).  character_pass
+    transforms the 0/1 indicator of each weight tuple (one key) over the
+    edges; the weight substitution and the division by the edge count,
+    read at the zero point, then map each distinct vector of key values
+    once.
+    """
+    spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
+    q, b = spec.q, gflinalg.field_bits(spec.q)
+    edges = q ** (m + k)
+    # the stages hold (q p + p + 2) planes of at most one key per weight
+    # tuple, the fields wide enough for the edge count
+    w = (edges.bit_length() + 7) // 8
+    check_budget("the dual WAM", edges, nbytes=(q * spec.p + spec.p + 2)
+                 * prod(len(g) + 1 for g in groups) * edges * w)
+    lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
+    hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
+    words = [x ^ y for x in lo for y in hi]
+    keys, entries = {}, []
+    for e, ws in enumerate(zip(*gflinalg.group_weights(q, words, groups))):
+        entries.append((keys.setdefault(ws, len(keys)) * edges + e, 1))
+    f = fourier_matrix(spec)
+    points = character_pass(entries, len(keys), edges, w, spec.p,
+                            [(f, q ** t) for t in range(m + k)])
+    count = code_size(sum(points[0].values()), q)
+    pairs = list(zip(names[::2], names[1::2]))
+    image = monomial_map(weight_mapping(q, pairs), keep=False)
+    exps = [weight_exponents(names, groups, ws) for ws in keys]
+    polys, by_beta = {}, {}
+    for point, vec in points.items():
+        key = tuple(vec.items())
+        if key not in polys:
+            polys[key] = image(WeightPoly({exps[t]: v for t, v in key})
+                               ).exact_div(count).to_int_coeffs()
+        if polys[key]:
+            alpha, beta = divmod(point, q ** k)
+            by_beta.setdefault(beta, []).append((alpha, polys[key]))
+    # (b A^T : b B^T) of every state b, packed
+    images = gflinalg.span_images(spec, [[row[n + t] for row in seed.t_matrix]
+                                         for t in range(m)])
+    if spec.p == 2:
+        # over GF(2^r) a packed vector is its own index, and XOR adds
+        states = [(v & (1 << m * b) - 1, v >> m * b) for v in images]
+        add = int.__xor__
+    else:
+        places = [q ** t for t in range(m + k)]
+        vecs = state_vectors(spec, m)
+        states = [(sum(map(mul, d[:m], places)), sum(map(mul, d[m:], places)))
+                  for d in (_digits(v, 0, m + k, b) for v in images)]
+
+        def add(x, y):
+            return sum(map(mul, map(getitem, map(spec.add.__getitem__,
+                                                 vecs[x]), vecs[y]), places))
+    check_budget("the dual WAM", 0, sum(len(by_beta.get(beta, ()))
+                                        for _, beta in states))
+    rows = [{} for _ in images]
+    for j, (shift, beta) in enumerate(states):
+        for alpha, poly in by_beta.get(beta, ()):
+            rows[add(alpha, shift)][j] = poly
+    return PolyMatrix(state_labels(spec, m), rows)
 
 
 def iowam_from_systematic(seed, f_matrix):

@@ -126,67 +126,35 @@ class PolyMatrix:
         the single-qubit Pauli signs with p = 2 (the default; an odd-p
         table passed without its p is refused).  States are read as
         base-q digit strings, first coordinate fastest, so F is never
-        formed: the kernel is applied to the row axis one coordinate at a
-        time, then its conjugate to the column axis.  A value lives in
-        the group ring Z[C_p] as p nonnegative planes, where w^t rotates
-        the planes and conjugation negates t; a coefficient c < 0 is |c|
-        on planes 1..p-1, as -1 = w + ... + w^(p-1).  Each plane is one
-        int: entry (i, j) of exponent key number t is its w-byte field
-        (t * S + i) * S + j, so a coordinate is a few whole-plane shifts,
-        masks and additions.  A result coefficient that is not an
-        integer raises AlgebraError.
+        formed: character_pass applies the kernel to the row axis one
+        coordinate at a time, then its conjugate to the column axis.
+        Entry (i, j) of exponent key number t is field (t * S + i) * S + j
+        of its planes.  A result coefficient that is not an integer
+        raises AlgebraError.
         """
         m = _kernel(f, p, self.size)
         q, n = len(f), self.size
         check_budget("WAM", 0, n * n)
-        keys, total = {}, 0
-        for row in self.rows:
-            for e in row.values():
-                for exp, c in e.terms.items():
-                    keys.setdefault(exp, len(keys))
-                    total += abs(c)
-        # a field only ever holds a sub-sum of the input's |c|
-        w = max(1, (total.bit_length() + 7) // 8)
-        size = len(keys) * n * n * w
-        plus, minus = bytearray(size), bytearray(size)
+        keys, entries, total = {}, [], 0
         for i, row in enumerate(self.rows):
             for j, e in row.items():
                 for exp, c in e.terms.items():
-                    at = ((keys[exp] * n + i) * n + j) * w
-                    (plus if c > 0 else minus)[at:at + w] = abs(c).to_bytes(
-                        w, "little")
-        planes = ([int.from_bytes(plus, "little")]
-                  + [int.from_bytes(minus, "little")] * (p - 1))
-        del plus, minus
+                    t = keys.setdefault(exp, len(keys))
+                    entries.append(((t * n + i) * n + j, c))
+                    total += abs(c)
+        # a field only ever holds a sub-sum of the input's |c|
+        w = max(1, (total.bit_length() + 7) // 8)
         conj = [[-t % p for t in row] for row in f]
-        for exps, stride in ((f, n * w), (conj, w)):
-            for _ in range(m):
-                _kernel_stage(planes, exps, stride, size)
-                stride *= q
-        top = planes[-1]
-        if any(plane != top for plane in planes[1:]):
-            # name the first bad entry by column, then key, then row
-            bad = reduce(or_, (plane ^ top for plane in planes[1:]))
-            first = min(_nonzero_fields(bad.to_bytes(size, "little"), w),
-                        key=lambda x: (x % n, x // n // n, x // n % n))
-            field = (1 << 8 * w) - 1
-            v = [plane >> 8 * w * first & field for plane in planes]
-            raise AlgebraError("residual root-of-unity coefficient %s over "
-                               "w^0..w^%d" % ([c - v[-1] for c in v[:-1]],
-                                              p - 2))
-        # the value is plane 0 minus plane p-1, nonzero where they differ
-        lo = planes[0].to_bytes(size, "little")
-        hi = top.to_bytes(size, "little")
-        key_list, cells = list(keys), {}
-        for x in _nonzero_fields((planes[0] ^ top).to_bytes(size, "little"),
-                                 w):
-            t, cell = divmod(x, n * n)
-            cells.setdefault(cell, {})[key_list[t]] = (
-                int.from_bytes(lo[x * w:x * w + w], "little")
-                - int.from_bytes(hi[x * w:x * w + w], "little"))
-        out = [{} for _ in range(n)]
+        stages = ([(f, n * q ** t) for t in range(m)]
+                  + [(conj, q ** t) for t in range(m)])
+        # a residual is named at its first entry by column, then key, then
+        # row
+        cells = character_pass(entries, len(keys), n * n, w, p, stages,
+                               lambda x: (x % n, x // n // n, x // n % n))
+        key_list, out = list(keys), [{} for _ in range(n)]
         for cell in sorted(cells):
-            out[cell // n][cell % n] = WeightPoly(cells[cell])
+            out[cell // n][cell % n] = WeightPoly(
+                {key_list[t]: v for t, v in cells[cell].items()})
         return PolyMatrix(self.labels, out)
 
     def __str__(self):
@@ -214,25 +182,29 @@ class PolyMatrix:
 
 def edge_rows(names, groups, sources):
     """One row {next state: WeightPoly} per source state, from the (next
-    state, w_1, ..., w_g) tuples of its edges: weights w on the
-    coordinate groups g count as the product of x^(|g| - w) y^w over the
-    (x, y) pairs of the flat `names`.  Each weight tuple's key is built
-    once per call."""
-    slots = [_VAR_INDEX[name] for name in names]
-    pairs = list(zip(slots[::2], slots[1::2], map(len, groups)))
+    state, w_1, ..., w_g) tuples of its edges, each weight tuple counted
+    as its weight_exponents monomial, whose key is built once per
+    call."""
     keys, rows = {}, []
     for edges in sources:
         cells = {}
         for edge, c in Counter(edges).items():
             ws = edge[1:]
             if ws not in keys:
-                e = list(_ZERO_EXP)
-                for (x, y, size), w in zip(pairs, ws):
-                    e[x], e[y] = size - w, w
-                keys[ws] = tuple(e)
+                keys[ws] = weight_exponents(names, groups, ws)
             cells.setdefault(edge[0], {})[keys[ws]] = c
         rows.append({j: WeightPoly(terms) for j, terms in cells.items()})
     return rows
+
+
+def weight_exponents(names, groups, ws):
+    """The exponent tuple of the product of x^(|g| - w) y^w over the
+    (x, y) pairs of the flat `names`, weights ws on the coordinate groups
+    g."""
+    e = list(_ZERO_EXP)
+    for x, y, g, w in zip(names[::2], names[1::2], groups, ws):
+        e[_VAR_INDEX[x]], e[_VAR_INDEX[y]] = len(g) - w, w
+    return tuple(e)
 
 
 def _kernel(f, p, size):
@@ -254,6 +226,54 @@ def _kernel(f, p, size):
                 raise AlgebraError("kernel exponent %r is not in range(%d)"
                                    % (t, p))
     return m
+
+
+def character_pass(entries, keys, cells, w, p, stages, order=None):
+    """The character transform of `keys` grids of `cells` integers each,
+    on packed planes: {cell: {key: value}} over the nonzero results.
+
+    `entries` holds the (field, c) pairs of the nonzero inputs, field
+    key * cells + cell, and `stages` one (exponent table, stride) pair
+    per coordinate, the stride counted in fields: the coordinate's digit
+    u of a cell moves its field by u * stride.  A value lives in the
+    group ring Z[C_p] as p nonnegative planes, where w^t rotates the
+    planes; a coefficient c < 0 is |c| on planes 1..p-1, as
+    -1 = w + ... + w^(p-1).  Each plane is one int of w-byte fields, so a
+    coordinate is a few whole-plane shifts, masks and additions; w must
+    hold any sub-sum of the |c|.  A result is an integer exactly when
+    planes 1..p-1 agree; otherwise AlgebraError names the residual of
+    the first bad field by `order`, a sort key on field indices.
+    """
+    size = keys * cells * w
+    plus, minus = bytearray(size), bytearray(size)
+    for field, c in entries:
+        at = field * w
+        (plus if c > 0 else minus)[at:at + w] = abs(c).to_bytes(w, "little")
+    planes = ([int.from_bytes(plus, "little")]
+              + [int.from_bytes(minus, "little")] * (p - 1))
+    del plus, minus
+    for exps, stride in stages:
+        _kernel_stage(planes, exps, stride * w, size)
+    top = planes[-1]
+    if any(plane != top for plane in planes[1:]):
+        bad = reduce(or_, (plane ^ top for plane in planes[1:]))
+        first = min(_nonzero_fields(bad.to_bytes(size, "little"), w),
+                    key=order)
+        field = (1 << 8 * w) - 1
+        v = [plane >> 8 * w * first & field for plane in planes]
+        raise AlgebraError("residual root-of-unity coefficient %s over "
+                           "w^0..w^%d" % ([c - v[-1] for c in v[:-1]],
+                                          p - 2))
+    # the value is plane 0 minus plane p-1, nonzero where they differ
+    lo = planes[0].to_bytes(size, "little")
+    hi = top.to_bytes(size, "little")
+    out = {}
+    for x in _nonzero_fields((planes[0] ^ top).to_bytes(size, "little"), w):
+        t, cell = divmod(x, cells)
+        out.setdefault(cell, {})[t] = (
+            int.from_bytes(lo[x * w:x * w + w], "little")
+            - int.from_bytes(hi[x * w:x * w + w], "little"))
+    return out
 
 
 def _kernel_stage(planes, exps, stride, size):
@@ -288,33 +308,45 @@ def _nonzero_fields(data, w):
 def macwilliams(enum, q, pairs, kernel=None):
     """MacWilliams transform of the weight enumerator or WAM of a code.
 
-    The weight axis is one substitution: each (x, y) pair of `pairs`
-    goes to x' + (q-1) y', x' - y', (x', y') its mirror pair
-    pairs[-1 - t], so the input and parity roles of ((x_I, y_I),
-    (x_P, y_P)) trade places, and a variable outside `pairs` must not
-    occur.  Then for a WAM the state kernel, given as (exponent table,
-    p) (block codes pass none), then division by the code's size, the
-    enumerator at all ones (the sum of the stored coefficients).  A size
-    that is not a power of the prime of q raises AlgebraError first; the
-    state pass then rejects a non-integer value, the division must be
-    exact, and every coefficient must be an int.
+    The weight axis is one substitution, weight_mapping(q, pairs), and a
+    variable outside `pairs` must not occur.  Then for a WAM the state
+    kernel, given as (exponent table, p) (block codes pass none), then
+    division by the code's size, the enumerator at all ones (the sum of
+    the stored coefficients).  A size that is not a power of the prime
+    of q raises AlgebraError first (code_size); the state pass then
+    rejects a non-integer value, the division must be exact, and every
+    coefficient must be an int.
     """
     cells = ([enum] if isinstance(enum, WeightPoly)
              else chain.from_iterable(row.values() for row in enum.rows))
-    count = sum(sum(e.terms.values()) for e in cells)
+    count = code_size(sum(sum(e.terms.values()) for e in cells), q)
+    out = enum.substitute(weight_mapping(q, pairs))
+    if kernel is not None:
+        out = out.conjugate_by(*kernel)
+    return out.exact_div(count).to_int_coeffs()
+
+
+def code_size(count, q):
+    """count, a code's enumerator at all ones, once it is checked to be a
+    power of the prime of q: AlgebraError if it is not."""
     # count is a power p^e of the prime p of q exactly when it divides
     # q^b, b its bit length: p^e <= count < 2^b <= p^b
     if count < 1 or q ** count.bit_length() % count:
         raise AlgebraError("the enumerator at all ones is %d, not a power of "
                            "the prime of q = %d" % (count, q))
+    return count
+
+
+def weight_mapping(q, pairs):
+    """The weight axis of the MacWilliams transform: each (x, y) pair of
+    `pairs` to x' + (q-1) y', x' - y', (x', y') its mirror pair
+    pairs[-1 - t], so the input and parity roles of ((x_I, y_I),
+    (x_P, y_P)) trade places."""
     mapping = {}
     for (x, y), (xm, ym) in zip(pairs, reversed(pairs)):
         xv, yv = WeightPoly.var(xm), WeightPoly.var(ym)
         mapping[x], mapping[y] = xv + (q - 1) * yv, xv - yv
-    out = enum.substitute(mapping)
-    if kernel is not None:
-        out = out.conjugate_by(*kernel)
-    return out.exact_div(count).to_int_coeffs()
+    return mapping
 
 
 def series_entry(n, i, d_max):

@@ -280,3 +280,43 @@ def brute_force_dual_wam(seed):
         i, j = index[tuple(w)], index[tuple(w2)]
         rows[i][j] = rows[i].get(j, 0) + x ** (n - wt) * y ** wt
     return PolyMatrix(state_labels(spec, m), rows)
+
+
+def constraint_dual_wam(seed, pairs=(("x", "y"),), groups=None):
+    """Dual WAM from the relations that define the dual constraint code,
+    needing no dual seed and no nullspace: cell (a, b) sums
+    x^(n - wt v) y^(wt v) over the v in F^n with v E^T = b B^T and
+    a = b A^T - v C^T.  With (x, y) `pairs` and coordinate `groups` the
+    weight of v on groups[t] is counted by the mirror pair pairs[-1 - t],
+    as the MacWilliams transform trades the input and parity roles."""
+    from wamkit.conv import state_labels
+
+    spec, n, m = seed.spec, seed.n, seed.m
+    groups = groups or [range(n)]
+
+    def dot(u, v):
+        acc = 0
+        for s, t in zip(u, v):
+            acc = spec.add[acc][spec.mul[s][t]]
+        return acc
+
+    states = state_vectors(spec, m)
+    index = {v: i for i, v in enumerate(states)}
+    words = state_vectors(spec, n)
+    rows = [{} for _ in states]
+    for j, b in enumerate(states):
+        b_b = [dot(b, row) for row in seed.b_block]
+        b_a = [dot(b, row) for row in seed.a_block]
+        for v in words:
+            if [dot(v, row) for row in seed.e_block] != b_b:
+                continue
+            a = tuple(spec.sub(s, dot(v, row))
+                      for s, row in zip(b_a, seed.c_block))
+            mono = WeightPoly.const(1)
+            for (x, y), g in zip(reversed(pairs), groups):
+                wt = sum(1 for c in g if v[c])
+                mono = (mono * WeightPoly.var(x) ** (len(g) - wt)
+                        * WeightPoly.var(y) ** wt)
+            i = index[a]
+            rows[i][j] = rows[i].get(j, 0) + mono
+    return PolyMatrix(state_labels(spec, m), rows)

@@ -177,13 +177,14 @@ def test_zero_length_code_is_its_own_dual(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("action, m, head, bound", [
-    ("total", 10, "1 + D + ", 1.5), ("dfree", 11, "d_free", 1.0)],
-    ids=["total-m10", "dfree-m11"])
+    ("total", 10, "1 + D + ", 1.5), ("dfree", 11, "d_free", 1.0),
+    ("dual-total", 12, "1 + D + ", 1.0)],
+    ids=["total-m10", "dfree-m11", "dual-total-m12"])
 def test_conv_shift_register_is_quick(tmp_path, capsys, action, m, head,
                                       bound):
     # a (2, 1, m) shift register has 2^m states but only 2^(m+1) edges, so
-    # the x-collapse, the series and the transpose must not pay for all
-    # S^2 cells
+    # the x-collapse, the series, the transpose and the dual transform
+    # must not pay for all S^2 cells
     path = tmp_path / "shift.cc"
     path.write_text(shift_register_text(m))
     start = time.perf_counter()
@@ -288,6 +289,15 @@ def _qubit_identity_spec(m):
     return "\n".join(lines) + "\n"
 
 
+def _wide_dual_text():
+    """A binary (11, 0, 12) seed: q^(m+k) = 2^12 edges, but a dual WAM of
+    up to q^(m+n-k) = 2^23 nonzero cells."""
+    rng = seeded_rng("wide-dual")
+    rows = [" ".join(str(rng.randrange(2)) for _ in range(23))
+            for _ in range(12)]
+    return "q 2 1\nn 11\nk 0\nm 12\nT\n" + "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize("argv, name, text", [
     # 2^28 matrix cells from 2^15 edges
     (["conv", "wam"], "cells.cc",
@@ -307,6 +317,8 @@ def _qubit_identity_spec(m):
     # GF(4096) field tables of 2^24 cells
     (["conv", "wam"], "gf4096.cc",
      read_fixture("example1.cc").replace("q 2 1", "q 2 12", 1)),
+    # 2^12 edges whose dual WAM has over 2^22 nonzero cells
+    (["conv", "dual-total"], "wide.cc", _wide_dual_text()),
 ])
 def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv,
                                                    name, text):
@@ -338,16 +350,46 @@ def _gf9_systematic_text():
     ("verify", "all")])
 def test_whole_wam_actions_refuse_before_enumerating(tmp_path, capsys, fmt,
                                                     group, action):
-    # within the edge budget, so only the S^2 charge up front refuses it
+    # within the edge budget, so only the S^2 charge up front refuses it;
+    # dual-total renders no S^2 grid, and the bytes of its transform over
+    # the 9^6 edges, 4 weight keys at most with 3-byte fields in
+    # (q p + p + 2) = 32 planes, refuse it
     path = tmp_path / "gf9.cc"
     path.write_text(_gf9_systematic_text())
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "--format", fmt, group, action,
                              str(path))
     assert (code, out) == (2, "")
-    assert err == ("error: WAM needs 43046721 matrix cells, which exceeds "
-                   "the budget of 4194304\n")
+    if action == "dual-total":
+        assert err == ("error: the dual WAM needs %d bytes, which exceeds "
+                       "the budget of 4194304\n" % (32 * 4 * 9 ** 6 * 3))
+    else:
+        assert err == ("error: WAM needs 43046721 matrix cells, which "
+                       "exceeds the budget of 4194304\n")
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_seed_dual_actions_never_run_the_state_pass(monkeypatch, capsys,
+                                                    fmt):
+    # the seed path gives the matrix path's output byte for byte with
+    # conjugate_by refusing to run: a silent return to the S^2 state pass
+    # would show only as time
+    argvs = [["--format", fmt, "conv", action, fixture_path(name)]
+             for name in FIXTURE_NAMES if name.endswith(".cc")
+             for action in ("dual-wam", "dual-ipwam", "dual-total")]
+    with monkeypatch.context() as patch:
+        patch.setattr(conv, "dual_wam", lambda seed: conv.macwilliams_wam(
+            conv.wam(seed), seed.spec))
+        patch.setattr(conv, "dual_ipwam", lambda seed: conv.macwilliams_ipwam(
+            conv.ipwam(seed), seed.spec))
+        want = [run_cli(capsys, *argv) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("the S^2 state pass ran")
+
+    monkeypatch.setattr(PolyMatrix, "conjugate_by", refuse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
 
 
 @pytest.mark.parametrize("action, head", [

@@ -5,22 +5,26 @@ here every result is compared with the dense F . M . F^dagger, where
 the exponent of w in F is built entry by entry from the field's trace
 and product tables (or from the single-qubit kernel) and each entry is
 summed in the group ring of the p-th roots of unity, and the MacWilliams
-transforms built on it are compared with brute-force dual enumeration.
+transforms built on it are compared with brute-force dual enumeration;
+the seed path over the edge space is compared with the matrix path and
+with the relations that define the dual constraint code.
 """
 
 import inspect
 import time
+import tracemalloc
 from math import comb
 
 import pytest
 
-from conftest import (brute_force_dual_wam, field, random_conv_seed,
-                      random_eaqcc_spec, random_systematic_conv_seed,
-                      seeded_rng)
+from conftest import (brute_force_dual_wam, constraint_dual_wam, field,
+                      random_conv_seed, random_eaqcc_spec,
+                      random_systematic_conv_seed, seeded_rng)
 from wamkit.block import macwilliams_hwgf, macwilliams_ipwgf
-from wamkit.conv import (dual_systematic_seed, dual_total_wgf, fourier_matrix,
-                         ipwam, macwilliams_ipwam, macwilliams_wam,
-                         state_labels, state_vectors, wam)
+from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_systematic_seed,
+                         dual_total_wgf, dual_wam, fourier_matrix, ipwam,
+                         macwilliams_ipwam, macwilliams_wam, state_labels,
+                         state_vectors, wam)
 from wamkit.errors import AlgebraError, ShapeError
 from wamkit.poly import IP_PAIRS, VARS, WeightPoly
 from wamkit.polymatrix import PolyMatrix, macwilliams
@@ -383,3 +387,63 @@ def test_binary_m9_dual_wam_is_fast():
     elapsed = time.perf_counter() - start
     assert sum(1 for row in lam_hat.rows for e in row.values() if e) == 2 ** 10
     assert elapsed < 2.0, "binary m = 9 dual WAM took %.2f s" % elapsed
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_both_dual_wam_paths_match_the_constraint_relations(p, r):
+    # k = 0, k = n, m = 0, B = 0 and seeds without a block-shape dual seed,
+    # which the wam(dual_seed(s)) oracle cannot check
+    spec = field(p, r)
+    rng = seeded_rng("constraint-dual-%d-%d" % (p, r))
+    no_dual_seed = 0
+    for n, k, m, zero_b in [(2, 1, 1, False), (2, 0, 1, False),
+                            (2, 2, 1, False), (3, 1, 0, False),
+                            (2, 1, 1, True), (1, 1, 2, False)]:
+        for _ in range(2):
+            seed = random_conv_seed(rng, spec, n, k, m)
+            while zero_b:
+                try:
+                    seed = ConvSeed(spec, n, k, m, [
+                        row if i < m else row[:n] + [0] * m
+                        for i, row in enumerate(seed.t_matrix)])
+                    break
+                except ShapeError:  # E of rank < k
+                    seed = random_conv_seed(rng, spec, n, k, m)
+            want = constraint_dual_wam(seed)
+            assert dual_wam(seed) == want
+            assert macwilliams_wam(wam(seed), spec) == want
+            try:
+                dual_seed(seed)
+            except ShapeError:
+                no_dual_seed += 1
+        if k:
+            seed = random_systematic_conv_seed(rng, spec, n, k, m)
+            want = constraint_dual_wam(seed, IP_PAIRS,
+                                       [seed.info_cols, seed.parity_cols])
+            assert dual_ipwam(seed) == want
+            assert macwilliams_ipwam(ipwam(seed), spec) == want
+    if p == 2 and r == 1:
+        assert no_dual_seed
+
+
+def test_dual_ipwam_needs_a_systematic_seed(example1_nonsys):
+    with pytest.raises(ShapeError, match="needs a systematic seed"):
+        dual_ipwam(example1_nonsys)
+
+
+def test_binary_m11_dual_wam_runs_on_the_edges():
+    # 2^12 edges, not the 2^22 cells of the state grid: at the state pass
+    # this took about 5 s and peaked at 270 MB under tracemalloc
+    seed = random_conv_seed(seeded_rng("dual-wam-m11"), field(2), 2, 1, 11)
+    start = time.perf_counter()
+    lam_hat = dual_wam(seed)
+    elapsed = time.perf_counter() - start
+    assert sum(map(len, lam_hat.rows)) == 2 ** 12
+    assert elapsed < 0.5, "binary m = 11 dual WAM took %.2f s" % elapsed
+    tracemalloc.start()
+    try:
+        dual_wam(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
