@@ -14,15 +14,13 @@ fastest, written as strings of element indices.
 """
 
 from itertools import repeat
-from math import prod
 from operator import getitem, mul
 
-from . import gflinalg
+from . import errors, gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS, WeightPoly, monomial_map
-from .polymatrix import (PolyMatrix, character_pass, code_size, edge_rows,
-                         macwilliams, series_entry, weight_exponents,
-                         weight_mapping)
+from .polymatrix import (PolyMatrix, character_pass, edge_rows, macwilliams,
+                         series_entry, weight_exponents, weight_mapping)
 
 
 def state_vectors(spec, m):
@@ -134,10 +132,10 @@ def _edge_matrix(seed, names, groups):
                                      in zip(seed.t_matrix[m:], ident)])
     shift = (n + k) * b
     if spec.p != 2:
-        # digit t of the next state is (wA)_t - (uB)_t: diff[t][x][y] is
-        # x - y times q^t, and a state keeps its rows diff[t][wA_t]
-        diff = [[[spec.sub(x, y) * q ** t for y in range(q)]
-                 for x in range(q)] for t in range(m)]
+        # digit t of the next state is (wA)_t - (uB)_t, and a state keeps
+        # its rows diff[t][wA_t]
+        diff = _digit_tables([[spec.sub(x, y) for y in range(q)]
+                              for x in range(q)], m)
         digits = [_digits(v, shift, m, b) for v in hi]
 
     def sources():
@@ -157,6 +155,14 @@ def _edge_matrix(seed, names, groups):
 def _digits(v, shift, count, b):
     """Fields shift/b .. shift/b + count - 1 of the packed vector v."""
     return [v >> (shift + t * b) & (1 << b) - 1 for t in range(count)]
+
+
+def _digit_tables(table, m):
+    """[t][x][y] = table[x][y] q^t for the m state coordinates t, table a
+    q x q table of GF(q) indices: the state whose digit t is
+    table[x_t][y_t] has the index that sums [t][x_t][y_t] over t."""
+    q = len(table)
+    return [[[c * q ** t for c in row] for row in table] for t in range(m)]
 
 
 def wam(seed):
@@ -334,19 +340,21 @@ def macwilliams_ipwam(lam, spec):
 
 
 def dual_wam(seed):
-    """macwilliams_wam(wam(seed), seed.spec), from the seed's edges."""
+    """macwilliams_wam(wam(seed), seed.spec), from the seed's edges when
+    k < m."""
     return _dual_edge_matrix(seed, ("x", "y"), [range(seed.n)])
 
 
 def dual_ipwam(seed):
-    """macwilliams_ipwam(ipwam(seed), seed.spec), from the seed's
-    edges."""
+    """macwilliams_ipwam(ipwam(seed), seed.spec), from the seed's edges
+    when k < m."""
     return _dual_edge_matrix(seed, IP_VARS, _ip_groups(seed))
 
 
 def _dual_edge_matrix(seed, names, groups):
     """The MacWilliams transform of _edge_matrix(seed, names, groups),
-    through the q^(m+k) edges instead of the S x S state grid.
+    through the q^(m+k) edges instead of the S x S state grid when there
+    are fewer edges than cells (k < m); otherwise through the grid.
 
     Cell (a, b) of F Lam~ F^dagger sums g(w, u) w^tr(w.a - (wA + uB).b)
     over the edges (w, u), g(w, u) the weight substitution's image of
@@ -354,64 +362,86 @@ def _dual_edge_matrix(seed, names, groups):
     character transform of g over F^(m+k).  The edges are the XORs of
     the output images wC and uE, each the edge (w, -u), so their
     transform at (alpha, beta) is G^(alpha, -beta), and cell
-    (alpha + b A^T, b) reads point (alpha, b B^T).  character_pass
-    transforms the 0/1 indicator of each weight tuple (one key) over the
-    edges; the weight substitution and the division by the edge count,
-    read at the zero point, then map each distinct vector of key values
-    once.
+    (alpha + b A^T, b) reads point (alpha, b B^T).  Each weight tuple's
+    image is built once; character_pass transforms the coefficients of
+    each image monomial (one key) over the edges, as many keys a pass
+    as the budget holds, and each distinct polynomial it gives is
+    divided by the edge count once.
     """
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
+    pairs = list(zip(names[::2], names[1::2]))
+    if k >= m:
+        return macwilliams(_edge_matrix(seed, names, groups), q, pairs,
+                           (fourier_matrix(spec), spec.p))
     edges = q ** (m + k)
-    # the stages hold (q p + p + 2) planes of at most one key per weight
-    # tuple, the fields wide enough for the edge count
-    w = (edges.bit_length() + 7) // 8
-    check_budget("the dual WAM", edges, nbytes=(q * spec.p + spec.p + 2)
-                 * prod(len(g) + 1 for g in groups) * edges * w)
+    check_budget("WAM", edges)
+    # an image's coefficients add up to at most q^n in absolute value, so
+    # a field holds any sum over the edges; the stages hold
+    # (q p + p + 2) planes of one field per edge and key
+    w = ((edges * q ** n).bit_length() + 7) // 8
+    per_key = (q * spec.p + spec.p + 2) * edges * w
+    check_budget("the dual WAM", 0, nbytes=per_key)
     lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
     hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
     words = [x ^ y for x in lo for y in hi]
-    keys, entries = {}, []
+    members = {}
     for e, ws in enumerate(zip(*gflinalg.group_weights(q, words, groups))):
-        entries.append((keys.setdefault(ws, len(keys)) * edges + e, 1))
-    f = fourier_matrix(spec)
-    points = character_pass(entries, len(keys), edges, w, spec.p,
-                            [(f, q ** t) for t in range(m + k)])
-    count = code_size(sum(points[0].values()), q)
-    pairs = list(zip(names[::2], names[1::2]))
+        members.setdefault(ws, []).append(e)
     image = monomial_map(weight_mapping(q, pairs), keep=False)
-    exps = [weight_exponents(names, groups, ws) for ws in keys]
-    polys, by_beta = {}, {}
+    # entries[t] holds the (edge list, coefficient) pairs of key t
+    keys, entries = {}, []
+    for ws, es in members.items():
+        for exp, c in image(WeightPoly(
+                {weight_exponents(names, groups, ws): 1})).terms.items():
+            if exp not in keys:
+                keys[exp] = len(entries)
+                entries.append([])
+            entries[keys[exp]].append((es, c))
+    f = fourier_matrix(spec)
+    stages = [(f, q ** t) for t in range(m + k)]
+    batch, points = errors.BUDGET // per_key, {}
+    for first in range(0, len(entries), batch):
+        chunk = entries[first:first + batch]
+        out = character_pass([(t * edges + e, c)
+                              for t, terms in enumerate(chunk)
+                              for es, c in terms for e in es],
+                             len(chunk), edges, w, spec.p, stages)
+        for point, vec in out.items():
+            points.setdefault(point, {}).update(
+                (first + t, v) for t, v in vec.items())
+    exps, polys, by_beta = list(keys), {}, {}
     for point, vec in points.items():
         key = tuple(vec.items())
         if key not in polys:
-            polys[key] = image(WeightPoly({exps[t]: v for t, v in key})
-                               ).exact_div(count).to_int_coeffs()
-        if polys[key]:
-            alpha, beta = divmod(point, q ** k)
-            by_beta.setdefault(beta, []).append((alpha, polys[key]))
+            polys[key] = WeightPoly({exps[t]: v for t, v in key}).exact_div(
+                edges).to_int_coeffs()
+        alpha, beta = divmod(point, q ** k)
+        by_beta.setdefault(beta, []).append((alpha, polys[key]))
     # (b A^T : b B^T) of every state b, packed
     images = gflinalg.span_images(spec, [[row[n + t] for row in seed.t_matrix]
                                          for t in range(m)])
     if spec.p == 2:
         # over GF(2^r) a packed vector is its own index, and XOR adds
         states = [(v & (1 << m * b) - 1, v >> m * b) for v in images]
-        add = int.__xor__
+        place = int.__xor__
     else:
-        places = [q ** t for t in range(m + k)]
-        vecs = state_vectors(spec, m)
-        states = [(sum(map(mul, d[:m], places)), sum(map(mul, d[m:], places)))
+        # digit t of a row is alpha_t + (b A^T)_t: a state keeps its rows
+        # plus[t][(b A^T)_t]
+        plus, vecs = _digit_tables(spec.add, m), state_vectors(spec, m)
+        places = [q ** t for t in range(k)]
+        states = [(list(map(getitem, plus, d[:m])),
+                   sum(map(mul, d[m:], places)))
                   for d in (_digits(v, 0, m + k, b) for v in images)]
 
-        def add(x, y):
-            return sum(map(mul, map(getitem, map(spec.add.__getitem__,
-                                                 vecs[x]), vecs[y]), places))
+        def place(alpha, sums):
+            return sum(map(getitem, sums, vecs[alpha]))
     check_budget("the dual WAM", 0, sum(len(by_beta.get(beta, ()))
                                         for _, beta in states))
     rows = [{} for _ in images]
     for j, (shift, beta) in enumerate(states):
         for alpha, poly in by_beta.get(beta, ()):
-            rows[add(alpha, shift)][j] = poly
+            rows[place(alpha, shift)][j] = poly
     return PolyMatrix(state_labels(spec, m), rows)
 
 

@@ -313,28 +313,22 @@ def macwilliams(enum, q, pairs, kernel=None):
     kernel, given as (exponent table, p) (block codes pass none), then
     division by the code's size, the enumerator at all ones (the sum of
     the stored coefficients).  A size that is not a power of the prime
-    of q raises AlgebraError first (code_size); the state pass then
-    rejects a non-integer value, the division must be exact, and every
-    coefficient must be an int.
+    of q raises AlgebraError first; the state pass then rejects a
+    non-integer value, the division must be exact, and every coefficient
+    must be an int.
     """
     cells = ([enum] if isinstance(enum, WeightPoly)
              else chain.from_iterable(row.values() for row in enum.rows))
-    count = code_size(sum(sum(e.terms.values()) for e in cells), q)
-    out = enum.substitute(weight_mapping(q, pairs))
-    if kernel is not None:
-        out = out.conjugate_by(*kernel)
-    return out.exact_div(count).to_int_coeffs()
-
-
-def code_size(count, q):
-    """count, a code's enumerator at all ones, once it is checked to be a
-    power of the prime of q: AlgebraError if it is not."""
+    count = sum(sum(e.terms.values()) for e in cells)
     # count is a power p^e of the prime p of q exactly when it divides
     # q^b, b its bit length: p^e <= count < 2^b <= p^b
     if count < 1 or q ** count.bit_length() % count:
         raise AlgebraError("the enumerator at all ones is %d, not a power of "
                            "the prime of q = %d" % (count, q))
-    return count
+    out = enum.substitute(weight_mapping(q, pairs))
+    if kernel is not None:
+        out = out.conjugate_by(*kernel)
+    return out.exact_div(count).to_int_coeffs()
 
 
 def weight_mapping(q, pairs):

@@ -6,14 +6,15 @@ import tracemalloc
 
 import pytest
 
-from conftest import (fixture_path, read_fixture, seeded_rng,
-                      shift_register_text)
+from conftest import (field, fixture_path, random_systematic_conv_seed,
+                      read_fixture, seeded_rng, shift_register_text)
 from wamkit import conv, gflinalg, quantum
 from wamkit.cli import _CONV, main
 from wamkit.conv import ipwam, wam
 from wamkit.errors import AlgebraError
 from wamkit.formats import (dumps, matrix_to_structured, parse_block_code,
-                            poly_to_structured, structured_to_matrix)
+                            poly_to_structured, render_conv_seed,
+                            structured_to_matrix)
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import quantum_wam
@@ -333,6 +334,19 @@ def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv,
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("text, edges", [
+    (shift_register_text(22), 2 ** 23),
+    ("q 2 1\nn 27\nk 27\nm 0\nT\n" + _identity_rows(27) + "\n", 2 ** 27)],
+    ids=["k<=m", "k>m"])
+def test_dual_total_charges_the_wam_edges_first(tmp_path, capsys, text,
+                                                edges):
+    path = tmp_path / "edges.cc"
+    path.write_text(text)
+    assert run_cli(capsys, "conv", "dual-total", str(path)) == (
+        2, "", "error: WAM needs %d edges, which exceeds the budget of "
+        "4194304\n" % edges)
+
+
 def _gf9_systematic_text():
     """A systematic GF(9) (3, 2, 4) seed: 3^16 WAM cells from 3^12 edges."""
     rng = seeded_rng("gf9-s2")
@@ -351,9 +365,10 @@ def _gf9_systematic_text():
 def test_whole_wam_actions_refuse_before_enumerating(tmp_path, capsys, fmt,
                                                     group, action):
     # within the edge budget, so only the S^2 charge up front refuses it;
-    # dual-total renders no S^2 grid, and the bytes of its transform over
-    # the 9^6 edges, 4 weight keys at most with 3-byte fields in
-    # (q p + p + 2) = 32 planes, refuse it
+    # dual-total renders no S^2 grid, and the bytes a pass of its
+    # transform over the 9^6 edges holds for one key, 4-byte fields (a
+    # field sums up to 9^3 per edge) in (q p + p + 2) = 32 planes,
+    # refuse it
     path = tmp_path / "gf9.cc"
     path.write_text(_gf9_systematic_text())
     start = time.perf_counter()
@@ -362,7 +377,7 @@ def test_whole_wam_actions_refuse_before_enumerating(tmp_path, capsys, fmt,
     assert (code, out) == (2, "")
     if action == "dual-total":
         assert err == ("error: the dual WAM needs %d bytes, which exceeds "
-                       "the budget of 4194304\n" % (32 * 4 * 9 ** 6 * 3))
+                       "the budget of 4194304\n" % (32 * 9 ** 6 * 4))
     else:
         assert err == ("error: WAM needs 43046721 matrix cells, which "
                        "exceeds the budget of 4194304\n")
@@ -390,6 +405,27 @@ def test_seed_dual_actions_never_run_the_state_pass(monkeypatch, capsys,
 
     monkeypatch.setattr(PolyMatrix, "conjugate_by", refuse)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
+
+
+@pytest.mark.parametrize("n, k, m", [(16, 15, 0), (12, 11, 4)])
+def test_seed_dual_actions_with_more_edges_than_cells(tmp_path, capsys, n,
+                                                      k, m):
+    # k > m: the 2^15 edges outnumber the 2^(2m) cells, and their planes
+    # would exceed the byte budget, so the dual runs on the state grid
+    seed = random_systematic_conv_seed(
+        seeded_rng("wide-input-%d-%d-%d" % (n, k, m)), field(2), n, k, m)
+    path = tmp_path / "wide.cc"
+    path.write_text(render_conv_seed(seed))
+    lam_hat = conv.macwilliams_wam(wam(seed), seed.spec)
+    assert run_cli(capsys, "conv", "dual-wam", str(path)) == (
+        0, "%s\n" % lam_hat, "")
+    assert run_cli(capsys, "conv", "dual-total", str(path)) == (
+        0, "%s\n" % conv.total_wgf(lam_hat.collapse({"x": 1}), 10), "")
+    code, out, err = run_cli(capsys, "verify", "all", str(path))
+    assert (code, err) == (0, "")
+    assert "wam transform matches dual enumeration: PASS" in out
+    assert "ipwam transform matches dual enumeration: PASS" in out
+    assert "FAIL" not in out
 
 
 @pytest.mark.parametrize("action, head", [

@@ -20,6 +20,7 @@ import pytest
 from conftest import (brute_force_dual_wam, constraint_dual_wam, field,
                       random_conv_seed, random_eaqcc_spec,
                       random_systematic_conv_seed, seeded_rng)
+from wamkit import conv, errors
 from wamkit.block import macwilliams_hwgf, macwilliams_ipwgf
 from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_systematic_seed,
                          dual_total_wgf, dual_wam, fourier_matrix, ipwam,
@@ -392,13 +393,15 @@ def test_binary_m9_dual_wam_is_fast():
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_both_dual_wam_paths_match_the_constraint_relations(p, r):
     # k = 0, k = n, m = 0, B = 0 and seeds without a block-shape dual seed,
-    # which the wam(dual_seed(s)) oracle cannot check
+    # which the wam(dual_seed(s)) oracle cannot check; the seeds with
+    # k < m run on the edges, the others on the state grid
     spec = field(p, r)
     rng = seeded_rng("constraint-dual-%d-%d" % (p, r))
     no_dual_seed = 0
     for n, k, m, zero_b in [(2, 1, 1, False), (2, 0, 1, False),
                             (2, 2, 1, False), (3, 1, 0, False),
-                            (2, 1, 1, True), (1, 1, 2, False)]:
+                            (2, 1, 2, True), (1, 1, 2, False),
+                            (3, 1, 2, False)]:
         for _ in range(2):
             seed = random_conv_seed(rng, spec, n, k, m)
             while zero_b:
@@ -424,6 +427,29 @@ def test_both_dual_wam_paths_match_the_constraint_relations(p, r):
             assert macwilliams_ipwam(ipwam(seed), spec) == want
     if p == 2 and r == 1:
         assert no_dual_seed
+
+
+def test_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
+        monkeypatch):
+    # room for one key's planes: each image monomial gets its own pass
+    spec = field(3)
+    seed = random_systematic_conv_seed(seeded_rng("dual-passes"), spec, 3,
+                                       1, 2)
+    want = macwilliams_wam(wam(seed), spec)
+    want_ip = macwilliams_ipwam(ipwam(seed), spec)
+    edges = 3 ** 3
+    monkeypatch.setattr(errors, "BUDGET", 14 * edges * (
+        ((edges * 3 ** 3).bit_length() + 7) // 8))
+    passes, run = [], conv.character_pass
+
+    def counted(entries, keys, *args):
+        passes.append(keys)
+        return run(entries, keys, *args)
+
+    monkeypatch.setattr(conv, "character_pass", counted)
+    assert dual_wam(seed) == want
+    assert dual_ipwam(seed) == want_ip
+    assert len(passes) > 2 and set(passes) == {1}
 
 
 def test_dual_ipwam_needs_a_systematic_seed(example1_nonsys):
