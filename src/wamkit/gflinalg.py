@@ -11,6 +11,16 @@ def digit_vectors(q, m):
     return (v[::-1] for v in product(range(q), repeat=m))
 
 
+def digit_strings(symbols, m):
+    """The string symbols[v_0] symbols[v_1] ... of every v in
+    digit_vectors(len(symbols), m), in that order: each coordinate is
+    appended to all strings so far, as the slowest digit."""
+    out = [""]
+    for _ in range(m):
+        out = [s + c for c in symbols for s in out]
+    return out
+
+
 # --- packed spans: a vector over GF(q) as one int, coordinate j holding
 # its element index in bits [j*b, (j+1)*b), b = field_bits(q) ---
 
@@ -22,14 +32,21 @@ def span_images(spec, rows):
     """The images v . rows of every v in digit_vectors(q, len(rows)), in
     that order, packed.  Field j of a XOR b is zero exactly when
     a_j = b_j, that is when a - b is zero at j; over GF(2^r) a XOR b is
-    the packed a + b = a - b itself."""
-    add, mul = spec.add, spec.mul
+    the packed a + b = a - b itself, so there each row's q multiples are
+    packed once and every image is one XOR."""
+    add, mul, b = spec.add, spec.mul, field_bits(spec.q)
+    if spec.p == 2:
+        images = [0]
+        for row in rows:
+            multiples = [sum(mul[c][x] << (j * b) for j, x in enumerate(row))
+                         for c in range(spec.q)]
+            images = [v ^ mult for mult in multiples for v in images]
+        return images
     vecs = [[0] * len(rows[0])] if rows else [[]]
     for row in rows:
         multiples = [[mul[c][x] for x in row] for c in range(spec.q)]
         vecs = [[add[x][y] for x, y in zip(v, mrow)]
                 for mrow in multiples for v in vecs]
-    b = field_bits(spec.q)
     return [sum(x << (j * b) for j, x in enumerate(v)) for v in vecs]
 
 

@@ -6,7 +6,7 @@ XOR since global phases are quotiented out.
 """
 
 from .errors import ShapeError, WamkitError
-from .gflinalg import digit_vectors
+from .gflinalg import digit_strings
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -94,14 +94,10 @@ def symplectic_product(a, b):
     return acc
 
 
-def pauli_state_words(m):
-    """All of {I,X,Y,Z}^m in canonical order, first qubit fastest."""
-    return [PauliWord(_LETTER_TO_BITS[LETTERS[t]] for t in digits)
-            for digits in digit_vectors(4, m)]
-
-
 def pauli_state_labels(m):
-    return [w.letters() for w in pauli_state_words(m)]
+    """The letters of all of {I,X,Y,Z}^m in canonical order, first qubit
+    fastest."""
+    return digit_strings(LETTERS, m)
 
 
 class CliffordSeed:

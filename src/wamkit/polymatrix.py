@@ -8,6 +8,7 @@ from operator import add, neg, or_
 
 from . import errors
 from .errors import AlgebraError, check_budget
+from .gflinalg import group_weights
 from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, factor_text,
                    monomial_map, term_table, terms_text)
 
@@ -149,8 +150,9 @@ class PolyMatrix:
                   + [(conj, q ** t) for t in range(m)])
         # a residual is named at its first entry by column, then key, then
         # row
-        cells = character_pass(entries, len(keys), n * n, w, p, stages,
-                               lambda x: (x % n, x // n // n, x // n % n))
+        cells = character_pass(
+            _signed_planes(entries, len(keys) * n * n * w, w), len(keys),
+            n * n, w, p, stages, lambda x: (x % n, x // n // n, x // n % n))
         key_list, out = list(keys), [{} for _ in range(n)]
         for cell in sorted(cells):
             out[cell // n][cell % n] = WeightPoly(
@@ -228,12 +230,24 @@ def _kernel(f, p, size):
     return m
 
 
-def character_pass(entries, keys, cells, w, p, stages, order=None):
+def _signed_planes(entries, size, w):
+    """(plus, minus): ints of `size` bytes whose w-byte field f holds c
+    in plus for each (f, c) of `entries` with c > 0, and |c| in minus
+    for c < 0."""
+    plus, minus = bytearray(size), bytearray(size)
+    for field, c in entries:
+        at = field * w
+        (plus if c > 0 else minus)[at:at + w] = abs(c).to_bytes(w, "little")
+    return int.from_bytes(plus, "little"), int.from_bytes(minus, "little")
+
+
+def character_pass(values, keys, cells, w, p, stages, order=None):
     """The character transform of `keys` grids of `cells` integers each,
     on packed planes: {cell: {key: value}} over the nonzero results.
 
-    `entries` holds the (field, c) pairs of the nonzero inputs, field
-    key * cells + cell, and `stages` one (exponent table, stride) pair
+    `values` is the pair (plus, minus) of ints of w-byte fields, field
+    key * cells + cell holding c of an input c > 0 in plus and |c| of an
+    input c < 0 in minus, and `stages` one (exponent table, stride) pair
     per coordinate, the stride counted in fields: the coordinate's digit
     u of a cell moves its field by u * stride.  A value lives in the
     group ring Z[C_p] as p nonnegative planes, where w^t rotates the
@@ -245,13 +259,8 @@ def character_pass(entries, keys, cells, w, p, stages, order=None):
     the first bad field by `order`, a sort key on field indices.
     """
     size = keys * cells * w
-    plus, minus = bytearray(size), bytearray(size)
-    for field, c in entries:
-        at = field * w
-        (plus if c > 0 else minus)[at:at + w] = abs(c).to_bytes(w, "little")
-    planes = ([int.from_bytes(plus, "little")]
-              + [int.from_bytes(minus, "little")] * (p - 1))
-    del plus, minus
+    plus, minus = values
+    planes = [plus] + [minus] * (p - 1)
     for exps, stride in stages:
         _kernel_stage(planes, exps, stride * w, size)
     top = planes[-1]
@@ -329,6 +338,97 @@ def macwilliams(enum, q, pairs, kernel=None):
     if kernel is not None:
         out = out.conjugate_by(*kernel)
     return out.exact_div(count).to_int_coeffs()
+
+
+def dual_key_bytes(edges, q, p, coords):
+    """(w, bytes): the field width and the bytes that edge_dual_rows's
+    stages hold for one key over `edges` edges of `coords` coordinates.
+
+    The image of an edge's monomial has coefficients adding up to at
+    most q^coords in absolute value, so w-byte fields hold any sum over
+    the edges; the stages hold (q p + p + 2) planes of one field per
+    edge and key.
+    """
+    w = ((edges * q ** coords).bit_length() + 7) // 8
+    return w, (q * p + p + 2) * edges * w
+
+
+def edge_dual_rows(words, names, groups, q, p, stages, inner, columns,
+                   place):
+    """The rows of the MacWilliams transform of a WAM, read from the
+    character transform of its edges instead of the S x S state grid.
+
+    words[e] is edge e's packed output word over GF(q), weighed by
+    group_weights on `groups`, and `stages` the (exponent table, stride)
+    pairs of character_pass over the edge index, whose points are
+    outer * inner + beta.  Column j = (shift, beta) of `columns` reads
+    each point (alpha, beta) into row place(alpha, shift).  Each weight
+    tuple's image under weight_mapping is built once, and its edges are
+    one indicator int.  Every monomial of the images is one key, whose
+    planes over the edges are sums of |c| times the indicators of the
+    tuples whose image holds it with coefficient c, and character_pass
+    takes as many keys a pass as the budget holds.  Each distinct
+    polynomial it gives is divided by the edge count once.  The key
+    bytes (dual_key_bytes) and then the output cells are charged to the
+    budget.
+    """
+    edges = len(words)
+    w, per_key = dual_key_bytes(edges, q, p, sum(map(len, groups)))
+    check_budget("the dual WAM", 0, nbytes=per_key)
+    width = edges * w
+    # a weight tuple's indicator has a 1 in the low byte of each of its
+    # edges' fields
+    members = {}
+    for at, ws in zip(range(0, width, w),
+                      zip(*group_weights(q, words, groups))):
+        ind = members.get(ws)
+        if ind is None:
+            ind = members[ws] = bytearray(width)
+        ind[at] = 1
+    image = monomial_map(weight_mapping(q, list(zip(names[::2],
+                                                    names[1::2]))),
+                         keep=False)
+    # entries[t] holds the (indicator, coefficient) pairs of key t
+    keys, entries = {}, []
+    for ws, ind in members.items():
+        ind = int.from_bytes(ind, "little")
+        for exp, c in image(WeightPoly(
+                {weight_exponents(names, groups, ws): 1})).terms.items():
+            if exp not in keys:
+                keys[exp] = len(entries)
+                entries.append([])
+            entries[keys[exp]].append((ind, c))
+    del members
+    batch, points = errors.BUDGET // per_key, {}
+    for first in range(0, len(entries), batch):
+        chunk = entries[first:first + batch]
+        # an edge is on one tuple's indicator, so a key's planes are sums
+        # of c times indicators with no carry between fields
+        planes = [[0, 0] for _ in chunk]
+        for pair, terms in zip(planes, chunk):
+            for ind, c in terms:
+                pair[c < 0] += abs(c) * ind
+        out = character_pass([int.from_bytes(b"".join(
+            pair[s].to_bytes(width, "little") for pair in planes), "little")
+            for s in (0, 1)], len(chunk), edges, w, p, stages)
+        for point, vec in out.items():
+            points.setdefault(point, {}).update(
+                (first + t, v) for t, v in vec.items())
+    exps, polys, by_beta = list(keys), {}, {}
+    for point, vec in points.items():
+        key = tuple(vec.items())
+        if key not in polys:
+            polys[key] = WeightPoly({exps[t]: v for t, v in key}).exact_div(
+                edges).to_int_coeffs()
+        alpha, beta = divmod(point, inner)
+        by_beta.setdefault(beta, []).append((alpha, polys[key]))
+    check_budget("the dual WAM", 0, sum(len(by_beta.get(beta, ()))
+                                        for _, beta in columns))
+    rows = [{} for _ in columns]
+    for j, (shift, beta) in enumerate(columns):
+        for alpha, poly in by_beta.get(beta, ()):
+            rows[place(alpha, shift)][j] = poly
+    return rows
 
 
 def weight_mapping(q, pairs):

@@ -13,12 +13,14 @@ The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 
 from itertools import repeat
 
+from . import errors
 from .errors import ShapeError, check_budget
 from .fields import FieldSpec
 from .gflinalg import (cleared_response, group_weights, impulse_response,
                        pairing, span_images)
 from .pauli import LETTERS, PauliWord, pauli_state_labels
-from .polymatrix import PolyMatrix, edge_rows, macwilliams
+from .polymatrix import (PolyMatrix, dual_key_bytes, edge_dual_rows,
+                         edge_rows, macwilliams)
 
 _GF2 = FieldSpec(2)
 
@@ -30,6 +32,9 @@ F1 = (
     (0, 1, 0, 1),
     (0, 1, 1, 0),
 )
+
+# the kernel of one Z-type ancilla bit s: the sign (-1)^(s t)
+_F_BIT = ((0, 0), (0, 1))
 
 
 class EaqccSpec:
@@ -104,7 +109,7 @@ def _edge_count(spec):
 
 def _span_tables(spec):
     """(memory images, logical (x) ancilla images) of the seed in the
-    order of pauli_state_words(m) and of the logical words with the
+    order of pauli_state_labels(m) and of the logical words with the
     Z-type ancilla words varying fastest, packed in the GF(4) layout: a
     2-bit field per physical, then output memory qubit, holding its
     letter's index in I, X, Y, Z.  X^a Y^b has (z, x) = (b, a XOR b) and
@@ -152,7 +157,63 @@ def quantum_macwilliams(lam):
 
 
 def dual_wam(spec):
-    return quantum_macwilliams(quantum_wam(spec))
+    """quantum_macwilliams(quantum_wam(spec)), from the 4^m 4^k 2^a edges
+    when they are fewer than the 16^m cells (4^k 2^a < 4^m) and one
+    key's planes fit the budget; otherwise through the grid.
+
+    Cell (alpha, beta) of F Lam~ F sums g(e) (-1)^(<alpha, M> + <beta, M'>)
+    over the edges e = (M, L, S) with output memory word M', g(e) the
+    weight substitution's image of the edge's monomial and < , > the
+    symplectic form, so it is G^(alpha + A* beta, L* beta, S* beta): G^
+    is the character transform of g over the memory and logical letters
+    (kernel F1) and the ancilla bits, and A*, L*, S* are the adjoints
+    of the GF(2)-linear map from (M, L, S) to M' (_adjoint_images).
+    """
+    m, k, a = spec.m, spec.k, spec.a
+    edges, inner = _edge_count(spec), 4 ** k * 2 ** a
+    check_budget("quantum WAM", edges, 16 ** m)
+    # the grid charges no plane bytes, so a spec whose edge planes would
+    # not fit keeps the grid rather than be refused
+    if inner >= 4 ** m or dual_key_bytes(edges, 4, 2, spec.n)[1] > \
+            errors.BUDGET:
+        return quantum_macwilliams(quantum_wam(spec))
+    mem_images, la_images = _span_tables(spec)
+    # edge e = M 4^k 2^a + la, the ancilla bits fastest
+    stages = ([(_F_BIT, 2 ** t) for t in range(a)]
+              + [(F1, 2 ** a * 4 ** t) for t in range(k + m)])
+    # every state beta reads its points at (A* beta, (L* beta, S* beta))
+    columns = [(v >> a + 2 * k, v & inner - 1)
+               for v in _adjoint_images(spec, mem_images, la_images)]
+    return PolyMatrix(pauli_state_labels(m), edge_dual_rows(
+        [x ^ y for x in mem_images for y in la_images], ("x", "y"),
+        [range(spec.n)], 4, 2, stages, inner, columns, int.__xor__))
+
+
+def _adjoint_images(spec, mem_images, la_images):
+    """The packed (S* beta, L* beta, A* beta) of every memory word beta in
+    state order: one bit per ancilla, then one 2-bit letter field per
+    logical and per memory qubit.
+
+    <beta, M'> is linear in the input, so it sums <beta, o(g)> over the
+    generators g that the input holds, o(g) the output memory word of
+    g's image.  F1 pairs the letter X^x Y^y with 2 s + t to x s + y t,
+    so letter t of A* beta is 2 <beta, o(X_t)> + <beta, o(Y_t)>: an X
+    generator sets the high bit of its field and a Y generator the low
+    one.  L* beta is alike, and bit t of S* beta is <beta, o(Z_t)>.
+    beta is spanned by X_t (row 2t) and Y_t (row 2t + 1), and <X_t, o>
+    is bit 2t + 1 of o, <Y_t, o> bit 2t, so row j reads bit j ^ 1.
+    """
+    a, shift = spec.a, 2 * spec.n
+    # the generators in input order: ancilla Z, then logical and memory
+    # (X, Y) pairs, the rows of the two span tables
+    outs = ([la_images[1 << i] >> shift
+             for i in range(len(la_images).bit_length() - 1)]
+            + [mem_images[1 << i] >> shift
+               for i in range(len(mem_images).bit_length() - 1)])
+    # the field bits in generator order, each (X, Y) pair swapped
+    order = [i if i < a else a + (i - a ^ 1) for i in range(len(outs))]
+    return span_images(_GF2, [[outs[i] >> (j ^ 1) & 1 for i in order]
+                              for j in range(2 * spec.m)])
 
 
 # --- polynomial check matrices ---

@@ -10,8 +10,7 @@ from wamkit.conv import ConvSeed, SystematicConvSeed, state_vectors
 from wamkit.fields import FieldSpec
 from wamkit.formats import (parse_block_code, parse_conv_seed,
                             parse_quantum_spec)
-from wamkit.pauli import (CliffordSeed, PauliWord, pauli_state_words,
-                          symplectic_product)
+from wamkit.pauli import CliffordSeed, PauliWord, symplectic_product
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import EaqccSpec
@@ -207,6 +206,17 @@ def direct_conv_edges(seed):
             edges.append((index[w], index[tuple(word[seed.n:])], u,
                           word[:seed.n]))
     return edges
+
+
+# (z, x) bits of I, X, Y, Z, the state letters in canonical order
+_PAULI_BITS = ((0, 0), (0, 1), (1, 1), (1, 0))
+
+
+def pauli_state_words(m):
+    """All of {I,X,Y,Z}^m in canonical order, first qubit fastest, as
+    PauliWords built from their bit pairs."""
+    return [PauliWord(_PAULI_BITS[t] for t in digits)
+            for digits in gflinalg.digit_vectors(4, m)]
 
 
 def direct_quantum_edges(spec):

@@ -6,15 +6,16 @@ import tracemalloc
 
 import pytest
 
-from conftest import (field, fixture_path, random_systematic_conv_seed,
-                      read_fixture, seeded_rng, shift_register_text)
+from conftest import (field, fixture_path, random_eaqcc_spec,
+                      random_systematic_conv_seed, read_fixture, seeded_rng,
+                      shift_register_text)
 from wamkit import conv, gflinalg, quantum
 from wamkit.cli import _CONV, main
 from wamkit.conv import ipwam, wam
 from wamkit.errors import AlgebraError
 from wamkit.formats import (dumps, matrix_to_structured, parse_block_code,
                             poly_to_structured, render_conv_seed,
-                            structured_to_matrix)
+                            render_quantum_spec, structured_to_matrix)
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import quantum_wam
@@ -405,6 +406,31 @@ def test_seed_dual_actions_never_run_the_state_pass(monkeypatch, capsys,
 
     monkeypatch.setattr(PolyMatrix, "conjugate_by", refuse)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_quantum_dual_wam_never_runs_the_state_pass(tmp_path, monkeypatch,
+                                                    capsys, fmt):
+    # specs with 4^k 2^a < 4^m, so their edges are fewer than the cells
+    argvs = []
+    for n, k, c, m in [(1, 0, 0, 1), (2, 1, 1, 2), (2, 0, 1, 2),
+                       (3, 1, 0, 3), (2, 1, 1, 4)]:
+        spec = random_eaqcc_spec(seeded_rng("cli-quantum-dual-%d%d%d%d"
+                                            % (n, k, c, m)), n, k, c, m)
+        path = tmp_path / ("s%d%d%d%d.qcc" % (n, k, c, m))
+        path.write_text(render_quantum_spec(spec))
+        argvs.append(["--format", fmt, "quantum", "dual-wam", str(path)])
+    with monkeypatch.context() as patch:
+        patch.setattr(quantum, "dual_wam", lambda spec: (
+            quantum.quantum_macwilliams(quantum.quantum_wam(spec))))
+        want = [run_cli(capsys, *argv) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("the S^2 state pass ran")
+
+    monkeypatch.setattr(PolyMatrix, "conjugate_by", refuse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+    assert all(code == 0 for code, _out, _err in want)
 
 
 @pytest.mark.parametrize("n, k, m", [(16, 15, 0), (12, 11, 4)])

@@ -13,7 +13,7 @@ from wamkit.conv import (ConvSeed, SystematicConvSeed, assemble_encoder,
                          free_distance, free_wgf, iowam, iowam_from_systematic,
                          ipwam, macwilliams_ipwam, macwilliams_wam,
                          orthogonality_check, poly_generator, state_labels,
-                         total_wgf, wam)
+                         state_vectors, total_wgf, wam)
 from wamkit.errors import ShapeError
 from wamkit.formats import parse_conv_seed
 from wamkit.poly import WeightPoly
@@ -52,6 +52,14 @@ IOWAM_NONSYS_Y = [
 def test_state_order_first_coordinate_fastest():
     assert state_labels(field(2), 2) == STATES4
     assert state_labels(field(3), 1) == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (11, 1)])
+def test_state_labels_write_each_digit_of_the_state_vectors(p, r):
+    spec = field(p, r)
+    for m in range(5 if spec.q < 11 else 3):
+        assert state_labels(spec, m) == [
+            "".join(str(x) for x in v) for v in state_vectors(spec, m)]
 
 
 def test_example1_wam(example1):

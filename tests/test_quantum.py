@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import (matrix_of, random_clifford_seed, random_eaqcc_spec,
-                      seeded_rng)
+from conftest import (matrix_of, pauli_state_words, random_clifford_seed,
+                      random_eaqcc_spec, seeded_rng)
 from wamkit.errors import ShapeError
 from wamkit.pauli import (CliffordSeed, PauliWord, pauli_state_labels,
                           symplectic_product)
@@ -91,6 +91,12 @@ def test_state_order_first_qubit_fastest():
     labels = pauli_state_labels(2)
     assert labels[:5] == ["II", "XI", "YI", "ZI", "IX"]
     assert PauliWord.from_str("IX").state_index() == 4
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_state_labels_are_the_pauli_words_letters(m):
+    assert pauli_state_labels(m) == [w.letters()
+                                     for w in pauli_state_words(m)]
 
 
 def test_clifford_validate_catches_broken_seed():

@@ -20,7 +20,7 @@ import pytest
 from conftest import (brute_force_dual_wam, constraint_dual_wam, field,
                       random_conv_seed, random_eaqcc_spec,
                       random_systematic_conv_seed, seeded_rng)
-from wamkit import conv, errors
+from wamkit import errors, polymatrix, quantum
 from wamkit.block import macwilliams_hwgf, macwilliams_ipwgf
 from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_systematic_seed,
                          dual_total_wgf, dual_wam, fourier_matrix, ipwam,
@@ -440,13 +440,13 @@ def test_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
     edges = 3 ** 3
     monkeypatch.setattr(errors, "BUDGET", 14 * edges * (
         ((edges * 3 ** 3).bit_length() + 7) // 8))
-    passes, run = [], conv.character_pass
+    passes, run = [], polymatrix.character_pass
 
     def counted(entries, keys, *args):
         passes.append(keys)
         return run(entries, keys, *args)
 
-    monkeypatch.setattr(conv, "character_pass", counted)
+    monkeypatch.setattr(polymatrix, "character_pass", counted)
     assert dual_wam(seed) == want
     assert dual_ipwam(seed) == want_ip
     assert len(passes) > 2 and set(passes) == {1}
@@ -469,6 +469,65 @@ def test_binary_m11_dual_wam_runs_on_the_edges():
     tracemalloc.start()
     try:
         dual_wam(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
+
+
+@pytest.mark.parametrize("n, k, c, m", [
+    (1, 0, 0, 1), (2, 0, 1, 2), (2, 1, 0, 2), (2, 1, 1, 2), (3, 1, 1, 3),
+    (3, 2, 1, 3), (2, 1, 1, 1), (3, 1, 0, 2), (4, 2, 0, 3), (3, 2, 0, 2),
+    (3, 0, 0, 1), (2, 1, 0, 0)])
+def test_quantum_dual_wam_matches_the_grid_and_the_dual_spec(
+        monkeypatch, n, k, c, m):
+    # k = 0, c = 0 and a = 0 on the edges, for m = 1..3; the ties
+    # 4^k 2^a = 4^m, more edges than cells and m = 0 on the grid
+    spec = random_eaqcc_spec(seeded_rng("quantum-dual-%d%d%d%d"
+                                        % (n, k, c, m)), n, k, c, m)
+    want = quantum_macwilliams(quantum_wam(spec))
+    assert want == quantum_wam(dual_spec(spec))
+    grid, run = [], PolyMatrix.conjugate_by
+
+    def counted(self, *args):
+        grid.append(self.size)
+        return run(self, *args)
+
+    monkeypatch.setattr(PolyMatrix, "conjugate_by", counted)
+    assert quantum.dual_wam(spec) == want
+    assert bool(grid) == (4 ** k * 2 ** spec.a >= 4 ** m)
+
+
+def test_quantum_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
+        monkeypatch):
+    # room for one key's planes: each image monomial gets its own pass
+    spec = random_eaqcc_spec(seeded_rng("quantum-dual-passes"), 3, 1, 0, 3)
+    want = quantum_macwilliams(quantum_wam(spec))
+    edges = 4 ** 3 * 4 * 2 ** 2
+    monkeypatch.setattr(errors, "BUDGET", polymatrix.dual_key_bytes(
+        edges, 4, 2, 3)[1])
+    passes, run = [], polymatrix.character_pass
+
+    def counted(entries, keys, *args):
+        passes.append(keys)
+        return run(entries, keys, *args)
+
+    monkeypatch.setattr(polymatrix, "character_pass", counted)
+    assert quantum.dual_wam(spec) == want
+    assert len(passes) > 2 and set(passes) == {1}
+
+
+def test_quantum_m5_dual_wam_runs_on_the_edges():
+    # 2^12 edges, not the 2^20 cells of the state grid, where it took
+    # about 1.7 s and peaked at 93 MB under tracemalloc
+    spec = random_eaqcc_spec(seeded_rng("quantum-transform-m5"), 2, 1, 1, 5)
+    start = time.perf_counter()
+    quantum.dual_wam(spec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, "quantum m = 5 dual WAM took %.2f s" % elapsed
+    tracemalloc.start()
+    try:
+        quantum.dual_wam(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
