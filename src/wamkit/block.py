@@ -37,13 +37,6 @@ class LinearCode:
         if gflinalg.rank(spec, self.generator) != self.k:
             raise ShapeError("generator rows are linearly dependent")
 
-    def enumerate_codewords(self):
-        """Yield all q^k codewords, messages in index order."""
-        spec, k = self.spec, self.k
-        check_budget("codeword enumeration", spec.q ** k)
-        for msg in gflinalg.digit_vectors(spec.q, k):
-            yield gflinalg.vec_mat(spec, msg, self.generator)
-
 
 class _ZeroCode:
     """The trivial [n, 0] code; only needed so duals stay total."""
@@ -54,9 +47,6 @@ class _ZeroCode:
         self.k = 0
         self.n = n
 
-    def enumerate_codewords(self):
-        yield [0] * self.n
-
 
 class SystematicCode(LinearCode):
     """A code whose generator has the shape (I_k | A)."""
@@ -65,10 +55,6 @@ class SystematicCode(LinearCode):
         super().__init__(spec, generator)
         if not gflinalg.is_identity_on(self.generator, range(self.k)):
             raise ShapeError("generator is not of the form (I_k | A)")
-
-    @property
-    def parity_part(self):
-        return [row[self.k:] for row in self.generator]
 
 
 def dual_code(code):

@@ -19,8 +19,8 @@ from operator import getitem, mul
 from . import gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS
-from .polymatrix import (PolyMatrix, edge_dual_rows, edge_rows, macwilliams,
-                         series_entry)
+from .polymatrix import (PolyMatrix, dual_on_edges, edge_dual_rows, edge_rows,
+                         macwilliams, series_entry)
 
 
 def state_vectors(spec, m):
@@ -341,20 +341,21 @@ def macwilliams_ipwam(lam, spec):
 
 def dual_wam(seed):
     """macwilliams_wam(wam(seed), seed.spec), from the seed's edges when
-    k < m."""
+    polymatrix.dual_on_edges takes them."""
     return _dual_edge_matrix(seed, ("x", "y"), [range(seed.n)])
 
 
 def dual_ipwam(seed):
     """macwilliams_ipwam(ipwam(seed), seed.spec), from the seed's edges
-    when k < m."""
+    when polymatrix.dual_on_edges takes them."""
     return _dual_edge_matrix(seed, IP_VARS, _ip_groups(seed))
 
 
 def _dual_edge_matrix(seed, names, groups):
     """The MacWilliams transform of _edge_matrix(seed, names, groups),
-    through the q^(m+k) edges instead of the S x S state grid when there
-    are fewer edges than cells (k < m); otherwise through the grid.
+    through the q^(m+k) edges instead of the S x S state grid when
+    dual_on_edges takes them (k < m, within the budget); otherwise
+    through the grid, charged before the WAM is enumerated.
 
     Cell (a, b) of F Lam~ F^dagger sums g(w, u) w^tr(w.a - (wA + uB).b)
     over the edges (w, u), g(w, u) the weight substitution's image of
@@ -367,11 +368,11 @@ def _dual_edge_matrix(seed, names, groups):
     """
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
-    if k >= m:
+    if not dual_on_edges(q ** (m + k), q ** m, q, spec.p, n):
+        check_budget("WAM", q ** (m + k), q ** (2 * m))
         return macwilliams(_edge_matrix(seed, names, groups), q,
                            list(zip(names[::2], names[1::2])),
                            (fourier_matrix(spec), spec.p))
-    check_budget("WAM", q ** (m + k))
     lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
     hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
     # (b A^T : b B^T) of every state b, packed

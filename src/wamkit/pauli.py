@@ -13,7 +13,6 @@ _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
 # canonical single-qubit order used for state labels and the transform
 LETTERS = ("I", "X", "Y", "Z")
-_LETTER_INDEX = {s: i for i, s in enumerate(LETTERS)}
 
 
 class PauliWord:
@@ -64,18 +63,8 @@ class PauliWord:
     def weight(self):
         return sum(1 for z, x in self.pairs if z or x)
 
-    def restrict(self, positions):
-        return PauliWord(tuple(self.pairs[i] for i in positions))
-
     def letters(self):
         return "".join(_BITS_TO_LETTER[p] for p in self.pairs)
-
-    def state_index(self):
-        """Index in the {I,X,Y,Z}^m basis, first qubit varying fastest."""
-        idx = 0
-        for t in reversed(range(len(self.pairs))):
-            idx = idx * 4 + _LETTER_INDEX[_BITS_TO_LETTER[self.pairs[t]]]
-        return idx
 
     def __str__(self):
         return self.letters()

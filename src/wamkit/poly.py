@@ -67,23 +67,6 @@ class WeightPoly:
             e[_VAR_INDEX[name]] = k
         return cls({tuple(e): coeff})
 
-    @classmethod
-    def from_counts(cls, names, counts):
-        """sum c * prod names[i]^e[i] over the items (e, c) of `counts`;
-        each exponent tuple e is aligned with the variable names."""
-        slots = []
-        for name in names:
-            if name not in _VAR_INDEX:
-                raise AlgebraError("unknown variable %r" % (name,))
-            slots.append(_VAR_INDEX[name])
-        terms = {}
-        for exps, c in counts.items():
-            e = [0] * _NVARS
-            for i, k in zip(slots, exps):
-                e[i] = k
-            terms[tuple(e)] = c
-        return cls(terms)
-
     # --- ring operations ---
 
     def _coerce(self, other):

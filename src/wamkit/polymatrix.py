@@ -127,21 +127,20 @@ class PolyMatrix:
         the single-qubit Pauli signs with p = 2 (the default; an odd-p
         table passed without its p is refused).  States are read as
         base-q digit strings, first coordinate fastest, so F is never
-        formed: character_pass applies the kernel to the row axis one
-        coordinate at a time, then its conjugate to the column axis.
-        Entry (i, j) of exponent key number t is field (t * S + i) * S + j
-        of its planes.  A result coefficient that is not an integer
-        raises AlgebraError.
+        formed: _transform_points applies the kernel to the row axis one
+        coordinate at a time, then its conjugate to the column axis, on
+        one signed plane pair per exponent tuple, entry (i, j) in field
+        i * S + j.  A result coefficient that is not an integer raises
+        AlgebraError.
         """
         m = _kernel(f, p, self.size)
         q, n = len(f), self.size
         check_budget("WAM", 0, n * n)
-        keys, entries, total = {}, [], 0
+        entries, total = {}, 0
         for i, row in enumerate(self.rows):
             for j, e in row.items():
                 for exp, c in e.terms.items():
-                    t = keys.setdefault(exp, len(keys))
-                    entries.append(((t * n + i) * n + j, c))
+                    entries.setdefault(exp, []).append((i * n + j, c))
                     total += abs(c)
         # a field only ever holds a sub-sum of the input's |c|
         w = max(1, (total.bit_length() + 7) // 8)
@@ -150,13 +149,13 @@ class PolyMatrix:
                   + [(conj, q ** t) for t in range(m)])
         # a residual is named at its first entry by column, then key, then
         # row
-        cells = character_pass(
-            _signed_planes(entries, len(keys) * n * n * w, w), len(keys),
-            n * n, w, p, stages, lambda x: (x % n, x // n // n, x // n % n))
-        key_list, out = list(keys), [{} for _ in range(n)]
+        cells = _transform_points(
+            [({exp: 1}, *_signed_planes(at, n * n * w, w))
+             for exp, at in entries.items()], n * n, w, q, p, stages, 1,
+            lambda x: (x % n, x // n // n, x // n % n))
+        out = [{} for _ in range(n)]
         for cell in sorted(cells):
-            out[cell // n][cell % n] = WeightPoly(
-                {key_list[t]: v for t, v in cells[cell].items()})
+            out[cell // n][cell % n] = cells[cell]
         return PolyMatrix(self.labels, out)
 
     def __str__(self):
@@ -239,6 +238,45 @@ def _signed_planes(entries, size, w):
         at = field * w
         (plus if c > 0 else minus)[at:at + w] = abs(c).to_bytes(w, "little")
     return int.from_bytes(plus, "little"), int.from_bytes(minus, "little")
+
+
+def _transform_points(sources, points, w, q, p, stages, divisor,
+                      order=None):
+    """{point: polynomial / divisor} over the nonzero points of the
+    character transform of `sources`, each (image terms, plus, minus):
+    the values plus - minus, ints of `points` w-byte fields, times the
+    image {exponent tuple: coefficient}.  A monomial of the images is a
+    key, whose planes sum |c| times its sources' planes, swapped for
+    c < 0, and w must hold any such sum.  character_pass takes as many
+    keys a pass as errors.BUDGET holds at (q p + p + 2) points w bytes a
+    key, at least one, `order` ranking field indices over all keys.
+    Each distinct polynomial is divided (and checked) once."""
+    entries = {}
+    for image, *signed in sources:
+        for exp, c in image.items():
+            entries.setdefault(exp, []).extend(
+                (s ^ (c < 0), abs(c), plane)
+                for s, plane in enumerate(signed) if plane)
+    exps, keys, width = list(entries), list(entries.values()), points * w
+    batch, values = max(1, errors.BUDGET // ((q * p + p + 2) * width)), {}
+    for first in range(0, len(keys), batch):
+        chunk = keys[first:first + batch]
+        out = character_pass([int.from_bytes(b"".join(
+            sum(c * plane for to, c, plane in terms if to == s).to_bytes(
+                width, "little") for terms in chunk), "little")
+            for s in (0, 1)], len(chunk), points, w, p, stages,
+            order and (lambda x, at=first * points: order(at + x)))
+        for point, vec in out.items():
+            values.setdefault(point, {}).update(
+                (first + t, v) for t, v in vec.items())
+    polys = {}
+    for point, vec in values.items():
+        key = tuple(vec.items())
+        if key not in polys:
+            polys[key] = WeightPoly({exps[t]: v for t, v in key}).exact_div(
+                divisor).to_int_coeffs()
+        values[point] = polys[key]
+    return values
 
 
 def character_pass(values, keys, cells, w, p, stages, order=None):
@@ -353,6 +391,15 @@ def dual_key_bytes(edges, q, p, coords):
     return w, (q * p + p + 2) * edges * w
 
 
+def dual_on_edges(edges, states, q, p, coords):
+    """Whether a dual WAM runs on its edges (edge_dual_rows), not its
+    state grid: they are fewer than the cells, and one key's planes fit
+    the budget.  The grid charges no plane bytes, so an input whose edge
+    planes would not fit keeps the grid rather than be refused."""
+    return (edges < states * states
+            and dual_key_bytes(edges, q, p, coords)[1] <= errors.BUDGET)
+
+
 def edge_dual_rows(words, names, groups, q, p, stages, inner, columns,
                    place):
     """The rows of the MacWilliams transform of a WAM, read from the
@@ -364,13 +411,9 @@ def edge_dual_rows(words, names, groups, q, p, stages, inner, columns,
     outer * inner + beta.  Column j = (shift, beta) of `columns` reads
     each point (alpha, beta) into row place(alpha, shift).  Each weight
     tuple's image under weight_mapping is built once, and its edges are
-    one indicator int.  Every monomial of the images is one key, whose
-    planes over the edges are sums of |c| times the indicators of the
-    tuples whose image holds it with coefficient c, and character_pass
-    takes as many keys a pass as the budget holds.  Each distinct
-    polynomial it gives is divided by the edge count once.  The key
-    bytes (dual_key_bytes) and then the output cells are charged to the
-    budget.
+    one indicator int, the source of that image in _transform_points,
+    which divides by the edge count.  The key bytes (dual_key_bytes)
+    and then the output cells are charged to the budget.
     """
     edges = len(words)
     w, per_key = dual_key_bytes(edges, q, p, sum(map(len, groups)))
@@ -388,40 +431,17 @@ def edge_dual_rows(words, names, groups, q, p, stages, inner, columns,
     image = monomial_map(weight_mapping(q, list(zip(names[::2],
                                                     names[1::2]))),
                          keep=False)
-    # entries[t] holds the (indicator, coefficient) pairs of key t
-    keys, entries = {}, []
-    for ws, ind in members.items():
-        ind = int.from_bytes(ind, "little")
-        for exp, c in image(WeightPoly(
-                {weight_exponents(names, groups, ws): 1})).terms.items():
-            if exp not in keys:
-                keys[exp] = len(entries)
-                entries.append([])
-            entries[keys[exp]].append((ind, c))
+    # an edge is on one tuple's indicator, so a key's planes are sums of
+    # c times indicators with no carry between fields
+    sources = [(image(WeightPoly({weight_exponents(names, groups, ws): 1}))
+                .terms, int.from_bytes(ind, "little"), 0)
+               for ws, ind in members.items()]
     del members
-    batch, points = errors.BUDGET // per_key, {}
-    for first in range(0, len(entries), batch):
-        chunk = entries[first:first + batch]
-        # an edge is on one tuple's indicator, so a key's planes are sums
-        # of c times indicators with no carry between fields
-        planes = [[0, 0] for _ in chunk]
-        for pair, terms in zip(planes, chunk):
-            for ind, c in terms:
-                pair[c < 0] += abs(c) * ind
-        out = character_pass([int.from_bytes(b"".join(
-            pair[s].to_bytes(width, "little") for pair in planes), "little")
-            for s in (0, 1)], len(chunk), edges, w, p, stages)
-        for point, vec in out.items():
-            points.setdefault(point, {}).update(
-                (first + t, v) for t, v in vec.items())
-    exps, polys, by_beta = list(keys), {}, {}
-    for point, vec in points.items():
-        key = tuple(vec.items())
-        if key not in polys:
-            polys[key] = WeightPoly({exps[t]: v for t, v in key}).exact_div(
-                edges).to_int_coeffs()
+    by_beta = {}
+    for point, poly in _transform_points(sources, edges, w, q, p, stages,
+                                         edges).items():
         alpha, beta = divmod(point, inner)
-        by_beta.setdefault(beta, []).append((alpha, polys[key]))
+        by_beta.setdefault(beta, []).append((alpha, poly))
     check_budget("the dual WAM", 0, sum(len(by_beta.get(beta, ()))
                                         for _, beta in columns))
     rows = [{} for _ in columns]

@@ -13,13 +13,12 @@ The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 
 from itertools import repeat
 
-from . import errors
 from .errors import ShapeError, check_budget
 from .fields import FieldSpec
 from .gflinalg import (cleared_response, group_weights, impulse_response,
                        pairing, span_images)
 from .pauli import LETTERS, PauliWord, pauli_state_labels
-from .polymatrix import (PolyMatrix, dual_key_bytes, edge_dual_rows,
+from .polymatrix import (PolyMatrix, dual_on_edges, edge_dual_rows,
                          edge_rows, macwilliams)
 
 _GF2 = FieldSpec(2)
@@ -172,10 +171,7 @@ def dual_wam(spec):
     m, k, a = spec.m, spec.k, spec.a
     edges, inner = _edge_count(spec), 4 ** k * 2 ** a
     check_budget("quantum WAM", edges, 16 ** m)
-    # the grid charges no plane bytes, so a spec whose edge planes would
-    # not fit keeps the grid rather than be refused
-    if inner >= 4 ** m or dual_key_bytes(edges, 4, 2, spec.n)[1] > \
-            errors.BUDGET:
+    if not dual_on_edges(edges, 4 ** m, 4, 2, spec.n):
         return quantum_macwilliams(quantum_wam(spec))
     mem_images, la_images = _span_tables(spec)
     # edge e = M 4^k 2^a + la, the ancilla bits fastest

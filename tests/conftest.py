@@ -11,7 +11,7 @@ from wamkit.fields import FieldSpec
 from wamkit.formats import (parse_block_code, parse_conv_seed,
                             parse_quantum_spec)
 from wamkit.pauli import CliffordSeed, PauliWord, symplectic_product
-from wamkit.poly import WeightPoly
+from wamkit.poly import VARS, WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import EaqccSpec
 
@@ -100,6 +100,29 @@ def poly_of(text):
 def matrix_of(labels, rows):
     return PolyMatrix(labels, [{j: poly_of(cell) for j, cell in enumerate(row)}
                                for row in rows])
+
+
+def poly_from_counts(names, counts):
+    """sum c * prod names[i]^e[i] over the items (e, c) of `counts`; each
+    exponent tuple e is aligned with the variable names."""
+    slots = [VARS.index(name) for name in names]
+    terms = {}
+    for exps, c in counts.items():
+        e = [0] * len(VARS)
+        for i, k in zip(slots, exps):
+            e[i] = k
+        terms[tuple(e)] = c
+    return WeightPoly(terms)
+
+
+def enumerate_codewords(code):
+    """Every codeword of a block code, one vec_mat per message, messages
+    in index order; the [n, 0] code has the zero word only."""
+    if not code.k:
+        yield [0] * code.n
+        return
+    for msg in gflinalg.digit_vectors(code.spec.q, code.k):
+        yield gflinalg.vec_mat(code.spec, msg, code.generator)
 
 
 def shift_register_text(m):
@@ -219,6 +242,17 @@ def pauli_state_words(m):
             for digits in gflinalg.digit_vectors(4, m)]
 
 
+def state_index(word):
+    """The index of a Pauli word in pauli_state_words order."""
+    return sum(_PAULI_BITS.index(pair) * 4 ** t
+               for t, pair in enumerate(word.pairs))
+
+
+def restrict(word, positions):
+    """The Pauli word on the qubits `positions` of `word`, in that order."""
+    return PauliWord(word.pairs[i] for i in positions)
+
+
 def direct_quantum_edges(spec):
     """(memory, logical, physical, output memory) Pauli words of every
     edge, the image of M (x) L (x) S^Z by one CliffordSeed.conjugate per
@@ -238,8 +272,8 @@ def direct_quantum_edges(spec):
                 for t, pos in enumerate(spec.i_a):
                     pairs[pos - 1] = ((anc >> t) & 1, 0)
                 img = seed.conjugate(PauliWord(pairs))
-                edges.append((mem, log, img.restrict(p_pos),
-                              img.restrict(mo_pos)))
+                edges.append((mem, log, restrict(img, p_pos),
+                              restrict(img, mo_pos)))
     return edges
 
 

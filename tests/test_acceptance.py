@@ -14,7 +14,8 @@ import pytest
 from conftest import (brute_force_dual_wam, direct_conv_edges,
                       direct_quantum_edges, field, fixture_path, matrix_of,
                       random_conv_seed, random_eaqcc_spec,
-                      random_linear_code, random_systematic_code, seeded_rng)
+                      random_linear_code, random_systematic_code, seeded_rng,
+                      state_index)
 from wamkit.block import (dual_code, hwgf, ipwgf, macwilliams_hwgf,
                           macwilliams_ipwgf)
 from wamkit.cli import main as cli_main
@@ -79,7 +80,7 @@ def classical_edges(seed):
 
 def quantum_edges(spec):
     """(state_in, state_out, physical_weight, logical_is_identity)."""
-    return [(mem.state_index(), out_mem.state_index(), phys.weight(),
+    return [(state_index(mem), state_index(out_mem), phys.weight(),
              not bool(log))
             for mem, log, phys, out_mem in direct_quantum_edges(spec)]
 

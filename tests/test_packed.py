@@ -10,17 +10,18 @@ import time
 
 import pytest
 
-from conftest import (direct_conv_edges, direct_quantum_edges, field,
+from conftest import (direct_conv_edges, direct_quantum_edges,
+                      enumerate_codewords, field, poly_from_counts,
                       random_conv_seed, random_eaqcc_spec, random_linear_code,
                       random_systematic_code, random_systematic_conv_seed,
-                      seeded_rng)
+                      seeded_rng, state_index)
 from wamkit import errors, gflinalg, quantum
 from wamkit.block import dual_code, hwgf, ipwgf
 from wamkit.conv import (SystematicConvSeed, dual_systematic_seed, iowam,
                          ipwam, state_labels, wam)
 from wamkit.errors import BudgetError, ShapeError
 from wamkit.pauli import CliffordSeed, PauliWord
-from wamkit.poly import IP_VARS, WeightPoly
+from wamkit.poly import IP_VARS
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import EaqccSpec, quantum_wam, state_diagram_edges
 
@@ -41,11 +42,11 @@ def _split(word, groups):
 
 
 def _from_cells(labels, names, cells):
-    """The matrix whose cell (i, j) is WeightPoly.from_counts(names,
+    """The matrix whose cell (i, j) is poly_from_counts(names,
     cells[i, j]); cells missing from `cells` are zero."""
     rows = [{} for _ in labels]
     for (i, j), counts in cells.items():
-        rows[i][j] = WeightPoly.from_counts(names, counts)
+        rows[i][j] = poly_from_counts(names, counts)
     return PolyMatrix(labels, rows)
 
 
@@ -72,10 +73,10 @@ def _check_conv(seed):
 
 def _direct_enumerator(code, names, groups):
     counts = {}
-    for word in code.enumerate_codewords():
+    for word in enumerate_codewords(code):
         key = _split(word, groups)
         counts[key] = counts.get(key, 0) + 1
-    return WeightPoly.from_counts(names, counts)
+    return poly_from_counts(names, counts)
 
 
 def _check_block(code, info=None):
@@ -144,7 +145,7 @@ def test_quantum_enumerators_match_per_edge_conjugation(n, k, c, m):
         cells = {}
         for mem, _log, phys, out in edges:
             counts = cells.setdefault(
-                (mem.state_index(), out.state_index()), {})
+                (state_index(mem), state_index(out)), {})
             key = (n - phys.weight(), phys.weight())
             counts[key] = counts.get(key, 0) + 1
         assert quantum_wam(spec) == _from_cells(

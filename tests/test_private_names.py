@@ -1,6 +1,8 @@
 """Every module-level private name of the package is used somewhere in
-it beyond its own definition, so dead helpers and constants are found
-as soon as their last caller goes."""
+it beyond its own definition, and so is every public function and
+method that the package neither exports nor documents as an entry
+point, so dead helpers and constants are found as soon as their last
+caller goes, and test-only helpers live with the tests."""
 
 import ast
 import os
@@ -47,3 +49,52 @@ def test_every_private_module_name_is_used():
               for name, bindings in _private_bindings(source).items()
               if len(re.findall(r"\b%s\b" % name, text)) <= bindings]
     assert unused == []
+
+
+# documented entry points that nothing in the package calls, each with
+# the reason it stays
+ENTRY_POINTS = {
+    "formats.structured_to_matrix": "reads a structured WAM document back "
+                                    "(README, structured format)",
+    "formats.structured_to_poly": "reads a structured polynomial document "
+                                  "back",
+    "poly.WeightPoly.truncated": "the D^d truncation that truncated_mul is "
+                                 "defined by (README)",
+    "poly.WeightPoly.coefficient": "reads one coefficient of an exported "
+                                   "WeightPoly by variable names",
+    "pauli.PauliWord.weight": "the weight of an exported PauliWord, the "
+                              "quantity a quantum WAM counts",
+}
+
+
+def _public_definitions(source):
+    """The public module-level functions and class methods of a module,
+    as "name" and "Class.name", private and dunder names left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out += ["%s.%s" % (node.name, item.name) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")]
+    return out
+
+
+def test_every_public_function_and_method_is_used_or_exported():
+    sources = _sources()
+    # every name the package reads, as a bare name or an attribute
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for source in sources.values()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    exported = {alias.name for node in ast.walk(ast.parse(
+        sources["__init__.py"])) if isinstance(node, ast.ImportFrom)
+        for alias in node.names}
+    unused = ["%s.%s" % (module[:-3], name)
+              for module, source in sources.items()
+              for name in _public_definitions(source)
+              if name.rsplit(".", 1)[-1] not in used
+              and name not in exported]
+    assert sorted(unused) == sorted(ENTRY_POINTS)

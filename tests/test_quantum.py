@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import (matrix_of, pauli_state_words, random_clifford_seed,
-                      random_eaqcc_spec, seeded_rng)
+                      random_eaqcc_spec, seeded_rng, state_index)
 from wamkit.errors import ShapeError
 from wamkit.pauli import (CliffordSeed, PauliWord, pauli_state_labels,
                           symplectic_product)
@@ -90,7 +90,7 @@ def test_state_order_first_qubit_fastest():
     assert pauli_state_labels(1) == PAULI4
     labels = pauli_state_labels(2)
     assert labels[:5] == ["II", "XI", "YI", "ZI", "IX"]
-    assert PauliWord.from_str("IX").state_index() == 4
+    assert state_index(PauliWord.from_str("IX")) == 4
 
 
 @pytest.mark.parametrize("m", range(5))

@@ -28,7 +28,7 @@ from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_systematic_seed,
                          state_vectors, wam)
 from wamkit.errors import AlgebraError, ShapeError
 from wamkit.poly import IP_PAIRS, VARS, WeightPoly
-from wamkit.polymatrix import PolyMatrix, macwilliams
+from wamkit.polymatrix import PolyMatrix, macwilliams, weight_mapping
 from wamkit.quantum import F1, dual_spec, quantum_macwilliams, quantum_wam
 
 
@@ -388,6 +388,15 @@ def test_binary_m9_dual_wam_is_fast():
     elapsed = time.perf_counter() - start
     assert sum(1 for row in lam_hat.rows for e in row.values() if e) == 2 ** 10
     assert elapsed < 2.0, "binary m = 9 dual WAM took %.2f s" % elapsed
+    # the state pass runs one exponent key at a time; all three keys in
+    # one pass peaked at about 20 MB
+    tracemalloc.start()
+    try:
+        macwilliams_wam(lam, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
 
 
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
@@ -429,6 +438,18 @@ def test_both_dual_wam_paths_match_the_constraint_relations(p, r):
         assert no_dual_seed
 
 
+def _count_passes(monkeypatch):
+    """The key counts of the character_pass calls made from now on."""
+    passes, run = [], polymatrix.character_pass
+
+    def counted(entries, keys, *args):
+        passes.append(keys)
+        return run(entries, keys, *args)
+
+    monkeypatch.setattr(polymatrix, "character_pass", counted)
+    return passes
+
+
 def test_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
         monkeypatch):
     # room for one key's planes: each image monomial gets its own pass
@@ -440,16 +461,74 @@ def test_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
     edges = 3 ** 3
     monkeypatch.setattr(errors, "BUDGET", 14 * edges * (
         ((edges * 3 ** 3).bit_length() + 7) // 8))
-    passes, run = [], polymatrix.character_pass
-
-    def counted(entries, keys, *args):
-        passes.append(keys)
-        return run(entries, keys, *args)
-
-    monkeypatch.setattr(polymatrix, "character_pass", counted)
+    passes = _count_passes(monkeypatch)
     assert dual_wam(seed) == want
     assert dual_ipwam(seed) == want_ip
     assert len(passes) > 2 and set(passes) == {1}
+
+
+def _grid_key_bytes(lam, q, p):
+    """(q p + p + 2) S^2 w: the bytes of one exponent key of the state
+    pass over the weight substitution of lam, w-byte fields wide enough
+    for the sum of its |c|."""
+    image = lam.substitute(weight_mapping(q, (("x", "y"),)))
+    total = sum(abs(c) for row in image.rows for e in row.values()
+                for c in e.terms.values())
+    return (q * p + p + 2) * lam.size ** 2 * ((total.bit_length() + 7) // 8)
+
+
+def test_state_pass_takes_as_many_keys_a_pass_as_the_budget_holds(
+        monkeypatch):
+    # room for one key's planes: each exponent key gets its own pass
+    spec = field(3)
+    lam = wam(random_conv_seed(seeded_rng("grid-passes"), spec, 2, 1, 2))
+    qlam = quantum_wam(random_eaqcc_spec(seeded_rng("grid-passes-quantum"),
+                                         2, 1, 1, 2))
+    want, qwant = macwilliams_wam(lam, spec), quantum_macwilliams(qlam)
+    passes = _count_passes(monkeypatch)
+    monkeypatch.setattr(errors, "BUDGET", _grid_key_bytes(lam, 3, 3))
+    assert macwilliams_wam(lam, spec) == want
+    monkeypatch.setattr(errors, "BUDGET", _grid_key_bytes(qlam, 4, 2))
+    assert quantum_macwilliams(qlam) == qwant
+    assert len(passes) > 4 and set(passes) == {1}
+
+
+def test_state_pass_split_by_key_still_checks_integrality(monkeypatch):
+    # x at (0, 0) transforms to integers, y at (0, 1) does not; with one
+    # key a pass the second pass names y's residual
+    spec = field(3)
+    matrix = PolyMatrix(state_labels(spec, 1), [
+        {0: WeightPoly.var("x"), 1: WeightPoly.var("y")}, {}, {}])
+    passes = _count_passes(monkeypatch)
+    monkeypatch.setattr(errors, "BUDGET", (3 * 3 + 3 + 2) * 3 ** 2)
+    with pytest.raises(AlgebraError) as exc:
+        matrix.conjugate_by(fourier_matrix(spec), 3)
+    assert str(exc.value) == ("residual root-of-unity coefficient [-1, -1] "
+                              "over w^0..w^1")
+    assert passes == [1, 1]
+
+
+def test_dual_keeps_the_grid_when_one_key_of_edges_exceeds_the_budget(
+        monkeypatch):
+    # k < m, but one key's edge planes are a byte over the budget: the
+    # state grid, which charges no plane bytes, runs instead of a refusal
+    spec = field(2)
+    seed = random_systematic_conv_seed(seeded_rng("edge-bytes-over"), spec,
+                                       3, 1, 3)
+    want = macwilliams_wam(wam(seed), spec)
+    want_ip = macwilliams_ipwam(ipwam(seed), spec)
+    monkeypatch.setattr(errors, "BUDGET", polymatrix.dual_key_bytes(
+        2 ** 4, 2, 2, 3)[1] - 1)
+    grid, run = [], PolyMatrix.conjugate_by
+
+    def counted(self, *args):
+        grid.append(self.size)
+        return run(self, *args)
+
+    monkeypatch.setattr(PolyMatrix, "conjugate_by", counted)
+    assert dual_wam(seed) == want
+    assert dual_ipwam(seed) == want_ip
+    assert grid == [8, 8]
 
 
 def test_dual_ipwam_needs_a_systematic_seed(example1_nonsys):
@@ -506,13 +585,7 @@ def test_quantum_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
     edges = 4 ** 3 * 4 * 2 ** 2
     monkeypatch.setattr(errors, "BUDGET", polymatrix.dual_key_bytes(
         edges, 4, 2, 3)[1])
-    passes, run = [], polymatrix.character_pass
-
-    def counted(entries, keys, *args):
-        passes.append(keys)
-        return run(entries, keys, *args)
-
-    monkeypatch.setattr(polymatrix, "character_pass", counted)
+    passes = _count_passes(monkeypatch)
     assert quantum.dual_wam(spec) == want
     assert len(passes) > 2 and set(passes) == {1}
 
