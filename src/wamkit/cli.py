@@ -9,12 +9,13 @@ import functools
 import sys
 
 from . import block, conv, quantum
-from .errors import ShapeError, WamkitError, check_budget
+from .errors import BudgetError, ShapeError, WamkitError, check_budget
 from .formats import (matrix_to_structured, parse_block_code,
                       parse_conv_seed, parse_quantum_spec, poly_to_structured,
                       render_block_code, render_conv_seed,
                       render_quantum_spec)
 from .poly import WeightPoly
+from .polymatrix import series_width
 
 _COLLAPSE_MAPS = {
     None: {},
@@ -73,12 +74,26 @@ def _whole_wam(seed):
     return seed
 
 
-def _lam_y(seed):
+def _lam_y(seed, d_max, free=False):
+    """conv.wam(seed) with x set to 1, once the series to D^d_max over it
+    (free: without its zero-state loop) is charged to the budget.  Lam_y
+    has q^m states, rows that sum to q^k (row 0 one less without the
+    loop, the only row when m = 0) and the y-degree of the heaviest
+    edge, so the charge is polymatrix.series_width's own, made before
+    any cell is built.  The charge grows with the y-degree, which is at
+    most n, so the edges are weighed only when n would not fit."""
+    states, rows = seed.spec.q ** seed.m, seed.spec.q ** seed.k - (
+        free and not seed.m)
+    try:
+        series_width(states, [seed.n], rows, d_max)
+    except BudgetError:
+        series_width(states, [conv.heaviest_edge(seed)], rows, d_max)
     return conv.wam(seed).collapse({"x": 1})
 
 
 def _dfree(seed, args):
-    result = conv.free_distance(_lam_y(seed), args.dmax)
+    result = conv.free_distance(_lam_y(seed, args.dmax, free=True),
+                                args.dmax)
     if result.determined and result.value is not None:
         print("d_free = %d" % result.value)
     elif result.determined:
@@ -133,11 +148,11 @@ _CONV = {
     "dual-ipwam": lambda seed, args: _emit_matrix(
         conv.dual_ipwam(_whole_wam(seed)), args),
     "total": lambda seed, args: _emit_poly(
-        conv.total_wgf(_lam_y(seed), args.dmax), args),
+        conv.total_wgf(_lam_y(seed, args.dmax), args.dmax), args),
     "dual-total": lambda seed, args: _emit_poly(conv.total_wgf(
         conv.dual_wam(seed).collapse({"x": 1}), args.dmax), args),
-    "free": lambda seed, args: _emit_poly(
-        conv.free_wgf(_lam_y(seed), args.dmax), args),
+    "free": lambda seed, args: _emit_poly(conv.free_wgf(
+        _lam_y(seed, args.dmax, free=True), args.dmax), args),
     "dfree": _dfree,
     "gd": lambda seed, args: print(conv.poly_generator(seed, args.dmax)),
     "check-dual": _check_dual,
@@ -162,19 +177,36 @@ def _check(name, ok, lines, diags=()):
     return ok
 
 
+def _check_equal(name, left, right, lines):
+    """_check of left == right, two WeightPolys or two PolyMatrix over
+    the same labels; a failure names both sides of the first differing
+    cell, by row and then column in label order."""
+    if left == right:
+        return _check(name, True, lines)
+    if isinstance(left, WeightPoly):
+        diag = "%s != %s" % (left, right)
+    else:
+        i, j = min((i, j) for i, row in enumerate(left.rows)
+                   for j in row.keys() | right.rows[i].keys()
+                   if left[i, j] != right[i, j])
+        diag = "cell (%s, %s): %s != %s" % (left.labels[i], left.labels[j],
+                                            left[i, j], right[i, j])
+    return _check(name, False, lines, [diag])
+
+
 def _verify_block(code):
     lines, all_ok = [], True
     dual = block.dual_code(code)
     transformed = block.macwilliams_hwgf(block.hwgf(code), code.spec.q)
-    all_ok &= _check("hwgf transform matches dual enumeration",
-                     transformed == block.hwgf(dual), lines)
+    all_ok &= _check_equal("hwgf transform matches dual enumeration",
+                           transformed, block.hwgf(dual), lines)
     back = block.macwilliams_hwgf(transformed, code.spec.q)
-    all_ok &= _check("hwgf transform involution",
-                     back == block.hwgf(code), lines)
+    all_ok &= _check_equal("hwgf transform involution", back,
+                           block.hwgf(code), lines)
     if isinstance(code, block.SystematicCode):
         ipt = block.macwilliams_ipwgf(block.ipwgf(code), code.spec.q)
-        all_ok &= _check("ipwgf transform matches dual enumeration",
-                         ipt == block.ipwgf(dual, info_last=True), lines)
+        all_ok &= _check_equal("ipwgf transform matches dual enumeration",
+                               ipt, block.ipwgf(dual, info_last=True), lines)
     return all_ok, lines
 
 
@@ -199,24 +231,25 @@ def _verify_conv(seed, dmax):
         all_ok &= _check("dual seed orthogonality", ok, lines, diags)
     lam_hat = conv.dual_wam(seed)
     if dual is not None:
-        all_ok &= _check("wam transform matches dual enumeration",
-                         lam_hat == conv.wam(dual), lines)
+        all_ok &= _check_equal("wam transform matches dual enumeration",
+                               lam_hat, conv.wam(dual), lines)
     back = conv.macwilliams_wam(lam_hat, seed.spec)
-    all_ok &= _check("wam transform involution", back == lam, lines)
+    all_ok &= _check_equal("wam transform involution", back, lam, lines)
     if isinstance(seed, conv.SystematicConvSeed) and not seed.info_last:
         ip_hat = conv.dual_ipwam(seed)
         dual_sys, sys_error = _dual_or_error(conv.dual_systematic_seed, seed)
         error = error or sys_error
         if dual_sys is not None:
-            all_ok &= _check("ipwam transform matches dual enumeration",
-                             ip_hat == conv.ipwam(dual_sys), lines)
+            all_ok &= _check_equal("ipwam transform matches dual "
+                                   "enumeration", ip_hat,
+                                   conv.ipwam(dual_sys), lines)
     lam_y = lam.collapse({"x": 1})
     w_total = conv.total_wgf(lam_y, dmax)
     w_free = conv.free_wgf(lam_y, dmax)
     d = WeightPoly.var("D")
-    all_ok &= _check("free/total series relation",
-                     w_free.truncated_mul(1 + w_total * d, dmax) == w_total,
-                     lines)
+    all_ok &= _check_equal("free/total series relation",
+                           w_free.truncated_mul(1 + w_total * d, dmax),
+                           w_total, lines)
     return all_ok, lines, error
 
 
@@ -227,10 +260,10 @@ def _verify_quantum(spec):
     lam = quantum.quantum_wam(spec)
     dual = quantum.dual_spec(spec)
     lam_hat = quantum.dual_wam(spec)
-    all_ok &= _check("wam transform matches dual enumeration",
-                     lam_hat == quantum.quantum_wam(dual), lines)
+    all_ok &= _check_equal("wam transform matches dual enumeration",
+                           lam_hat, quantum.quantum_wam(dual), lines)
     back = quantum.quantum_macwilliams(lam_hat)
-    all_ok &= _check("wam transform involution", back == lam, lines)
+    all_ok &= _check_equal("wam transform involution", back, lam, lines)
     ok, diags = quantum.check_poly_orthogonality(spec)
     all_ok &= _check("polynomial check-matrix orthogonality", ok, lines,
                      diags)

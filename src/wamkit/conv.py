@@ -368,13 +368,16 @@ def _dual_edge_matrix(seed, names, groups):
     """
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
-    if not dual_on_edges(q ** (m + k), q ** m, q, spec.p, n):
+    if not dual_on_edges(q ** (m + k), q ** m, q, spec.p):
         check_budget("WAM", q ** (m + k), q ** (2 * m))
         return macwilliams(_edge_matrix(seed, names, groups), q,
                            list(zip(names[::2], names[1::2])),
                            (fourier_matrix(spec), spec.p))
-    lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
-    hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
+    # a stored cell per transition (a, b) of the q^(m+n-k) dual
+    # constraint words, q^(n-r) of which have a = b = 0: the words
+    # orthogonal to the outputs, r the rank of (C; E).  Charged up front
+    check_budget("the dual WAM", 0, q ** (m - k + gflinalg.rank(
+        spec, [row[:n] for row in seed.t_matrix])))
     # (b A^T : b B^T) of every state b, packed
     images = gflinalg.span_images(spec, [[row[n + t] for row in seed.t_matrix]
                                          for t in range(m)])
@@ -395,8 +398,27 @@ def _dual_edge_matrix(seed, names, groups):
             return sum(map(getitem, sums, vecs[alpha]))
     f = fourier_matrix(spec)
     return PolyMatrix(state_labels(spec, m), edge_dual_rows(
-        [x ^ y for x in lo for y in hi], names, groups, q, spec.p,
+        _output_words(seed), names, groups, q, spec.p,
         [(f, q ** t) for t in range(m + k)], q ** k, columns, place))
+
+
+def _output_words(seed):
+    """The packed outputs of the edges (w, -u), w slowest: the XORs of
+    the span images of the C rows and of the E rows, whose nonzero
+    fields are those of w C - u E."""
+    spec, n, m = seed.spec, seed.n, seed.m
+    lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
+    hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
+    return [x ^ y for x in lo for y in hi]
+
+
+def heaviest_edge(seed):
+    """The largest output weight over the seed's q^(m+k) edges, charged
+    first, from one group_weights pass over their packed outputs: the
+    y-degree of wam(seed), read without building a cell."""
+    check_budget("WAM", seed.spec.q ** (seed.m + seed.k))
+    return max(gflinalg.group_weights(seed.spec.q, _output_words(seed),
+                                      [range(seed.n)])[0])
 
 
 def iowam_from_systematic(seed, f_matrix):

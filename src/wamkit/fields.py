@@ -110,12 +110,15 @@ class FieldSpec:
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
         # digit-wise: index a * w + i0 holds digit a at weight w = p^t
-        # above the t lower digits of i0
+        # above the t lower digits of i0, so row a * w + i0 is row i0
+        # with digit c at weight w added in block c, turned by a blocks
         self.add, self.neg = [[0]], [0]
         for t in range(r):
             w = p ** t
-            self.add = [[s + w * ((a + b) % p) for b in range(p) for s in row]
-                        for a in range(p) for row in self.add]
+            blocks = [[s + w * c for c in range(p) for s in row]
+                      for row in self.add]
+            self.add = [row[a * w:] + row[:a * w] for a in range(p)
+                        for row in blocks]
             self.neg = [s + w * (-a % p) for a in range(p) for s in self.neg]
         exp = self._exp_table()
         log = [None] * q
@@ -123,10 +126,14 @@ class FieldSpec:
             log[i] = e
         logs = log[1:]
         exp2 = exp + exp
-        self.mul = [[0] * q] + [[0] + [exp2[li + lj] for lj in logs]
+        self.mul = [[0] * q] + [[0] + list(map(exp2[li:].__getitem__, logs))
                                 for li in logs]
         self.inv = [None] + [exp[-li] for li in logs]
-        self.trace = [self._trace(i) for i in range(q)]
+        # the conjugate x^(p^j) of x = g^l is g^(l p^j), read off the
+        # table
+        powers = [p ** j for j in range(r)]
+        self.trace = [0] + [self._trace(exp[li * pj % (q - 1)]
+                                        for pj in powers) for li in logs]
 
     def _exp_table(self):
         """[g^0, ..., g^(q-2)] for the least primitive index g; the
@@ -145,20 +152,13 @@ class FieldSpec:
                 return exp
         raise FieldError("no primitive element found")  # every field has one
 
-    def _pow(self, i, e):
-        acc = 1
-        for _ in range(e):
-            acc = self.mul[acc][i]
-        return acc
-
-    def _trace(self, i):
-        p, r = self.p, self.r
-        acc, frob = 0, i
-        for _ in range(r):
-            acc = self.add[acc][frob]
-            frob = self._pow(frob, p)
+    def _trace(self, conjugates):
+        """The sum of an element's conjugates x, x^p, ..., x^(p^(r-1))."""
+        acc = 0
+        for x in conjugates:
+            acc = self.add[acc][x]
         # trace lands in the prime subfield, whose elements are indices 0..p-1
-        if acc >= p:
+        if acc >= self.p:
             raise FieldError("trace fell outside the prime subfield")
         return acc
 

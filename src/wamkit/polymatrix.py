@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from functools import reduce
 from itertools import chain
+from math import prod
 from operator import add, neg, or_
 
 from . import errors
@@ -85,8 +86,10 @@ class PolyMatrix:
                 and self.rows == other.rows)
 
     def map_entries(self, fn):
-        """fn applied to every stored cell; fn must send zero to zero, and
-        the cells it maps to zero are dropped."""
+        """fn applied to every stored cell, once per distinct cell object
+        (a transformed grid shares its equal cells); fn must send zero to
+        zero, and the cells it maps to zero are dropped."""
+        fn = _once(fn)
         return PolyMatrix(self.labels, [{j: fn(e) for j, e in row.items()}
                                         for row in self.rows])
 
@@ -131,7 +134,7 @@ class PolyMatrix:
         coordinate at a time, then its conjugate to the column axis, on
         one signed plane pair per exponent tuple, entry (i, j) in field
         i * S + j.  A result coefficient that is not an integer raises
-        AlgebraError.
+        AlgebraError.  Equal result cells are one object.
         """
         m = _kernel(f, p, self.size)
         q, n = len(f), self.size
@@ -150,8 +153,8 @@ class PolyMatrix:
         # a residual is named at its first entry by column, then key, then
         # row
         cells = _transform_points(
-            [({exp: 1}, *_signed_planes(at, n * n * w, w))
-             for exp, at in entries.items()], n * n, w, q, p, stages, 1,
+            [(exp, *_signed_planes(at, n * n * w, w))
+             for exp, at in entries.items()], n * n, w, q, p, stages,
             lambda x: (x % n, x // n // n, x // n % n))
         out = [{} for _ in range(n)]
         for cell in sorted(cells):
@@ -240,31 +243,22 @@ def _signed_planes(entries, size, w):
     return int.from_bytes(plus, "little"), int.from_bytes(minus, "little")
 
 
-def _transform_points(sources, points, w, q, p, stages, divisor,
-                      order=None):
-    """{point: polynomial / divisor} over the nonzero points of the
-    character transform of `sources`, each (image terms, plus, minus):
-    the values plus - minus, ints of `points` w-byte fields, times the
-    image {exponent tuple: coefficient}.  A monomial of the images is a
-    key, whose planes sum |c| times its sources' planes, swapped for
-    c < 0, and w must hold any such sum.  character_pass takes as many
-    keys a pass as errors.BUDGET holds at (q p + p + 2) points w bytes a
-    key, at least one, `order` ranking field indices over all keys.
-    Each distinct polynomial is divided (and checked) once."""
-    entries = {}
-    for image, *signed in sources:
-        for exp, c in image.items():
-            entries.setdefault(exp, []).extend(
-                (s ^ (c < 0), abs(c), plane)
-                for s, plane in enumerate(signed) if plane)
-    exps, keys, width = list(entries), list(entries.values()), points * w
+def _transform_points(sources, points, w, q, p, stages, order=None):
+    """{point: polynomial} over the nonzero points of the character
+    transform of `sources`, each (exponent tuple, plus, minus): one key,
+    whose values plus - minus are ints of `points` w-byte fields, w
+    wide enough for any sub-sum of the input's |c|.  character_pass
+    takes as many keys a pass as errors.BUDGET holds at
+    (q p + p + 2) points w bytes a key, at least one, `order` ranking
+    field indices over all keys.  Points with equal polynomials share
+    one object, so a caller maps each distinct polynomial once."""
+    exps, width = [exp for exp, *_ in sources], points * w
     batch, values = max(1, errors.BUDGET // ((q * p + p + 2) * width)), {}
-    for first in range(0, len(keys), batch):
-        chunk = keys[first:first + batch]
+    for first in range(0, len(sources), batch):
+        chunk = sources[first:first + batch]
         out = character_pass([int.from_bytes(b"".join(
-            sum(c * plane for to, c, plane in terms if to == s).to_bytes(
-                width, "little") for terms in chunk), "little")
-            for s in (0, 1)], len(chunk), points, w, p, stages,
+            planes[s].to_bytes(width, "little") for planes in chunk),
+            "little") for s in (1, 2)], len(chunk), points, w, p, stages,
             order and (lambda x, at=first * points: order(at + x)))
         for point, vec in out.items():
             values.setdefault(point, {}).update(
@@ -273,10 +267,23 @@ def _transform_points(sources, points, w, q, p, stages, divisor,
     for point, vec in values.items():
         key = tuple(vec.items())
         if key not in polys:
-            polys[key] = WeightPoly({exps[t]: v for t, v in key}).exact_div(
-                divisor).to_int_coeffs()
+            polys[key] = WeightPoly({exps[t]: v for t, v in key})
         values[point] = polys[key]
     return values
+
+
+def _once(fn):
+    """fn, called once per distinct argument object, which must outlive
+    the calls."""
+    done = {}
+
+    def mapped(e):
+        out = done.get(id(e))
+        if out is None:
+            out = done[id(e)] = fn(e)
+        return out
+
+    return mapped
 
 
 def character_pass(values, keys, cells, w, p, stages, order=None):
@@ -355,49 +362,50 @@ def _nonzero_fields(data, w):
 def macwilliams(enum, q, pairs, kernel=None):
     """MacWilliams transform of the weight enumerator or WAM of a code.
 
-    The weight axis is one substitution, weight_mapping(q, pairs), and a
-    variable outside `pairs` must not occur.  Then for a WAM the state
-    kernel, given as (exponent table, p) (block codes pass none), then
-    division by the code's size, the enumerator at all ones (the sum of
-    the stored coefficients).  A size that is not a power of the prime
-    of q raises AlgebraError first; the state pass then rejects a
-    non-integer value, the division must be exact, and every coefficient
-    must be an int.
+    For a WAM the state kernel, given as (exponent table, p) (block
+    codes pass none), transforms the counts.  Then the weight axis is
+    one substitution, weight_mapping(q, pairs), which commutes with the
+    kernel, and division by the code's size, the enumerator at all ones
+    (the sum of the stored coefficients).  A size that is not a power
+    of the prime of q raises AlgebraError first, then a variable
+    outside `pairs`; the state pass rejects a non-integer value, the
+    division must be exact, and every coefficient must be an int.
     """
     cells = ([enum] if isinstance(enum, WeightPoly)
-             else chain.from_iterable(row.values() for row in enum.rows))
+             else [e for row in enum.rows for e in row.values()])
     count = sum(sum(e.terms.values()) for e in cells)
     # count is a power p^e of the prime p of q exactly when it divides
     # q^b, b its bit length: p^e <= count < 2^b <= p^b
     if count < 1 or q ** count.bit_length() % count:
         raise AlgebraError("the enumerator at all ones is %d, not a power of "
                            "the prime of q = %d" % (count, q))
-    out = enum.substitute(weight_mapping(q, pairs))
-    if kernel is not None:
-        out = out.conjugate_by(*kernel)
-    return out.exact_div(count).to_int_coeffs()
+    mapping = weight_mapping(q, pairs)
+    # the first exponent tuple with an unmapped variable is named
+    WeightPoly(dict.fromkeys(chain.from_iterable(
+        e.terms for e in cells), 1)).substitute(mapping)
+    out = enum if kernel is None else enum.conjugate_by(*kernel)
+    return out.substitute(mapping).exact_div(count).to_int_coeffs()
 
 
-def dual_key_bytes(edges, q, p, coords):
+def dual_key_bytes(edges, q, p):
     """(w, bytes): the field width and the bytes that edge_dual_rows's
-    stages hold for one key over `edges` edges of `coords` coordinates.
+    stages hold for one key over `edges` edges.
 
-    The image of an edge's monomial has coefficients adding up to at
-    most q^coords in absolute value, so w-byte fields hold any sum over
-    the edges; the stages hold (q p + p + 2) planes of one field per
-    edge and key.
+    A field only ever holds a sub-sum of one key's edge counts, so w
+    bytes hold the edge count; the stages hold (q p + p + 2) planes of
+    one field per edge and key.
     """
-    w = ((edges * q ** coords).bit_length() + 7) // 8
+    w = (edges.bit_length() + 7) // 8
     return w, (q * p + p + 2) * edges * w
 
 
-def dual_on_edges(edges, states, q, p, coords):
+def dual_on_edges(edges, states, q, p):
     """Whether a dual WAM runs on its edges (edge_dual_rows), not its
     state grid: they are fewer than the cells, and one key's planes fit
     the budget.  The grid charges no plane bytes, so an input whose edge
     planes would not fit keeps the grid rather than be refused."""
     return (edges < states * states
-            and dual_key_bytes(edges, q, p, coords)[1] <= errors.BUDGET)
+            and dual_key_bytes(edges, q, p)[1] <= errors.BUDGET)
 
 
 def edge_dual_rows(words, names, groups, q, p, stages, inner, columns,
@@ -410,13 +418,14 @@ def edge_dual_rows(words, names, groups, q, p, stages, inner, columns,
     pairs of character_pass over the edge index, whose points are
     outer * inner + beta.  Column j = (shift, beta) of `columns` reads
     each point (alpha, beta) into row place(alpha, shift).  Each weight
-    tuple's image under weight_mapping is built once, and its edges are
-    one indicator int, the source of that image in _transform_points,
-    which divides by the edge count.  The key bytes (dual_key_bytes)
-    and then the output cells are charged to the budget.
+    tuple's edges are one indicator int, the key of its
+    weight_exponents in _transform_points; each distinct point
+    polynomial then takes weight_mapping through one monomial map and
+    the division by the edge count once.  The key bytes (dual_key_bytes)
+    are charged to the budget; the caller charges the output cells.
     """
     edges = len(words)
-    w, per_key = dual_key_bytes(edges, q, p, sum(map(len, groups)))
+    w, per_key = dual_key_bytes(edges, q, p)
     check_budget("the dual WAM", 0, nbytes=per_key)
     width = edges * w
     # a weight tuple's indicator has a 1 in the low byte of each of its
@@ -428,22 +437,19 @@ def edge_dual_rows(words, names, groups, q, p, stages, inner, columns,
         if ind is None:
             ind = members[ws] = bytearray(width)
         ind[at] = 1
+    sources = [(weight_exponents(names, groups, ws),
+                int.from_bytes(ind, "little"), 0)
+               for ws, ind in members.items()]
+    del members
     image = monomial_map(weight_mapping(q, list(zip(names[::2],
                                                     names[1::2]))),
                          keep=False)
-    # an edge is on one tuple's indicator, so a key's planes are sums of
-    # c times indicators with no carry between fields
-    sources = [(image(WeightPoly({weight_exponents(names, groups, ws): 1}))
-                .terms, int.from_bytes(ind, "little"), 0)
-               for ws, ind in members.items()]
-    del members
+    tail = _once(lambda poly: image(poly).exact_div(edges).to_int_coeffs())
     by_beta = {}
-    for point, poly in _transform_points(sources, edges, w, q, p, stages,
-                                         edges).items():
+    for point, poly in _transform_points(sources, edges, w, q, p,
+                                         stages).items():
         alpha, beta = divmod(point, inner)
-        by_beta.setdefault(beta, []).append((alpha, poly))
-    check_budget("the dual WAM", 0, sum(len(by_beta.get(beta, ()))
-                                        for _, beta in columns))
+        by_beta.setdefault(beta, []).append((alpha, tail(poly)))
     rows = [{} for _ in columns]
     for j, (shift, beta) in enumerate(columns):
         for alpha, poly in by_beta.get(beta, ()):
@@ -471,6 +477,25 @@ def series_entry(n, i, d_max):
     return WeightPoly(columns[i]), open_paths
 
 
+def series_width(states, degrees, rmax, d_max):
+    """The field width w of the packed series to D^d_max over a matrix
+    of `states` states, variable degrees `degrees` and largest row sum
+    of |c| rmax, once its states * fields * w bytes are charged to the
+    budget: fields is the product of d_max deg + 1 over the degrees.
+    The planes only ever hold sums of |c| products, at most rmax^t in
+    all, so fields of ceil(bitlen(rmax^d_max) / 8) bytes never
+    overflow."""
+    fields = prod(d_max * deg + 1 for deg in degrees)
+    # rmax^d_max has more than d_max * (bitlen(rmax) - 1) bits: a depth
+    # refused on that width is refused before the power is formed
+    w = d_max * max(rmax.bit_length() - 1, 0) // 8 + 1
+    if states * fields * w <= errors.BUDGET:
+        w = max(1, ((rmax ** d_max).bit_length() + 7) // 8)
+    check_budget("the series to D^%d" % d_max, 0,
+                 nbytes=states * fields * w)
+    return w
+
+
 def _series(n, i, d_max, columns):
     """Row i of sum_{t <= d_max} N^t D^t over `columns`, as {column:
     terms}, and whether row i of N^d_max is nonzero.
@@ -480,33 +505,27 @@ def _series(n, i, d_max, columns):
     plus and the minus plane of its coefficients.  The monomial with
     exponents e is the little-endian w-byte field sum_v e_v R_v, R_v the
     place value of v in the mixed radix of the degree bounds
-    deg_v(v_t) <= d_max deg_v(N), so a stored term c x^e of N moves a plane by the field of e, times |c|
-    when |c| != 1, and c < 0 swaps the planes.  The planes only ever
-    hold sums of |c| products, at most rmax^t in all, rmax the largest
-    row sum of |c| over N, so fields of ceil(bitlen(rmax^d_max) / 8)
-    bytes never overflow.  Only `columns` are decoded, each v_t as it
-    comes: the value is plus - minus on the nonzero fields of their XOR.
+    deg_v(v_t) <= d_max deg_v(N), so a stored term c x^e of N moves a
+    plane by the field of e, times |c| when |c| != 1, and c < 0 swaps
+    the planes.  The fields are series_width wide.  Only `columns` are
+    decoded, each v_t as it comes: the value is plus - minus on the
+    nonzero fields of their XOR.
     """
     if d_max < 0:  # truncation below D^0 drops the identity itself
         raise AlgebraError("matrix is not of the form I - N*D")
     exps = n.exponents()
     if any(exp[_D] for exp in exps):
         raise AlgebraError("matrix is not of the form I - N*D")
+    degrees = [max((exp[slot] for exp in exps), default=0)
+               for slot in range(_D)]
     layout, fields = [], 1
-    for slot in range(_D):
-        deg = max((exp[slot] for exp in exps), default=0)
+    for slot, deg in enumerate(degrees):
         if deg:
             layout.append((slot, fields, d_max * deg + 1))
             fields *= d_max * deg + 1
-    rmax = max((sum(abs(c) for e in row.values() for c in e.terms.values())
-                for row in n.rows), default=0)
-    # rmax^d_max has more than d_max * (bitlen(rmax) - 1) bits: a depth
-    # refused on that width is refused before the power is formed
-    w = d_max * max(rmax.bit_length() - 1, 0) // 8 + 1
-    if n.size * fields * w <= errors.BUDGET:
-        w = max(1, ((rmax ** d_max).bit_length() + 7) // 8)
-    check_budget("the series to D^%d" % d_max, 0,
-                 nbytes=n.size * fields * w)
+    w = series_width(n.size, degrees, max(
+        (sum(abs(c) for e in row.values() for c in e.terms.values())
+         for row in n.rows), default=0), d_max)
     bits, size = 8 * w, fields * w
     edges = [[(j, bits * sum(exp[slot] * stride for slot, stride, _ in layout),
                abs(c), c < 0)

@@ -171,7 +171,7 @@ def dual_wam(spec):
     m, k, a = spec.m, spec.k, spec.a
     edges, inner = _edge_count(spec), 4 ** k * 2 ** a
     check_budget("quantum WAM", edges, 16 ** m)
-    if not dual_on_edges(edges, 4 ** m, 4, 2, spec.n):
+    if not dual_on_edges(edges, 4 ** m, 4, 2):
         return quantum_macwilliams(quantum_wam(spec))
     mem_images, la_images = _span_tables(spec)
     # edge e = M 4^k 2^a + la, the ancilla bits fastest

@@ -79,6 +79,31 @@ def test_character_orthogonality():
                                    for _ in range(spec.q // p)]
 
 
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                                  (7, 2), (3, 3), (2, 5)])
+def test_trace_sums_the_frobenius_powers(p, r):
+    # tr(x) = x + x^p + ... + x^(p^(r-1)), each power by repeated mul
+    spec = field(p, r)
+    for x in range(spec.q):
+        acc, power = 0, x
+        for _ in range(r):
+            acc = spec.add[acc][power]
+            nxt = 1
+            for _ in range(p):
+                nxt = spec.mul[nxt][power]
+            power = nxt
+        assert spec.trace[x] == acc
+
+
+def test_gf2003_tables_are_fast():
+    # the largest prime field the budget admits: q^2 <= 2^22
+    start = time.perf_counter()
+    spec = FieldSpec(2003)
+    elapsed = time.perf_counter() - start
+    assert spec.trace[1234] == 1234 and spec.add[2002][3] == 2
+    assert elapsed < 1.0, "FieldSpec(2003) took %.2f s" % elapsed
+
+
 def test_field_trace_prime_field_is_identity():
     assert field(5).trace == list(range(5))
 

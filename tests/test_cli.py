@@ -9,11 +9,12 @@ import pytest
 from conftest import (field, fixture_path, random_eaqcc_spec,
                       random_systematic_conv_seed, read_fixture, seeded_rng,
                       shift_register_text)
-from wamkit import conv, gflinalg, quantum
+from wamkit import block, conv, gflinalg, quantum
 from wamkit.cli import _CONV, main
 from wamkit.conv import ipwam, wam
 from wamkit.errors import AlgebraError
 from wamkit.formats import (dumps, matrix_to_structured, parse_block_code,
+                            parse_conv_seed, parse_quantum_spec,
                             poly_to_structured, render_conv_seed,
                             render_quantum_spec, structured_to_matrix)
 from wamkit.poly import WeightPoly
@@ -512,8 +513,9 @@ def test_deep_sd_peak_memory_is_its_coefficient_matrices(capsys):
 
 
 def test_verify_all_fails_a_free_series_off_at_its_last_order(
-        monkeypatch, capsys):
-    # a term at D^dmax survives the truncation of free * (1 + total * D)
+        monkeypatch, capsys, example1):
+    # a term at D^dmax survives the truncation of free * (1 + total * D),
+    # and the FAIL line after the verdict gives both sides
     free_wgf = conv.free_wgf
     monkeypatch.setattr(conv, "free_wgf", lambda lam, d_max: free_wgf(
         lam, d_max) + WeightPoly.var("D", d_max))
@@ -521,8 +523,13 @@ def test_verify_all_fails_a_free_series_off_at_its_last_order(
                            fixture_path("example1.cc"))
     assert code == 1
     lines = out.splitlines()
-    assert lines[-1] == "free/total series relation: FAIL"
-    assert all(line.endswith(": PASS") for line in lines[:-1])
+    assert lines[-2] == "free/total series relation: FAIL"
+    assert all(line.endswith(": PASS") for line in lines[:-2])
+    lam_y = wam(example1).collapse({"x": 1})
+    total = conv.total_wgf(lam_y, 7)
+    left = conv.free_wgf(lam_y, 7).truncated_mul(
+        1 + total * WeightPoly.var("D"), 7)
+    assert lines[-1] == "FAIL %s != %s" % (left, total)
 
 
 def test_verify_all_prints_conv_diagnostics(monkeypatch, capsys):
@@ -536,6 +543,56 @@ def test_verify_all_prints_conv_diagnostics(monkeypatch, capsys):
     at = lines.index("dual seed orthogonality: FAIL")
     assert lines[at + 1] == "FAIL " + diag
     assert lines[at + 2].endswith(": PASS")
+
+
+def _perturbed(fn):
+    """fn with N (y - x) added to its result's first cell (cell (0, 0) of
+    a matrix), N the sum of its coefficients: the count stays N, and a
+    transform of the result still divides exactly."""
+    def wrapped(*args):
+        out = fn(*args)
+        count = sum(sum(e.terms.values()) for e in (
+            [out] if isinstance(out, WeightPoly)
+            else [e for row in out.rows for e in row.values()]))
+        delta = count * (WeightPoly.var("y") - WeightPoly.var("x"))
+        if isinstance(out, WeightPoly):
+            return out + delta
+        return PolyMatrix(out.labels, [{**out.rows[0], 0: out[0, 0] + delta}]
+                          + out.rows[1:])
+    return wrapped
+
+
+def _hwgf_and_q(text):
+    code = parse_block_code(text)
+    return block.hwgf(code), code.spec.q
+
+
+@pytest.mark.parametrize("name, module, attr, inputs, enumerate_dual", [
+    ("example1.cc", conv, "dual_wam", lambda text: [parse_conv_seed(text)],
+     lambda text: conv.wam(conv.dual_seed(parse_conv_seed(text)))),
+    ("u1.qcc", quantum, "dual_wam", lambda text: [parse_quantum_spec(text)],
+     lambda text: quantum_wam(quantum.dual_spec(parse_quantum_spec(text)))),
+    ("rep3.bc", block, "macwilliams_hwgf", _hwgf_and_q,
+     lambda text: block.hwgf(block.dual_code(parse_block_code(text))))])
+def test_verify_all_names_the_first_differing_cell(
+        monkeypatch, capsys, name, module, attr, inputs, enumerate_dual):
+    # a transform off in one cell fails its line, and the FAIL line
+    # after it gives the cell's labels and both sides' text
+    text = read_fixture(name)
+    got = _perturbed(getattr(module, attr))(*inputs(text))
+    want = enumerate_dual(text)
+    monkeypatch.setattr(module, attr, _perturbed(getattr(module, attr)))
+    code, out, _ = run_cli(capsys, "verify", "all", fixture_path(name))
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("%s transform matches dual enumeration: FAIL"
+                     % ("hwgf" if module is block else "wam"))
+    if module is block:
+        assert lines[at + 1] == "FAIL %s != %s" % (got, want)
+    else:
+        label = want.labels[0]
+        assert lines[at + 1] == "FAIL cell (%s, %s): %s != %s" % (
+            label, label, got[0, 0], want[0, 0])
 
 
 @pytest.mark.parametrize("text,lines,error", [

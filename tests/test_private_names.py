@@ -51,6 +51,26 @@ def test_every_private_module_name_is_used():
     assert unused == []
 
 
+def _unread_imports(source):
+    """The names that a module's imports bind but that it never reads."""
+    tree = ast.parse(source)
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_every_import_is_read():
+    # __init__.py imports the package's exports
+    unread = ["%s.%s" % (module[:-3], name)
+              for module, source in _sources().items()
+              if module != "__init__.py"
+              for name in sorted(_unread_imports(source))]
+    assert unread == []
+
+
 # documented entry points that nothing in the package calls, each with
 # the reason it stays
 ENTRY_POINTS = {

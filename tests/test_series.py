@@ -8,10 +8,11 @@ import pytest
 from conftest import (field, matrix_of, random_conv_seed,
                       random_systematic_conv_seed, seeded_rng,
                       shift_register_text)
-from wamkit.cli import main
+from wamkit import errors
+from wamkit.cli import _lam_y, main
 from wamkit.conv import (ConvSeed, free_distance, free_wgf, iowam, ipwam,
                          total_wgf, wam)
-from wamkit.errors import AlgebraError
+from wamkit.errors import AlgebraError, BudgetError
 from wamkit.formats import render_conv_seed
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix, series_entry, series_inverse
@@ -203,4 +204,71 @@ def test_total_on_binary_m12_needs_no_s_squared_cells(capsys, tmp_path):
     # 2^24 cells would exceed the budget, but the WAM has 2^13 edges
     assert _peak_bytes(lambda: _shift_register_job(
         tmp_path, 12, "conv", "total")) < 16 * 2 ** 20
+    assert capsys.readouterr().out.startswith("1 + D + ")
+
+
+def _refusal(job):
+    """The BudgetError text of job(), or None when it runs."""
+    try:
+        job()
+    except BudgetError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+def test_series_charge_from_the_seed_is_the_series_own(monkeypatch, p, r):
+    # the CLI charges the series from the seed before it builds Lam_y;
+    # under every budget it refuses what the series itself refuses, with
+    # the same text, the free series (and dfree's first) included, m = 0
+    # and k = 0 too, and seeds whose last output is always 0, so that no
+    # edge weighs n.  Budgets double from the edge count, then sit on
+    # each byte count seen and one below it.
+    spec = field(p, r)
+    rng = seeded_rng("series-charge-%d-%d" % (p, r))
+    seen, budget = [], errors.BUDGET
+    seeds = [random_conv_seed(rng, spec, n, k, m)
+             for n, k, m in [(2, 1, 2), (3, 1, 1), (2, 1, 0), (2, 0, 2),
+                             (3, 2, 1), (1, 1, 2), (3, 1, 2), (4, 2, 1)]]
+    seeds += [ConvSeed(spec, s.n, s.k, s.m, [
+        row[:s.n - 1] + [0] + row[s.n:] for row in s.t_matrix])
+        for s in seeds[-2:]]
+    for seed in seeds:
+        monkeypatch.setattr(errors, "BUDGET", budget)
+        lam_y = wam(seed).collapse({"x": 1})
+        n, k, m = seed.n, seed.k, seed.m
+        edges = spec.q ** (m + k)
+        for free, series in ((False, total_wgf), (True, free_wgf)):
+            for d in (3, 30):
+                budgets = [edges << t for t in range(20)]
+                while budgets:
+                    monkeypatch.setattr(errors, "BUDGET", budgets.pop())
+                    want = _refusal(lambda: series(lam_y, d))
+                    assert _refusal(lambda: _lam_y(seed, d, free)) == want
+                    if want is not None and want not in seen:
+                        seen.append(want)
+                        need = int(want.split(" needs ")[1].split()[0])
+                        budgets += [b for b in (need - 1, need)
+                                    if b >= edges]
+    assert len(seen) > 20
+
+
+@pytest.mark.parametrize("action", ["total", "free", "dfree"])
+def test_series_over_binary_m18_is_refused_before_the_wam(capsys, tmp_path,
+                                                          action):
+    # 2^19 edges pass their charge, but the series to D^10 over 2^18
+    # states would not fit: it is charged before any cell is built (about
+    # 7 s and 500 MB of WAM cells when the series charged it)
+    start = time.perf_counter()
+    code = _shift_register_job(tmp_path, 18, "conv", action)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the series to D^10 needs 11010048 bytes, which exceeds the "
+        "budget of 4194304\n")
+    assert elapsed < 2.0, "refusing took %.2f s" % elapsed
+
+
+def test_total_on_binary_m16_still_runs(capsys, tmp_path):
+    assert _shift_register_job(tmp_path, 16, "conv", "total") == 0
     assert capsys.readouterr().out.startswith("1 + D + ")

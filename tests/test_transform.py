@@ -20,15 +20,16 @@ import pytest
 from conftest import (brute_force_dual_wam, constraint_dual_wam, field,
                       random_conv_seed, random_eaqcc_spec,
                       random_systematic_conv_seed, seeded_rng)
-from wamkit import errors, polymatrix, quantum
+from wamkit import errors, gflinalg, polymatrix, quantum
 from wamkit.block import macwilliams_hwgf, macwilliams_ipwgf
 from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_systematic_seed,
                          dual_total_wgf, dual_wam, fourier_matrix, ipwam,
                          macwilliams_ipwam, macwilliams_wam, state_labels,
                          state_vectors, wam)
-from wamkit.errors import AlgebraError, ShapeError
+from wamkit.errors import AlgebraError, BudgetError, ShapeError
+from wamkit.pauli import pauli_state_labels
 from wamkit.poly import IP_PAIRS, VARS, WeightPoly
-from wamkit.polymatrix import PolyMatrix, macwilliams, weight_mapping
+from wamkit.polymatrix import PolyMatrix, macwilliams
 from wamkit.quantum import F1, dual_spec, quantum_macwilliams, quantum_wam
 
 
@@ -311,6 +312,87 @@ def test_unmapped_variable_is_rejected(example1):
         macwilliams_wam(lam, spec)
 
 
+def test_unmapped_variable_is_rejected_before_the_state_pass(
+        monkeypatch, example1):
+    # the state pass runs on the counts, before the substitution that
+    # names the variable; the check comes first all the same
+    def refuse(self, *args):
+        raise AssertionError("the state pass ran")
+
+    monkeypatch.setattr(PolyMatrix, "conjugate_by", refuse)
+    test_unmapped_variable_is_rejected(example1)
+
+
+def _verdict(transform, lam):
+    """transform(lam), or None when it raises AlgebraError."""
+    try:
+        return transform(lam)
+    except AlgebraError:
+        return None
+
+
+@pytest.mark.parametrize("kernel", ["gf3", "gf5", "gf9", "pauli"])
+def test_state_pass_refuses_what_the_substituted_state_pass_refuses(kernel):
+    # the state pass runs on the counts, then the weights are mapped; the
+    # map is invertible over Q, so a matrix is refused exactly when the
+    # substitute-first order refuses it, and otherwise both give the
+    # same matrix.  Random matrices, every third one closed under
+    # prime-field scalars (whose transforms are integral) and every
+    # fifth a WAM, each with a power of p as its count, so that the
+    # state pass is reached.
+    rng = seeded_rng("integrality-" + kernel)
+    if kernel == "pauli":
+        q, table, p, labels = 4, F1, 2, pauli_state_labels(1)
+        transform = quantum_macwilliams
+
+        def code_wam():
+            return quantum_wam(random_eaqcc_spec(rng, 2, 1, 0, 1))
+    else:
+        spec = field(*{"gf3": (3, 1), "gf5": (5, 1), "gf9": (3, 2)}[kernel])
+        q, table, p = spec.q, fourier_matrix(spec), spec.p
+        labels = state_labels(spec, 1)
+
+        def transform(lam):
+            return macwilliams_wam(lam, spec)
+
+        def code_wam():
+            return wam(random_conv_seed(rng, spec, 2, 1, 1))
+    mapping = substitution(q, (("x", "y"),))
+    x, y = WeightPoly.var("x"), WeightPoly.var("y")
+    verdicts = []
+    for trial in range(30):
+        if trial % 5 == 4:
+            lam = code_wam()
+        else:
+            rows = [{} for _ in labels]
+            for i, j in rng.sample([(i, j) for i in range(q)
+                                    for j in range(q)],
+                                   rng.randint(1, 2 * q)):
+                rows[i][j] = sum((rng.choice([-3, -2, -1, 1, 2, 3])
+                                  * x ** rng.randint(0, 2)
+                                  * y ** rng.randint(0, 2)
+                                  for _ in range(rng.randint(1, 2))),
+                                 WeightPoly.zero())
+            lam = PolyMatrix(labels, rows)
+            if trial % 3 == 2 and kernel != "pauli":
+                lam = scalar_symmetric(spec, 1, lam)
+            count = sum(sum(e.terms.values()) for row in lam.rows
+                        for e in row.values())
+            lam = lam + PolyMatrix(labels, [
+                {0: (p ** rng.randint(1, 4) - count) * x * x}]
+                + [{}] * (q - 1))
+        count = sum(sum(e.terms.values()) for row in lam.rows
+                    for e in row.values())
+        want = _verdict(lambda m: m.substitute(mapping).conjugate_by(
+            table, p).exact_div(count).to_int_coeffs(), lam)
+        assert _verdict(transform, lam) == want
+        verdicts.append(want is None)
+        assert (_verdict(lambda m: m.conjugate_by(table, p), lam)
+                is None) == (_verdict(lambda m: m.substitute(
+                    mapping).conjugate_by(table, p), lam) is None)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_wam_transforms_refuse_a_non_code(example1, u1):
     # the divisor is the edge count, the sum of Lam(1, 1) over the cells:
     # 2^(m+k) = 8 for example1, 4^m 4^k 2^a = 16 for u1, 3^(m+k) = 9 for
@@ -452,7 +534,7 @@ def _count_passes(monkeypatch):
 
 def test_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
         monkeypatch):
-    # room for one key's planes: each image monomial gets its own pass
+    # room for one key's planes: each weight tuple gets its own pass
     spec = field(3)
     seed = random_systematic_conv_seed(seeded_rng("dual-passes"), spec, 3,
                                        1, 2)
@@ -460,7 +542,7 @@ def test_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
     want_ip = macwilliams_ipwam(ipwam(seed), spec)
     edges = 3 ** 3
     monkeypatch.setattr(errors, "BUDGET", 14 * edges * (
-        ((edges * 3 ** 3).bit_length() + 7) // 8))
+        (edges.bit_length() + 7) // 8))
     passes = _count_passes(monkeypatch)
     assert dual_wam(seed) == want
     assert dual_ipwam(seed) == want_ip
@@ -469,10 +551,8 @@ def test_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
 
 def _grid_key_bytes(lam, q, p):
     """(q p + p + 2) S^2 w: the bytes of one exponent key of the state
-    pass over the weight substitution of lam, w-byte fields wide enough
-    for the sum of its |c|."""
-    image = lam.substitute(weight_mapping(q, (("x", "y"),)))
-    total = sum(abs(c) for row in image.rows for e in row.values()
+    pass over lam, w-byte fields wide enough for the sum of its |c|."""
+    total = sum(abs(c) for row in lam.rows for e in row.values()
                 for c in e.terms.values())
     return (q * p + p + 2) * lam.size ** 2 * ((total.bit_length() + 7) // 8)
 
@@ -518,7 +598,7 @@ def test_dual_keeps_the_grid_when_one_key_of_edges_exceeds_the_budget(
     want = macwilliams_wam(wam(seed), spec)
     want_ip = macwilliams_ipwam(ipwam(seed), spec)
     monkeypatch.setattr(errors, "BUDGET", polymatrix.dual_key_bytes(
-        2 ** 4, 2, 2, 3)[1] - 1)
+        2 ** 4, 2, 2)[1] - 1)
     grid, run = [], PolyMatrix.conjugate_by
 
     def counted(self, *args):
@@ -529,6 +609,68 @@ def test_dual_keeps_the_grid_when_one_key_of_edges_exceeds_the_budget(
     assert dual_wam(seed) == want
     assert dual_ipwam(seed) == want_ip
     assert grid == [8, 8]
+
+
+def test_dual_wam_takes_the_edges_whose_count_wide_planes_fit(monkeypatch):
+    # 2^7 edges under 2^12 cells: one key's planes take 8 * 2^7 bytes in
+    # one-byte fields wide enough for the edge count, and fit a budget of
+    # 1500; the grid's 4096 cells would not
+    spec = field(2)
+    seed = random_conv_seed(seeded_rng("edge-width"), spec, 4, 1, 6)
+    want = macwilliams_wam(wam(seed), spec)
+    assert polymatrix.dual_key_bytes(2 ** 7, 2, 2) == (1, 1024)
+    monkeypatch.setattr(errors, "BUDGET", 1500)
+
+    def refuse(self, *args):
+        raise AssertionError("the state grid ran")
+
+    monkeypatch.setattr(PolyMatrix, "conjugate_by", refuse)
+    lam_hat = dual_wam(seed)
+    assert sum(map(len, lam_hat.rows)) == 512
+    assert lam_hat == want
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+def test_dual_wam_stores_a_cell_per_dual_transition(p, r):
+    # q^(m - k + rank(C; E)) cells, also with every output row but the
+    # first zeroed, where the rank falls to 1
+    spec = field(p, r)
+    rng = seeded_rng("dual-transitions-%d-%d" % (p, r))
+    for n, k, m in [(2, 1, 2), (3, 1, 2), (2, 0, 2), (1, 1, 2), (4, 1, 2)]:
+        seed = random_conv_seed(rng, spec, n, k, m)
+        low = ConvSeed(spec, n, k, m, [[0] * n + row[n:] if i else row
+                                       for i, row in enumerate(
+                                           seed.t_matrix)])
+        for s in (seed, low):
+            rank = gflinalg.rank(spec, [row[:n] for row in s.t_matrix])
+            assert sum(map(len, dual_wam(s).rows)) == spec.q ** (m - k
+                                                                  + rank)
+
+
+def test_dual_wam_charges_its_cells_before_the_transform(monkeypatch):
+    # a binary (16, 5, 12) dual WAM has 2^(12 - 5 + 16) cells: refused
+    # before the 2^17 edges are transformed
+    seed = random_conv_seed(seeded_rng("dual-cells-up-front"), field(2), 16,
+                            5, 12)
+    passes = _count_passes(monkeypatch)
+    with pytest.raises(BudgetError, match="^the dual WAM needs 8388608 "
+                                          "matrix cells"):
+        dual_wam(seed)
+    assert passes == []
+
+
+def test_map_entries_maps_each_distinct_cell_once(example1):
+    # a transformed grid shares its equal cells, and its weight map and
+    # division run once per distinct cell
+    lam_hat = macwilliams_wam(wam(example1), example1.spec)
+    cells = [e for row in lam_hat.rows for e in row.values()]
+    assert len({id(e) for e in cells}) < len(cells)
+    seen = []
+    lam_hat.map_entries(lambda e: seen.append(id(e)) or e)
+    assert sorted(seen) == sorted({id(e) for e in cells})
+    counts = lam_hat.conjugate_by(fourier_matrix(example1.spec))
+    assert len({id(e) for row in counts.rows for e in row.values()}) < \
+        sum(map(len, counts.rows))
 
 
 def test_dual_ipwam_needs_a_systematic_seed(example1_nonsys):
@@ -584,7 +726,7 @@ def test_quantum_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
     want = quantum_macwilliams(quantum_wam(spec))
     edges = 4 ** 3 * 4 * 2 ** 2
     monkeypatch.setattr(errors, "BUDGET", polymatrix.dual_key_bytes(
-        edges, 4, 2, 3)[1])
+        edges, 4, 2)[1])
     passes = _count_passes(monkeypatch)
     assert quantum.dual_wam(spec) == want
     assert len(passes) > 2 and set(passes) == {1}
