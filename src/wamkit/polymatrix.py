@@ -10,8 +10,8 @@ from operator import add, neg, or_
 from . import errors
 from .errors import AlgebraError, check_budget
 from .gflinalg import group_weights
-from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, factor_text,
-                   monomial_map, term_table, terms_text)
+from .poly import (VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP,
+                   factor_text, monomial_map, term_table, terms_text)
 
 
 class PolyMatrix:
@@ -380,9 +380,14 @@ def macwilliams(enum, q, pairs, kernel=None):
         raise AlgebraError("the enumerator at all ones is %d, not a power of "
                            "the prime of q = %d" % (count, q))
     mapping = weight_mapping(q, pairs)
-    # the first exponent tuple with an unmapped variable is named
-    WeightPoly(dict.fromkeys(chain.from_iterable(
-        e.terms for e in cells), 1)).substitute(mapping)
+    # before the state pass, as substitute would: the first variable
+    # without an image in the first exponent tuple, in cell order, that
+    # has one
+    for exp in dict.fromkeys(chain.from_iterable(e.terms for e in cells)):
+        for name, e in zip(VARS, exp):
+            if e and name not in mapping:
+                raise AlgebraError("variable %r occurs but has no image"
+                                   % (name,))
     out = enum if kernel is None else enum.conjugate_by(*kernel)
     return out.substitute(mapping).exact_div(count).to_int_coeffs()
 
