@@ -9,7 +9,7 @@ import functools
 import sys
 
 from . import block, conv, quantum
-from .errors import BudgetError, ShapeError, WamkitError, check_budget
+from .errors import ShapeError, WamkitError, check_budget
 from .formats import (matrix_to_structured, parse_block_code,
                       parse_conv_seed, parse_quantum_spec, poly_to_structured,
                       render_block_code, render_conv_seed,
@@ -80,15 +80,21 @@ def _lam_y(seed, d_max, free=False):
     has q^m states, rows that sum to q^k (row 0 one less without the
     loop, the only row when m = 0) and the y-degree of the heaviest
     edge, so the charge is polymatrix.series_width's own, made before
-    any cell is built.  The charge grows with the y-degree, which is at
-    most n, so the edges are weighed only when n would not fit."""
-    states, rows = seed.spec.q ** seed.m, seed.spec.q ** seed.k - (
-        free and not seed.m)
-    try:
-        series_width(states, [seed.n], rows, d_max)
-    except BudgetError:
-        series_width(states, [conv.heaviest_edge(seed)], rows, d_max)
+    any cell is built."""
+    q = seed.spec.q
+    series_width(q ** seed.m, [conv.heaviest_edge(seed)],
+                 q ** seed.k - (free and not seed.m), d_max)
     return conv.wam(seed).collapse({"x": 1})
+
+
+def _dual_lam_y(seed, d_max):
+    """conv.dual_wam(seed) with x set to 1, once its own charges and then
+    the series to D^d_max over it are charged to the budget, from its
+    q^m states and conv.dual_series_bounds, before any cell is
+    built."""
+    rows, heaviest = conv.dual_series_bounds(seed)
+    series_width(seed.spec.q ** seed.m, [heaviest], rows, d_max)
+    return conv.dual_wam(seed).collapse({"x": 1})
 
 
 def _dfree(seed, args):
@@ -150,7 +156,7 @@ _CONV = {
     "total": lambda seed, args: _emit_poly(
         conv.total_wgf(_lam_y(seed, args.dmax), args.dmax), args),
     "dual-total": lambda seed, args: _emit_poly(conv.total_wgf(
-        conv.dual_wam(seed).collapse({"x": 1}), args.dmax), args),
+        _dual_lam_y(seed, args.dmax), args.dmax), args),
     "free": lambda seed, args: _emit_poly(conv.free_wgf(
         _lam_y(seed, args.dmax, free=True), args.dmax), args),
     "dfree": _dfree,

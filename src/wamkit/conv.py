@@ -13,14 +13,15 @@ State labels enumerate GF(q)^m with the first coordinate varying
 fastest, written as strings of element indices.
 """
 
+from collections import Counter
 from itertools import repeat
 from operator import getitem, mul
 
 from . import gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
-from .poly import IP_PAIRS, IP_VARS
+from .poly import IP_PAIRS, IP_VARS, WeightPoly
 from .polymatrix import (PolyMatrix, dual_on_edges, edge_dual_rows, edge_rows,
-                         macwilliams, series_entry)
+                         macwilliams, series_entry, weight_exponents)
 
 
 def state_vectors(spec, m):
@@ -368,16 +369,10 @@ def _dual_edge_matrix(seed, names, groups):
     """
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
-    if not dual_on_edges(q ** (m + k), q ** m, q, spec.p):
-        check_budget("WAM", q ** (m + k), q ** (2 * m))
+    if not _dual_route(seed):
         return macwilliams(_edge_matrix(seed, names, groups), q,
                            list(zip(names[::2], names[1::2])),
                            (fourier_matrix(spec), spec.p))
-    # a stored cell per transition (a, b) of the q^(m+n-k) dual
-    # constraint words, q^(n-r) of which have a = b = 0: the words
-    # orthogonal to the outputs, r the rank of (C; E).  Charged up front
-    check_budget("the dual WAM", 0, q ** (m - k + gflinalg.rank(
-        spec, [row[:n] for row in seed.t_matrix])))
     # (b A^T : b B^T) of every state b, packed
     images = gflinalg.span_images(spec, [[row[n + t] for row in seed.t_matrix]
                                          for t in range(m)])
@@ -400,6 +395,49 @@ def _dual_edge_matrix(seed, names, groups):
     return PolyMatrix(state_labels(spec, m), edge_dual_rows(
         _output_words(seed), names, groups, q, spec.p,
         [(f, q ** t) for t in range(m + k)], q ** k, columns, place))
+
+
+def _dual_route(seed):
+    """Whether _dual_edge_matrix takes the seed's edges, once the route's
+    charges are made: the grid's q^(m+k) edges and q^(2m) cells, or the
+    edge path's stored cells, one per transition (a, b) of the
+    q^(m+n-k) dual constraint words, q^(n-r) of which have a = b = 0:
+    the words orthogonal to the outputs, r the rank of (C; E)."""
+    spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
+    q = spec.q
+    if not dual_on_edges(q ** (m + k), q ** m, q, spec.p):
+        check_budget("WAM", q ** (m + k), q ** (2 * m))
+        return False
+    check_budget("the dual WAM", 0, q ** (m - k + gflinalg.rank(
+        spec, [row[:n] for row in seed.t_matrix])))
+    return True
+
+
+def dual_series_bounds(seed):
+    """(largest row sum, heaviest edge) of dual_wam(seed), read from the
+    seed once dual_wam's own charges are made, building no cell.
+
+    Row a of the dual WAM counts the dual constraint words (a : p : b).
+    Those with a = 0 are the (p, b) with T (p : -b)^T = 0, so the
+    q^(m+n-k) words fill the rows they reach equally, q^(m+n-rank T)
+    each.  Their outputs p are the block code D^perp, D the outputs u E
+    of the inputs with u B = 0 (the words of C whose states are both
+    zero), so the heaviest edge is the largest weight of D^perp, read
+    off the MacWilliams transform of D's weight enumerator.
+    """
+    spec, n, m = seed.spec, seed.n, seed.m
+    _dual_route(seed)
+    # rows of the rref of (B : E) that are zero on B span the u E
+    red, pivots = gflinalg.rref(spec, [row[n:] + row[:n]
+                                       for row in seed.t_matrix[m:]])
+    words = gflinalg.span_images(spec, [row[m:] for row, c in zip(red, pivots)
+                                        if c >= m])
+    outputs = macwilliams(WeightPoly({
+        weight_exponents(("x", "y"), [range(n)], (w,)): count
+        for w, count in Counter(gflinalg.group_weights(
+            spec.q, words, [range(n)])[0]).items()}), spec.q, (("x", "y"),))
+    return (spec.q ** (m + n - gflinalg.rank(spec, seed.t_matrix)),
+            max(outputs.y_degrees()))
 
 
 def _output_words(seed):

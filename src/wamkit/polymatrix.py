@@ -10,8 +10,8 @@ from operator import add, neg, or_
 from . import errors
 from .errors import AlgebraError, check_budget
 from .gflinalg import group_weights
-from .poly import (VARS, WeightPoly, _D, _VAR_INDEX, _ZERO_EXP,
-                   factor_text, monomial_map, term_table, terms_text)
+from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, factor_text,
+                   monomial_map, term_table, terms_text)
 
 
 class PolyMatrix:
@@ -86,10 +86,8 @@ class PolyMatrix:
                 and self.rows == other.rows)
 
     def map_entries(self, fn):
-        """fn applied to every stored cell, once per distinct cell object
-        (a transformed grid shares its equal cells); fn must send zero to
-        zero, and the cells it maps to zero are dropped."""
-        fn = _once(fn)
+        """fn applied to every stored cell; fn must send zero to zero, and
+        the cells it maps to zero are dropped."""
         return PolyMatrix(self.labels, [{j: fn(e) for j, e in row.items()}
                                         for row in self.rows])
 
@@ -132,7 +130,7 @@ class PolyMatrix:
         base-q digit strings, first coordinate fastest, so F is never
         formed: _transform_points applies the kernel to the row axis one
         coordinate at a time, then its conjugate to the column axis, on
-        one signed plane pair per exponent tuple, entry (i, j) in field
+        one signed plane pair per exponent tuple, entry (i, j) at point
         i * S + j.  A result coefficient that is not an integer raises
         AlgebraError.  Equal result cells are one object.
         """
@@ -155,7 +153,7 @@ class PolyMatrix:
         cells = _transform_points(
             [(exp, *_signed_planes(at, n * n * w, w))
              for exp, at in entries.items()], n * n, w, q, p, stages,
-            lambda x: (x % n, x // n // n, x // n % n))
+            lambda t, x: (x % n, t, x // n))
         out = [{} for _ in range(n)]
         for cell in sorted(cells):
             out[cell // n][cell % n] = cells[cell]
@@ -249,26 +247,48 @@ def _transform_points(sources, points, w, q, p, stages, order=None):
     whose values plus - minus are ints of `points` w-byte fields, w
     wide enough for any sub-sum of the input's |c|.  character_pass
     takes as many keys a pass as errors.BUDGET holds at
-    (q p + p + 2) points w bytes a key, at least one, `order` ranking
-    field indices over all keys.  Points with equal polynomials share
-    one object, so a caller maps each distinct polynomial once."""
-    exps, width = [exp for exp, *_ in sources], points * w
-    batch, values = max(1, errors.BUDGET // ((q * p + p + 2) * width)), {}
+    (q p + p + 2) points w bytes a key, at least one, their fields
+    interleaved point by point, `order(key, point)` ranking fields over
+    all keys.  A point's fields over all passes are one byte string,
+    each pass's first key ahead of its fields, decoded once per distinct
+    string, so points with equal polynomials share one object and a
+    caller maps each distinct polynomial once."""
+    width = points * w
+    batch, found = max(1, errors.BUDGET // ((q * p + p + 2) * width)), {}
     for first in range(0, len(sources), batch):
         chunk = sources[first:first + batch]
-        out = character_pass([int.from_bytes(b"".join(
-            planes[s].to_bytes(width, "little") for planes in chunk),
-            "little") for s in (1, 2)], len(chunk), points, w, p, stages,
-            order and (lambda x, at=first * points: order(at + x)))
-        for point, vec in out.items():
-            values.setdefault(point, {}).update(
-                (first + t, v) for t, v in vec.items())
-    polys = {}
-    for point, vec in values.items():
-        key = tuple(vec.items())
-        if key not in polys:
-            polys[key] = WeightPoly({exps[t]: v for t, v in key})
-        values[point] = polys[key]
+        block = len(chunk) * w
+        planes = [bytearray(points * block), bytearray(points * block)]
+        for at, (_, *signed) in enumerate(chunk):
+            for plane, value in zip(planes, signed):
+                if value:
+                    data = value.to_bytes(width, "little")
+                    for b in range(w):
+                        plane[at * w + b::block] = data[b::w]
+        out = character_pass(
+            [int.from_bytes(plane, "little") for plane in planes],
+            len(chunk), points, w, p, stages,
+            order and (lambda t, x, at=first: order(at + t, x)))
+        tag = first.to_bytes(4, "little")
+        for point, fields in out.items():
+            found[point] = found.get(point, b"") + tag + fields
+    polys, values = {}, {}
+    for point, key in found.items():
+        poly = polys.get(key)
+        if poly is None:
+            terms, at = {}, 0
+            while at < len(key):
+                first = int.from_bytes(key[at:at + 4], "little")
+                block = min(batch, len(sources) - first) * w
+                for t in range(0, block, w):
+                    lo = at + 4 + t
+                    terms[sources[first + t // w][0]] = (
+                        int.from_bytes(key[lo:lo + w], "little")
+                        - int.from_bytes(key[lo + block:lo + block + w],
+                                         "little"))
+                at += 4 + 2 * block
+            poly = polys[key] = WeightPoly(terms)
+        values[point] = poly
     return values
 
 
@@ -288,31 +308,34 @@ def _once(fn):
 
 def character_pass(values, keys, cells, w, p, stages, order=None):
     """The character transform of `keys` grids of `cells` integers each,
-    on packed planes: {cell: {key: value}} over the nonzero results.
+    on packed planes: {cell: fields} over the cells with a nonzero
+    result, fields the cell's `keys` w-byte fields of the result's plane
+    0 and then of its plane p-1, whose difference is the value.
 
     `values` is the pair (plus, minus) of ints of w-byte fields, field
-    key * cells + cell holding c of an input c > 0 in plus and |c| of an
+    cell * keys + key holding c of an input c > 0 in plus and |c| of an
     input c < 0 in minus, and `stages` one (exponent table, stride) pair
-    per coordinate, the stride counted in fields: the coordinate's digit
-    u of a cell moves its field by u * stride.  A value lives in the
+    per coordinate, the stride counted in cells: the coordinate's digit
+    u of a cell moves it by u * stride.  A value lives in the
     group ring Z[C_p] as p nonnegative planes, where w^t rotates the
     planes; a coefficient c < 0 is |c| on planes 1..p-1, as
     -1 = w + ... + w^(p-1).  Each plane is one int of w-byte fields, so a
     coordinate is a few whole-plane shifts, masks and additions; w must
     hold any sub-sum of the |c|.  A result is an integer exactly when
     planes 1..p-1 agree; otherwise AlgebraError names the residual of
-    the first bad field by `order`, a sort key on field indices.
+    the first bad field by `order(key, cell)`, a sort key.
     """
-    size = keys * cells * w
+    block = keys * w
+    size = cells * block
     plus, minus = values
     planes = [plus] + [minus] * (p - 1)
     for exps, stride in stages:
-        _kernel_stage(planes, exps, stride * w, size)
+        _kernel_stage(planes, exps, stride * block, size)
     top = planes[-1]
     if any(plane != top for plane in planes[1:]):
         bad = reduce(or_, (plane ^ top for plane in planes[1:]))
         first = min(_nonzero_fields(bad.to_bytes(size, "little"), w),
-                    key=order)
+                    key=order and (lambda x: order(x % keys, x // keys)))
         field = (1 << 8 * w) - 1
         v = [plane >> 8 * w * first & field for plane in planes]
         raise AlgebraError("residual root-of-unity coefficient %s over "
@@ -321,13 +344,10 @@ def character_pass(values, keys, cells, w, p, stages, order=None):
     # the value is plane 0 minus plane p-1, nonzero where they differ
     lo = planes[0].to_bytes(size, "little")
     hi = top.to_bytes(size, "little")
-    out = {}
-    for x in _nonzero_fields((planes[0] ^ top).to_bytes(size, "little"), w):
-        t, cell = divmod(x, cells)
-        out.setdefault(cell, {})[t] = (
-            int.from_bytes(lo[x * w:x * w + w], "little")
-            - int.from_bytes(hi[x * w:x * w + w], "little"))
-    return out
+    return {x: lo[x * block:x * block + block] + hi[x * block:x * block
+                                                   + block]
+            for x in _nonzero_fields((planes[0] ^ top).to_bytes(
+                size, "little"), block)}
 
 
 def _kernel_stage(planes, exps, stride, size):
@@ -349,27 +369,32 @@ def _kernel_stage(planes, exps, stride, size):
             planes[s] = part if a == 0 else planes[s] | part << a * bits
 
 
+_NONZERO = re.compile(rb"[^\x00]+")
+
+
 def _nonzero_fields(data, w):
     """Ascending indices of the w-byte fields of `data` that hold a
     nonzero byte."""
-    nxt = 0
-    for run in re.finditer(rb"[^\x00]+", data):
-        first = max(run.start() // w, nxt)
+    run = _NONZERO.search(data)
+    while run:
         nxt = (run.end() - 1) // w + 1
-        yield from range(first, nxt)
+        yield from range(run.start() // w, nxt)
+        # the rest of the last field is skipped, not searched
+        run = _NONZERO.search(data, nxt * w)
 
 
 def macwilliams(enum, q, pairs, kernel=None):
     """MacWilliams transform of the weight enumerator or WAM of a code.
 
     For a WAM the state kernel, given as (exponent table, p) (block
-    codes pass none), transforms the counts.  Then the weight axis is
-    one substitution, weight_mapping(q, pairs), which commutes with the
-    kernel, and division by the code's size, the enumerator at all ones
-    (the sum of the stored coefficients).  A size that is not a power
-    of the prime of q raises AlgebraError first, then a variable
-    outside `pairs`; the state pass rejects a non-integer value, the
-    division must be exact, and every coefficient must be an int.
+    codes pass none), transforms the counts.  Then each distinct cell
+    takes the weight axis, one monomial map of weight_mapping(q, pairs),
+    which commutes with the kernel, and division by the code's size,
+    the enumerator at all ones (the sum of the stored coefficients).  A
+    size that is not a power of the prime of q raises AlgebraError
+    first, then a variable outside `pairs`; the state pass rejects a
+    non-integer value, the division must be exact, and every
+    coefficient must be an int.
     """
     cells = ([enum] if isinstance(enum, WeightPoly)
              else [e for row in enum.rows for e in row.values()])
@@ -379,17 +404,15 @@ def macwilliams(enum, q, pairs, kernel=None):
     if count < 1 or q ** count.bit_length() % count:
         raise AlgebraError("the enumerator at all ones is %d, not a power of "
                            "the prime of q = %d" % (count, q))
-    mapping = weight_mapping(q, pairs)
-    # before the state pass, as substitute would: the first variable
-    # without an image in the first exponent tuple, in cell order, that
-    # has one
+    image = monomial_map(weight_mapping(q, pairs), keep=False)
+    # every exponent tuple is mapped before the state pass, in cell
+    # order, so the map refuses a variable outside pairs first; the
+    # transformed cells then read its cache
     for exp in dict.fromkeys(chain.from_iterable(e.terms for e in cells)):
-        for name, e in zip(VARS, exp):
-            if e and name not in mapping:
-                raise AlgebraError("variable %r occurs but has no image"
-                                   % (name,))
+        image(WeightPoly({exp: 1}))
+    tail = _once(lambda e: image(e).exact_div(count).to_int_coeffs())
     out = enum if kernel is None else enum.conjugate_by(*kernel)
-    return out.substitute(mapping).exact_div(count).to_int_coeffs()
+    return tail(out) if isinstance(out, WeightPoly) else out.map_entries(tail)
 
 
 def dual_key_bytes(edges, q, p):

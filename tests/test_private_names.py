@@ -82,6 +82,11 @@ ENTRY_POINTS = {
                                  "defined by (README)",
     "poly.WeightPoly.coefficient": "reads one coefficient of an exported "
                                    "WeightPoly by variable names",
+    "poly.WeightPoly.substitute": "the checked substitution of an exported "
+                                  "WeightPoly (README); the transforms map "
+                                  "through one cached monomial_map",
+    "polymatrix.PolyMatrix.substitute": "the same over every stored cell of "
+                                        "an exported PolyMatrix",
     "pauli.PauliWord.weight": "the weight of an exported PauliWord, the "
                               "quantity a quantum WAM counts",
 }

@@ -8,11 +8,12 @@ import pytest
 from conftest import (field, matrix_of, random_conv_seed,
                       random_systematic_conv_seed, seeded_rng,
                       shift_register_text)
-from wamkit import errors
-from wamkit.cli import _lam_y, main
-from wamkit.conv import (ConvSeed, free_distance, free_wgf, iowam, ipwam,
-                         total_wgf, wam)
-from wamkit.errors import AlgebraError, BudgetError
+from wamkit import errors, polymatrix
+from wamkit.cli import _dual_lam_y, _lam_y, main
+from wamkit.conv import (ConvSeed, dual_series_bounds, dual_wam,
+                         free_distance, free_wgf, iowam, ipwam, total_wgf,
+                         wam)
+from wamkit.errors import AlgebraError, BudgetError, ShapeError
 from wamkit.formats import render_conv_seed
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix, series_entry, series_inverse
@@ -272,3 +273,89 @@ def test_series_over_binary_m18_is_refused_before_the_wam(capsys, tmp_path,
 def test_total_on_binary_m16_still_runs(capsys, tmp_path):
     assert _shift_register_job(tmp_path, 16, "conv", "total") == 0
     assert capsys.readouterr().out.startswith("1 + D + ")
+
+
+def _low_rank_variants(seed):
+    """seed with its C rows zeroed (rank T falls to k) and with its last
+    output column zeroed, where those seeds are valid."""
+    spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
+    out = []
+    for rows in ([[0] * n + row[n:] if i < m else row
+                  for i, row in enumerate(seed.t_matrix)],
+                 [row[:n - 1] + [0] + row[n:] for row in seed.t_matrix]):
+        try:
+            out.append(ConvSeed(spec, n, k, m, rows))
+        except ShapeError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+def test_dual_series_bounds_are_the_dual_wams_own(p, r):
+    # the largest row sum and the heaviest edge of the dual WAM with x
+    # set to 1, read from the seed: m = 0, k = 0, k >= m and seeds whose
+    # rank T or output weights fall short included
+    spec = field(p, r)
+    rng = seeded_rng("dual-series-bounds-%d-%d" % (p, r))
+    for n, k, m in [(2, 1, 2), (3, 1, 1), (2, 1, 0), (2, 0, 2), (3, 2, 1),
+                    (1, 1, 2), (3, 1, 2), (4, 3, 1), (2, 2, 1)]:
+        seed = random_conv_seed(rng, spec, n, k, m)
+        for s in [seed] + _low_rank_variants(seed):
+            lam_y = dual_wam(s).collapse({"x": 1})
+            cells = [e for row in lam_y.rows for e in row.values()]
+            assert dual_series_bounds(s) == (
+                max(sum(sum(e.terms.values()) for e in row.values())
+                    for row in lam_y.rows),
+                max(d for e in cells for d in e.y_degrees()))
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+def test_dual_series_charge_from_the_seed_is_the_series_own(monkeypatch, p,
+                                                            r):
+    # dual-total charges the dual WAM and then its series from the seed
+    # before any cell is built; under every budget it refuses what the
+    # dual WAM and its series refuse, with the same text.  Budgets double
+    # from the edge count, then sit on each byte count seen and one below
+    spec = field(p, r)
+    rng = seeded_rng("dual-series-charge-%d-%d" % (p, r))
+    seen = []
+    seeds = [random_conv_seed(rng, spec, n, k, m)
+             for n, k, m in [(2, 1, 2), (3, 1, 1), (2, 1, 0), (2, 0, 2),
+                             (3, 2, 1), (3, 1, 2), (4, 2, 1)]]
+    for seed in seeds + _low_rank_variants(seeds[-2]):
+        edges = spec.q ** (seed.m + seed.k)
+        for d in (3, 30):
+            budgets = [edges << t for t in range(20)]
+            while budgets:
+                monkeypatch.setattr(errors, "BUDGET", budgets.pop())
+                want = _refusal(lambda: total_wgf(
+                    dual_wam(seed).collapse({"x": 1}), d))
+                assert _refusal(lambda: _dual_lam_y(seed, d)) == want
+                if want is not None and want not in seen:
+                    seen.append(want)
+                    need = int(want.split(" needs ")[1].split()[0])
+                    budgets += [b for b in (need - 1, need) if b >= edges]
+    assert sum("series" in text for text in seen) > 10
+
+
+def test_dual_total_over_binary_15_5_12_is_refused_before_the_transform(
+        monkeypatch, capsys, tmp_path):
+    # the 2^22 dual cells pass their charge, but the series to D^10 over
+    # 2^12 states would not fit: it is charged before the 2^17 edges are
+    # transformed (about 5 s and 250 MB when the series charged it)
+    seed = random_conv_seed(seeded_rng("dual-total-15-5-12"), field(2), 15,
+                            5, 12)
+    path = tmp_path / "seed.cc"
+    path.write_text(render_conv_seed(seed))
+    passes = []
+    monkeypatch.setattr(polymatrix, "character_pass",
+                        lambda *args: passes.append(args))
+    start = time.perf_counter()
+    code = main(["conv", "dual-total", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the series to D^10 needs 8040448 bytes, which exceeds the "
+        "budget of 4194304\n")
+    assert passes == []
+    assert elapsed < 2.0, "refusing took %.2f s" % elapsed

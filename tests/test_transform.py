@@ -659,18 +659,42 @@ def test_dual_wam_charges_its_cells_before_the_transform(monkeypatch):
     assert passes == []
 
 
-def test_map_entries_maps_each_distinct_cell_once(example1):
-    # a transformed grid shares its equal cells, and its weight map and
-    # division run once per distinct cell
-    lam_hat = macwilliams_wam(wam(example1), example1.spec)
-    cells = [e for row in lam_hat.rows for e in row.values()]
-    assert len({id(e) for e in cells}) < len(cells)
-    seen = []
-    lam_hat.map_entries(lambda e: seen.append(id(e)) or e)
-    assert sorted(seen) == sorted({id(e) for e in cells})
-    counts = lam_hat.conjugate_by(fourier_matrix(example1.spec))
-    assert len({id(e) for row in counts.rows for e in row.values()}) < \
-        sum(map(len, counts.rows))
+def test_weight_map_runs_once_per_distinct_transformed_cell(monkeypatch,
+                                                            example1):
+    # a transformed grid shares its equal cells, and macwilliams maps and
+    # divides each distinct one once
+    lam = wam(example1)
+    want = macwilliams_wam(lam, example1.spec)
+    counts = lam.conjugate_by(fourier_matrix(example1.spec))
+    cells = [e for row in counts.rows for e in row.values()]
+    distinct = len({id(e) for e in cells})
+    assert distinct < len(cells)
+    divided, run = [], WeightPoly.exact_div
+    monkeypatch.setattr(WeightPoly, "exact_div",
+                        lambda self, n: divided.append(n) or run(self, n))
+    assert macwilliams_wam(lam, example1.spec) == want
+    assert len(divided) == distinct
+
+
+def test_edge_readout_scans_each_nonzero_point_once(monkeypatch):
+    # a binary systematic (8, 4, 6) dual IPWAM: 25 weight tuples over
+    # 2^10 edges, whose counts cancel only after the weight map, so most
+    # of a nonzero point's 25 fields are nonzero.  The readout searches
+    # once per nonzero point, not once per nonzero field (thousands of
+    # fields, which made the edge path up to twice as slow)
+    seed = random_systematic_conv_seed(seeded_rng("edge-readout"), field(2),
+                                       8, 4, 6)
+    want = macwilliams_ipwam(ipwam(seed), seed.spec)
+    pattern, searches = polymatrix._NONZERO, []
+
+    class Counted:
+        def search(self, *args):
+            searches.append(args)
+            return pattern.search(*args)
+
+    monkeypatch.setattr(polymatrix, "_NONZERO", Counted())
+    assert dual_ipwam(seed) == want
+    assert len(searches) <= sum(map(len, want.rows)) + 1
 
 
 def test_dual_ipwam_needs_a_systematic_seed(example1_nonsys):
