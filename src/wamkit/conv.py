@@ -391,9 +391,11 @@ def _dual_edge_matrix(seed, names, groups):
 
         def place(alpha, sums):
             return sum(map(getitem, sums, vecs[alpha]))
+    lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
+    hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
     f = fourier_matrix(spec)
     return PolyMatrix(state_labels(spec, m), edge_dual_rows(
-        _output_words(seed), names, groups, q, spec.p,
+        [x ^ y for x in lo for y in hi], names, groups, q, spec.p,
         [(f, q ** t) for t in range(m + k)], q ** k, columns, place))
 
 
@@ -427,36 +429,35 @@ def dual_series_bounds(seed):
     """
     spec, n, m = seed.spec, seed.n, seed.m
     _dual_route(seed)
-    # rows of the rref of (B : E) that are zero on B span the u E
+    # rows of the rref of (B : E) that are zero on B span the u E: at
+    # most q^k words, within the edges that either route charges
     red, pivots = gflinalg.rref(spec, [row[n:] + row[:n]
                                        for row in seed.t_matrix[m:]])
-    words = gflinalg.span_images(spec, [row[m:] for row, c in zip(red, pivots)
-                                        if c >= m])
     outputs = macwilliams(WeightPoly({
         weight_exponents(("x", "y"), [range(n)], (w,)): count
-        for w, count in Counter(gflinalg.group_weights(
-            spec.q, words, [range(n)])[0]).items()}), spec.q, (("x", "y"),))
+        for w, count in Counter(_span_weights(spec, [
+            row[m:] for row, c in zip(red, pivots) if c >= m], n)).items()}),
+        spec.q, (("x", "y"),))
     return (spec.q ** (m + n - gflinalg.rank(spec, seed.t_matrix)),
             max(outputs.y_degrees()))
 
 
-def _output_words(seed):
-    """The packed outputs of the edges (w, -u), w slowest: the XORs of
-    the span images of the C rows and of the E rows, whose nonzero
-    fields are those of w C - u E."""
-    spec, n, m = seed.spec, seed.n, seed.m
-    lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
-    hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
-    return [x ^ y for x in lo for y in hi]
-
-
 def heaviest_edge(seed):
     """The largest output weight over the seed's q^(m+k) edges, charged
-    first, from one group_weights pass over their packed outputs: the
-    y-degree of wam(seed), read without building a cell."""
-    check_budget("WAM", seed.spec.q ** (seed.m + seed.k))
-    return max(gflinalg.group_weights(seed.spec.q, _output_words(seed),
-                                      [range(seed.n)])[0])
+    first: the y-degree of wam(seed), read without building a cell.  The
+    outputs w C + u E make the row space of (C; E), so it is the largest
+    weight of the q^r words spanned by the r rows of its rref."""
+    spec, n = seed.spec, seed.n
+    check_budget("WAM", spec.q ** (seed.m + seed.k))
+    red, pivots = gflinalg.rref(spec, [row[:n] for row in seed.t_matrix])
+    return max(_span_weights(spec, red[:len(pivots)], n))
+
+
+def _span_weights(spec, rows, n):
+    """The Hamming weights of the words that `rows`, of length n, span:
+    one per combination, through one group_weights pass."""
+    return gflinalg.group_weights(spec.q, gflinalg.span_images(spec, rows),
+                                  [range(n)])[0]
 
 
 def iowam_from_systematic(seed, f_matrix):
