@@ -74,18 +74,21 @@ def dual_code(code):
 
 def _enumerator(code, names, groups):
     """The enumerator over all q^k codewords by their Hamming weights on
-    each coordinate group, as the one source of polymatrix.edge_rows.
-    Each codeword is lo - hi for one of the q^floor(k/2) packed images
-    lo of the first generator rows and one of the q^ceil(k/2) images hi
-    of the others (a span is closed under negation), and its nonzero
-    coordinates are the nonzero fields of lo XOR hi."""
+    each coordinate group, through polymatrix.edge_rows: the codewords
+    are the edges from state 0 to state 0, streamed one lo image at a
+    time, so they are never stored.  Each codeword is lo - hi for one of
+    the q^floor(k/2) packed images lo of the first generator rows and
+    one of the q^ceil(k/2) images hi of the others (a span is closed
+    under negation), and its nonzero coordinates are the nonzero fields
+    of lo XOR hi."""
     spec, half = code.spec, code.k // 2
     check_budget("codeword enumeration", spec.q ** code.k)
     lo = gflinalg.span_images(spec, code.generator[:half])
     hi = gflinalg.span_images(spec, code.generator[half:])
-    edges = chain.from_iterable(zip(repeat(0), *gflinalg.group_weights(
-        spec.q, list(map(a.__xor__, hi)), groups)) for a in lo)
-    return edge_rows(names, groups, [edges])[0][0]
+    edges = chain.from_iterable(
+        zip(repeat(0), repeat(0), *gflinalg.group_weights(
+            spec.q, list(map(a.__xor__, hi)), groups)) for a in lo)
+    return edge_rows(names, groups, 1, edges)[0][0]
 
 
 def hwgf(code):

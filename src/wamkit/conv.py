@@ -21,7 +21,8 @@ from . import gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
 from .polymatrix import (PolyMatrix, dual_on_edges, edge_dual_rows, edge_rows,
-                         macwilliams, series_entry, weight_exponents)
+                         macwilliams, series_entry, span_edges,
+                         weight_exponents)
 
 
 def state_vectors(spec, m):
@@ -113,7 +114,8 @@ class SystematicConvSeed(ConvSeed):
 def _edge_matrix(seed, names, groups):
     """The matrix whose (w, w') entry counts the transitions w -> w' by
     their Hamming weights on each coordinate group of (p : u), p the
-    output and u the input, through polymatrix.edge_rows.
+    output and u the input, through polymatrix.edge_rows over the
+    polymatrix.span_edges chunks.
 
     The transition of state w on input -u is (w C : 0 : w A) minus
     (u E : u : u B), one of q^m and one of q^k packed span images, and
@@ -132,25 +134,23 @@ def _edge_matrix(seed, names, groups):
     hi = gflinalg.span_images(spec, [row[:n] + e + row[n:] for row, e
                                      in zip(seed.t_matrix[m:], ident)])
     shift = (n + k) * b
-    if spec.p != 2:
+    if spec.p == 2:
+        def nexts(images, edges):
+            return map(int.__rshift__, edges, repeat(shift))
+    else:
         # digit t of the next state is (wA)_t - (uB)_t, and a state keeps
         # its rows diff[t][wA_t]
         diff = _digit_tables([[spec.sub(x, y) for y in range(q)]
                               for x in range(q)], m)
         digits = [_digits(v, shift, m, b) for v in hi]
 
-    def sources():
-        for a in lo:
-            edges = list(map(a.__xor__, hi))
-            if spec.p == 2:
-                nexts = map(int.__rshift__, edges, repeat(shift))
-            else:
+        def nexts(images, edges):
+            for a in images:
                 diffs = list(map(getitem, diff, _digits(a, shift, m, b)))
-                nexts = [sum(map(getitem, diffs, d)) for d in digits]
-            yield zip(nexts, *gflinalg.group_weights(q, edges, groups))
+                yield from (sum(map(getitem, diffs, d)) for d in digits)
 
-    return PolyMatrix(state_labels(spec, m), edge_rows(names, groups,
-                                                       sources()))
+    return PolyMatrix(state_labels(spec, m), edge_rows(
+        names, groups, len(lo), span_edges(q, lo, hi, groups, nexts)))
 
 
 def _digits(v, shift, count, b):

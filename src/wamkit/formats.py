@@ -22,7 +22,7 @@ import json
 
 from .conv import ConvSeed, SystematicConvSeed
 from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
-                     ShapeError, WamkitError, check_budget)
+                     ShapeError, WamkitError)
 from .fields import FieldSpec, default_modulus
 from .block import LinearCode, SystematicCode, _ZeroCode
 from .pauli import CliffordSeed, PauliWord
@@ -256,19 +256,16 @@ def poly_to_structured(poly):
 def matrix_to_structured(matrix):
     """The structured document of a matrix as text, byte for byte what
     dumps writes for its dense dict: each row starts from "[]" cells and
-    fills in the stored ones, each term from the call's term table."""
-    check_budget("WAM", 0, matrix.size ** 2)
-    table = term_table(matrix.exponents(), _exponents_json)
-    rank = table.__getitem__
-    rows = []
-    for row in matrix.rows:
-        cells = ["[]"] * matrix.size
-        for j, e in row.items():
-            terms = e.to_int_coeffs().terms
-            cells[j] = "[%s]" % ",".join([
-                '{"coeff":%d' % terms[exp] + table[exp][1]
-                for exp in sorted(terms, key=rank)])
-        rows.append("[" + ",".join(cells) + "]")
+    fills in the stored ones, each distinct cell written once from the
+    call's term table."""
+    def write(e, table):
+        terms = e.to_int_coeffs().terms
+        return "[%s]" % ",".join([
+            '{"coeff":%d' % terms[exp] + table[exp][1]
+            for exp in sorted(terms, key=table.__getitem__)])
+
+    rows = ["[" + ",".join(line) + "]"
+            for line in matrix.rendered_rows(_exponents_json, write, "[]")]
     return '{"entries":[%s],"labels":%s}\n' % (
         ",".join(rows), json.dumps(matrix.labels, separators=(",", ":")))
 

@@ -3,7 +3,7 @@
 import re
 from collections import Counter
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from math import prod
 from operator import add, neg, or_
 
@@ -86,8 +86,10 @@ class PolyMatrix:
                 and self.rows == other.rows)
 
     def map_entries(self, fn):
-        """fn applied to every stored cell; fn must send zero to zero, and
+        """fn applied once to each distinct stored cell object, so cells
+        that share one object stay shared; fn must send zero to zero, and
         the cells it maps to zero are dropped."""
+        fn = _once(fn)
         return PolyMatrix(self.labels, [{j: fn(e) for j, e in row.items()}
                                         for row in self.rows])
 
@@ -160,18 +162,33 @@ class PolyMatrix:
         return PolyMatrix(self.labels, out)
 
     def __str__(self):
-        # every cell is written, an absent one as the "0" of str(0)
-        check_budget("WAM", 0, self.size ** 2)
-        table = term_table(self.exponents(), factor_text)
-        rank = table.__getitem__
+        def write(e, table):
+            return terms_text(e.terms, sorted(e.terms, key=table.__getitem__),
+                              table)
+
         lines = ["states: " + " ".join(self.labels)]
-        for label, row in zip(self.labels, self.rows):
-            cells = ["0"] * self.size
-            for j, e in row.items():
-                cells[j] = terms_text(e.terms, sorted(e.terms, key=rank),
-                                      table)
-            lines.append("%s: %s" % (label, " | ".join(cells)))
+        for label, line in zip(self.labels,
+                               self.rendered_rows(factor_text, write, "0")):
+            lines.append("%s: %s" % (label, " | ".join(line)))
         return "\n".join(lines)
+
+    def rendered_rows(self, fragment, write, zero):
+        """Every row as a list of cell texts, an absent cell as `zero`,
+        the S^2 cells charged to the budget first.  One call builds one
+        term_table of `fragment` over the exponent tuples of the distinct
+        stored cell objects, and write(cell, table) writes each distinct
+        object once."""
+        check_budget("WAM", 0, self.size ** 2)
+        # an id names one cell only while the matrix holds it
+        cells = {id(e): e for row in self.rows for e in row.values()}
+        table = term_table(set(chain.from_iterable(
+            e.terms for e in cells.values())), fragment)
+        text = {key: write(e, table) for key, e in cells.items()}
+        for row in self.rows:
+            line = [zero] * self.size
+            for j, e in row.items():
+                line[j] = text[id(e)]
+            yield line
 
     def exponents(self):
         """The set of exponent tuples of the stored cells."""
@@ -182,21 +199,58 @@ class PolyMatrix:
         return "PolyMatrix(%d states)" % self.size
 
 
-def edge_rows(names, groups, sources):
-    """One row {next state: WeightPoly} per source state, from the (next
-    state, w_1, ..., w_g) tuples of its edges, each weight tuple counted
-    as its weight_exponents monomial, whose key is built once per
-    call."""
-    keys, rows = {}, []
-    for edges in sources:
-        cells = {}
-        for edge, c in Counter(edges).items():
-            ws = edge[1:]
-            if ws not in keys:
-                keys[ws] = weight_exponents(names, groups, ws)
-            cells.setdefault(edge[0], {})[keys[ws]] = c
-        rows.append({j: WeightPoly(terms) for j, terms in cells.items()})
+def edge_rows(names, groups, states, edges):
+    """One row {next state: WeightPoly} per source state in
+    range(states), from one stream of (source, next state, w_1, ...,
+    w_g) edge tuples counted in one Counter.  Cells with equal counts
+    are one WeightPoly object, each weight tuple counted as its
+    weight_exponents monomial, whose key is built once per call."""
+    rows = [{} for _ in range(states)]
+    for edge, c in Counter(edges).items():
+        rows[edge[0]].setdefault(edge[1], {})[edge[2:]] = c
+    keys, polys = {}, {}
+    for row in rows:
+        for j, counts in row.items():
+            # equal counts in any insertion order give one key
+            key = frozenset(counts.items())
+            poly = polys.get(key)
+            if poly is None:
+                terms = {}
+                for ws, c in counts.items():
+                    exp = keys.get(ws)
+                    if exp is None:
+                        exp = keys[ws] = weight_exponents(names, groups, ws)
+                    terms[exp] = c
+                poly = polys[key] = WeightPoly(terms)
+            row[j] = poly
     return rows
+
+
+# edges per chunk of span_edges, in whole source states: a chunk's lists
+# stay small, and its pipelines run over many edges at once
+_CHUNK = 1 << 12
+
+
+def span_edges(q, lo, hi, groups, nexts):
+    """The (source, next state, w_1, ..., w_g) tuples of the edges
+    lo[s] XOR hi[t] of every source s, for edge_rows, weighed by
+    group_weights on `groups`.  They come in chunks of whole sources,
+    about _CHUNK edges each: one list of XORs, one next-state pipeline
+    nexts(images, edges) over the chunk's source images and edges, and
+    one group_weights call."""
+    per = max(1, _CHUNK // len(hi))
+
+    def chunks():
+        for first in range(0, len(lo), per):
+            images = lo[first:first + per]
+            edges = list(chain.from_iterable(map(a.__xor__, hi)
+                                             for a in images))
+            sources = chain.from_iterable(
+                repeat(s, len(hi)) for s in range(first, first + len(images)))
+            yield zip(sources, nexts(images, edges),
+                      *group_weights(q, edges, groups))
+
+    return chain.from_iterable(chunks())
 
 
 def weight_exponents(names, groups, ws):
@@ -410,7 +464,10 @@ def macwilliams(enum, q, pairs, kernel=None):
     # transformed cells then read its cache
     for exp in dict.fromkeys(chain.from_iterable(e.terms for e in cells)):
         image(WeightPoly({exp: 1}))
-    tail = _once(lambda e: image(e).exact_div(count).to_int_coeffs())
+
+    def tail(e):
+        return image(e).exact_div(count).to_int_coeffs()
+
     out = enum if kernel is None else enum.conjugate_by(*kernel)
     return tail(out) if isinstance(out, WeightPoly) else out.map_entries(tail)
 

@@ -15,11 +15,11 @@ from itertools import repeat
 
 from .errors import ShapeError, check_budget
 from .fields import FieldSpec
-from .gflinalg import (cleared_response, group_weights, impulse_response,
-                       pairing, span_images)
+from .gflinalg import (cleared_response, impulse_response, pairing,
+                       span_images)
 from .pauli import LETTERS, PauliWord, pauli_state_labels
 from .polymatrix import (PolyMatrix, dual_on_edges, edge_dual_rows,
-                         edge_rows, macwilliams)
+                         edge_rows, macwilliams, span_edges)
 
 _GF2 = FieldSpec(2)
 
@@ -130,24 +130,19 @@ def _span_tables(spec):
                         + pauli_rows(rows[m2:m2 + k2])))
 
 
-def _edges(spec):
-    """Per memory word, in order: the packed images of its edges, its
-    own image XOR each logical (x) ancilla image."""
-    mem_images, la_images = _span_tables(spec)
-    for a in mem_images:
-        yield list(map(a.__xor__, la_images))
-
-
 def quantum_wam(spec):
-    """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest."""
+    """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest: an
+    edge is a memory word's image XOR a logical (x) ancilla image."""
     check_budget("quantum WAM", _edge_count(spec), 16 ** spec.m)
+    mem_images, la_images = _span_tables(spec)
     # the fields above the 2n bits of the physical qubits are the index
     # of the edge's output memory word
-    physical = [range(spec.n)]
+    physical, shift = [range(spec.n)], 2 * spec.n
     return PolyMatrix(pauli_state_labels(spec.m), edge_rows(
-        ("x", "y"), physical,
-        (zip(map(int.__rshift__, edges, repeat(2 * spec.n)),
-             *group_weights(4, edges, physical)) for edges in _edges(spec))))
+        ("x", "y"), physical, len(mem_images), span_edges(
+            4, mem_images, la_images, physical,
+            lambda images, edges: map(int.__rshift__, edges,
+                                      repeat(shift)))))
 
 
 def quantum_macwilliams(lam):
@@ -334,10 +329,15 @@ def state_diagram_edges(spec):
     mem = [w or "-" for w in pauli_state_labels(spec.m)]
     logical = [w or "-" for w in pauli_state_labels(spec.k)
                for _ in range(2 ** spec.a)]
-    out = []
-    for src, edges in zip(mem, _edges(spec)):
-        out.extend((src, mem[v >> 2 * n], log, _physical_letters(v, n))
-                   for v, log in zip(edges, logical))
+    mem_images, la_images = _span_tables(spec)
+    # each physical word's letters once per call, at most one per edge
+    low, letters, out = (1 << 2 * n) - 1, {}, []
+    for src, a in zip(mem, mem_images):
+        for v, log in zip(map(a.__xor__, la_images), logical):
+            word = letters.get(v & low)
+            if word is None:
+                word = letters[v & low] = _physical_letters(v, n)
+            out.append((src, mem[v >> 2 * n], log, word))
     return out
 
 

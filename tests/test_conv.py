@@ -327,3 +327,33 @@ def test_sparse_wam_memory_is_per_edge():
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, "conv.wam peaked at %.1f MB" % (peak / 2 ** 20)
     assert sum(map(len, lam.rows)) == 2 ** 12
+
+
+def test_shift_register_wam_holds_little_per_edge():
+    # a (2, 1, 12) shift register: 8,192 stored cells of 3 distinct
+    # polynomials, each one shared object (3.48 MB held when every cell
+    # was its own WeightPoly)
+    seed = parse_conv_seed(shift_register_text(12))
+    tracemalloc.start()
+    try:
+        lam = wam(seed)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, lam.rows)) == 2 ** 13
+    assert held < 2.5 * 2 ** 20, "conv.wam held %.2f MB" % (held / 2 ** 20)
+
+
+def test_wide_input_wam_peak_is_per_chunk():
+    # a binary (16, 14, 2) seed: 2^16 edges among 4 states.  Enumerated
+    # one state's edges at a time it peaked at 2,018,383 bytes; one flat
+    # list of all edges peaks at about 3.4 MB
+    seed = random_conv_seed(seeded_rng("wam-peak-per-chunk"), field(2), 16,
+                            14, 2)
+    tracemalloc.start()
+    try:
+        wam(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2018383, "conv.wam peaked at %d bytes" % peak
