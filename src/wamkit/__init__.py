@@ -10,7 +10,7 @@ from .conv import (ConvSeed, FreeDistanceResult, PolyGenMatrix,
                    free_distance, free_wgf, iowam,
                    iowam_from_systematic, ipwam, macwilliams_ipwam,
                    macwilliams_wam, orthogonality_check, poly_generator,
-                   total_wgf, wam)
+                   seed_series, total_wgf, wam)
 from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
                      ShapeError, WamkitError)
 from .fields import FieldSpec

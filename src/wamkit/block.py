@@ -6,12 +6,13 @@ budget, and all transforms are exact integer computations with a final
 checked division by the code's size q^k, read off the enumerator.
 """
 
-from itertools import chain, repeat
+from collections import Counter
+from itertools import chain
 
 from . import gflinalg
 from .errors import FieldError, ShapeError, WamkitError, check_budget
-from .poly import IP_PAIRS, IP_VARS
-from .polymatrix import edge_rows, macwilliams
+from .poly import IP_PAIRS, IP_VARS, WeightPoly
+from .polymatrix import macwilliams, weight_exponents
 
 class LinearCode:
     """An [n, k] code over GF(q), given by a full-rank generator matrix.
@@ -74,21 +75,21 @@ def dual_code(code):
 
 def _enumerator(code, names, groups):
     """The enumerator over all q^k codewords by their Hamming weights on
-    each coordinate group, through polymatrix.edge_rows: the codewords
-    are the edges from state 0 to state 0, streamed one lo image at a
-    time, so they are never stored.  Each codeword is lo - hi for one of
-    the q^floor(k/2) packed images lo of the first generator rows and
-    one of the q^ceil(k/2) images hi of the others (a span is closed
-    under negation), and its nonzero coordinates are the nonzero fields
-    of lo XOR hi."""
+    each coordinate group, counted by weight tuple in one Counter and
+    streamed one lo image at a time, so they are never stored.  Each
+    codeword is lo - hi for one of the q^floor(k/2) packed images lo of
+    the first generator rows and one of the q^ceil(k/2) images hi of the
+    others (a span is closed under negation), and its nonzero
+    coordinates are the nonzero fields of lo XOR hi."""
     spec, half = code.spec, code.k // 2
     check_budget("codeword enumeration", spec.q ** code.k)
     lo = gflinalg.span_images(spec, code.generator[:half])
     hi = gflinalg.span_images(spec, code.generator[half:])
-    edges = chain.from_iterable(
-        zip(repeat(0), repeat(0), *gflinalg.group_weights(
-            spec.q, list(map(a.__xor__, hi)), groups)) for a in lo)
-    return edge_rows(names, groups, 1, edges)[0][0]
+    counts = Counter(chain.from_iterable(
+        zip(*gflinalg.group_weights(spec.q, list(map(a.__xor__, hi)),
+                                    groups)) for a in lo))
+    return WeightPoly({weight_exponents(names, groups, ws): c
+                       for ws, c in counts.items()})
 
 
 def hwgf(code):

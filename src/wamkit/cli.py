@@ -75,15 +75,10 @@ def _whole_wam(seed):
 
 
 def _lam_y(seed, d_max, free=False):
-    """conv.wam(seed) with x set to 1, once the series to D^d_max over it
-    (free: without its zero-state loop) is charged to the budget.  Lam_y
-    has q^m states, rows that sum to q^k (row 0 one less without the
-    loop, the only row when m = 0) and the y-degree of the heaviest
-    edge, so the charge is polymatrix.series_width's own, made before
-    any cell is built."""
-    q = seed.spec.q
-    series_width(q ** seed.m, [conv.heaviest_edge(seed)],
-                 q ** seed.k - (free and not seed.m), d_max)
+    """conv.wam(seed) with x set to 1, once conv.series_charge has
+    charged the series to D^d_max over it (free: without its zero-state
+    loop), before any cell is built."""
+    conv.series_charge(seed, d_max, free)
     return conv.wam(seed).collapse({"x": 1})
 
 
@@ -153,12 +148,12 @@ _CONV = {
         conv.dual_wam(_whole_wam(seed)), args),
     "dual-ipwam": lambda seed, args: _emit_matrix(
         conv.dual_ipwam(_whole_wam(seed)), args),
-    "total": lambda seed, args: _emit_poly(
-        conv.total_wgf(_lam_y(seed, args.dmax), args.dmax), args),
+    "total": lambda seed, args: _emit_poly(conv.seed_series(seed, args.dmax),
+                                           args),
     "dual-total": lambda seed, args: _emit_poly(conv.total_wgf(
         _dual_lam_y(seed, args.dmax), args.dmax), args),
-    "free": lambda seed, args: _emit_poly(conv.free_wgf(
-        _lam_y(seed, args.dmax, free=True), args.dmax), args),
+    "free": lambda seed, args: _emit_poly(
+        conv.seed_series(seed, args.dmax, free=True), args),
     "dfree": _dfree,
     "gd": lambda seed, args: print(conv.poly_generator(seed, args.dmax)),
     "check-dual": _check_dual,

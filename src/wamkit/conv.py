@@ -20,9 +20,9 @@ from operator import getitem, mul
 from . import gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
-from .polymatrix import (PolyMatrix, dual_on_edges, edge_dual_rows, edge_rows,
-                         macwilliams, series_entry, span_edges,
-                         weight_exponents)
+from .polymatrix import (PolyMatrix, counted_series, dual_on_edges,
+                         edge_dual_rows, edge_rows, macwilliams, series_entry,
+                         series_width, span_edges, weight_exponents)
 
 
 def state_vectors(spec, m):
@@ -114,8 +114,19 @@ class SystematicConvSeed(ConvSeed):
 def _edge_matrix(seed, names, groups):
     """The matrix whose (w, w') entry counts the transitions w -> w' by
     their Hamming weights on each coordinate group of (p : u), p the
-    output and u the input, through polymatrix.edge_rows over the
-    polymatrix.span_edges chunks.
+    output and u the input: polymatrix.edge_rows over _edges, whose
+    rows the matrix holds as they are."""
+    states, edges = _edges(seed, groups)
+    return PolyMatrix.from_nonzero_rows(
+        state_labels(seed.spec, seed.m),
+        edge_rows(names, groups, states, edges))
+
+
+def _edges(seed, groups):
+    """(q^m, the polymatrix.span_edges stream of the seed's (source, next
+    state, w_1, ..., w_g) edge tuples), w_t the Hamming weight on group
+    t of (p : u), p the output and u the input, once the q^(m+k) edges
+    are charged to the budget.
 
     The transition of state w on input -u is (w C : 0 : w A) minus
     (u E : u : u B), one of q^m and one of q^k packed span images, and
@@ -149,8 +160,7 @@ def _edge_matrix(seed, names, groups):
                 diffs = list(map(getitem, diff, _digits(a, shift, m, b)))
                 yield from (sum(map(getitem, diffs, d)) for d in digits)
 
-    return PolyMatrix(state_labels(spec, m), edge_rows(
-        names, groups, len(lo), span_edges(q, lo, hi, groups, nexts)))
+    return len(lo), span_edges(q, lo, hi, groups, nexts)
 
 
 def _digits(v, shift, count, b):
@@ -527,6 +537,32 @@ def assemble_encoder(seed, f_matrix):
 def total_wgf(lam, d_max=10):
     """<0| (I - Lam D)^(-1) |0> truncated at D^d_max."""
     return series_entry(lam, 0, d_max)[0]
+
+
+def series_charge(seed, d_max, free=False):
+    """(heaviest edge, field width) of the series to D^d_max over
+    wam(seed) with x set to 1 (free: without its zero-state loop), once
+    polymatrix.series_width has charged it to the budget, before any
+    edge is enumerated.  Lam_y has q^m states, rows that sum to q^k (row
+    0 one less without the loop, the only row when m = 0) and the
+    y-degree of the heaviest edge, so the charge is the series' own."""
+    q = seed.spec.q
+    heaviest = heaviest_edge(seed)
+    return heaviest, series_width(q ** seed.m, [heaviest],
+                                  q ** seed.k - (free and not seed.m), d_max)
+
+
+def seed_series(seed, d_max, free=False):
+    """(free_wgf if free else total_wgf)(wam(seed).collapse({"x": 1}),
+    d_max), charged by series_charge and read from the seed's edges,
+    counted by (source, next state, weight) in one Counter, with no
+    cell built (free: less one count of the weight-0 loop at state 0)."""
+    heaviest, w = series_charge(seed, d_max, free)
+    states, edges = _edges(seed, [range(seed.n)])
+    counts = Counter(edges)
+    if free:
+        counts[0, 0, 0] -= 1
+    return counted_series(states, counts, d_max, heaviest, w)
 
 
 def dual_total_wgf(lam, d_max, spec):

@@ -34,6 +34,15 @@ class PolyMatrix:
         self.rows = [{j: e for j, e in row.items() if e} for row in rows]
 
     @classmethod
+    def from_nonzero_rows(cls, labels, rows):
+        """A matrix that holds `rows` as they are, one per label, neither
+        copied nor tested: they must store no zero cell, as edge_rows's
+        rows do not."""
+        out = cls.__new__(cls)
+        out.labels, out.rows = labels, rows
+        return out
+
+    @classmethod
     def identity(cls, labels):
         return cls(labels, [{i: WeightPoly.const(1)}
                             for i in range(len(labels))])
@@ -570,6 +579,8 @@ def series_width(states, degrees, rmax, d_max):
     The planes only ever hold sums of |c| products, at most rmax^t in
     all, so fields of ceil(bitlen(rmax^d_max) / 8) bytes never
     overflow."""
+    if d_max < 0:  # truncation below D^0 drops the identity itself
+        raise AlgebraError("no series is truncated below D^0")
     fields = prod(d_max * deg + 1 for deg in degrees)
     # rmax^d_max has more than d_max * (bitlen(rmax) - 1) bits: a depth
     # refused on that width is refused before the power is formed
@@ -581,41 +592,62 @@ def series_width(states, degrees, rmax, d_max):
     return w
 
 
-def _series(n, i, d_max, columns):
-    """Row i of sum_{t <= d_max} N^t D^t over `columns`, as {column:
-    terms}, and whether row i of N^d_max is nonzero.
+def counted_series(states, counts, d_max, degree, w):
+    """Entry (0, 0) of sum_{t <= d_max} N^t D^t, N the matrix in y alone
+    over range(states) whose cell (s, j) has the term c y^v for each
+    ((s, j, v), c) of the Counter `counts`, c >= 0, through
+    packed_series, with no cell of N built: degree is the largest v of
+    a nonzero c, and w the series_width of N, charged by the caller."""
+    edges = [[] for _ in range(states)]
+    for (s, j, v), c in counts.items():
+        if c:
+            edges[s].append((j, v, c))
+    layout = [(_VAR_INDEX["y"], 1, d_max * degree + 1)] if degree else []
+    return WeightPoly(packed_series(edges, 0, d_max, (0,), layout, w)[0][0])
 
-    N must be D-free.  v_0 = <i|, v_(t+1) = v_t N, and each state's
-    entry of v_t, a polynomial in the variables of N, is two ints: the
-    plus and the minus plane of its coefficients.  The monomial with
-    exponents e is the little-endian w-byte field sum_v e_v R_v, R_v the
-    place value of v in the mixed radix of the degree bounds
-    deg_v(v_t) <= d_max deg_v(N), so a stored term c x^e of N moves a
-    plane by the field of e, times |c| when |c| != 1, and c < 0 swaps
-    the planes.  The fields are series_width wide.  Only `columns` are
-    decoded, each v_t as it comes: the value is plus - minus on the
-    nonzero fields of their XOR.
-    """
-    if d_max < 0:  # truncation below D^0 drops the identity itself
-        raise AlgebraError("matrix is not of the form I - N*D")
+
+def _series(n, i, d_max, columns):
+    """packed_series of the PolyMatrix N from row i over `columns`,
+    charged by series_width from the degrees and the largest row sum of
+    |c| of its stored cells.  N must be D-free."""
     exps = n.exponents()
     if any(exp[_D] for exp in exps):
         raise AlgebraError("matrix is not of the form I - N*D")
     degrees = [max((exp[slot] for exp in exps), default=0)
                for slot in range(_D)]
+    w = series_width(n.size, degrees, max(
+        (sum(abs(c) for e in row.values() for c in e.terms.values())
+         for row in n.rows), default=0), d_max)
     layout, fields = [], 1
     for slot, deg in enumerate(degrees):
         if deg:
             layout.append((slot, fields, d_max * deg + 1))
             fields *= d_max * deg + 1
-    w = series_width(n.size, degrees, max(
-        (sum(abs(c) for e in row.values() for c in e.terms.values())
-         for row in n.rows), default=0), d_max)
-    bits, size = 8 * w, fields * w
-    edges = [[(j, bits * sum(exp[slot] * stride for slot, stride, _ in layout),
-               abs(c), c < 0)
-              for j, e in row.items() for exp, c in e.terms.items()]
-             for row in n.rows]
+    return packed_series(
+        [[(j, sum(exp[slot] * place for slot, place, _ in layout), c)
+          for j, e in row.items() for exp, c in e.terms.items()]
+         for row in n.rows], i, d_max, columns, layout, w)
+
+
+def packed_series(edges, i, d_max, columns, layout, w):
+    """Row i of sum_{t <= d_max} N^t D^t over `columns`, as {column:
+    terms}, and whether row i of N^d_max is nonzero, N given by its
+    edges: edges[s] lists (j, field, c) for each term c x^e of cell
+    (s, j) of N.
+
+    v_0 = <i|, v_(t+1) = v_t N, and each state's entry of v_t, a
+    polynomial in the variables of N, is two ints: the plus and the
+    minus plane of its coefficients.  The monomial with exponents e is
+    the little-endian w-byte field sum_v e_v R_v, R_v the place value
+    of v in the mixed radix of the degree bounds deg_v(v_t) <= d_max
+    deg_v(N), `layout` one (exponent slot, R_v, radix) per variable of
+    N, so a term c x^e moves a plane by its field, times |c| when
+    |c| != 1, and c < 0 swaps the planes.  w is series_width's.  Only
+    `columns` are decoded, each v_t as it comes: the value is
+    plus - minus on the nonzero fields of their XOR.
+    """
+    bits = 8 * w
+    size = prod(radix for _, _, radix in layout) * w
     out, vec = {}, {i: (1, 0)}
     for t in range(d_max + 1):
         exp = [0] * _D + [t]
@@ -627,8 +659,8 @@ def _series(n, i, d_max, columns):
                 terms = out.setdefault(j, {})
                 for x in _nonzero_fields((plus ^ minus).to_bytes(
                         size, "little"), w):
-                    for slot, stride, radix in layout:
-                        exp[slot] = x // stride % radix
+                    for slot, place, radix in layout:
+                        exp[slot] = x // place % radix
                     at = x * w
                     terms[tuple(exp)] = (
                         int.from_bytes(lo[at:at + w], "little")
@@ -637,12 +669,11 @@ def _series(n, i, d_max, columns):
             break
         nxt = {}
         for s, (plus, minus) in vec.items():
-            for j, shift, c, swap in edges[s]:
+            for j, field, c in edges[s]:
+                shift = field * bits
                 a, b = plus << shift, minus << shift
                 if c != 1:
-                    a, b = a * c, b * c
-                if swap:
-                    a, b = b, a
+                    a, b = (a * c, b * c) if c > 0 else (b * -c, a * -c)
                 if j in nxt:
                     a, b = a + nxt[j][0], b + nxt[j][1]
                 nxt[j] = a, b

@@ -138,11 +138,12 @@ def quantum_wam(spec):
     # the fields above the 2n bits of the physical qubits are the index
     # of the edge's output memory word
     physical, shift = [range(spec.n)], 2 * spec.n
-    return PolyMatrix(pauli_state_labels(spec.m), edge_rows(
-        ("x", "y"), physical, len(mem_images), span_edges(
-            4, mem_images, la_images, physical,
-            lambda images, edges: map(int.__rshift__, edges,
-                                      repeat(shift)))))
+    return PolyMatrix.from_nonzero_rows(
+        pauli_state_labels(spec.m), edge_rows(
+            ("x", "y"), physical, len(mem_images), span_edges(
+                4, mem_images, la_images, physical,
+                lambda images, edges: map(int.__rshift__, edges,
+                                          repeat(shift)))))
 
 
 def quantum_macwilliams(lam):

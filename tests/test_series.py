@@ -11,8 +11,8 @@ from conftest import (field, matrix_of, random_conv_seed,
 from wamkit import errors, polymatrix
 from wamkit.cli import _dual_lam_y, _lam_y, main
 from wamkit.conv import (ConvSeed, dual_series_bounds, dual_wam,
-                         free_distance, free_wgf, iowam, ipwam, total_wgf,
-                         wam)
+                         free_distance, free_wgf, iowam, ipwam, seed_series,
+                         total_wgf, wam)
 from wamkit.errors import AlgebraError, BudgetError, ShapeError
 from wamkit.formats import render_conv_seed
 from wamkit.poly import WeightPoly
@@ -254,6 +254,34 @@ def test_series_charge_from_the_seed_is_the_series_own(monkeypatch, p, r):
     assert len(seen) > 20
 
 
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+def test_seed_series_refuses_what_the_wam_route_refuses(monkeypatch, p, r):
+    # under every budget conv.seed_series raises what _lam_y and then the
+    # series over its matrix raise, with the same text; budgets as above
+    spec = field(p, r)
+    rng = seeded_rng("seed-series-charge-%d-%d" % (p, r))
+    seeds = [random_conv_seed(rng, spec, n, k, m)
+             for n, k, m in [(2, 1, 2), (3, 1, 1), (2, 1, 0), (2, 0, 2),
+                             (3, 2, 1), (1, 1, 2), (3, 1, 2), (4, 2, 1)]]
+    seen = []
+    for seed in seeds:
+        edges = spec.q ** (seed.m + seed.k)
+        for free, series in ((False, total_wgf), (True, free_wgf)):
+            for d in (3, 30):
+                budgets = [edges << t for t in range(20)]
+                while budgets:
+                    monkeypatch.setattr(errors, "BUDGET", budgets.pop())
+                    want = _refusal(lambda: series(_lam_y(seed, d, free), d))
+                    assert _refusal(
+                        lambda: seed_series(seed, d, free)) == want
+                    if want is not None and want not in seen:
+                        seen.append(want)
+                        need = int(want.split(" needs ")[1].split()[0])
+                        budgets += [b for b in (need - 1, need)
+                                    if b >= edges]
+    assert len(seen) > 20
+
+
 @pytest.mark.parametrize("action", ["total", "free", "dfree"])
 def test_series_over_binary_m18_is_refused_before_the_wam(capsys, tmp_path,
                                                           action):
@@ -272,6 +300,14 @@ def test_series_over_binary_m18_is_refused_before_the_wam(capsys, tmp_path,
 
 def test_total_on_binary_m16_still_runs(capsys, tmp_path):
     assert _shift_register_job(tmp_path, 16, "conv", "total") == 0
+    assert capsys.readouterr().out.startswith("1 + D + ")
+
+
+def test_total_on_binary_m16_builds_no_wam(capsys, tmp_path):
+    # its 2^17 edges counted and listed per state peak at about 33 MB;
+    # the WAM's cells, their x-collapse and the matrix series at 75 MB
+    assert _peak_bytes(lambda: _shift_register_job(
+        tmp_path, 16, "conv", "total")) < 50 * 2 ** 20
     assert capsys.readouterr().out.startswith("1 + D + ")
 
 

@@ -76,6 +76,26 @@ def test_equal_quantum_cells_are_one_object():
             assert _shared(matrix)
 
 
+def _refuse(*args):
+    raise AssertionError("PolyMatrix.__init__ copied the rows")
+
+
+def test_enumerated_wams_hold_their_edge_rows(monkeypatch):
+    # edge_rows stores no zero cell, so the WAM builders hold its rows as
+    # they are, not copied through PolyMatrix.__init__
+    builds = [(build, seed) for seed in _conv_seeds()
+              for build in (wam, iowam)
+              + ((ipwam,) if isinstance(seed, SystematicConvSeed) else ())]
+    builds += [(quantum_wam, parse_quantum_spec(read_fixture(name)))
+               for name in ("u1.qcc", "u2-ea.qcc", "u2-qcc.qcc")]
+    want = [build(arg) for build, arg in builds]
+    monkeypatch.setattr(polymatrix.PolyMatrix, "__init__", _refuse)
+    for lam, (build, arg) in zip(want, builds):
+        got = build(arg)
+        assert got.labels == lam.labels and got.rows == lam.rows
+        assert all(all(row.values()) for row in got.rows)
+
+
 def test_each_distinct_cell_is_rendered_once(monkeypatch):
     # a binary (2, 1, 11) shift register: 4,096 stored cells, 3 distinct
     lam = wam(parse_conv_seed(shift_register_text(11)))
