@@ -17,10 +17,10 @@ from collections import Counter
 from itertools import repeat
 from operator import getitem, mul
 
-from . import gflinalg
+from . import errors, gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
-from .polymatrix import (PolyMatrix, counted_series, dual_on_edges,
+from .polymatrix import (PolyMatrix, counted_series, dual_key_bytes,
                          edge_dual_rows, edge_rows, macwilliams, series_entry,
                          series_width, span_edges, weight_exponents)
 
@@ -218,7 +218,9 @@ def dual_seed(seed):
     """
     spec = seed.spec
     m, n, k = seed.m, seed.n, seed.k
-    basis = gflinalg.nullspace(spec, seed.gen_matrix())
+    # with m = k = 0 the generator has no rows, and every word is dual
+    basis = (gflinalg.nullspace(spec, seed.gen_matrix()) if m + k
+             else gflinalg.identity(n))
     # undo the sign twist on the trailing memory block
     red, pivots = gflinalg.rref(spec, _twist(spec, basis, m + n))
     if pivots[:m] != list(range(m)):
@@ -351,78 +353,78 @@ def macwilliams_ipwam(lam, spec):
 
 
 def dual_wam(seed):
-    """macwilliams_wam(wam(seed), seed.spec), from the seed's edges when
-    polymatrix.dual_on_edges takes them."""
+    """macwilliams_wam(wam(seed), seed.spec), from the seed's edges."""
     return _dual_edge_matrix(seed, ("x", "y"), [range(seed.n)])
 
 
 def dual_ipwam(seed):
-    """macwilliams_ipwam(ipwam(seed), seed.spec), from the seed's edges
-    when polymatrix.dual_on_edges takes them."""
+    """macwilliams_ipwam(ipwam(seed), seed.spec), from the seed's edges."""
     return _dual_edge_matrix(seed, IP_VARS, _ip_groups(seed))
 
 
 def _dual_edge_matrix(seed, names, groups):
     """The MacWilliams transform of _edge_matrix(seed, names, groups),
-    through the q^(m+k) edges instead of the S x S state grid when
-    dual_on_edges takes them (k < m, within the budget); otherwise
-    through the grid, charged before the WAM is enumerated.
+    through the q^(m+k) edges instead of the S x S state grid, once
+    _dual_charge has charged it.
 
     Cell (a, b) of F Lam~ F^dagger sums g(w, u) w^tr(w.a - (wA + uB).b)
     over the edges (w, u), g(w, u) the weight substitution's image of
     the edge's monomial, so it is G^(a - b A^T, -b B^T): G^ is the
-    character transform of g over F^(m+k).  The edges are the XORs of
-    the output images wC and uE, each the edge (w, -u), so their
-    transform at (alpha, beta) is G^(alpha, -beta), and cell
-    (alpha + b A^T, b) reads point (alpha, b B^T), through
-    polymatrix.edge_dual_rows.
+    character transform of g over F^(m+k).  In the input basis of the
+    rref of (E : B) on B, u = (u1, u2) with u B = u1 B1, u1 of r = rank B
+    coordinates, so G^ sums g over u2 on the q^(m+r) points (w, u1).
+    The edges are the XORs of the output images wC and uE, each the edge
+    (w, -u), so their transform at (alpha, beta) is G^(alpha, -beta),
+    and cell (alpha + b A^T, b) reads point (alpha, b B1^T).
     """
-    spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
+    spec, n, m = seed.spec, seed.n, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
-    if not _dual_route(seed):
-        return macwilliams(_edge_matrix(seed, names, groups), q,
-                           list(zip(names[::2], names[1::2])),
-                           (fourier_matrix(spec), spec.p))
-    # (b A^T : b B^T) of every state b, packed
-    images = gflinalg.span_images(spec, [[row[n + t] for row in seed.t_matrix]
-                                         for t in range(m)])
+    _dual_charge(seed)
+    inputs, pivots = gflinalg.rref(spec, seed.t_matrix[m:], n)
+    r = len(pivots)
+    # (b A^T : b B1^T) of every state b, packed
+    images = gflinalg.span_images(spec, [
+        [row[n + t] for row in seed.t_matrix[:m] + inputs[:r]]
+        for t in range(m)])
     if spec.p == 2:
-        # over GF(2^r) a packed vector is its own index, and XOR adds
-        columns = [(v & (1 << m * b) - 1, v >> m * b) for v in images]
+        # in characteristic 2 a packed vector is its own index; XOR adds
+        cut, low = m * b, (1 << m * b) - 1
+        columns = [(v & low, v >> cut) for v in images]
         place = int.__xor__
     else:
         # digit t of a row is alpha_t + (b A^T)_t: a state keeps its rows
         # plus[t][(b A^T)_t]
         plus, vecs = _digit_tables(spec.add, m), state_vectors(spec, m)
-        places = [q ** t for t in range(k)]
+        places = [q ** t for t in range(r)]
         columns = [(list(map(getitem, plus, d[:m])),
                     sum(map(mul, d[m:], places)))
-                   for d in (_digits(v, 0, m + k, b) for v in images)]
+                   for d in (_digits(v, 0, m + r, b) for v in images)]
 
         def place(alpha, sums):
             return sum(map(getitem, sums, vecs[alpha]))
     lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
-    hi = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[m:]])
+    hi = gflinalg.span_images(spec, [row[:n] for row in inputs])
     f = fourier_matrix(spec)
-    return PolyMatrix(state_labels(spec, m), edge_dual_rows(
-        [x ^ y for x in lo for y in hi], names, groups, q, spec.p,
-        [(f, q ** t) for t in range(m + k)], q ** k, columns, place))
+    return PolyMatrix.from_nonzero_rows(state_labels(spec, m), edge_dual_rows(
+        lo, hi, q ** r, names, groups, q, spec.p,
+        [(f, q ** t) for t in range(m + r)], columns, place))
 
 
-def _dual_route(seed):
-    """Whether _dual_edge_matrix takes the seed's edges, once the route's
-    charges are made: the grid's q^(m+k) edges and q^(2m) cells, or the
-    edge path's stored cells, one per transition (a, b) of the
+def _dual_charge(seed):
+    """The dual WAM's charge: the q^(m+k) edges and the q^(2m) cells of
+    the state grid when the edges are at least the cells or one key of
+    their planes (polymatrix.dual_key_bytes) exceeds the budget, and
+    otherwise the stored cells, one per transition (a, b) of the
     q^(m+n-k) dual constraint words, q^(n-r) of which have a = b = 0:
     the words orthogonal to the outputs, r the rank of (C; E)."""
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
-    q = spec.q
-    if not dual_on_edges(q ** (m + k), q ** m, q, spec.p):
-        check_budget("WAM", q ** (m + k), q ** (2 * m))
-        return False
-    check_budget("the dual WAM", 0, q ** (m - k + gflinalg.rank(
-        spec, [row[:n] for row in seed.t_matrix])))
-    return True
+    q, edges = spec.q, spec.q ** (m + k)
+    if (edges >= q ** (2 * m)
+            or dual_key_bytes(edges, q, spec.p)[1] > errors.BUDGET):
+        check_budget("WAM", edges, q ** (2 * m))
+    else:
+        check_budget("the dual WAM", 0, q ** (m - k + gflinalg.rank(
+            spec, [row[:n] for row in seed.t_matrix])))
 
 
 def dual_series_bounds(seed):
@@ -438,15 +440,14 @@ def dual_series_bounds(seed):
     off the MacWilliams transform of D's weight enumerator.
     """
     spec, n, m = seed.spec, seed.n, seed.m
-    _dual_route(seed)
-    # rows of the rref of (B : E) that are zero on B span the u E: at
-    # most q^k words, within the edges that either route charges
-    red, pivots = gflinalg.rref(spec, [row[n:] + row[:n]
-                                       for row in seed.t_matrix[m:]])
+    _dual_charge(seed)
+    # the inputs of the rref of (E : B) on B with no pivot there span
+    # the u E: at most q^k words, within the edges either charge counts
+    inputs, pivots = gflinalg.rref(spec, seed.t_matrix[m:], n)
     outputs = macwilliams(WeightPoly({
         weight_exponents(("x", "y"), [range(n)], (w,)): count
-        for w, count in Counter(_span_weights(spec, [
-            row[m:] for row, c in zip(red, pivots) if c >= m], n)).items()}),
+        for w, count in Counter(_span_weights(
+            spec, [row[:n] for row in inputs[len(pivots):]], n)).items()}),
         spec.q, (("x", "y"),))
     return (spec.q ** (m + n - gflinalg.rank(spec, seed.t_matrix)),
             max(outputs.y_degrees()))

@@ -109,24 +109,25 @@ def vec_mat(spec, v, a):
     return mat_mul(spec, [list(v)], a)[0]
 
 
-def rref(spec, a):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
+def rref(spec, a, first=0):
+    """Reduced row echelon form on the columns from `first` on, the rows
+    with no pivot last and zero there; returns (matrix, pivot columns)."""
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(first, cols):
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = spec.inv[m[r][c]]
-        m[r] = [spec.mul[inv][x] for x in m[r]]
+        if m[r][c] != 1:  # element index 1 is the field's 1
+            m[r] = [spec.mul[spec.inv[m[r][c]]][x] for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [spec.sub(x, spec.mul[f][y]) for x, y in zip(m[i], m[r])]
+                minus = spec.mul[spec.neg[m[i][c]]]
+                m[i] = [spec.add[x][minus[y]] for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == rows:

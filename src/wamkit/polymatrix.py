@@ -5,7 +5,7 @@ from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
 from math import prod
-from operator import add, neg, or_
+from operator import add, mul, neg, or_
 
 from . import errors
 from .errors import AlgebraError, check_budget
@@ -482,73 +482,89 @@ def macwilliams(enum, q, pairs, kernel=None):
 
 
 def dual_key_bytes(edges, q, p):
-    """(w, bytes): the field width and the bytes that edge_dual_rows's
-    stages hold for one key over `edges` edges.
-
-    A field only ever holds a sub-sum of one key's edge counts, so w
-    bytes hold the edge count; the stages hold (q p + p + 2) planes of
-    one field per edge and key.
-    """
+    """(w, bytes): edge_dual_rows's field width over `edges` edges, for
+    any sub-sum of one key's edge counts, and the (q p + p + 2) planes of
+    a field per edge that one key of a pass over the edges holds."""
     w = (edges.bit_length() + 7) // 8
     return w, (q * p + p + 2) * edges * w
 
 
-def dual_on_edges(edges, states, q, p):
-    """Whether a dual WAM runs on its edges (edge_dual_rows), not its
-    state grid: they are fewer than the cells, and one key's planes fit
-    the budget.  The grid charges no plane bytes, so an input whose edge
-    planes would not fit keeps the grid rather than be refused."""
-    return (edges < states * states
-            and dual_key_bytes(edges, q, p)[1] <= errors.BUDGET)
-
-
-def edge_dual_rows(words, names, groups, q, p, stages, inner, columns,
+def edge_dual_rows(lo, hi, layer, names, groups, q, p, stages, columns,
                    place):
     """The rows of the MacWilliams transform of a WAM, read from the
     character transform of its edges instead of the S x S state grid.
 
-    words[e] is edge e's packed output word over GF(q), weighed by
-    group_weights on `groups`, and `stages` the (exponent table, stride)
-    pairs of character_pass over the edge index, whose points are
-    outer * inner + beta.  Column j = (shift, beta) of `columns` reads
-    each point (alpha, beta) into row place(alpha, shift).  Each weight
-    tuple's edges are one indicator int, the key of its
-    weight_exponents in _transform_points; each distinct point
-    polynomial then takes weight_mapping through one monomial map and
-    the division by the edge count once.  The key bytes (dual_key_bytes)
-    are charged to the budget; the caller charges the output cells.
+    Edge (s, t), the packed output word lo[s] XOR hi[t] over GF(q)
+    weighed by group_weights on `groups`, counts at point
+    (alpha, beta) = (s, t % layer), field beta S + alpha, S = len(lo):
+    inputs that agree mod layer differ by one that leaves the state
+    alone.  `stages` are character_pass's (exponent table, stride) pairs
+    over the points, and column j = (shift, beta) of `columns` reads
+    point (alpha, beta) into row place(alpha, shift).  Each weight
+    tuple's counts are one key of _transform_points; each distinct point
+    polynomial takes weight_mapping and the division by the edge count
+    once.  No row stores a zero cell; the caller charges the cells.
     """
-    edges = len(words)
-    w, per_key = dual_key_bytes(edges, q, p)
-    check_budget("the dual WAM", 0, nbytes=per_key)
-    width = edges * w
-    # a weight tuple's indicator has a 1 in the low byte of each of its
-    # edges' fields
-    members = {}
-    for at, ws in zip(range(0, width, w),
-                      zip(*group_weights(q, words, groups))):
-        ind = members.get(ws)
-        if ind is None:
-            ind = members[ws] = bytearray(width)
-        ind[at] = 1
-    sources = [(weight_exponents(names, groups, ws),
-                int.from_bytes(ind, "little"), 0)
-               for ws, ind in members.items()]
-    del members
+    states, edges, points = len(lo), len(lo) * len(hi), len(lo) * layer
+    w = dual_key_bytes(edges, q, p)[0]
+    # chunks of `per` layers, a power of p, about _CHUNK edges: edge
+    # (s, t) is field (t - first) S + s of its chunk, a layer a run
+    per = 1
+    while per * layer < len(hi) and per * p * points <= _CHUNK:
+        per *= p
+    # a weight tuple's code sums w_g scale[g], each w_g below radix[g]
+    radix = [len(g) + 1 for g in groups]
+    scale = [prod(radix[g + 1:]) for g in range(len(radix))]
+    counts = {}
+    for first in range(0, len(hi), per * layer):
+        words = [x ^ y for y in hi[first:first + per * layer] for x in lo]
+        weights = group_weights(q, words, groups)
+        codes = weights[0]
+        for size, ws in zip(radix[1:], weights[1:]):
+            codes = map(add, map(mul, codes, repeat(size)), ws)
+        for code, value in _layer_counts(list(codes), w, p, per).items():
+            counts[code] = counts.get(code, 0) + value
+    sources = [(weight_exponents(names, groups, [
+        code // at % size for at, size in zip(scale, radix)]), value, 0)
+        for code, value in counts.items()]
     image = monomial_map(weight_mapping(q, list(zip(names[::2],
                                                     names[1::2]))),
                          keep=False)
     tail = _once(lambda poly: image(poly).exact_div(edges).to_int_coeffs())
     by_beta = {}
-    for point, poly in _transform_points(sources, edges, w, q, p,
+    for point, poly in _transform_points(sources, points, w, q, p,
                                          stages).items():
-        alpha, beta = divmod(point, inner)
+        beta, alpha = divmod(point, states)
         by_beta.setdefault(beta, []).append((alpha, tail(poly)))
     rows = [{} for _ in columns]
     for j, (shift, beta) in enumerate(columns):
         for alpha, poly in by_beta.get(beta, ()):
             rows[place(alpha, shift)][j] = poly
     return rows
+
+
+def _layer_counts(codes, w, p, layers):
+    """{code: int of w-byte fields, field e the number of the `layers`
+    equal runs of the list `codes`, a power of p, with the code at e}.
+    Up to 255 codes at a time get a byte value each in one string, 255
+    elsewhere, and bytes.translate marks one; runs sum p at a time."""
+    # mark[255 - i:511 - i] is the translation table that marks i alone
+    out, mark = {}, bytes(255) + b"\1" + bytes(255)
+    distinct = list(dict.fromkeys(codes))
+    for first in range(0, len(distinct), 255):
+        byte = {code: i for i, code in enumerate(distinct[first:first + 255])}
+        plane = bytearray(b"\xff") * (len(codes) * w)
+        plane[::w] = bytes(map(byte.get, codes, repeat(255)))
+        for code, i in byte.items():
+            size, runs = len(plane), layers
+            ind = int.from_bytes(plane.translate(mark[255 - i:511 - i]),
+                                 "little")
+            while runs > 1:
+                size, runs = size // p, runs // p
+                ind = sum(ind >> 8 * size * c & (1 << 8 * size) - 1
+                          for c in range(p))
+            out[code] = ind
+    return out
 
 
 def weight_mapping(q, pairs):

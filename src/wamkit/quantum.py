@@ -15,11 +15,11 @@ from itertools import repeat
 
 from .errors import ShapeError, check_budget
 from .fields import FieldSpec
-from .gflinalg import (cleared_response, impulse_response, pairing,
+from .gflinalg import (cleared_response, impulse_response, pairing, rref,
                        span_images)
 from .pauli import LETTERS, PauliWord, pauli_state_labels
-from .polymatrix import (PolyMatrix, dual_on_edges, edge_dual_rows,
-                         edge_rows, macwilliams, span_edges)
+from .polymatrix import (PolyMatrix, edge_dual_rows, edge_rows, macwilliams,
+                         span_edges)
 
 _GF2 = FieldSpec(2)
 
@@ -32,7 +32,7 @@ F1 = (
     (0, 1, 1, 0),
 )
 
-# the kernel of one Z-type ancilla bit s: the sign (-1)^(s t)
+# the kernel of one input bit s: the sign (-1)^(s t)
 _F_BIT = ((0, 0), (0, 1))
 
 
@@ -106,13 +106,13 @@ def _edge_count(spec):
     return 4 ** spec.m * 4 ** spec.k * 2 ** spec.a
 
 
-def _span_tables(spec):
-    """(memory images, logical (x) ancilla images) of the seed in the
-    order of pauli_state_labels(m) and of the logical words with the
-    Z-type ancilla words varying fastest, packed in the GF(4) layout: a
-    2-bit field per physical, then output memory qubit, holding its
-    letter's index in I, X, Y, Z.  X^a Y^b has (z, x) = (b, a XOR b) and
-    field a + 2b, so a product of words is the XOR of their fields."""
+def _span_rows(spec):
+    """(memory rows, logical (x) ancilla rows) of the seed in the GF(4)
+    layout, a 2-bit field per physical, then output memory qubit,
+    holding its letter's index in I, X, Y, Z: X^a Y^b has (z, x) =
+    (b, a XOR b) and field a + 2b, so a product is the XOR of fields.
+    Their span images follow pauli_state_labels(m), and the logical
+    words with the Z-type ancilla words varying fastest."""
     rows = [[v for z, x in zip(r[::2], r[1::2]) for v in (z ^ x, z)]
             for r in binary_symplectic_matrix(spec)]
 
@@ -125,16 +125,17 @@ def _span_tables(spec):
         return out
 
     m2, k2 = 2 * spec.m, 2 * spec.k
-    return (span_images(_GF2, pauli_rows(rows[:m2])),
-            span_images(_GF2, rows[m2 + k2:m2 + k2 + 2 * spec.a:2]
-                        + pauli_rows(rows[m2:m2 + k2])))
+    return (pauli_rows(rows[:m2]),
+            rows[m2 + k2:m2 + k2 + 2 * spec.a:2]
+            + pauli_rows(rows[m2:m2 + k2]))
 
 
 def quantum_wam(spec):
     """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest: an
     edge is a memory word's image XOR a logical (x) ancilla image."""
     check_budget("quantum WAM", _edge_count(spec), 16 ** spec.m)
-    mem_images, la_images = _span_tables(spec)
+    mem_images, la_images = (span_images(_GF2, rows)
+                             for rows in _span_rows(spec))
     # the fields above the 2n bits of the physical qubits are the index
     # of the edge's output memory word
     physical, shift = [range(spec.n)], 2 * spec.n
@@ -152,60 +153,39 @@ def quantum_macwilliams(lam):
 
 
 def dual_wam(spec):
-    """quantum_macwilliams(quantum_wam(spec)), from the 4^m 4^k 2^a edges
-    when they are fewer than the 16^m cells (4^k 2^a < 4^m) and one
-    key's planes fit the budget; otherwise through the grid.
+    """quantum_macwilliams(quantum_wam(spec)), from the 4^m 4^k 2^a edges.
 
     Cell (alpha, beta) of F Lam~ F sums g(e) (-1)^(<alpha, M> + <beta, M'>)
-    over the edges e = (M, L, S) with output memory word M', g(e) the
-    weight substitution's image of the edge's monomial and < , > the
-    symplectic form, so it is G^(alpha + A* beta, L* beta, S* beta): G^
-    is the character transform of g over the memory and logical letters
-    (kernel F1) and the ancilla bits, and A*, L*, S* are the adjoints
-    of the GF(2)-linear map from (M, L, S) to M' (_adjoint_images).
+    over the edges e = (M, u) with output memory word M', u the logical
+    (x) ancilla input, g(e) the weight substitution's image of the
+    edge's monomial and < , > the symplectic form.  <beta, M'> is linear
+    in the edge: it sums <beta, o(g)> over the generators g that the
+    edge holds, o(g) the output memory word of g's image.  In the input
+    basis of the rref of the generators on their o(g), the first r
+    inputs have independent o(g) and the others o(g) = 0, so the cell is
+    G^(alpha + A* beta, S* beta): G^ is the character transform of g,
+    summed over the other inputs, over the memory letters (kernel F1)
+    and the r input bits (kernel _F_BIT), and bit i of S* beta is
+    <beta, o(g_i)>.  F1 pairs X^x Y^y with 2 s + t to x s + y t, so
+    letter t of A* beta is 2 <beta, o(X_t)> + <beta, o(Y_t)>.  beta is
+    spanned by X_t (row 2t) and Y_t (row 2t + 1), and <X_t, o> is bit
+    2t + 1 of o, <Y_t, o> bit 2t, so row j reads bit j ^ 1.
     """
-    m, k, a = spec.m, spec.k, spec.a
-    edges, inner = _edge_count(spec), 4 ** k * 2 ** a
-    check_budget("quantum WAM", edges, 16 ** m)
-    if not dual_on_edges(edges, 4 ** m, 4, 2):
-        return quantum_macwilliams(quantum_wam(spec))
-    mem_images, la_images = _span_tables(spec)
-    # edge e = M 4^k 2^a + la, the ancilla bits fastest
-    stages = ([(_F_BIT, 2 ** t) for t in range(a)]
-              + [(F1, 2 ** a * 4 ** t) for t in range(k + m)])
-    # every state beta reads its points at (A* beta, (L* beta, S* beta))
-    columns = [(v >> a + 2 * k, v & inner - 1)
-               for v in _adjoint_images(spec, mem_images, la_images)]
-    return PolyMatrix(pauli_state_labels(m), edge_dual_rows(
-        [x ^ y for x in mem_images for y in la_images], ("x", "y"),
-        [range(spec.n)], 4, 2, stages, inner, columns, int.__xor__))
-
-
-def _adjoint_images(spec, mem_images, la_images):
-    """The packed (S* beta, L* beta, A* beta) of every memory word beta in
-    state order: one bit per ancilla, then one 2-bit letter field per
-    logical and per memory qubit.
-
-    <beta, M'> is linear in the input, so it sums <beta, o(g)> over the
-    generators g that the input holds, o(g) the output memory word of
-    g's image.  F1 pairs the letter X^x Y^y with 2 s + t to x s + y t,
-    so letter t of A* beta is 2 <beta, o(X_t)> + <beta, o(Y_t)>: an X
-    generator sets the high bit of its field and a Y generator the low
-    one.  L* beta is alike, and bit t of S* beta is <beta, o(Z_t)>.
-    beta is spanned by X_t (row 2t) and Y_t (row 2t + 1), and <X_t, o>
-    is bit 2t + 1 of o, <Y_t, o> bit 2t, so row j reads bit j ^ 1.
-    """
-    a, shift = spec.a, 2 * spec.n
-    # the generators in input order: ancilla Z, then logical and memory
-    # (X, Y) pairs, the rows of the two span tables
-    outs = ([la_images[1 << i] >> shift
-             for i in range(len(la_images).bit_length() - 1)]
-            + [mem_images[1 << i] >> shift
-               for i in range(len(mem_images).bit_length() - 1)])
-    # the field bits in generator order, each (X, Y) pair swapped
-    order = [i if i < a else a + (i - a ^ 1) for i in range(len(outs))]
-    return span_images(_GF2, [[outs[i] >> (j ^ 1) & 1 for i in order]
-                              for j in range(2 * spec.m)])
+    m, shift = spec.m, 2 * spec.n
+    check_budget("quantum WAM", _edge_count(spec), 16 ** m)
+    mem_rows, la_rows = _span_rows(spec)
+    la_rows, pivots = rref(_GF2, la_rows, shift)
+    r = len(pivots)
+    # o(g) of the r state-moving inputs, then of each memory (Y_t, X_t)
+    outs = ([row[shift:] for row in la_rows[:r]]
+            + [mem_rows[i ^ 1][shift:] for i in range(2 * m)])
+    columns = [(v >> r, v & (1 << r) - 1) for v in span_images(
+        _GF2, [[o[j ^ 1] for o in outs] for j in range(2 * m)])]
+    stages = ([(F1, 4 ** t) for t in range(m)]
+              + [(_F_BIT, 4 ** m * 2 ** t) for t in range(r)])
+    return PolyMatrix.from_nonzero_rows(pauli_state_labels(m), edge_dual_rows(
+        span_images(_GF2, mem_rows), span_images(_GF2, la_rows), 2 ** r,
+        ("x", "y"), [range(spec.n)], 4, 2, stages, columns, int.__xor__))
 
 
 # --- polynomial check matrices ---
@@ -330,7 +310,8 @@ def state_diagram_edges(spec):
     mem = [w or "-" for w in pauli_state_labels(spec.m)]
     logical = [w or "-" for w in pauli_state_labels(spec.k)
                for _ in range(2 ** spec.a)]
-    mem_images, la_images = _span_tables(spec)
+    mem_images, la_images = (span_images(_GF2, rows)
+                             for rows in _span_rows(spec))
     # each physical word's letters once per call, at most one per edge
     low, letters, out = (1 << 2 * n) - 1, {}, []
     for src, a in zip(mem, mem_images):

@@ -6,12 +6,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import (field, fixture_path, random_eaqcc_spec,
-                      random_systematic_conv_seed, read_fixture, seeded_rng,
-                      shift_register_text)
+from conftest import (field, fixture_path, random_conv_seed,
+                      random_eaqcc_spec, random_systematic_conv_seed,
+                      read_fixture, seeded_rng, shift_register_text)
 from wamkit import block, conv, gflinalg, quantum
 from wamkit.cli import _CONV, main
-from wamkit.conv import ipwam, wam
+from wamkit.conv import ConvSeed, SystematicConvSeed, ipwam, wam
 from wamkit.errors import AlgebraError
 from wamkit.formats import (dumps, matrix_to_structured, parse_block_code,
                             parse_conv_seed, parse_quantum_spec,
@@ -368,7 +368,7 @@ def test_whole_wam_actions_refuse_before_enumerating(tmp_path, capsys, fmt,
                                                     group, action):
     # within the edge budget, so only the S^2 charge up front refuses it;
     # one key of dual-total's transform over the 9^6 edges would hold
-    # 32 * 9^6 * 4 bytes, so it keeps the grid and its charge too
+    # 32 * 9^6 * 4 bytes, so it makes the grid's charge too
     path = tmp_path / "gf9.cc"
     path.write_text(_gf9_systematic_text())
     start = time.perf_counter()
@@ -426,11 +426,82 @@ def test_quantum_dual_wam_never_runs_the_state_pass(tmp_path, monkeypatch,
     assert all(code == 0 for code, _out, _err in want)
 
 
+def _no_grid_seeds(spec, rng):
+    """Seeds of every shape that once kept the S^2 grid: k > m, k = m,
+    k = n, m = 0, k = m = 0 and B = 0, the systematic ones marked."""
+    b_zero = random_systematic_conv_seed(rng, spec, 3, 1, 1)
+    return [(random_conv_seed(rng, spec, 3, 2, 1), False),
+            (random_systematic_conv_seed(rng, spec, 3, 2, 2), True),
+            (random_systematic_conv_seed(rng, spec, 2, 2, 1), True),
+            (random_systematic_conv_seed(rng, spec, 3, 1, 0), True),
+            (ConvSeed(spec, 2, 0, 0, []), False),
+            (SystematicConvSeed(spec, 3, 1, 1, [
+                b_zero.t_matrix[0], b_zero.t_matrix[1][:3] + [0]]), True)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_no_seed_dual_reaches_the_state_grid(tmp_path, monkeypatch, capsys,
+                                             fmt):
+    # every seed and spec that the grid once took, byte for byte as the
+    # grid prints them, with conjugate_by refusing to run: the edges,
+    # folded over the inputs that leave the state alone, serve them all
+    argvs = []
+    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+        rng = seeded_rng("no-grid-%d-%d" % (p, r))
+        for at, (seed, systematic) in enumerate(
+                _no_grid_seeds(field(p, r), rng)):
+            path = tmp_path / ("s%d%d-%d.cc" % (p, r, at))
+            path.write_text(render_conv_seed(seed))
+            for action in ("dual-wam", "dual-total") + (
+                    ("dual-ipwam",) if systematic else ()):
+                argvs.append(["--format", fmt, "conv", action, str(path)])
+    # 4^k 2^a >= 4^m, m = 0 among them
+    for n, k, c, m in [(3, 2, 0, 2), (3, 1, 0, 2), (2, 1, 1, 1),
+                       (3, 0, 0, 1), (2, 1, 0, 0), (4, 3, 0, 1)]:
+        spec = random_eaqcc_spec(seeded_rng("no-grid-q-%d%d%d%d"
+                                            % (n, k, c, m)), n, k, c, m)
+        path = tmp_path / ("q%d%d%d%d.qcc" % (n, k, c, m))
+        path.write_text(render_quantum_spec(spec))
+        argvs.append(["--format", fmt, "quantum", "dual-wam", str(path)])
+    with monkeypatch.context() as patch:
+        patch.setattr(conv, "dual_wam", lambda seed: conv.macwilliams_wam(
+            conv.wam(seed), seed.spec))
+        patch.setattr(conv, "dual_ipwam", lambda seed: conv.macwilliams_ipwam(
+            conv.ipwam(seed), seed.spec))
+        patch.setattr(quantum, "dual_wam", lambda spec: (
+            quantum.quantum_macwilliams(quantum.quantum_wam(spec))))
+        want = [run_cli(capsys, *argv) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("the S^2 state pass ran")
+
+    monkeypatch.setattr(PolyMatrix, "conjugate_by", refuse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+    assert all(code == 0 for code, _out, _err in want)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_check_dual_of_a_seed_without_memory_or_inputs(tmp_path, capsys, p):
+    # m = k = 0: the constraint generator has no rows, so every word of
+    # the n = 2 outputs is dual, and the dual seed is k = n, T = I_n
+    path = tmp_path / "empty.cc"
+    path.write_text("q %d 1\nn 2\nk 0\nm 0\nT\n" % p)
+    assert run_cli(capsys, "conv", "check-dual", str(path)) == (
+        0, "q %d 1\nn 2\nk 2\nm 0\nT\n1 0\n0 1\northogonality: PASS\n"
+        % p, "")
+    assert run_cli(capsys, "verify", "all", str(path)) == (
+        0, "dual seed orthogonality: PASS\n"
+        "wam transform matches dual enumeration: PASS\n"
+        "wam transform involution: PASS\n"
+        "free/total series relation: PASS\n", "")
+
+
 @pytest.mark.parametrize("n, k, m", [(16, 15, 0), (12, 11, 4)])
 def test_seed_dual_actions_with_more_edges_than_cells(tmp_path, capsys, n,
                                                       k, m):
-    # k > m: the 2^15 edges outnumber the 2^(2m) cells, and their planes
-    # would exceed the byte budget, so the dual runs on the state grid
+    # k > m: the 2^15 edges outnumber the 2^(2m) cells, so the seed makes
+    # the grid's charge, and its dual runs on the edges folded over the
+    # inputs with u B = 0, 2^(m + rank B) points
     seed = random_systematic_conv_seed(
         seeded_rng("wide-input-%d-%d-%d" % (n, k, m)), field(2), n, k, m)
     path = tmp_path / "wide.cc"

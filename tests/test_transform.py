@@ -484,8 +484,8 @@ def test_binary_m9_dual_wam_is_fast():
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_both_dual_wam_paths_match_the_constraint_relations(p, r):
     # k = 0, k = n, m = 0, B = 0 and seeds without a block-shape dual seed,
-    # which the wam(dual_seed(s)) oracle cannot check; the seeds with
-    # k < m run on the edges, the others on the state grid
+    # which the wam(dual_seed(s)) oracle cannot check; dual_wam folds the
+    # edges over the inputs with u B = 0, macwilliams_wam runs the grid
     spec = field(p, r)
     rng = seeded_rng("constraint-dual-%d-%d" % (p, r))
     no_dual_seed = 0
@@ -588,10 +588,10 @@ def test_state_pass_split_by_key_still_checks_integrality(monkeypatch):
     assert passes == [1, 1]
 
 
-def test_dual_keeps_the_grid_when_one_key_of_edges_exceeds_the_budget(
-        monkeypatch):
+def test_dual_runs_when_one_key_of_edges_exceeds_the_budget(monkeypatch):
     # k < m, but one key's edge planes are a byte over the budget: the
-    # state grid, which charges no plane bytes, runs instead of a refusal
+    # seed makes the grid's cell charge, is not refused, and runs on its
+    # folded edges, never on the state grid, which charges no plane bytes
     spec = field(2)
     seed = random_systematic_conv_seed(seeded_rng("edge-bytes-over"), spec,
                                        3, 1, 3)
@@ -608,7 +608,7 @@ def test_dual_keeps_the_grid_when_one_key_of_edges_exceeds_the_budget(
     monkeypatch.setattr(PolyMatrix, "conjugate_by", counted)
     assert dual_wam(seed) == want
     assert dual_ipwam(seed) == want_ip
-    assert grid == [8, 8]
+    assert not grid
 
 
 def test_dual_wam_takes_the_edges_whose_count_wide_planes_fit(monkeypatch):
@@ -726,8 +726,8 @@ def test_binary_m11_dual_wam_runs_on_the_edges():
     (3, 0, 0, 1), (2, 1, 0, 0)])
 def test_quantum_dual_wam_matches_the_grid_and_the_dual_spec(
         monkeypatch, n, k, c, m):
-    # k = 0, c = 0 and a = 0 on the edges, for m = 1..3; the ties
-    # 4^k 2^a = 4^m, more edges than cells and m = 0 on the grid
+    # k = 0, c = 0 and a = 0 for m = 1..3, the ties 4^k 2^a = 4^m, more
+    # edges than cells and m = 0: all on the folded edges, none on the grid
     spec = random_eaqcc_spec(seeded_rng("quantum-dual-%d%d%d%d"
                                         % (n, k, c, m)), n, k, c, m)
     want = quantum_macwilliams(quantum_wam(spec))
@@ -740,7 +740,7 @@ def test_quantum_dual_wam_matches_the_grid_and_the_dual_spec(
 
     monkeypatch.setattr(PolyMatrix, "conjugate_by", counted)
     assert quantum.dual_wam(spec) == want
-    assert bool(grid) == (4 ** k * 2 ** spec.a >= 4 ** m)
+    assert not grid
 
 
 def test_quantum_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
@@ -771,3 +771,55 @@ def test_quantum_m5_dual_wam_runs_on_the_edges():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
+
+
+def test_quantum_dual_wam_of_a_wide_spec_stays_small():
+    # ((4, 3; 0, 5)): 2^17 edges, one key of whose planes is 4.7 MB; the
+    # uncharged state grid it once fell back to took about 3 s and
+    # peaked at 86.9 MB under tracemalloc
+    spec = random_eaqcc_spec(seeded_rng("quantum-dual-memory"), 4, 3, 0, 5)
+    tracemalloc.start()
+    try:
+        lam_hat = quantum.dual_wam(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
+    assert lam_hat == quantum_wam(dual_spec(spec))
+
+
+@pytest.mark.parametrize("p, n, k, m, systematic", [
+    (2, 260, 1, 1, False), (3, 256, 1, 0, False), (2, 34, 10, 1, True),
+    (3, 44, 6, 1, True)])
+def test_dual_wam_of_weights_beyond_one_byte(p, n, k, m, systematic):
+    # weights above 254, or (input, parity) weight tuples past 255 codes,
+    # take more than one digit byte an edge
+    spec = field(p)
+    rng = seeded_rng("wide-weights-%d-%d-%d-%d" % (p, n, k, m))
+    if systematic:
+        seed = random_systematic_conv_seed(rng, spec, n, k, m)
+        assert (k + 1) * (n - k + 1) > 255
+        assert dual_ipwam(seed) == macwilliams_ipwam(ipwam(seed), spec)
+    else:
+        seed = random_conv_seed(rng, spec, n, k, m)
+        assert dual_wam(seed) == macwilliams_wam(wam(seed), spec)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_rref_from_a_column_splits_rows_by_their_tail(p, r):
+    # the rows with a pivot from column `first` on come first, the others
+    # are zero there, and the rows span what the input spans
+    spec = field(p, r)
+    rng = seeded_rng("rref-first-%d-%d" % (p, r))
+    for _ in range(40):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 6)
+        first = rng.randint(0, cols)
+        matrix = [[rng.choice([0, 0, rng.randrange(spec.q)])
+                   for _ in range(cols)] for _ in range(rows)]
+        basis, pivots = gflinalg.rref(spec, matrix, first)
+        tail = len(pivots)
+        assert len(basis) == rows and min(pivots, default=first) >= first
+        assert tail == gflinalg.rank(spec, [row[first:] for row in matrix])
+        assert not any(any(row[first:]) for row in basis[tail:])
+        assert (gflinalg.rank(spec, basis) == gflinalg.rank(spec, matrix)
+                == gflinalg.rank(spec, matrix + basis))
