@@ -9,7 +9,7 @@ import functools
 import sys
 
 from . import block, conv, quantum
-from .errors import ShapeError, WamkitError, check_budget
+from .errors import FormatError, ShapeError, WamkitError, check_budget
 from .formats import (matrix_to_structured, parse_block_code,
                       parse_conv_seed, parse_quantum_spec, poly_to_structured,
                       render_block_code, render_conv_seed,
@@ -46,8 +46,18 @@ def _build_parser():
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The file's text, its bytes decoded from UTF-8 once.  Bytes that
+    are not UTF-8 raise FormatError at the line of the first bad byte,
+    counted as the parsers count lines."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line is the last one of its prefix plus a stand-in
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise FormatError("not UTF-8 text: %s 0x%02x"
+                          % (exc.reason, data[exc.start]), line) from None
 
 
 def _emit_poly(poly, args):

@@ -19,6 +19,7 @@ through the parsers below; both are written straight to the text of
 """
 
 import json
+from itertools import chain, repeat
 
 from .conv import ConvSeed, SystematicConvSeed
 from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
@@ -255,19 +256,21 @@ def poly_to_structured(poly):
 
 def matrix_to_structured(matrix):
     """The structured document of a matrix as text, byte for byte what
-    dumps writes for its dense dict: each row starts from "[]" cells and
-    fills in the stored ones, each distinct cell written once from the
-    call's term table."""
+    dumps writes for its dense dict: every absent cell "[]", each
+    distinct stored cell written once from the call's term table."""
     def write(e, table):
         terms = e.to_int_coeffs().terms
         return "[%s]" % ",".join([
             '{"coeff":%d' % terms[exp] + table[exp][1]
             for exp in sorted(terms, key=table.__getitem__)])
 
-    rows = ["[" + ",".join(line) + "]"
-            for line in matrix.rendered_rows(_exponents_json, write, "[]")]
-    return '{"entries":[%s],"labels":%s}\n' % (
-        ",".join(rows), json.dumps(matrix.labels, separators=(",", ":")))
+    rows = matrix.rendered_rows(_exponents_json, write, "[]", ",")
+    labels = json.dumps(matrix.labels, separators=(",", ":"))
+    # one join: each row in brackets, a comma before all but the first
+    return "".join(chain(
+        ['{"entries":['],
+        *zip(chain(["["], repeat(",[")), rows, repeat("]")),
+        ['],"labels":%s}\n' % labels]))
 
 
 def _poly_from_terms(terms):

@@ -175,29 +175,39 @@ class PolyMatrix:
             return terms_text(e.terms, sorted(e.terms, key=table.__getitem__),
                               table)
 
-        lines = ["states: " + " ".join(self.labels)]
-        for label, line in zip(self.labels,
-                               self.rendered_rows(factor_text, write, "0")):
-            lines.append("%s: %s" % (label, " | ".join(line)))
-        return "\n".join(lines)
+        rows = self.rendered_rows(factor_text, write, "0", " | ")
+        return "".join(chain(["states: " + " ".join(self.labels)],
+                             *zip(map("\n%s: ".__mod__, self.labels), rows)))
 
-    def rendered_rows(self, fragment, write, zero):
-        """Every row as a list of cell texts, an absent cell as `zero`,
-        the S^2 cells charged to the budget first.  One call builds one
-        term_table of `fragment` over the exponent tuples of the distinct
-        stored cell objects, and write(cell, table) writes each distinct
-        object once."""
+    def rendered_rows(self, fragment, write, zero, sep):
+        """The text of every row, its cells joined by `sep`, an absent
+        cell as `zero`, the S^2 cells charged to the budget first.  One
+        call builds one term_table of `fragment` over the exponent tuples
+        of the distinct stored cell objects, and write(cell, table)
+        writes each distinct object once.  A row joins its stored cells
+        in column order and, between them, each run of r absent cells as
+        one slice of a blank row, sep.join([zero] * S), built once per
+        call: its first r cells.  So an absent cell costs only the
+        copying of its bytes."""
         check_budget("WAM", 0, self.size ** 2)
         # an id names one cell only while the matrix holds it
         cells = {id(e): e for row in self.rows for e in row.values()}
         table = term_table(set(chain.from_iterable(
             e.terms for e in cells.values())), fragment)
         text = {key: write(e, table) for key, e in cells.items()}
+        n = self.size
+        blank = sep.join([zero] * n)
+        step = len(zero) + len(sep)
         for row in self.rows:
-            line = [zero] * self.size
-            for j, e in row.items():
-                line[j] = text[id(e)]
-            yield line
+            items, at = [], 0
+            for j in sorted(row):
+                if j > at:
+                    items.append(blank[:(j - at) * step - len(sep)])
+                items.append(text[id(row[j])])
+                at = j + 1
+            if at < n:
+                items.append(blank[:(n - at) * step - len(sep)])
+            yield sep.join(items)
 
     def exponents(self):
         """The set of exponent tuples of the stored cells."""

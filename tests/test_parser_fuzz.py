@@ -198,3 +198,34 @@ def test_bad_pauli_letter_names_its_line(tmp_path, capsys):
         assert main(argv + [str(path)]) == 2, argv
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: line 12: bad Pauli letter 'Q'\n")
+
+
+def _bad_encodings(text):
+    """(bytes, line number at fault): a stray 0xff byte opening line 3,
+    a multi-byte sequence cut short at the end of line 4, and the whole
+    file in UTF-16, whose byte order mark is not UTF-8."""
+    lines = text.encode("utf-8").split(b"\n")
+    stray = lines[:2] + [b"\xff" + lines[2]] + lines[3:]
+    cut = lines[:3] + [lines[3] + b" \xe2\x82"] + lines[4:]
+    yield b"\n".join(stray), 3
+    yield b"\n".join(cut), 4
+    yield text.encode("utf-16"), 1
+
+
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys):
+    seen = set()
+    for name in sorted(os.listdir(FIXTURES)):
+        ext = os.path.splitext(name)[1]
+        if ext not in GROUPS:
+            continue
+        seen.add(ext)
+        for data, line in _bad_encodings(read_fixture(name)):
+            path = tmp_path / ("case" + ext)
+            path.write_bytes(data)
+            for argv in (ACTIONS[ext], ["verify", "all"]):
+                assert main(argv + [str(path)]) == 2, (name, argv, line)
+                out, err = capsys.readouterr()
+                assert out == "", (name, argv)
+                assert err.startswith(
+                    "error: line %d: not UTF-8 text: " % line), err
+    assert seen == set(GROUPS)

@@ -9,6 +9,7 @@ byte for byte.
 import json
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -16,9 +17,10 @@ from conftest import seeded_rng, shift_register_text
 from wamkit.cli import main
 from wamkit.conv import total_wgf, wam
 from wamkit.errors import AlgebraError
-from wamkit.formats import (dumps, matrix_to_structured, parse_conv_seed,
-                            poly_to_structured)
-from wamkit.poly import VARS, WeightPoly, canonical
+from wamkit.formats import (_exponents_json, dumps, matrix_to_structured,
+                            parse_conv_seed, poly_to_structured)
+from wamkit.poly import (VARS, WeightPoly, canonical, factor_text,
+                         term_table, terms_text)
 from wamkit.polymatrix import PolyMatrix
 
 
@@ -68,7 +70,8 @@ def _random_poly(rng, names, d_max=None):
 
 def _matrices():
     """Negative and 71-bit coefficients, D exponents cut at a d_max, all
-    nine variables, Pauli labels, an empty last row, and 1 x 1 matrices."""
+    nine variables, Pauli labels, an empty last row, 1 x 1 matrices, and
+    the edge cases of writing rows from slices of a blank row."""
     rng = seeded_rng("render-table")
     out = []
     for labels, names, d_max in (
@@ -86,7 +89,64 @@ def _matrices():
         rng, ("x_I", "y_I", "x_P", "y_P"))}]))
     out.append(PolyMatrix(["0"], [{0: WeightPoly.const(-2 ** 70)}]))
     out.append(PolyMatrix(["0"], [{}]))
+    # the edges of the blank-row slices: an empty first row, a cell in
+    # column 0 only, in column S - 1 only, in adjacent columns, a full
+    # row, and rows whose cells are stored out of column order
+    labels = [str(i) for i in range(6)]
+    cell = [_random_poly(rng, ("x", "y")) for _ in range(6)]
+    out.append(PolyMatrix(labels, [
+        {}, {0: cell[0]}, {5: cell[1]}, {2: cell[2], 3: cell[3]},
+        dict(enumerate(cell)), {5: cell[4], 0: cell[5], 1: cell[0]}]))
+    # sparse S = 130, a few shared cell objects over many cells
+    shared = [_random_poly(rng, ("x", "y", "x_I", "y_I")) for _ in range(3)]
+    rows = [{} for _ in range(130)]
+    for _ in range(260):
+        rows[rng.randrange(130)][rng.randrange(130)] = rng.choice(shared)
+    rows[7].update({0: shared[0], 129: shared[1], 64: shared[2],
+                    65: shared[2]})
+    out.append(PolyMatrix.from_nonzero_rows(
+        ["%02x" % i for i in range(130)], rows))
+    out.append(PolyMatrix([], []))
     return out
+
+
+def _list_join_rows(matrix, fragment, write, zero):
+    """The list-join reference renderer: every row as a list of S cell
+    texts, an absent cell as `zero`."""
+    cells = {id(e): e for row in matrix.rows for e in row.values()}
+    table = term_table(set(chain.from_iterable(
+        e.terms for e in cells.values())), fragment)
+    text = {key: write(e, table) for key, e in cells.items()}
+    for row in matrix.rows:
+        line = [zero] * matrix.size
+        for j, e in row.items():
+            line[j] = text[id(e)]
+        yield line
+
+
+def _list_join_text(matrix):
+    def write(e, table):
+        return terms_text(e.terms, sorted(e.terms, key=table.__getitem__),
+                          table)
+
+    lines = ["states: " + " ".join(matrix.labels)]
+    for label, line in zip(matrix.labels,
+                           _list_join_rows(matrix, factor_text, write, "0")):
+        lines.append("%s: %s" % (label, " | ".join(line)))
+    return "\n".join(lines)
+
+
+def _list_join_structured(matrix):
+    def write(e, table):
+        terms = e.to_int_coeffs().terms
+        return "[%s]" % ",".join([
+            '{"coeff":%d' % terms[exp] + table[exp][1]
+            for exp in sorted(terms, key=table.__getitem__)])
+
+    rows = ["[" + ",".join(line) + "]" for line in _list_join_rows(
+        matrix, _exponents_json, write, "[]")]
+    return '{"entries":[%s],"labels":%s}\n' % (
+        ",".join(rows), json.dumps(matrix.labels, separators=(",", ":")))
 
 
 def test_canonical_order_matches_the_per_term_key():
@@ -168,3 +228,21 @@ def test_structured_binary_m10_wam_is_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0 and out.startswith('{"entries":[[[{"coeff":1,')
     assert elapsed < 0.35
+
+
+def test_slice_renderers_take_half_the_list_join_time():
+    # binary m = 10: 2^20 cells, 2^11 of them stored; the best of 5
+    # interleaved runs of each renderer, so a slow spell of the host
+    # slows both sides alike
+    matrix = wam(parse_conv_seed(shift_register_text(10)))
+    for old, new in ((_list_join_text, str),
+                     (_list_join_structured, matrix_to_structured)):
+        best, out = {old: float("inf"), new: float("inf")}, {}
+        for _ in range(5):
+            for render in (old, new):
+                start = time.perf_counter()
+                out[render] = render(matrix)
+                best[render] = min(best[render],
+                                   time.perf_counter() - start)
+        assert out[new] == out[old]
+        assert best[new] <= 0.5 * best[old], (new.__name__, best)
