@@ -5,7 +5,7 @@ from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
 from math import prod
-from operator import add, mul, neg, or_
+from operator import add, mul, or_
 
 from . import errors
 from .errors import AlgebraError, check_budget
@@ -17,10 +17,9 @@ from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, factor_text,
 class PolyMatrix:
     """A labelled square matrix with polynomial entries.
 
-    Labels fix both the row and column order; two matrices only combine
-    when their label lists agree exactly.  `rows` holds one dict per row,
-    {column index: nonzero WeightPoly}: a zero cell is not stored, and
-    m[i, j] reads it as zero.  A matrix is never changed once built.
+    Labels fix both the row and column order.  `rows` holds one dict per
+    row, {column index: nonzero WeightPoly}: a zero cell is not stored,
+    and m[i, j] reads it as zero.  A matrix is never changed once built.
     """
 
     __slots__ = ("labels", "rows")
@@ -42,11 +41,6 @@ class PolyMatrix:
         out.labels, out.rows = labels, rows
         return out
 
-    @classmethod
-    def identity(cls, labels):
-        return cls(labels, [{i: WeightPoly.const(1)}
-                            for i in range(len(labels))])
-
     @property
     def size(self):
         return len(self.labels)
@@ -56,36 +50,10 @@ class PolyMatrix:
         cell = self.rows[i].get(j)
         return WeightPoly.zero() if cell is None else cell
 
-    def _check(self, other):
-        if not isinstance(other, PolyMatrix) or other.labels != self.labels:
-            raise AlgebraError("matrix labels do not match")
-
-    def __add__(self, other):
-        self._check(other)
-        rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            row = dict(ra)
-            for j, e in rb.items():
-                row[j] = row[j] + e if j in row else e
-            rows.append(row)
-        return PolyMatrix(self.labels, rows)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + other.map_entries(neg)
-
     def __mul__(self, other):
         if isinstance(other, (int, WeightPoly)):
             return self.map_entries(lambda e: e * other)
-        self._check(other)
-        rows = []
-        for ra in self.rows:
-            row = {}
-            for t, a in ra.items():
-                for j, b in other.rows[t].items():
-                    row[j] = row[j] + a * b if j in row else a * b
-            rows.append(row)
-        return PolyMatrix(self.labels, rows)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -159,12 +127,9 @@ class PolyMatrix:
         conj = [[-t % p for t in row] for row in f]
         stages = ([(f, n * q ** t) for t in range(m)]
                   + [(conj, q ** t) for t in range(m)])
-        # a residual is named at its first entry by column, then key, then
-        # row
         cells = _transform_points(
             [(exp, *_signed_planes(at, n * n * w, w))
-             for exp, at in entries.items()], n * n, w, q, p, stages,
-            lambda t, x: (x % n, t, x // n))
+             for exp, at in entries.items()], n * n, w, q, p, stages)
         out = [{} for _ in range(n)]
         for cell in sorted(cells):
             out[cell // n][cell % n] = cells[cell]
@@ -314,18 +279,17 @@ def _signed_planes(entries, size, w):
     return int.from_bytes(plus, "little"), int.from_bytes(minus, "little")
 
 
-def _transform_points(sources, points, w, q, p, stages, order=None):
+def _transform_points(sources, points, w, q, p, stages):
     """{point: polynomial} over the nonzero points of the character
     transform of `sources`, each (exponent tuple, plus, minus): one key,
     whose values plus - minus are ints of `points` w-byte fields, w
     wide enough for any sub-sum of the input's |c|.  character_pass
     takes as many keys a pass as errors.BUDGET holds at
     (q p + p + 2) points w bytes a key, at least one, their fields
-    interleaved point by point, `order(key, point)` ranking fields over
-    all keys.  A point's fields over all passes are one byte string,
-    each pass's first key ahead of its fields, decoded once per distinct
-    string, so points with equal polynomials share one object and a
-    caller maps each distinct polynomial once."""
+    interleaved point by point.  A point's fields over all passes are
+    one byte string, each pass's first key ahead of its fields, decoded
+    once per distinct string, so points with equal polynomials share one
+    object and a caller maps each distinct polynomial once."""
     width = points * w
     batch, found = max(1, errors.BUDGET // ((q * p + p + 2) * width)), {}
     for first in range(0, len(sources), batch):
@@ -340,8 +304,7 @@ def _transform_points(sources, points, w, q, p, stages, order=None):
                         plane[at * w + b::block] = data[b::w]
         out = character_pass(
             [int.from_bytes(plane, "little") for plane in planes],
-            len(chunk), points, w, p, stages,
-            order and (lambda t, x, at=first: order(at + t, x)))
+            len(chunk), points, w, p, stages)
         tag = first.to_bytes(4, "little")
         for point, fields in out.items():
             found[point] = found.get(point, b"") + tag + fields
@@ -379,7 +342,7 @@ def _once(fn):
     return mapped
 
 
-def character_pass(values, keys, cells, w, p, stages, order=None):
+def character_pass(values, keys, cells, w, p, stages):
     """The character transform of `keys` grids of `cells` integers each,
     on packed planes: {cell: fields} over the cells with a nonzero
     result, fields the cell's `keys` w-byte fields of the result's plane
@@ -396,7 +359,7 @@ def character_pass(values, keys, cells, w, p, stages, order=None):
     coordinate is a few whole-plane shifts, masks and additions; w must
     hold any sub-sum of the |c|.  A result is an integer exactly when
     planes 1..p-1 agree; otherwise AlgebraError names the residual of
-    the first bad field by `order(key, cell)`, a sort key.
+    the first bad field, by cell and then by key.
     """
     block = keys * w
     size = cells * block
@@ -407,8 +370,7 @@ def character_pass(values, keys, cells, w, p, stages, order=None):
     top = planes[-1]
     if any(plane != top for plane in planes[1:]):
         bad = reduce(or_, (plane ^ top for plane in planes[1:]))
-        first = min(_nonzero_fields(bad.to_bytes(size, "little"), w),
-                    key=order and (lambda x: order(x % keys, x // keys)))
+        first = next(_nonzero_fields(bad.to_bytes(size, "little"), w))
         field = (1 << 8 * w) - 1
         v = [plane >> 8 * w * first & field for plane in planes]
         raise AlgebraError("residual root-of-unity coefficient %s over "
@@ -461,9 +423,8 @@ def macwilliams(enum, q, pairs, kernel=None):
 
     For a WAM the state kernel, given as (exponent table, p) (block
     codes pass none), transforms the counts.  Then each distinct cell
-    takes the weight axis, one monomial map of weight_mapping(q, pairs),
-    which commutes with the kernel, and division by the code's size,
-    the enumerator at all ones (the sum of the stored coefficients).  A
+    takes weight_axis's tail, which divides by the code's size, the
+    enumerator at all ones (the sum of the stored coefficients).  A
     size that is not a power of the prime of q raises AlgebraError
     first, then a variable outside `pairs`; the state pass rejects a
     non-integer value, the division must be exact, and every
@@ -477,18 +438,25 @@ def macwilliams(enum, q, pairs, kernel=None):
     if count < 1 or q ** count.bit_length() % count:
         raise AlgebraError("the enumerator at all ones is %d, not a power of "
                            "the prime of q = %d" % (count, q))
-    image = monomial_map(weight_mapping(q, pairs), keep=False)
-    # every exponent tuple is mapped before the state pass, in cell
-    # order, so the map refuses a variable outside pairs first; the
-    # transformed cells then read its cache
-    for exp in dict.fromkeys(chain.from_iterable(e.terms for e in cells)):
-        image(WeightPoly({exp: 1}))
-
-    def tail(e):
-        return image(e).exact_div(count).to_int_coeffs()
-
+    tail = weight_axis(q, pairs, count,
+                       chain.from_iterable(e.terms for e in cells))
     out = enum if kernel is None else enum.conjugate_by(*kernel)
     return tail(out) if isinstance(out, WeightPoly) else out.map_entries(tail)
+
+
+def weight_axis(q, pairs, divisor, exps):
+    """The weight axis of the MacWilliams transform, built per call: the
+    tail cell -> image(cell) / divisor, image the monomial map of
+    weight_mapping(q, pairs), called once per distinct cell object; the
+    division must be exact and every coefficient an int.  The exponent
+    tuples `exps` are mapped first, in order, so a variable outside
+    `pairs` raises before any state pass, and the tail reads their
+    images from the map's cache; the map commutes with the state
+    kernel."""
+    image = monomial_map(weight_mapping(q, pairs), keep=False)
+    for exp in dict.fromkeys(exps):
+        image(WeightPoly({exp: 1}))
+    return _once(lambda e: image(e).exact_div(divisor).to_int_coeffs())
 
 
 def dual_key_bytes(edges, q, p):
@@ -511,36 +479,38 @@ def edge_dual_rows(lo, hi, layer, names, groups, q, p, stages, columns,
     alone.  `stages` are character_pass's (exponent table, stride) pairs
     over the points, and column j = (shift, beta) of `columns` reads
     point (alpha, beta) into row place(alpha, shift).  Each weight
-    tuple's counts are one key of _transform_points; each distinct point
-    polynomial takes weight_mapping and the division by the edge count
-    once.  No row stores a zero cell; the caller charges the cells.
+    tuple's counts are one key of _transform_points, and each distinct
+    point polynomial takes weight_axis's tail, over the edge count.  No
+    row stores a zero cell; the caller charges the cells.
     """
     states, edges, points = len(lo), len(lo) * len(hi), len(lo) * layer
     w = dual_key_bytes(edges, q, p)[0]
-    # chunks of `per` layers, a power of p, about _CHUNK edges: edge
-    # (s, t) is field (t - first) S + s of its chunk, a layer a run
-    per = 1
-    while per * layer < len(hi) and per * p * points <= _CHUNK:
-        per *= p
+    # chunks of `span` inputs, a power of p, about _CHUNK edges: edge
+    # (s, t) is field (t - first) S + s of its chunk.  A chunk of whole
+    # layers sums them; a shorter one is a run inside one layer, whose
+    # points are the fields from (first % layer) S on
+    span = 1
+    while span < len(hi) and span * p * states <= _CHUNK:
+        span *= p
     # a weight tuple's code sums w_g scale[g], each w_g below radix[g]
     radix = [len(g) + 1 for g in groups]
     scale = [prod(radix[g + 1:]) for g in range(len(radix))]
     counts = {}
-    for first in range(0, len(hi), per * layer):
-        words = [x ^ y for y in hi[first:first + per * layer] for x in lo]
+    for first in range(0, len(hi), span):
+        words = [x ^ y for y in hi[first:first + span] for x in lo]
         weights = group_weights(q, words, groups)
         codes = weights[0]
         for size, ws in zip(radix[1:], weights[1:]):
             codes = map(add, map(mul, codes, repeat(size)), ws)
-        for code, value in _layer_counts(list(codes), w, p, per).items():
-            counts[code] = counts.get(code, 0) + value
+        shift = first % layer * states * w * 8
+        for code, value in _layer_counts(list(codes), w, p,
+                                         max(1, span // layer)).items():
+            counts[code] = counts.get(code, 0) + (value << shift)
     sources = [(weight_exponents(names, groups, [
         code // at % size for at, size in zip(scale, radix)]), value, 0)
         for code, value in counts.items()]
-    image = monomial_map(weight_mapping(q, list(zip(names[::2],
-                                                    names[1::2]))),
-                         keep=False)
-    tail = _once(lambda poly: image(poly).exact_div(edges).to_int_coeffs())
+    # every name is in a pair, so no exponent tuple is checked first
+    tail = weight_axis(q, tuple(zip(names[::2], names[1::2])), edges, ())
     by_beta = {}
     for point, poly in _transform_points(sources, points, w, q, p,
                                          stages).items():
@@ -718,10 +688,9 @@ def series_inverse(m, d_max):
     column from the packed series.
     """
     # split: constant-in-D part must be the identity, linear part gives -N
-    ident = PolyMatrix.identity(m.labels)
     const = m.map_entries(lambda e: e.d_coefficient(0))
-    if const != ident or any(e.max_d_degree() > 1
-                             for row in m.rows for e in row.values()):
+    if const.rows != [{i: WeightPoly.const(1)} for i in range(m.size)] or any(
+            e.max_d_degree() > 1 for row in m.rows for e in row.values()):
         raise AlgebraError("matrix is not of the form I - N*D")
     big_n = m.map_entries(lambda e: -e.d_coefficient(1))
     return PolyMatrix(m.labels, [

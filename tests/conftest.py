@@ -102,6 +102,38 @@ def matrix_of(labels, rows):
                                for row in rows])
 
 
+# --- dense matrix algebra for oracles, apart from the sparse code ---
+
+def identity_matrix(labels):
+    return PolyMatrix(labels, [{i: WeightPoly.const(1)}
+                               for i in range(len(labels))])
+
+
+def _cells(m):
+    """Every cell of m, zero cells included, as a list of rows."""
+    return [[m[i, j] for j in range(m.size)] for i in range(m.size)]
+
+
+def _of_cells(labels, cells):
+    return PolyMatrix(labels, [dict(enumerate(row)) for row in cells])
+
+
+def matrix_sum(a, b, factor=1):
+    """a + factor * b, cell by cell, factor an int or a WeightPoly."""
+    assert a.labels == b.labels
+    return _of_cells(a.labels, [[u + factor * v for u, v in zip(ra, rb)]
+                                for ra, rb in zip(_cells(a), _cells(b))])
+
+
+def matrix_product(a, b):
+    """a b by the schoolbook sum over every cell."""
+    assert a.labels == b.labels
+    ca, cb = _cells(a), _cells(b)
+    return _of_cells(a.labels, [
+        [sum((u * cb[t][j] for t, u in enumerate(row) if u),
+             WeightPoly.zero()) for j in range(a.size)] for row in ca])
+
+
 def poly_from_counts(names, counts):
     """sum c * prod names[i]^e[i] over the items (e, c) of `counts`; each
     exponent tuple e is aligned with the variable names."""

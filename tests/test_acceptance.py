@@ -12,7 +12,8 @@ import time
 import pytest
 
 from conftest import (brute_force_dual_wam, direct_conv_edges,
-                      direct_quantum_edges, field, fixture_path, matrix_of,
+                      direct_quantum_edges, field, fixture_path,
+                      identity_matrix, matrix_of, matrix_product,
                       random_conv_seed, random_eaqcc_spec,
                       random_linear_code, random_systematic_code, seeded_rng,
                       state_index)
@@ -367,7 +368,7 @@ def test_criterion_08_series_identities():
         y = WeightPoly.var("y")
         image = lam.substitute({"x": 1 + (q - 1) * y, "y": 1 - y})
         f = fourier_matrix(spec)
-        power = PolyMatrix.identity(lam.labels)
+        power = identity_matrix(lam.labels)
         for i in range(7):
             conj = power.conjugate_by(f).exact_div(
                 q ** (m + k * i)).to_int_coeffs()
@@ -375,7 +376,7 @@ def test_criterion_08_series_identities():
                 ok = False
                 detail.append("%s: dual-total routes differ at D^%d"
                               % (name, i))
-            power = power * image
+            power = matrix_product(power, image)
     report(8, ok, "; ".join(detail))
 
 

@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from conftest import (field, matrix_of, random_conv_seed,
+from conftest import (field, identity_matrix, matrix_of, matrix_product,
+                      matrix_sum, random_conv_seed,
                       random_systematic_conv_seed, seeded_rng,
                       shift_register_text)
 from wamkit import errors, polymatrix
@@ -23,19 +24,17 @@ D_MAX = 6
 
 def dense_series(n, d_max):
     """sum_{t <= d_max} N^t D^t from full matrix products."""
-    out = PolyMatrix.identity(n.labels)
-    power = PolyMatrix.identity(n.labels)
+    out = power = identity_matrix(n.labels)
     for t in range(1, d_max + 1):
-        power = power * n
-        d_pow = WeightPoly.var("D", t)
-        out = out + power.map_entries(lambda e, dp=d_pow: e * dp)
+        power = matrix_product(power, n)
+        out = matrix_sum(out, power, WeightPoly.var("D", t))
     return out
 
 
 def without_zero_loop(lam):
     hole = PolyMatrix(lam.labels, [{0: WeightPoly.const(1)}]
                       + [{} for _ in lam.labels[1:]])
-    return lam - hole
+    return matrix_sum(lam, hole, -1)
 
 
 def _seeds():
@@ -59,7 +58,7 @@ def test_row_series_matches_dense_powers(seed):
             assert total_wgf(mat, d).max_d_degree() <= d
     n = lam.collapse({"x": 1})
     d = WeightPoly.var("D")
-    m = PolyMatrix.identity(n.labels) - n.map_entries(lambda e: e * d)
+    m = matrix_sum(identity_matrix(n.labels), n, -d)
     assert series_inverse(m, D_MAX) == dense_series(n, D_MAX)
 
 
@@ -74,9 +73,9 @@ def _oracle_cases():
     yield pytest.param(lam * 2 ** 70, id="wide")
     # state 2 has no out-edges, and x - 2y gives both signs on one row
     labels, zero = ["0", "1", "2"], ["0", "0", "0"]
-    yield pytest.param(
-        matrix_of(labels, [["y", "x", "x^2"], ["1", "0", "y"], zero])
-        - matrix_of(labels, [["0", "2*y", "0"], zero, zero]), id="sink")
+    yield pytest.param(matrix_sum(
+        matrix_of(labels, [["y", "x", "x^2"], ["1", "0", "y"], zero]),
+        matrix_of(labels, [["0", "2*y", "0"], zero, zero]), -1), id="sink")
 
 
 @pytest.mark.parametrize("n", list(_oracle_cases()))
@@ -90,9 +89,9 @@ def test_packed_series_matches_dense_powers(n):
             assert open_paths == any(dense[i, j].d_coefficient(d)
                                      for j in range(n.size))
     d = WeightPoly.var("D")
-    m = PolyMatrix.identity(n.labels) - n.map_entries(lambda e: e * d)
+    m = matrix_sum(identity_matrix(n.labels), n, -d)
     assert series_inverse(m, D_MAX) == dense
-    assert series_inverse(m, 0) == PolyMatrix.identity(n.labels)
+    assert series_inverse(m, 0) == identity_matrix(n.labels)
 
 
 def test_free_series_of_a_loop_without_constant_term():

@@ -18,15 +18,18 @@ from math import comb
 import pytest
 
 from conftest import (brute_force_dual_wam, constraint_dual_wam, field,
-                      random_conv_seed, random_eaqcc_spec,
-                      random_systematic_conv_seed, seeded_rng)
+                      identity_matrix, matrix_sum, random_conv_seed,
+                      random_eaqcc_spec, random_linear_code,
+                      random_systematic_code, random_systematic_conv_seed,
+                      seeded_rng, shift_register_text)
 from wamkit import errors, gflinalg, polymatrix, quantum
-from wamkit.block import macwilliams_hwgf, macwilliams_ipwgf
-from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_systematic_seed,
-                         dual_total_wgf, dual_wam, fourier_matrix, ipwam,
-                         macwilliams_ipwam, macwilliams_wam, state_labels,
-                         state_vectors, wam)
+from wamkit.block import hwgf, ipwgf, macwilliams_hwgf, macwilliams_ipwgf
+from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_series_bounds,
+                         dual_systematic_seed, dual_total_wgf, dual_wam,
+                         fourier_matrix, ipwam, macwilliams_ipwam,
+                         macwilliams_wam, state_labels, state_vectors, wam)
 from wamkit.errors import AlgebraError, BudgetError, ShapeError
+from wamkit.formats import parse_conv_seed
 from wamkit.pauli import pauli_state_labels
 from wamkit.poly import IP_PAIRS, VARS, WeightPoly
 from wamkit.polymatrix import PolyMatrix, macwilliams
@@ -185,13 +188,13 @@ def test_macwilliams_wam_rejects_a_single_gf3_transition():
 
 
 def test_conjugate_by_rejects_mismatched_kernel():
-    matrix = PolyMatrix.identity(["0", "1", "2"])
+    matrix = identity_matrix(["0", "1", "2"])
     with pytest.raises(AlgebraError):  # 3 states, kernel size 2
         matrix.conjugate_by([[0, 0], [0, 1]])
     with pytest.raises(AlgebraError):  # not square
         matrix.conjugate_by([[0, 0, 0], [0, 1, 2]], 3)
     with pytest.raises(AlgebraError):  # exponent outside range(p)
-        PolyMatrix.identity(["0", "1"]).conjugate_by([[0, 0], [0, 2]])
+        identity_matrix(["0", "1"]).conjugate_by([[0, 0], [0, 2]])
     with pytest.raises(AlgebraError):  # a GF(3) table passed without its p
         matrix.conjugate_by(fourier_matrix(field(3)))
     with pytest.raises(AlgebraError):  # no states: 0 is no power of 2
@@ -378,9 +381,9 @@ def test_state_pass_refuses_what_the_substituted_state_pass_refuses(kernel):
                 lam = scalar_symmetric(spec, 1, lam)
             count = sum(sum(e.terms.values()) for row in lam.rows
                         for e in row.values())
-            lam = lam + PolyMatrix(labels, [
+            lam = matrix_sum(lam, PolyMatrix(labels, [
                 {0: (p ** rng.randint(1, 4) - count) * x * x}]
-                + [{}] * (q - 1))
+                + [{}] * (q - 1)))
         count = sum(sum(e.terms.values()) for row in lam.rows
                     for e in row.values())
         want = _verdict(lambda m: m.substitute(mapping).conjugate_by(
@@ -404,7 +407,7 @@ def test_wam_transforms_refuse_a_non_code(example1, u1):
         (lambda: macwilliams_wam(lam * 0, spec), 0),
         (lambda: macwilliams_wam(lam * 3, spec), 24),
         (lambda: macwilliams_ipwam(ip * 0, spec), 0),
-        (lambda: macwilliams_ipwam(ip + ip + ip, spec), 24),
+        (lambda: macwilliams_ipwam(ip * 3, spec), 24),
         (lambda: dual_total_wgf(lam * -1, 10, spec), -8),
         (lambda: macwilliams_wam(lam3 * 0, gf3), 0),
         (lambda: macwilliams_wam(lam3 * 2, gf3), 18),
@@ -571,6 +574,27 @@ def test_state_pass_takes_as_many_keys_a_pass_as_the_budget_holds(
     monkeypatch.setattr(errors, "BUDGET", _grid_key_bytes(qlam, 4, 2))
     assert quantum_macwilliams(qlam) == qwant
     assert len(passes) > 4 and set(passes) == {1}
+
+
+def test_a_residual_is_named_in_plane_order(monkeypatch):
+    # y's result is not an integer in columns 1 and 2 of every row, x's
+    # off its three integral cells: the first bad field by cell
+    # (row-major), then by key, is y's at (0, 1), whichever pass holds it
+    spec = field(3)
+    x, y = WeightPoly.var("x"), WeightPoly.var("y")
+    matrix = PolyMatrix(state_labels(spec, 1),
+                        [{0: y, 1: 2 * y}, {2: x}, {}])
+    passes = _count_passes(monkeypatch)
+    # both keys in one pass, then one key a pass
+    for budget, keys in ((errors.BUDGET, [2]), ((3 * 3 + 3 + 2) * 3 ** 2,
+                                                [1])):
+        monkeypatch.setattr(errors, "BUDGET", budget)
+        passes.clear()
+        with pytest.raises(AlgebraError) as exc:
+            matrix.conjugate_by(fourier_matrix(spec), 3)
+        assert str(exc.value) == ("residual root-of-unity coefficient "
+                                  "[-1, -2] over w^0..w^1")
+        assert passes == keys
 
 
 def test_state_pass_split_by_key_still_checks_integrality(monkeypatch):
@@ -776,7 +800,8 @@ def test_quantum_m5_dual_wam_runs_on_the_edges():
 def test_quantum_dual_wam_of_a_wide_spec_stays_small():
     # ((4, 3; 0, 5)): 2^17 edges, one key of whose planes is 4.7 MB; the
     # uncharged state grid it once fell back to took about 3 s and
-    # peaked at 86.9 MB under tracemalloc
+    # peaked at 86.9 MB under tracemalloc, and its one layer of edges,
+    # counted whole rather than in runs of four inputs, 14.8 MB
     spec = random_eaqcc_spec(seeded_rng("quantum-dual-memory"), 4, 3, 0, 5)
     tracemalloc.start()
     try:
@@ -784,8 +809,98 @@ def test_quantum_dual_wam_of_a_wide_spec_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
+    assert peak < 12 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
     assert lam_hat == quantum_wam(dual_spec(spec))
+
+
+def _grid_dual(seed):
+    return macwilliams_wam(wam(seed), seed.spec)
+
+
+def _quantum_grid_dual(spec):
+    return quantum_macwilliams(quantum_wam(spec))
+
+
+@pytest.mark.parametrize("case", ["binary-register-m12", "gf3-r-equals-k",
+                                  "quantum-4-3-0-5"])
+def test_a_wide_layer_is_counted_in_runs_of_inputs(monkeypatch, case):
+    # layers of more than 2^12 edges: the binary (2, 1, 12) shift register
+    # (one layer of 2^13), a GF(3) (3, 2, 6) seed with rank B = k (one
+    # layer of 3^8) and the ((4, 3; 0, 5)) spec (one layer of 2^17).  Each
+    # count holds at most 2^12 edges, the runs together hold each edge
+    # once, and the dual is the grid's; the shift register's 2^24 grid
+    # cells exceed the budget, so its dual is read from the dual
+    # constraint relations instead
+    if case == "binary-register-m12":
+        seed = parse_conv_seed(shift_register_text(12))
+        edges, route, want = 2 ** 13, dual_wam, constraint_dual_wam
+    elif case == "gf3-r-equals-k":
+        seed = random_conv_seed(seeded_rng("gf3-wide-layer"), field(3), 3,
+                                2, 6)
+        assert gflinalg.rank(seed.spec,
+                             [row[3:] for row in seed.t_matrix[6:]]) == 2
+        edges, route, want = 3 ** 8, dual_wam, _grid_dual
+    else:
+        seed = random_eaqcc_spec(seeded_rng("quantum-dual-memory"), 4, 3, 0,
+                                 5)
+        edges, route = 2 ** 17, quantum.dual_wam
+        want = _quantum_grid_dual
+    counted, run = [], polymatrix._layer_counts
+
+    def record(codes, *args):
+        counted.append(len(codes))
+        return run(codes, *args)
+
+    monkeypatch.setattr(polymatrix, "_layer_counts", record)
+    lam_hat = route(seed)
+    assert sum(counted) == edges and max(counted) <= 2 ** 12
+    assert lam_hat == want(seed)
+
+
+def test_each_transform_takes_the_weight_axis_once(monkeypatch, example1,
+                                                   u1):
+    # one weight_axis call per transform, over the code's size: the
+    # coefficient sum of a grid input, the edge count of a seed
+    calls, run = [], polymatrix.weight_axis
+
+    def record(q, pairs, divisor, exps):
+        calls.append((q, pairs, divisor))
+        return run(q, pairs, divisor, exps)
+
+    monkeypatch.setattr(polymatrix, "weight_axis", record)
+    rng = seeded_rng("one-weight-axis")
+    gf3, xy = field(3), (("x", "y"),)
+    code = random_linear_code(rng, gf3, 5, 2)
+    sys_code = random_systematic_code(rng, gf3, 5, 3)
+    sys_seed = random_systematic_conv_seed(rng, field(2), 3, 1, 2)
+    # rank B = 1 < k = 2: D holds the outputs of 3^(2 - 1) inputs
+    low = ConvSeed(gf3, 3, 2, 1, [[1, 0, 2, 1], [0, 1, 1, 0],
+                                  [2, 2, 0, 2]])
+    spec = random_eaqcc_spec(rng, 3, 1, 1, 2)
+    lam, q_lam = wam(example1), quantum_wam(u1)
+
+    def coefficient_sum(matrix):
+        return sum(sum(e.terms.values()) for row in matrix.rows
+                   for e in row.values())
+
+    cases = [
+        (lambda: macwilliams_hwgf(hwgf(code), 3), (3, xy, 3 ** 2)),
+        (lambda: macwilliams_ipwgf(ipwgf(sys_code), 3),
+         (3, IP_PAIRS, 3 ** 3)),
+        (lambda: macwilliams_wam(lam, example1.spec),
+         (2, xy, coefficient_sum(lam))),
+        (lambda: macwilliams_ipwam(ipwam(sys_seed), sys_seed.spec),
+         (2, IP_PAIRS, coefficient_sum(ipwam(sys_seed)))),
+        (lambda: quantum_macwilliams(q_lam), (4, xy, coefficient_sum(q_lam))),
+        (lambda: dual_wam(example1), (2, xy, 2 ** (2 + 1))),
+        (lambda: dual_ipwam(sys_seed), (2, IP_PAIRS, 2 ** (2 + 1))),
+        (lambda: quantum.dual_wam(spec), (4, xy, 4 ** 2 * 4 ** 1 * 2 ** 1)),
+        (lambda: dual_series_bounds(low), (3, xy, 3)),
+    ]
+    for transform, call in cases:
+        calls.clear()
+        transform()
+        assert calls == [call]
 
 
 @pytest.mark.parametrize("p, n, k, m, systematic", [
