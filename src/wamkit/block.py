@@ -6,13 +6,10 @@ budget, and all transforms are exact integer computations with a final
 checked division by the code's size q^k, read off the enumerator.
 """
 
-from collections import Counter
-from itertools import chain
-
 from . import gflinalg
 from .errors import FieldError, ShapeError, WamkitError, check_budget
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
-from .polymatrix import macwilliams, weight_exponents
+from .polymatrix import code_exponents, macwilliams
 
 class LinearCode:
     """An [n, k] code over GF(q), given by a full-rank generator matrix.
@@ -75,21 +72,20 @@ def dual_code(code):
 
 def _enumerator(code, names, groups):
     """The enumerator over all q^k codewords by their Hamming weights on
-    each coordinate group, counted by weight tuple in one Counter and
-    streamed one lo image at a time, so they are never stored.  Each
-    codeword is lo - hi for one of the q^floor(k/2) packed images lo of
-    the first generator rows and one of the q^ceil(k/2) images hi of the
-    others (a span is closed under negation), and its nonzero
-    coordinates are the nonzero fields of lo XOR hi."""
+    each coordinate group, counted by weight code in C and streamed a
+    plane at a time, so they are never stored.  Each codeword is lo - hi
+    for one of the q^floor(k/2) packed images lo of the first generator
+    rows and one of the q^ceil(k/2) images hi of the others (a span is
+    closed under negation), and its nonzero coordinates are the nonzero
+    fields of lo XOR hi (gflinalg.weight_codes)."""
     spec, half = code.spec, code.k // 2
     check_budget("codeword enumeration", spec.q ** code.k)
     lo = gflinalg.span_images(spec, code.generator[:half])
     hi = gflinalg.span_images(spec, code.generator[half:])
-    counts = Counter(chain.from_iterable(
-        zip(*gflinalg.group_weights(spec.q, list(map(a.__xor__, hi)),
-                                    groups)) for a in lo))
-    return WeightPoly({weight_exponents(names, groups, ws): c
-                       for ws, c in counts.items()})
+    counts = gflinalg.code_counts(gflinalg.weight_codes(spec.q, lo, hi,
+                                                        groups))
+    return WeightPoly({code_exponents(names, groups, c): count
+                       for c, count in counts.items()})
 
 
 def hwgf(code):

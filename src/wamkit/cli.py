@@ -208,12 +208,12 @@ def _check_equal(name, left, right, lines):
 def _verify_block(code):
     lines, all_ok = [], True
     dual = block.dual_code(code)
-    transformed = block.macwilliams_hwgf(block.hwgf(code), code.spec.q)
+    enum = block.hwgf(code)
+    transformed = block.macwilliams_hwgf(enum, code.spec.q)
     all_ok &= _check_equal("hwgf transform matches dual enumeration",
                            transformed, block.hwgf(dual), lines)
     back = block.macwilliams_hwgf(transformed, code.spec.q)
-    all_ok &= _check_equal("hwgf transform involution", back,
-                           block.hwgf(code), lines)
+    all_ok &= _check_equal("hwgf transform involution", back, enum, lines)
     if isinstance(code, block.SystematicCode):
         ipt = block.macwilliams_ipwgf(block.ipwgf(code), code.spec.q)
         all_ok &= _check_equal("ipwgf transform matches dual enumeration",

@@ -14,15 +14,14 @@ fastest, written as strings of element indices.
 """
 
 from collections import Counter
-from itertools import repeat
 from operator import getitem, mul
 
 from . import errors, gflinalg
 from .errors import AlgebraError, ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
-from .polymatrix import (PolyMatrix, counted_series, dual_key_bytes,
-                         edge_dual_rows, edge_rows, macwilliams, series_entry,
-                         series_width, span_edges, weight_exponents)
+from .polymatrix import (PolyMatrix, code_exponents, counted_series,
+                         dual_key_bytes, edge_dual_rows, edge_rows,
+                         macwilliams, series_entry, series_width, span_edges)
 
 
 def state_vectors(spec, m):
@@ -124,17 +123,17 @@ def _edge_matrix(seed, names, groups):
 
 def _edges(seed, groups):
     """(q^m, the polymatrix.span_edges stream of the seed's (source, next
-    state, w_1, ..., w_g) edge tuples), w_t the Hamming weight on group
-    t of (p : u), p the output and u the input, once the q^(m+k) edges
-    are charged to the budget.
+    state, weight code) edge tuples), the code that of the Hamming
+    weights on the groups of (p : u), p the output and u the input, once
+    the q^(m+k) edges are charged to the budget.
 
     The transition of state w on input -u is (w C : 0 : w A) minus
     (u E : u : u B), one of q^m and one of q^k packed span images, and
     its nonzero coordinates are the nonzero fields of their XOR (u and
     -u run over the same inputs and have the same weight).  Over GF(2^r)
     the XOR is the difference, so its top m fields are the next state's
-    index; for odd p the next state's digits are subtracted through the
-    field table.
+    index, read from the planes of the codes; for odd p the next state's
+    digits are subtracted through the field table.
     """
     spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
     q, b = spec.q, gflinalg.field_bits(spec.q)
@@ -146,19 +145,17 @@ def _edges(seed, groups):
                                      in zip(seed.t_matrix[m:], ident)])
     shift = (n + k) * b
     if spec.p == 2:
-        def nexts(images, edges):
-            return map(int.__rshift__, edges, repeat(shift))
-    else:
-        # digit t of the next state is (wA)_t - (uB)_t, and a state keeps
-        # its rows diff[t][wA_t]
-        diff = _digit_tables([[spec.sub(x, y) for y in range(q)]
-                              for x in range(q)], m)
-        digits = [_digits(v, shift, m, b) for v in hi]
+        return len(lo), span_edges(q, lo, hi, groups, shift)
+    # digit t of the next state is (wA)_t - (uB)_t, and a state keeps its
+    # rows diff[t][wA_t]
+    diff = _digit_tables([[spec.sub(x, y) for y in range(q)]
+                          for x in range(q)], m)
+    digits = [_digits(v, shift, m, b) for v in hi]
 
-        def nexts(images, edges):
-            for a in images:
-                diffs = list(map(getitem, diff, _digits(a, shift, m, b)))
-                yield from (sum(map(getitem, diffs, d)) for d in digits)
+    def nexts(images):
+        for a in images:
+            diffs = list(map(getitem, diff, _digits(a, shift, m, b)))
+            yield from (sum(map(getitem, diffs, d)) for d in digits)
 
     return len(lo), span_edges(q, lo, hi, groups, nexts)
 
@@ -445,8 +442,8 @@ def dual_series_bounds(seed):
     # the u E: at most q^k words, within the edges either charge counts
     inputs, pivots = gflinalg.rref(spec, seed.t_matrix[m:], n)
     outputs = macwilliams(WeightPoly({
-        weight_exponents(("x", "y"), [range(n)], (w,)): count
-        for w, count in Counter(_span_weights(
+        code_exponents(("x", "y"), [range(n)], w): count
+        for w, count in gflinalg.code_counts(_span_weights(
             spec, [row[:n] for row in inputs[len(pivots):]], n)).items()}),
         spec.q, (("x", "y"),))
     return (spec.q ** (m + n - gflinalg.rank(spec, seed.t_matrix)),
@@ -461,14 +458,16 @@ def heaviest_edge(seed):
     spec, n = seed.spec, seed.n
     check_budget("WAM", spec.q ** (seed.m + seed.k))
     red, pivots = gflinalg.rref(spec, [row[:n] for row in seed.t_matrix])
-    return max(_span_weights(spec, red[:len(pivots)], n))
+    return max(max(weights) for weights, _ in _span_weights(
+        spec, red[:len(pivots)], n))
 
 
 def _span_weights(spec, rows, n):
-    """The Hamming weights of the words that `rows`, of length n, span:
-    one per combination, through one group_weights pass."""
-    return gflinalg.group_weights(spec.q, gflinalg.span_images(spec, rows),
-                                  [range(n)])[0]
+    """The gflinalg.weight_codes planes of the words that `rows`, of
+    length n, span: a word's code on the one group range(n) is its
+    Hamming weight."""
+    return gflinalg.weight_codes(spec.q, gflinalg.span_images(spec, rows),
+                                 [0], [range(n)])
 
 
 def iowam_from_systematic(seed, f_matrix):
@@ -556,8 +555,9 @@ def series_charge(seed, d_max, free=False):
 def seed_series(seed, d_max, free=False):
     """(free_wgf if free else total_wgf)(wam(seed).collapse({"x": 1}),
     d_max), charged by series_charge and read from the seed's edges,
-    counted by (source, next state, weight) in one Counter, with no
-    cell built (free: less one count of the weight-0 loop at state 0)."""
+    counted by (source, next state, weight) in one Counter (the weight
+    code of the one group range(n) is the weight), with no cell built
+    (free: less one count of the weight-0 loop at state 0)."""
     heaviest, w = series_charge(seed, d_max, free)
     states, edges = _edges(seed, [range(seed.n)])
     counts = Counter(edges)

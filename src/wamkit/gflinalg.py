@@ -1,8 +1,12 @@
 """Dense linear algebra over GF(q); matrices are lists of lists of
 element indices into a FieldSpec's tables."""
 
-from itertools import product, repeat
+import sys
+from collections import Counter
+from itertools import product
+from math import prod
 
+from . import errors
 from .errors import ShapeError, check_budget
 
 
@@ -50,18 +54,167 @@ def span_images(spec, rows):
     return [sum(x << (j * b) for j, x in enumerate(v)) for v in vecs]
 
 
-def group_weights(q, words, groups):
-    """One iterator per coordinate group over the Hamming weights of the
-    packed words of the list `words` on that group: the bit counts of
-    each word's fields ORed into their low bits (once per call) under
-    the group's mask.  Runs as pipelines of builtins over the list."""
+# --- weight codes: the words lo[i] XOR hi[j] as the fixed-width fields of
+# one big int, a plane, weighed on the whole plane at once ---
+
+# bits set in each byte value: bytes.translate counts a plane's bits
+_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
+# bytes per plane: some 2^12-2^14 words of a few bytes each
+_PLANE_BYTES = 1 << 15
+# coordinates per byte sum: a sum of at most 255 bits never carries
+_PIECE = 255
+
+
+def weight_codes(q, lo, hi, groups, shift=None):
+    """The weight codes of the packed words lo[i] XOR hi[j], i-major, one
+    (codes, tops) pair per plane of them, codes a bytes object or a list
+    of ints.  A word's code is the mixed-radix number of its Hamming
+    weights on the coordinate groups, digit t below |groups[t]| + 1, the
+    first most significant (decode_code reads it).  With `shift`, tops
+    holds each word's bits from `shift` up, and otherwise it is None.
+
+    A plane has one F-byte field per word, F at least the width of the
+    words and of the codes: each lo image's bytes repeated once per hi
+    image, XORed with the hi images' bytes repeated once per lo image.
+    Each coordinate's b bits are ORed onto its low bit.  Under a group's
+    mask bytes.translate turns each byte into its bit count, and one
+    product with 1 + 256 + 256^2 + ... sums each field's counts into
+    one byte, 255 coordinates at a time so that no sum carries; a larger
+    group adds its pieces' sums.  The codes are whole-plane
+    multiply-adds.  A plane holds whole lo images while the hi images
+    fit in one; it holds at most 32 kB and at most the budget, one word
+    at least, and its bytes are charged to the budget first."""
+    if not (lo and hi):
+        return
     b = field_bits(q)
-    folded = words
-    for s in range(1, b):
-        folded = list(map(int.__or__, folded, map(int.__rshift__, words,
-                                                  repeat(s))))
-    return [map(int.bit_count, map(sum(1 << (j * b) for j in g).__and__,
-                                   folded)) for g in groups]
+    radix = [len(g) + 1 for g in groups]
+    # each group's pieces: (mask of their coordinates' low bits, the
+    # repunit 1 + 256 + ... over the mask's bytes, bits below its top
+    # byte); top counts the bits of the words and of every coordinate
+    pieces, top = [], max(max(lo).bit_length(), max(hi).bit_length())
+    for g in groups:
+        pieces.append([])
+        for at in range(0, len(g), _PIECE):
+            mask = sum(1 << j * b for j in g[at:at + _PIECE])
+            top = max(top, mask.bit_length() + b - 1)
+            span = (mask.bit_length() + 7) // 8
+            pieces[-1].append((mask, int.from_bytes(b"\1" * span, "little"),
+                               8 * span - 8))
+    # what the repeated fields of a plane's masks hold: 255, each group
+    # mask and, with shift, the state's bits
+    fills = [255] + [mask for ps in pieces for mask, _, _ in ps]
+    widths = [_item_bytes(prod(radix) - 1)]
+    if shift is not None:
+        fills.append((1 << max(top - shift, 0)) - 1)
+        widths.append(_item_bytes(fills[-1]))
+    step = min(max(widths), 8)
+    size = -(-max([(top + 7) // 8] + widths) // step) * step
+    # a plane of more bytes than the budget only for a wider word
+    per_plane = max(1, min(_PLANE_BYTES, errors.BUDGET) // size)
+    check_budget("a weight-code plane", 0, nbytes=per_plane * size)
+    reps, tops = {}, None
+    for heads, count, his in _planes(lo, hi, size, per_plane):
+        words = len(heads) * count
+        nbytes = words * size
+        if words not in reps:
+            reps[words] = [int.from_bytes(v.to_bytes(size, "little") * words,
+                                          "little") for v in fills]
+        low, *masks = reps[words]
+        plane = int.from_bytes(b"".join(
+            [a.to_bytes(size, "little") * count for a in heads]),
+            "little") ^ his
+        if shift is not None:
+            tops = _fields((plane >> shift & masks[-1]).to_bytes(
+                nbytes, "little"), size, widths[1])
+        folded = plane
+        for s in range(1, b):
+            folded |= plane >> s
+        codes, at = 0, 0
+        for ps, base in zip(pieces, radix):
+            weights = 0
+            for _, ones, below in ps:
+                counts = int.from_bytes((folded & masks[at]).to_bytes(
+                    nbytes, "little").translate(_POPCOUNT), "little")
+                weights += counts * ones >> below & low
+                at += 1
+            codes = codes * base + weights
+        yield _fields(codes.to_bytes(nbytes, "little"), size, widths[0]), tops
+
+
+def _planes(lo, hi, size, per_plane):
+    """(lo images, hi images per lo image, plane of those hi images) of
+    each plane of weight_codes: whole lo images while the hi images fit
+    in one plane, whose hi plane is built once for all full planes."""
+    if len(hi) > per_plane:
+        for a in lo:
+            for at in range(0, len(hi), per_plane):
+                part = hi[at:at + per_plane]
+                yield [a], len(part), int.from_bytes(b"".join(
+                    [h.to_bytes(size, "little") for h in part]), "little")
+        return
+    each = max(1, min(len(lo), per_plane // len(hi)))
+    block = b"".join([h.to_bytes(size, "little") for h in hi])
+    full = int.from_bytes(block * each, "little")
+    for at in range(0, len(lo), each):
+        heads = lo[at:at + each]
+        yield heads, len(hi), (full if len(heads) == each else
+                               int.from_bytes(block * len(heads), "little"))
+
+
+# item bytes by the bytes a value needs, up to 8
+_ITEMS = (1, 1, 2, 4, 4, 8, 8, 8, 8)
+
+
+def _item_bytes(value):
+    """The bytes of a field that holds value: 1, 2, 4 or 8, or more."""
+    need = (value.bit_length() + 7) // 8
+    return _ITEMS[need] if need <= 8 else need
+
+
+_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+def _fields(raw, size, width):
+    """The little-endian ints in the low `width` bytes of each size-byte
+    field of raw: a bytes object when width is 1, else a list, read
+    through a cast view where the machine is little-endian."""
+    if width == 1:
+        return raw[::size]
+    if width in _FORMATS and sys.byteorder == "little":
+        return memoryview(raw).cast(_FORMATS[width])[::size // width].tolist()
+    return [int.from_bytes(raw[at:at + width], "little")
+            for at in range(0, len(raw), size)]
+
+
+def decode_code(code, radix):
+    """The digits of a weight code: the weights on the groups of sizes
+    r - 1 for r in radix, first group first."""
+    ws = []
+    for base in reversed(radix):
+        code, w = divmod(code, base)
+        ws.append(w)
+    return ws[::-1]
+
+
+def code_counts(planes):
+    """{code: number of words} over weight_codes's planes, counted in C.
+    A bytes plane counts each code seen so far with bytes.count, and the
+    distinct codes among the rest, if any are left, are new."""
+    counts = {}
+    for codes, _ in planes:
+        if not isinstance(codes, bytes):
+            for code, found in Counter(codes).items():
+                counts[code] = counts.get(code, 0) + found
+            continue
+        seen = 0
+        for code in counts:
+            found = codes.count(code)
+            counts[code] += found
+            seen += found
+        if seen < len(codes):
+            for code in set(codes.translate(None, bytes(counts))):
+                counts[code] = codes.count(code)
+    return counts
 
 
 def zeros(rows, cols):

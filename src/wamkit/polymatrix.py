@@ -3,13 +3,13 @@
 import re
 from collections import Counter
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import prod
-from operator import add, mul, or_
+from operator import add, or_
 
 from . import errors
 from .errors import AlgebraError, check_budget
-from .gflinalg import group_weights
+from .gflinalg import decode_code, weight_codes
 from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, factor_text,
                    monomial_map, term_table, terms_text)
 
@@ -185,13 +185,13 @@ class PolyMatrix:
 
 def edge_rows(names, groups, states, edges):
     """One row {next state: WeightPoly} per source state in
-    range(states), from one stream of (source, next state, w_1, ...,
-    w_g) edge tuples counted in one Counter.  Cells with equal counts
-    are one WeightPoly object, each weight tuple counted as its
-    weight_exponents monomial, whose key is built once per call."""
+    range(states), from one stream of (source, next state, weight code)
+    edge tuples counted in one Counter.  Cells with equal counts are one
+    WeightPoly object, each code counted as its code_exponents monomial,
+    whose key is built once per call."""
     rows = [{} for _ in range(states)]
-    for edge, c in Counter(edges).items():
-        rows[edge[0]].setdefault(edge[1], {})[edge[2:]] = c
+    for (s, j, code), c in Counter(edges).items():
+        rows[s].setdefault(j, {})[code] = c
     keys, polys = {}, {}
     for row in rows:
         for j, counts in row.items():
@@ -200,48 +200,43 @@ def edge_rows(names, groups, states, edges):
             poly = polys.get(key)
             if poly is None:
                 terms = {}
-                for ws, c in counts.items():
-                    exp = keys.get(ws)
+                for code, c in counts.items():
+                    exp = keys.get(code)
                     if exp is None:
-                        exp = keys[ws] = weight_exponents(names, groups, ws)
+                        exp = keys[code] = code_exponents(names, groups, code)
                     terms[exp] = c
                 poly = polys[key] = WeightPoly(terms)
             row[j] = poly
     return rows
 
 
-# edges per chunk of span_edges, in whole source states: a chunk's lists
-# stay small, and its pipelines run over many edges at once
+# edges per run of edge_dual_rows, in whole powers of p inputs
 _CHUNK = 1 << 12
 
 
 def span_edges(q, lo, hi, groups, nexts):
-    """The (source, next state, w_1, ..., w_g) tuples of the edges
-    lo[s] XOR hi[t] of every source s, for edge_rows, weighed by
-    group_weights on `groups`.  They come in chunks of whole sources,
-    about _CHUNK edges each: one list of XORs, one next-state pipeline
-    nexts(images, edges) over the chunk's source images and edges, and
-    one group_weights call."""
-    per = max(1, _CHUNK // len(hi))
-
-    def chunks():
-        for first in range(0, len(lo), per):
-            images = lo[first:first + per]
-            edges = list(chain.from_iterable(map(a.__xor__, hi)
-                                             for a in images))
-            sources = chain.from_iterable(
-                repeat(s, len(hi)) for s in range(first, first + len(images)))
-            yield zip(sources, nexts(images, edges),
-                      *group_weights(q, edges, groups))
-
-    return chain.from_iterable(chunks())
+    """The (source, next state, weight code) tuples of the edges lo[s]
+    XOR hi[t] of every source s, for edge_rows, the codes those of
+    gflinalg.weight_codes on `groups`.  `nexts` is the offset of the
+    next state's bits in an edge word, read from the planes of the
+    codes, or a function of the source images that yields each edge's
+    next state in turn."""
+    sources = chain.from_iterable(map(repeat, range(len(lo)),
+                                      repeat(len(hi))))
+    if callable(nexts):
+        return zip(sources, nexts(lo), chain.from_iterable(
+            codes for codes, _ in weight_codes(q, lo, hi, groups)))
+    return chain.from_iterable(
+        zip(islice(sources, len(codes)), tops, codes)
+        for codes, tops in weight_codes(q, lo, hi, groups, nexts))
 
 
-def weight_exponents(names, groups, ws):
+def code_exponents(names, groups, code):
     """The exponent tuple of the product of x^(|g| - w) y^w over the
-    (x, y) pairs of the flat `names`, weights ws on the coordinate groups
-    g."""
+    (x, y) pairs of the flat `names`, w the weight on the coordinate
+    group g that the weight code holds (gflinalg.weight_codes)."""
     e = list(_ZERO_EXP)
+    ws = decode_code(code, [len(g) + 1 for g in groups])
     for x, y, g, w in zip(names[::2], names[1::2], groups, ws):
         e[_VAR_INDEX[x]], e[_VAR_INDEX[y]] = len(g) - w, w
     return tuple(e)
@@ -473,13 +468,13 @@ def edge_dual_rows(lo, hi, layer, names, groups, q, p, stages, columns,
     character transform of its edges instead of the S x S state grid.
 
     Edge (s, t), the packed output word lo[s] XOR hi[t] over GF(q)
-    weighed by group_weights on `groups`, counts at point
+    with its gflinalg.weight_codes code on `groups`, counts at point
     (alpha, beta) = (s, t % layer), field beta S + alpha, S = len(lo):
     inputs that agree mod layer differ by one that leaves the state
     alone.  `stages` are character_pass's (exponent table, stride) pairs
     over the points, and column j = (shift, beta) of `columns` reads
     point (alpha, beta) into row place(alpha, shift).  Each weight
-    tuple's counts are one key of _transform_points, and each distinct
+    code's counts are one key of _transform_points, and each distinct
     point polynomial takes weight_axis's tail, over the edge count.  No
     row stores a zero cell; the caller charges the cells.
     """
@@ -492,23 +487,17 @@ def edge_dual_rows(lo, hi, layer, names, groups, q, p, stages, columns,
     span = 1
     while span < len(hi) and span * p * states <= _CHUNK:
         span *= p
-    # a weight tuple's code sums w_g scale[g], each w_g below radix[g]
-    radix = [len(g) + 1 for g in groups]
-    scale = [prod(radix[g + 1:]) for g in range(len(radix))]
     counts = {}
     for first in range(0, len(hi), span):
-        words = [x ^ y for y in hi[first:first + span] for x in lo]
-        weights = group_weights(q, words, groups)
-        codes = weights[0]
-        for size, ws in zip(radix[1:], weights[1:]):
-            codes = map(add, map(mul, codes, repeat(size)), ws)
+        # the inputs are the outer images, so the codes come hi-major
+        codes = list(chain.from_iterable(c for c, _ in weight_codes(
+            q, hi[first:first + span], lo, groups)))
         shift = first % layer * states * w * 8
-        for code, value in _layer_counts(list(codes), w, p,
+        for code, value in _layer_counts(codes, w, p,
                                          max(1, span // layer)).items():
             counts[code] = counts.get(code, 0) + (value << shift)
-    sources = [(weight_exponents(names, groups, [
-        code // at % size for at, size in zip(scale, radix)]), value, 0)
-        for code, value in counts.items()]
+    sources = [(code_exponents(names, groups, code), value, 0)
+               for code, value in counts.items()]
     # every name is in a pair, so no exponent tuple is checked first
     tail = weight_axis(q, tuple(zip(names[::2], names[1::2])), edges, ())
     by_beta = {}

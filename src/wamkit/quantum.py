@@ -11,8 +11,6 @@ memory word, the physical output weight, and the output memory word.
 The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 """
 
-from itertools import repeat
-
 from .errors import ShapeError, check_budget
 from .fields import FieldSpec
 from .gflinalg import (cleared_response, impulse_response, pairing, rref,
@@ -142,9 +140,7 @@ def quantum_wam(spec):
     return PolyMatrix.from_nonzero_rows(
         pauli_state_labels(spec.m), edge_rows(
             ("x", "y"), physical, len(mem_images), span_edges(
-                4, mem_images, la_images, physical,
-                lambda images, edges: map(int.__rshift__, edges,
-                                          repeat(shift)))))
+                4, mem_images, la_images, physical, shift)))
 
 
 def quantum_macwilliams(lam):

@@ -229,3 +229,16 @@ def test_binary_32_20_hwgf_time():
     elapsed = time.perf_counter() - start
     assert sum(poly.terms.values()) == 2 ** 20
     assert elapsed < 2.0, "binary [32, 20] hwgf took %.2f s" % elapsed
+
+
+@pytest.mark.parametrize("p, r, n", [(2, 1, 62), (2, 2, 30), (3, 2, 15),
+                                     (7, 1, 21)])
+def test_conv_enumerators_of_words_wider_than_64_bits(p, r, n):
+    # (n + k + m) b > 64: each edge's plane field is wider than 8 bytes
+    spec = field(p, r)
+    rng = seeded_rng("packed-conv-wide-%d-%d" % (p, r))
+    b = gflinalg.field_bits(spec.q)
+    for k, m in [(1, 2), (2, 1)]:
+        assert (n + k + m) * b > 64
+        _check_conv(random_conv_seed(rng, spec, n, k, m))
+        _check_conv(random_systematic_conv_seed(rng, spec, n, k, m))
