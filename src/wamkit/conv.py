@@ -113,43 +113,46 @@ class SystematicConvSeed(ConvSeed):
 def _edge_matrix(seed, names, groups):
     """The matrix whose (w, w') entry counts the transitions w -> w' by
     their Hamming weights on each coordinate group of (p : u), p the
-    output and u the input: polymatrix.edge_rows over _edges, whose
-    rows the matrix holds as they are."""
-    states, edges = _edges(seed, groups)
+    output and u the input: polymatrix.edge_rows over section_edges,
+    whose rows the matrix holds as they are."""
+    spec, m = seed.spec, seed.m
+    states, edges = section_edges(spec, spec.q, seed.t_matrix[:m],
+                                  seed.t_matrix[m:], seed.n, groups)
     return PolyMatrix.from_nonzero_rows(
-        state_labels(seed.spec, seed.m),
-        edge_rows(names, groups, states, edges))
+        state_labels(spec, m), edge_rows(names, groups, states, edges))
 
 
-def _edges(seed, groups):
-    """(q^m, the polymatrix.span_edges stream of the seed's (source, next
-    state, weight code) edge tuples), the code that of the Hamming
-    weights on the groups of (p : u), p the output and u the input, once
-    the q^(m+k) edges are charged to the budget.
+def section_edges(field, q, state_rows, input_rows, n, groups):
+    """(the state count, the polymatrix.span_edges stream of the (source,
+    next state, weight code) edge tuples) of the section with state rows
+    (C : A) and input rows (E : B) over `field` and n output columns, the
+    code that of the Hamming weights of (p : u) in GF(q) letters on the
+    groups, p the output and u the input, once its edges are charged.
 
     The transition of state w on input -u is (w C : 0 : w A) minus
-    (u E : u : u B), one of q^m and one of q^k packed span images, and
-    its nonzero coordinates are the nonzero fields of their XOR (u and
-    -u run over the same inputs and have the same weight).  Over GF(2^r)
-    the XOR is the difference, so its top m fields are the next state's
-    index, read from the planes of the codes; for odd p the next state's
-    digits are subtracted through the field table.
+    (u E : u : u B), a state and an input packed span image, and its
+    nonzero letters are the nonzero fields of their XOR (u and -u run
+    over the same inputs and have the same weight).  Over GF(2^r) the XOR
+    is the difference, so its top bits are the next state's index, read
+    from the planes of the codes; for odd p the next state's digits are
+    subtracted through the field table.
     """
-    spec, n, k, m = seed.spec, seed.n, seed.k, seed.m
-    q, b = spec.q, gflinalg.field_bits(spec.q)
-    check_budget("WAM", q ** (m + k))
-    ident = gflinalg.identity(k)
-    lo = gflinalg.span_images(spec, [row[:n] + [0] * k + row[n:]
-                                     for row in seed.t_matrix[:m]])
-    hi = gflinalg.span_images(spec, [row[:n] + e + row[n:] for row, e
-                                     in zip(seed.t_matrix[m:], ident)])
-    shift = (n + k) * b
-    if spec.p == 2:
+    m, k, b = len(state_rows), len(input_rows), gflinalg.field_bits(field.q)
+    check_budget("WAM", field.q ** (m + k))
+    # the u columns only when a group weighs them: wider words cost planes
+    ins = k if any(j >= n for g in groups for j in g) else 0
+    lo = gflinalg.span_images(field, [row[:n] + [0] * ins + row[n:]
+                                      for row in state_rows])
+    hi = gflinalg.span_images(field, [
+        row[:n] + e[:ins] + row[n:]
+        for row, e in zip(input_rows, gflinalg.identity(k))])
+    shift = (n + ins) * b
+    if field.p == 2:
         return len(lo), span_edges(q, lo, hi, groups, shift)
     # digit t of the next state is (wA)_t - (uB)_t, and a state keeps its
     # rows diff[t][wA_t]
-    diff = _digit_tables([[spec.sub(x, y) for y in range(q)]
-                          for x in range(q)], m)
+    diff = _digit_tables([[field.sub(x, y) for y in range(field.q)]
+                          for x in range(field.q)], m)
     digits = [_digits(v, shift, m, b) for v in hi]
 
     def nexts(images):
@@ -330,9 +333,10 @@ def fourier_matrix(spec):
     w a primitive p-th root of unity.
 
     F is the m-fold Kronecker power of the q x q table w^tr(ab), and
-    PolyMatrix.conjugate_by(table, spec.p) applies it one coordinate at
-    a time, so only the exponent table tr(ab) in range(p) is built; it
-    is the same for every m.
+    PolyMatrix.conjugate_by(table, spec.p) and section_dual's stages, a
+    quantum spec's over GF(2), apply it one coordinate at a time, so
+    only the exponent table tr(ab) in range(p) is built; it is the same
+    for every m.  quantum.F1 serves the quantum state grid only.
     """
     return [[spec.trace[spec.mul[a][b]] for b in range(spec.q)]
             for a in range(spec.q)]
@@ -361,29 +365,37 @@ def dual_ipwam(seed):
 
 def _dual_edge_matrix(seed, names, groups):
     """The MacWilliams transform of _edge_matrix(seed, names, groups),
-    through the q^(m+k) edges instead of the S x S state grid, once
-    _dual_charge has charged it.
+    section_dual charged by _dual_charge."""
+    spec, m = seed.spec, seed.m
+    _dual_charge(seed)
+    return PolyMatrix.from_nonzero_rows(state_labels(spec, m), section_dual(
+        spec, spec.q, seed.t_matrix[:m], seed.t_matrix[m:], seed.n, names,
+        groups))
+
+
+def section_dual(field, q, state_rows, input_rows, n, names, groups):
+    """The rows of the MacWilliams transform of the section_edges matrix
+    over `names`, through the edges instead of the S x S state grid,
+    charged by the caller.
 
     Cell (a, b) of F Lam~ F^dagger sums g(w, u) w^tr(w.a - (wA + uB).b)
     over the edges (w, u), g(w, u) the weight substitution's image of
     the edge's monomial, so it is G^(a - b A^T, -b B^T): G^ is the
-    character transform of g over F^(m+k).  In the input basis of the
-    rref of (E : B) on B, u = (u1, u2) with u B = u1 B1, u1 of r = rank B
-    coordinates, so G^ sums g over u2 on the q^(m+r) points (w, u1).
-    The edges are the XORs of the output images wC and uE, each the edge
+    character transform of g over the field's m + k coordinates.  In
+    the input basis of the rref of (E : B) on B, u = (u1, u2) with
+    u B = u1 B1, u1 of r = rank B coordinates, so G^ sums g over u2 on
+    the points (w, u1), one fourier_matrix stage a coordinate.  The
+    edges are the XORs of the output images wC and uE, each the edge
     (w, -u), so their transform at (alpha, beta) is G^(alpha, -beta),
     and cell (alpha + b A^T, b) reads point (alpha, b B1^T).
     """
-    spec, n, m = seed.spec, seed.n, seed.m
-    q, b = spec.q, gflinalg.field_bits(spec.q)
-    _dual_charge(seed)
-    inputs, pivots = gflinalg.rref(spec, seed.t_matrix[m:], n)
+    m, b = len(state_rows), gflinalg.field_bits(field.q)
+    inputs, pivots = gflinalg.rref(field, input_rows, n)
     r = len(pivots)
     # (b A^T : b B1^T) of every state b, packed
-    images = gflinalg.span_images(spec, [
-        [row[n + t] for row in seed.t_matrix[:m] + inputs[:r]]
-        for t in range(m)])
-    if spec.p == 2:
+    images = gflinalg.span_images(field, [
+        [row[n + t] for row in state_rows + inputs[:r]] for t in range(m)])
+    if field.p == 2:
         # in characteristic 2 a packed vector is its own index; XOR adds
         cut, low = m * b, (1 << m * b) - 1
         columns = [(v & low, v >> cut) for v in images]
@@ -391,20 +403,20 @@ def _dual_edge_matrix(seed, names, groups):
     else:
         # digit t of a row is alpha_t + (b A^T)_t: a state keeps its rows
         # plus[t][(b A^T)_t]
-        plus, vecs = _digit_tables(spec.add, m), state_vectors(spec, m)
-        places = [q ** t for t in range(r)]
+        plus, vecs = _digit_tables(field.add, m), state_vectors(field, m)
+        places = [field.q ** t for t in range(r)]
         columns = [(list(map(getitem, plus, d[:m])),
                     sum(map(mul, d[m:], places)))
                    for d in (_digits(v, 0, m + r, b) for v in images)]
 
         def place(alpha, sums):
             return sum(map(getitem, sums, vecs[alpha]))
-    lo = gflinalg.span_images(spec, [row[:n] for row in seed.t_matrix[:m]])
-    hi = gflinalg.span_images(spec, [row[:n] for row in inputs])
-    f = fourier_matrix(spec)
-    return PolyMatrix.from_nonzero_rows(state_labels(spec, m), edge_dual_rows(
-        lo, hi, q ** r, names, groups, q, spec.p,
-        [(f, q ** t) for t in range(m + r)], columns, place))
+    lo = gflinalg.span_images(field, [row[:n] for row in state_rows])
+    hi = gflinalg.span_images(field, [row[:n] for row in inputs])
+    f = fourier_matrix(field)
+    return edge_dual_rows(lo, hi, field.q ** r, names, groups, q, field.p,
+                          [(f, field.q ** t) for t in range(m + r)],
+                          columns, place)
 
 
 def _dual_charge(seed):
@@ -559,7 +571,9 @@ def seed_series(seed, d_max, free=False):
     code of the one group range(n) is the weight), with no cell built
     (free: less one count of the weight-0 loop at state 0)."""
     heaviest, w = series_charge(seed, d_max, free)
-    states, edges = _edges(seed, [range(seed.n)])
+    spec, m = seed.spec, seed.m
+    states, edges = section_edges(spec, spec.q, seed.t_matrix[:m],
+                                  seed.t_matrix[m:], seed.n, [range(seed.n)])
     counts = Counter(edges)
     if free:
         counts[0, 0, 0] -= 1

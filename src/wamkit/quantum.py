@@ -11,27 +11,24 @@ memory word, the physical output weight, and the output memory word.
 The sum of all entries at x = y = 1 is therefore 4^m * 4^k * 2^a.
 """
 
+from .conv import section_dual, section_edges
 from .errors import ShapeError, check_budget
 from .fields import FieldSpec
-from .gflinalg import (cleared_response, impulse_response, pairing, rref,
+from .gflinalg import (cleared_response, impulse_response, pairing,
                        span_images)
 from .pauli import LETTERS, PauliWord, pauli_state_labels
-from .polymatrix import (PolyMatrix, edge_dual_rows, edge_rows, macwilliams,
-                         span_edges)
+from .polymatrix import PolyMatrix, edge_rows, macwilliams
 
 _GF2 = FieldSpec(2)
 
-# single-qubit transform kernel in the I, X, Y, Z basis, as the
-# exponents e of its signs (-1)^e
+# the state grid's single-qubit transform kernel in the I, X, Y, Z
+# basis, as the exponents e of its signs (-1)^e
 F1 = (
     (0, 0, 0, 0),
     (0, 0, 1, 1),
     (0, 1, 0, 1),
     (0, 1, 1, 0),
 )
-
-# the kernel of one input bit s: the sign (-1)^(s t)
-_F_BIT = ((0, 0), (0, 1))
 
 
 class EaqccSpec:
@@ -129,18 +126,15 @@ def _span_rows(spec):
 
 
 def quantum_wam(spec):
-    """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest: an
-    edge is a memory word's image XOR a logical (x) ancilla image."""
+    """WAM over the memory basis {I,X,Y,Z}^m, first qubit fastest: the
+    section_edges of the binary section _span_rows in 2-bit letters."""
     check_budget("quantum WAM", _edge_count(spec), 16 ** spec.m)
-    mem_images, la_images = (span_images(_GF2, rows)
-                             for rows in _span_rows(spec))
-    # the fields above the 2n bits of the physical qubits are the index
-    # of the edge's output memory word
-    physical, shift = [range(spec.n)], 2 * spec.n
+    physical = [range(spec.n)]
+    states, edges = section_edges(_GF2, 4, *_span_rows(spec), 2 * spec.n,
+                                  physical)
     return PolyMatrix.from_nonzero_rows(
-        pauli_state_labels(spec.m), edge_rows(
-            ("x", "y"), physical, len(mem_images), span_edges(
-                4, mem_images, la_images, physical, shift)))
+        pauli_state_labels(spec.m),
+        edge_rows(("x", "y"), physical, states, edges))
 
 
 def quantum_macwilliams(lam):
@@ -149,39 +143,29 @@ def quantum_macwilliams(lam):
 
 
 def dual_wam(spec):
-    """quantum_macwilliams(quantum_wam(spec)), from the 4^m 4^k 2^a edges.
+    """quantum_macwilliams(quantum_wam(spec)), from the 4^m 4^k 2^a edges:
+    the conv.section_dual of the binary section _span_rows with its
+    memory words in symplectic-partner order, state row i ^ 1 and
+    next-state bit t ^ 1.
 
-    Cell (alpha, beta) of F Lam~ F sums g(e) (-1)^(<alpha, M> + <beta, M'>)
-    over the edges e = (M, u) with output memory word M', u the logical
-    (x) ancilla input, g(e) the weight substitution's image of the
-    edge's monomial and < , > the symplectic form.  <beta, M'> is linear
-    in the edge: it sums <beta, o(g)> over the generators g that the
-    edge holds, o(g) the output memory word of g's image.  In the input
-    basis of the rref of the generators on their o(g), the first r
-    inputs have independent o(g) and the others o(g) = 0, so the cell is
-    G^(alpha + A* beta, S* beta): G^ is the character transform of g,
-    summed over the other inputs, over the memory letters (kernel F1)
-    and the r input bits (kernel _F_BIT), and bit i of S* beta is
-    <beta, o(g_i)>.  F1 pairs X^x Y^y with 2 s + t to x s + y t, so
-    letter t of A* beta is 2 <beta, o(X_t)> + <beta, o(Y_t)>.  beta is
-    spanned by X_t (row 2t) and Y_t (row 2t + 1), and <X_t, o> is bit
-    2t + 1 of o, <Y_t, o> bit 2t, so row j reads bit j ^ 1.
+    F1[i][j] is the Kronecker square of the GF(2) kernel (-1)^(s t) at
+    (i, j with its two bits swapped): X^a Y^b and X^c Y^d have symplectic
+    form a d + b c, which pairs each bit of one letter with the other bit
+    of the other.  The section dual applies the GF(2) kernel one bit at a
+    time, so on partner-ordered rows its stages are F1 on each letter.
     """
-    m, shift = spec.m, 2 * spec.n
-    check_budget("quantum WAM", _edge_count(spec), 16 ** m)
+    n2 = 2 * spec.n
+    check_budget("quantum WAM", _edge_count(spec), 16 ** spec.m)
     mem_rows, la_rows = _span_rows(spec)
-    la_rows, pivots = rref(_GF2, la_rows, shift)
-    r = len(pivots)
-    # o(g) of the r state-moving inputs, then of each memory (Y_t, X_t)
-    outs = ([row[shift:] for row in la_rows[:r]]
-            + [mem_rows[i ^ 1][shift:] for i in range(2 * m)])
-    columns = [(v >> r, v & (1 << r) - 1) for v in span_images(
-        _GF2, [[o[j ^ 1] for o in outs] for j in range(2 * m)])]
-    stages = ([(F1, 4 ** t) for t in range(m)]
-              + [(_F_BIT, 4 ** m * 2 ** t) for t in range(r)])
-    return PolyMatrix.from_nonzero_rows(pauli_state_labels(m), edge_dual_rows(
-        span_images(_GF2, mem_rows), span_images(_GF2, la_rows), 2 ** r,
-        ("x", "y"), [range(spec.n)], 4, 2, stages, columns, int.__xor__))
+
+    def partner(row):
+        return row[:n2] + [row[n2 + (t ^ 1)] for t in range(2 * spec.m)]
+
+    return PolyMatrix.from_nonzero_rows(
+        pauli_state_labels(spec.m), section_dual(
+            _GF2, 4, [partner(mem_rows[i ^ 1]) for i in range(2 * spec.m)],
+            [partner(row) for row in la_rows], n2, ("x", "y"),
+            [range(spec.n)]))
 
 
 # --- polynomial check matrices ---

@@ -428,7 +428,8 @@ def test_quantum_dual_wam_never_runs_the_state_pass(tmp_path, monkeypatch,
 
 def _no_grid_seeds(spec, rng):
     """Seeds of every shape that once kept the S^2 grid: k > m, k = m,
-    k = n, m = 0, k = m = 0 and B = 0, the systematic ones marked."""
+    k = n, m = 0, k = m = 0 and B = 0, the systematic ones marked, and
+    a section without input rows, k = 0 < m."""
     b_zero = random_systematic_conv_seed(rng, spec, 3, 1, 1)
     return [(random_conv_seed(rng, spec, 3, 2, 1), False),
             (random_systematic_conv_seed(rng, spec, 3, 2, 2), True),
@@ -436,7 +437,8 @@ def _no_grid_seeds(spec, rng):
             (random_systematic_conv_seed(rng, spec, 3, 1, 0), True),
             (ConvSeed(spec, 2, 0, 0, []), False),
             (SystematicConvSeed(spec, 3, 1, 1, [
-                b_zero.t_matrix[0], b_zero.t_matrix[1][:3] + [0]]), True)]
+                b_zero.t_matrix[0], b_zero.t_matrix[1][:3] + [0]]), True),
+            (random_conv_seed(rng, spec, 2, 0, 2), False)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
@@ -463,6 +465,13 @@ def test_no_seed_dual_reaches_the_state_grid(tmp_path, monkeypatch, capsys,
         path = tmp_path / ("q%d%d%d%d.qcc" % (n, k, c, m))
         path.write_text(render_quantum_spec(spec))
         argvs.append(["--format", fmt, "quantum", "dual-wam", str(path)])
+    # a seed that fails check-seed: no dual spec has its dual WAM, but the
+    # grid's transform does
+    path = tmp_path / "not-clifford.qcc"
+    path.write_text("n 2\nk 1\nc 0\nm 1\nIM: 1\nIL: 2\nIA: 3\nIE:\n"
+                    "IMout: 2\nIP: 1 3\nZ1 -> ZXI\nZ2 -> IZY\nZ3 -> XIZ\n"
+                    "X1 -> YIX\nX2 -> XXI\nX3 -> IYY\n")
+    argvs.append(["--format", fmt, "quantum", "dual-wam", str(path)])
     with monkeypatch.context() as patch:
         patch.setattr(conv, "dual_wam", lambda seed: conv.macwilliams_wam(
             conv.wam(seed), seed.spec))

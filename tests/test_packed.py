@@ -220,6 +220,8 @@ def test_oversized_state_diagram_fails_before_any_table(monkeypatch):
         state_diagram_edges(spec)
     with pytest.raises(BudgetError):
         quantum_wam(spec)
+    with pytest.raises(BudgetError):
+        quantum.dual_wam(spec)
 
 
 def test_binary_32_20_hwgf_time():

@@ -4,7 +4,9 @@ import pytest
 
 from conftest import (matrix_of, pauli_state_words, random_clifford_seed,
                       random_eaqcc_spec, seeded_rng, state_index)
+from wamkit.conv import fourier_matrix
 from wamkit.errors import ShapeError
+from wamkit.fields import FieldSpec
 from wamkit.pauli import (CliffordSeed, PauliWord, pauli_state_labels,
                           symplectic_product)
 from wamkit.poly import WeightPoly
@@ -163,6 +165,20 @@ def test_fourier_kernel_squares_to_4i():
         for j in range(4):
             val = sum((-1) ** (F1[i][t] + F1[t][j]) for t in range(4))
             assert val == (4 if i == j else 0)
+
+
+def test_fourier_kernel_is_the_bit_kernel_squared_with_one_side_swapped():
+    # the fact quantum.dual_wam's partner order rests on: F1 pairs the X
+    # bit of one letter with the Y bit of the other
+    bit = fourier_matrix(FieldSpec(2))
+
+    def swap(j):
+        return (j & 1) << 1 | j >> 1
+
+    for i in range(4):
+        for j in range(4):
+            square = bit[i & 1][swap(j) & 1] + bit[i >> 1][swap(j) >> 1]
+            assert F1[i][j] == square % 2
 
 
 # --- spec plumbing ---

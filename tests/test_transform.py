@@ -747,11 +747,12 @@ def test_binary_m11_dual_wam_runs_on_the_edges():
 @pytest.mark.parametrize("n, k, c, m", [
     (1, 0, 0, 1), (2, 0, 1, 2), (2, 1, 0, 2), (2, 1, 1, 2), (3, 1, 1, 3),
     (3, 2, 1, 3), (2, 1, 1, 1), (3, 1, 0, 2), (4, 2, 0, 3), (3, 2, 0, 2),
-    (3, 0, 0, 1), (2, 1, 0, 0)])
+    (3, 0, 0, 1), (2, 1, 0, 0), (2, 0, 2, 2)])
 def test_quantum_dual_wam_matches_the_grid_and_the_dual_spec(
         monkeypatch, n, k, c, m):
     # k = 0, c = 0 and a = 0 for m = 1..3, the ties 4^k 2^a = 4^m, more
-    # edges than cells and m = 0: all on the folded edges, none on the grid
+    # edges than cells, m = 0 and k = 0 with c = n, a section without
+    # input rows: all on the folded edges, none on the grid
     spec = random_eaqcc_spec(seeded_rng("quantum-dual-%d%d%d%d"
                                         % (n, k, c, m)), n, k, c, m)
     want = quantum_macwilliams(quantum_wam(spec))
