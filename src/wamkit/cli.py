@@ -124,7 +124,7 @@ def _check_dual(seed, args):
 
 
 def _check_seed(spec, args):
-    ok, diags = spec.validate_clifford()
+    ok, diags = spec.seed.validate()
     for diag in diags:
         print("FAIL %s" % diag)
     print("clifford: %s" % ("PASS" if ok else "FAIL"))
@@ -266,7 +266,7 @@ def _verify_conv(seed, dmax):
 
 def _verify_quantum(spec):
     lines, all_ok = [], True
-    ok, diags = spec.validate_clifford()
+    ok, diags = spec.seed.validate()
     all_ok &= _check("clifford seed symplectic relations", ok, lines, diags)
     lam = quantum.quantum_wam(spec)
     dual = quantum.dual_spec(spec)

@@ -17,7 +17,7 @@ from collections import Counter
 from operator import getitem, mul
 
 from . import errors, gflinalg
-from .errors import AlgebraError, ShapeError, check_budget
+from .errors import ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
 from .polymatrix import (PolyMatrix, code_exponents, counted_series,
                          dual_key_bytes, edge_dual_rows, edge_rows,
@@ -100,14 +100,6 @@ class SystematicConvSeed(ConvSeed):
         if not gflinalg.is_identity_on(self.e_block, self.info_cols):
             raise ShapeError("E is not the identity on the information "
                              "columns")
-
-    @property
-    def c0_block(self):
-        return [[row[j] for j in self.parity_cols] for row in self.c_block]
-
-    @property
-    def e0_block(self):
-        return [[row[j] for j in self.parity_cols] for row in self.e_block]
 
 
 def _edge_matrix(seed, names, groups):
@@ -480,68 +472,6 @@ def _span_weights(spec, rows, n):
     Hamming weight."""
     return gflinalg.weight_codes(spec.q, gflinalg.span_images(spec, rows),
                                  [0], [range(n)])
-
-
-def iowam_from_systematic(seed, f_matrix):
-    """IOWAM of the nonsystematic encoder G~ assembled from a systematic
-    seed by feedback matrix F (m x k) and L = I_k.
-
-    Entry (w, w') is the product of the systematic seed's input
-    enumerator at (w, w' - w F B0) and its output enumerator at (w, w').
-    The assembled encoder must have monomial IOWAM entries; a
-    two-or-more-term entry is reported as an error.
-    """
-    if not isinstance(seed, SystematicConvSeed) or seed.info_last:
-        raise ShapeError("expected a standard-form systematic seed")
-    spec = seed.spec
-    m, k = seed.m, seed.k
-    if len(f_matrix) != m or any(len(r) != k for r in f_matrix):
-        raise ShapeError("feedback matrix must be m x k")
-    assembled = assemble_encoder(seed, f_matrix)
-    direct = iowam(assembled)
-    for row in direct.rows:
-        for e in row.values():
-            if len(e.terms) > 1:
-                raise AlgebraError(
-                    "assembled encoder has a non-monomial IOWAM entry; "
-                    "the factorization formula does not apply")
-    delta_s = iowam(seed)
-    input_part = delta_s.collapse({"x_O": 1, "y_O": 1})
-    lam_out = delta_s.collapse({"x_I": 1, "y_I": 1})
-    fb = gflinalg.mat_mul(spec, f_matrix, seed.b_block)
-    states = state_vectors(spec, m)
-    index = {v: i for i, v in enumerate(states)}
-    rows = []
-    for i, (w, row) in enumerate(zip(states, lam_out.rows)):
-        shift = gflinalg.vec_mat(spec, list(w), fb) if m else []
-        cells = {}
-        for j, e in row.items():
-            tgt = tuple(spec.sub(a, b) for a, b in zip(states[j], shift))
-            cells[j] = input_part[i, index[tgt]] * e
-        rows.append(cells)
-    out = PolyMatrix(state_labels(spec, m), rows)
-    if out != direct:
-        raise AlgebraError("factorized IOWAM disagrees with the direct "
-                           "enumeration; the encoder violates the "
-                           "factorization's hypotheses")
-    return out
-
-
-def assemble_encoder(seed, f_matrix):
-    """Nonsystematic seed (I_m | F C0+F E0 | A0+F B0; 0 | I_k E0 | B0)."""
-    spec = seed.spec
-    m, k, n = seed.m, seed.k, seed.n
-    c0, e0 = seed.c0_block, seed.e0_block
-    fe0 = gflinalg.mat_mul(spec, f_matrix, e0)
-    fb0 = gflinalg.mat_mul(spec, f_matrix, seed.b_block)
-    c_new = [list(fr) + [spec.add[x][y] for x, y in zip(cr, fer)]
-             for fr, cr, fer in zip(f_matrix, c0, fe0)]
-    a_new = gflinalg.mat_add(spec, seed.a_block, fb0)
-    ident = gflinalg.identity(k)
-    e_new = [list(ir) + list(er) for ir, er in zip(ident, e0)]
-    t_rows = ([cr + ar for cr, ar in zip(c_new, a_new)]
-              + [er + br for er, br in zip(e_new, seed.b_block)])
-    return ConvSeed(spec, n, k, m, t_rows)
 
 
 # --- series enumerators ---

@@ -258,10 +258,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def vec_mat(spec, v, a):
-    return mat_mul(spec, [list(v)], a)[0]
-
-
 def rref(spec, a, first=0):
     """Reduced row echelon form on the columns from `first` on, the rows
     with no pivot last and zero there; returns (matrix, pivot columns)."""

@@ -66,35 +66,12 @@ class EaqccSpec:
                 or set(self.i_mout) | set(self.i_p) != full:
             raise ShapeError("output roles do not partition the qubits")
 
-    def validate_clifford(self):
-        return self.seed.validate()
-
 
 def dual_spec(spec):
     """Dual code: logical and entangled roles trade places."""
     return EaqccSpec(spec.seed, spec.n, spec.c, spec.k, spec.m,
                      spec.i_m, spec.i_e, spec.i_a, spec.i_l,
                      spec.i_mout, spec.i_p)
-
-
-def constraint_stabilizers(spec):
-    """Generators of the constraint code's stabilizer group, as words on
-    m + n + m qubits ordered (memory in : physical : memory out).
-
-    Memory and entangled inputs contribute a Z-type and an X-type
-    generator each; ancilla inputs contribute the Z-type one only.  The
-    (physical : memory out) part of each is its row of
-    binary_symplectic_matrix.
-    """
-    rows = binary_symplectic_matrix(spec)
-    anc = 2 * (spec.m + spec.k)
-    ent = anc + 2 * spec.a
-    heads = ([PauliWord.single(spec.m, t, kind)
-              for t in range(spec.m) for kind in "ZX"]
-             + [PauliWord.identity(spec.m)] * (2 * spec.c + spec.a))
-    return [PauliWord(head.pairs + tuple(zip(row[::2], row[1::2])))
-            for head, row in zip(heads, rows[:2 * spec.m] + rows[ent:]
-                                 + rows[anc:ent:2])]
 
 
 def _edge_count(spec):

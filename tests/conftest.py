@@ -8,14 +8,15 @@ import pytest
 
 from wamkit import gflinalg
 from wamkit.block import LinearCode, SystematicCode
-from wamkit.conv import ConvSeed, SystematicConvSeed, state_vectors
+from wamkit.conv import (ConvSeed, SystematicConvSeed, iowam, state_labels,
+                         state_vectors)
 from wamkit.fields import FieldSpec
 from wamkit.formats import (parse_block_code, parse_conv_seed,
                             parse_quantum_spec)
 from wamkit.pauli import CliffordSeed, PauliWord, symplectic_product
 from wamkit.poly import VARS, WeightPoly
 from wamkit.polymatrix import PolyMatrix
-from wamkit.quantum import EaqccSpec
+from wamkit.quantum import EaqccSpec, binary_symplectic_matrix
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -106,6 +107,11 @@ def matrix_of(labels, rows):
 
 # --- dense matrix algebra for oracles, apart from the sparse code ---
 
+def vec_mat(spec, v, a):
+    """The row vector v times the matrix a over GF(q)."""
+    return gflinalg.mat_mul(spec, [list(v)], a)[0]
+
+
 def identity_matrix(labels):
     return PolyMatrix(labels, [{i: WeightPoly.const(1)}
                                for i in range(len(labels))])
@@ -156,7 +162,7 @@ def enumerate_codewords(code):
         yield [0] * code.n
         return
     for msg in gflinalg.digit_vectors(code.spec.q, code.k):
-        yield gflinalg.vec_mat(code.spec, msg, code.generator)
+        yield vec_mat(code.spec, msg, code.generator)
 
 
 # --- the per-word weight count that gflinalg.weight_codes replaced, kept
@@ -292,10 +298,56 @@ def direct_conv_edges(seed):
     edges = []
     for w in states:
         for u in state_vectors(spec, seed.k):
-            word = gflinalg.vec_mat(spec, list(w) + list(u), seed.t_matrix)
+            word = vec_mat(spec, list(w) + list(u), seed.t_matrix)
             edges.append((index[w], index[tuple(word[seed.n:])], u,
                           word[:seed.n]))
     return edges
+
+
+# --- the IOWAM of a systematic seed assembled with feedback ---
+
+def assemble_encoder(seed, f_matrix):
+    """The nonsystematic seed (I_m | F | C0 + F E0 | A + F B; 0 | I_k |
+    E0 | B) that a standard-form systematic seed, (C; E) = (0 C0; I_k E0),
+    gives with the m x k feedback matrix F and L = I_k.  ConvSeed raises
+    ShapeError when its constraint code is rank deficient."""
+    assert isinstance(seed, SystematicConvSeed) and not seed.info_last
+    spec, k = seed.spec, seed.k
+    assert len(f_matrix) == seed.m and all(len(r) == k for r in f_matrix)
+    c0, e0 = ([[row[j] for j in seed.parity_cols] for row in block]
+              for block in (seed.c_block, seed.e_block))
+    fe0 = gflinalg.mat_mul(spec, f_matrix, e0)
+    fb = gflinalg.mat_mul(spec, f_matrix, seed.b_block)
+    c_new = [list(fr) + [spec.add[x][y] for x, y in zip(cr, fer)]
+             for fr, cr, fer in zip(f_matrix, c0, fe0)]
+    a_new = gflinalg.mat_add(spec, seed.a_block, fb)
+    e_new = [list(ir) + list(er) for ir, er in zip(gflinalg.identity(k), e0)]
+    return ConvSeed(spec, seed.n, k, seed.m,
+                    [cr + ar for cr, ar in zip(c_new, a_new)]
+                    + [er + br for er, br in zip(e_new, seed.b_block)])
+
+
+def factorized_iowam(seed, f_matrix):
+    """The IOWAM of assemble_encoder(seed, f_matrix) by factorization:
+    entry (w, w') is the systematic seed's input enumerator at
+    (w, w' - w F B) times its output enumerator at (w, w').  It holds
+    when every entry of the assembled encoder's IOWAM is a monomial."""
+    spec, m = seed.spec, seed.m
+    delta_s = iowam(seed)
+    input_part = delta_s.collapse({"x_O": 1, "y_O": 1})
+    lam_out = delta_s.collapse({"x_I": 1, "y_I": 1})
+    fb = gflinalg.mat_mul(spec, f_matrix, seed.b_block)
+    states = state_vectors(spec, m)
+    index = {v: i for i, v in enumerate(states)}
+    rows = []
+    for i, (w, row) in enumerate(zip(states, lam_out.rows)):
+        shift = vec_mat(spec, w, fb) if m else []
+        cells = {}
+        for j, e in row.items():
+            tgt = tuple(spec.sub(a, b) for a, b in zip(states[j], shift))
+            cells[j] = input_part[i, index[tgt]] * e
+        rows.append(cells)
+    return PolyMatrix(state_labels(spec, m), rows)
 
 
 # (z, x) bits of I, X, Y, Z, the state letters in canonical order
@@ -318,6 +370,26 @@ def state_index(word):
 def restrict(word, positions):
     """The Pauli word on the qubits `positions` of `word`, in that order."""
     return PauliWord(word.pairs[i] for i in positions)
+
+
+def constraint_stabilizers(spec):
+    """Generators of the constraint code's stabilizer group, as words on
+    m + n + m qubits ordered (memory in : physical : memory out).
+
+    Memory and entangled inputs contribute a Z-type and an X-type
+    generator each; ancilla inputs contribute the Z-type one only.  The
+    (physical : memory out) part of each is its row of
+    binary_symplectic_matrix.
+    """
+    rows = binary_symplectic_matrix(spec)
+    anc = 2 * (spec.m + spec.k)
+    ent = anc + 2 * spec.a
+    heads = ([PauliWord.single(spec.m, t, kind)
+              for t in range(spec.m) for kind in "ZX"]
+             + [PauliWord.identity(spec.m)] * (2 * spec.c + spec.a))
+    return [PauliWord(head.pairs + tuple(zip(row[::2], row[1::2])))
+            for head, row in zip(heads, rows[:2 * spec.m] + rows[ent:]
+                                 + rows[anc:ent:2])]
 
 
 def direct_quantum_edges(spec):
@@ -377,8 +449,6 @@ def dual_constraint_words(seed):
 def brute_force_dual_wam(seed):
     """Dual WAM by direct enumeration, independent of the transform and
     of any dual seed in block shape."""
-    from wamkit.conv import state_labels
-
     spec = seed.spec
     m, n = seed.m, seed.n
     states = state_vectors(spec, m)
@@ -400,8 +470,6 @@ def constraint_dual_wam(seed, pairs=(("x", "y"),), groups=None):
     a = b A^T - v C^T.  With (x, y) `pairs` and coordinate `groups` the
     weight of v on groups[t] is counted by the mirror pair pairs[-1 - t],
     as the MacWilliams transform trades the input and parity roles."""
-    from wamkit.conv import state_labels
-
     spec, n, m = seed.spec, seed.n, seed.m
     groups = groups or [range(n)]
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import (field, fixture_path, random_conv_seed,
                       random_eaqcc_spec, random_systematic_conv_seed,
                       read_fixture, seeded_rng, shift_register_text)
-from wamkit import block, conv, gflinalg, quantum
+from wamkit import block, conv, gflinalg, pauli, quantum
 from wamkit.cli import _CONV, main
 from wamkit.conv import ConvSeed, SystematicConvSeed, ipwam, wam
 from wamkit.errors import AlgebraError
@@ -704,7 +704,7 @@ def test_verify_all_prints_quantum_diagnostics(monkeypatch, capsys):
              "L row 2 vs S^E row 1: nonzero pairing at offsets [1]"]
     monkeypatch.setattr(quantum, "check_poly_orthogonality",
                         lambda spec: (False, diags))
-    monkeypatch.setattr(quantum.EaqccSpec, "validate_clifford",
+    monkeypatch.setattr(pauli.CliffordSeed, "validate",
                         lambda self: (False, ["Z1 and X1 commute"]))
     code, out, _ = run_cli(capsys, "verify", "all", fixture_path("u1.qcc"))
     assert code == 1

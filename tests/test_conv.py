@@ -4,16 +4,16 @@ import tracemalloc
 
 import pytest
 
-from conftest import (brute_force_dual_wam, field, matrix_of, poly_of,
+from conftest import (assemble_encoder, brute_force_dual_wam,
+                      factorized_iowam, field, matrix_of, poly_of,
                       random_conv_seed, random_systematic_conv_seed,
                       seeded_rng, shift_register_text)
 from wamkit.block import LinearCode, SystematicCode, ipwgf
-from wamkit.conv import (ConvSeed, SystematicConvSeed, assemble_encoder,
-                         dual_seed, dual_systematic_seed, dual_total_wgf,
-                         free_distance, free_wgf, iowam, iowam_from_systematic,
-                         ipwam, macwilliams_ipwam, macwilliams_wam,
-                         orthogonality_check, poly_generator, state_labels,
-                         state_vectors, total_wgf, wam)
+from wamkit.conv import (ConvSeed, SystematicConvSeed, dual_seed,
+                         dual_systematic_seed, dual_total_wgf, free_distance,
+                         free_wgf, iowam, ipwam, macwilliams_ipwam,
+                         macwilliams_wam, orthogonality_check, poly_generator,
+                         state_labels, state_vectors, total_wgf, wam)
 from wamkit.errors import ShapeError
 from wamkit.formats import parse_conv_seed
 from wamkit.poly import WeightPoly
@@ -95,10 +95,42 @@ def test_nonsys_iowam(example1_nonsys):
     assert got == matrix_of(STATES4, IOWAM_NONSYS_Y)
 
 
+def _monomial_cells(matrix):
+    return all(len(e.terms) == 1 for row in matrix.rows for e in row.values())
+
+
 def test_iowam_factorization(example1, example1_nonsys):
     f = [[0], [1]]
     assert assemble_encoder(example1, f).t_matrix == example1_nonsys.t_matrix
-    assert iowam_from_systematic(example1, f) == iowam(example1_nonsys)
+    assert _monomial_cells(iowam(example1_nonsys))
+    assert factorized_iowam(example1, f) == iowam(example1_nonsys)
+
+
+def test_iowam_factorization_on_random_systematic_seeds():
+    # the factorization holds when the assembled encoder is a seed and
+    # every cell of its IOWAM is one monomial; draws outside that are
+    # counted and skipped, and every field must still check 10 of them
+    rng = seeded_rng("iowam factorization")
+    shapes = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (4, 2, 2), (3, 1, 2)]
+    for spec in (field(2), field(3), field(2, 2), field(5)):
+        checked = outside = 0
+        for n, k, m in shapes:
+            for _ in range(8):
+                seed = random_systematic_conv_seed(rng, spec, n, k, m)
+                f = [[rng.randrange(spec.q) for _ in range(k)]
+                     for _ in range(m)]
+                try:
+                    direct = iowam(assemble_encoder(seed, f))
+                except ShapeError:
+                    outside += 1
+                    continue
+                if not _monomial_cells(direct):
+                    outside += 1
+                    continue
+                assert factorized_iowam(seed, f) == direct, \
+                    (seed.t_matrix, f)
+                checked += 1
+        assert checked >= 10, (spec.q, checked, outside)
 
 
 def test_iowam_of_systematic_refines_ipwam(example1):

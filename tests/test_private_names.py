@@ -2,7 +2,8 @@
 it beyond its own definition, and so is every public function and
 method that the package neither exports nor documents as an entry
 point, so dead helpers and constants are found as soon as their last
-caller goes, and test-only helpers live with the tests."""
+caller goes, and test-only helpers live with the tests.  Every export
+has a caller in the package or is named in README.md."""
 
 import ast
 import os
@@ -107,6 +108,12 @@ def _public_definitions(source):
     return out
 
 
+def _exports(sources):
+    """The names that __init__.py imports, the package's exports."""
+    return {alias.name for node in ast.walk(ast.parse(sources["__init__.py"]))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_every_public_function_and_method_is_used_or_exported():
     sources = _sources()
     # every name the package reads, as a bare name or an attribute
@@ -114,12 +121,31 @@ def test_every_public_function_and_method_is_used_or_exported():
             for source in sources.values()
             for node in ast.walk(ast.parse(source))
             if isinstance(node, (ast.Name, ast.Attribute))}
-    exported = {alias.name for node in ast.walk(ast.parse(
-        sources["__init__.py"])) if isinstance(node, ast.ImportFrom)
-        for alias in node.names}
+    exported = _exports(sources)
     unused = ["%s.%s" % (module[:-3], name)
               for module, source in sources.items()
               for name in _public_definitions(source)
               if name.rsplit(".", 1)[-1] not in used
               and name not in exported]
     assert sorted(unused) == sorted(ENTRY_POINTS)
+
+
+def test_every_export_has_a_caller_or_a_documented_use():
+    # an export is read by some module other than __init__.py outside the
+    # statement that defines it, or README.md names it
+    sources = _sources()
+    read = set()
+    for module, source in sources.items():
+        if module == "__init__.py":
+            continue
+        for statement in ast.parse(source).body:
+            read |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(statement)
+                     if isinstance(node, (ast.Name, ast.Attribute))
+                     } - {getattr(statement, "name", None)}
+    with open(os.path.join(SRC, os.pardir, os.pardir, "README.md"),
+              encoding="utf-8") as handle:
+        readme = handle.read()
+    unused = [name for name in sorted(_exports(sources) - read)
+              if not re.search(r"\b%s\b" % name, readme)]
+    assert unused == []

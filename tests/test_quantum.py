@@ -2,8 +2,9 @@
 
 import pytest
 
-from conftest import (matrix_of, pauli_state_words, random_clifford_seed,
-                      random_eaqcc_spec, seeded_rng, state_index)
+from conftest import (constraint_stabilizers, matrix_of, pauli_state_words,
+                      random_clifford_seed, random_eaqcc_spec, seeded_rng,
+                      state_index)
 from wamkit.conv import fourier_matrix
 from wamkit.errors import ShapeError
 from wamkit.fields import FieldSpec
@@ -12,10 +13,9 @@ from wamkit.pauli import (CliffordSeed, PauliWord, pauli_state_labels,
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import (F1, EaqccSpec, check_poly_orthogonality,
-                            constraint_stabilizers, dual_spec,
-                            poly_check_matrix, quantum_macwilliams,
-                            quantum_wam, state_diagram_dot,
-                            state_diagram_edges)
+                            dual_spec, poly_check_matrix,
+                            quantum_macwilliams, quantum_wam,
+                            state_diagram_dot, state_diagram_edges)
 
 PAULI4 = ["I", "X", "Y", "Z"]
 
