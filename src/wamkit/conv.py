@@ -13,7 +13,6 @@ State labels enumerate GF(q)^m with the first coordinate varying
 fastest, written as strings of element indices.
 """
 
-from collections import Counter
 from operator import getitem, mul
 
 from . import errors, gflinalg
@@ -496,18 +495,13 @@ def series_charge(seed, d_max, free=False):
 
 def seed_series(seed, d_max, free=False):
     """(free_wgf if free else total_wgf)(wam(seed).collapse({"x": 1}),
-    d_max), charged by series_charge and read from the seed's edges,
-    counted by (source, next state, weight) in one Counter (the weight
-    code of the one group range(n) is the weight), with no cell built
-    (free: less one count of the weight-0 loop at state 0)."""
+    d_max), charged by series_charge, with no cell built, from the seed's
+    section_edges stream: the weight code of the one group is the weight."""
     heaviest, w = series_charge(seed, d_max, free)
     spec, m = seed.spec, seed.m
-    states, edges = section_edges(spec, spec.q, seed.t_matrix[:m],
-                                  seed.t_matrix[m:], seed.n, [range(seed.n)])
-    counts = Counter(edges)
-    if free:
-        counts[0, 0, 0] -= 1
-    return counted_series(states, counts, d_max, heaviest, w)
+    return counted_series(*section_edges(
+        spec, spec.q, seed.t_matrix[:m], seed.t_matrix[m:], seed.n,
+        [range(seed.n)]), spec.q ** seed.k, d_max, heaviest, w, free)
 
 
 def dual_total_wgf(lam, d_max, spec):

@@ -9,7 +9,9 @@ terms above D^d of any polynomial, and `truncated_mul(other, d)` is a
 product that never forms them.
 """
 
-from operator import add
+import re
+from math import prod
+from operator import add, mul
 
 from .errors import AlgebraError
 
@@ -115,15 +117,43 @@ class WeightPoly:
 
     def truncated_mul(self, other, d):
         """(self * other).truncated(d), without forming the terms above
-        D^d: about half the pairs of a product of two series to D^d."""
-        terms = {}
-        for ea, ca in self.terms.items():
-            room = d - ea[_D]
-            for eb, cb in other.terms.items():
-                if eb[_D] <= room:
-                    e = tuple(map(add, ea, eb))
-                    terms[e] = terms.get(e, 0) + ca * cb
-        return WeightPoly(terms)
+        D^d.  An operand's terms at D^t are one int, c x^e in w-byte field
+        sum_v e_v R_v, R_v the place value of v in the mixed radix of the
+        product's degrees in the other variables, and D^t of the product
+        sums the products of the ints at D^s and D^(t-s), read through a
+        bias.  Sparse operands, over four fields a term, multiply term pair
+        by term pair."""
+        da, db = ([max(col) for col in zip(*p.terms)] or [0] * _D
+                  for p in (self, other))
+        radix = [a + b + 1 for a, b in zip(da[:_D], db)]
+        places, slices = [prod(radix[:v]) for v in range(_D)], ({}, {})
+        for part, terms in zip(slices, (self.terms, other.terms)):
+            for e, c in terms.items():
+                if e[_D] <= d:
+                    part.setdefault(e[_D], []).append(
+                        (sum(map(mul, e, places)), c))
+        rows = [row for part in slices for row in part.values()]
+        if sum(max(row)[0] + 1 for row in rows) > 4 * sum(map(len, rows)):
+            terms = {}
+            for ea, ca in self.terms.items():
+                for eb, cb in other.terms.items():
+                    if ea[_D] + eb[_D] <= d:
+                        e = tuple(map(add, ea, eb))
+                        terms[e] = terms.get(e, 0) + ca * cb
+            return WeightPoly(terms)
+        sa, sb = ({t: sum(abs(c) for _, c in row) for t, row in part.items()}
+                  for part in slices)
+        pairs = [(s, u) for s in sa for u in sb if s + u <= d]
+        w = (max((sa[s] * sb[u] for s, u in pairs), default=0)
+             * len(sa)).bit_length() // 8 + 1
+        pa, pb = ({t: sum(c << 8 * w * f for f, c in row)
+                   for t, row in part.items()} for part in slices)
+        product = {}
+        for s, u in pairs:
+            product[s + u] = product.get(s + u, 0) + pa[s] * pb[u]
+        layout = [(v, places[v], r) for v, r in enumerate(radix) if r > 1]
+        return WeightPoly({e: c for t, x in product.items() for e, c in
+                           _field_terms(x, layout, w, True, t).items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -218,6 +248,42 @@ class WeightPoly:
 
     def __repr__(self):
         return "WeightPoly(%s)" % (self,)
+
+
+# --- packed fields ---
+
+_NONZERO = re.compile(rb"[^\x00]+")
+
+
+def _nonzero_fields(data, w):
+    """Ascending indices of the w-byte fields of `data` that hold a
+    nonzero byte."""
+    run = _NONZERO.search(data)
+    while run:
+        nxt = (run.end() - 1) // w + 1
+        yield from range(run.start() // w, nxt)
+        # the rest of the last field is skipped, not searched
+        run = _NONZERO.search(data, nxt * w)
+
+
+def _field_terms(x, layout, w, signed, t):
+    """{exponent tuple: value} of the nonzero w-byte fields of the int x,
+    field sum_v e_v R_v the term x^e D^t, `layout` one (slot, R_v, radix)
+    per variable; signed fields, under 2^(8w-1) in size, read via a bias."""
+    fields = prod(radix for _, _, radix in layout)
+    size, half = fields * w, 1 << 8 * w - 1 if signed else 0
+    bias = half and half * ((1 << 8 * size) - 1) // ((1 << 8 * w) - 1)
+    # each field's first byte ORs its bytes: nonzero fields make one run
+    fold, span = x + bias ^ bias, 1
+    while 2 * span <= w:
+        fold, span = fold | fold >> 8 * span, 2 * span
+    flags = (fold | fold >> 8 * (w - span)).to_bytes(size, "little")[::w]
+    data, exp, out = (x + bias).to_bytes(size, "little"), [0] * _D + [t], {}
+    for f in _nonzero_fields(flags, 1):
+        for slot, place, radix in layout:
+            exp[slot] = f // place % radix
+        out[tuple(exp)] = int.from_bytes(data[f * w:f * w + w], "little") - half
+    return out
 
 
 # --- the monomial map behind substitute and collapse ---

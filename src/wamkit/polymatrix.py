@@ -1,17 +1,17 @@
 """Square matrices of WeightPoly entries indexed by state labels."""
 
-import re
 from collections import Counter
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import prod
 from operator import add, or_
 
 from . import errors
 from .errors import AlgebraError, check_budget
 from .gflinalg import decode_code, weight_codes
-from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, factor_text,
-                   monomial_map, term_table, terms_text)
+from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, _field_terms,
+                   _nonzero_fields, factor_text, monomial_map, term_table,
+                   terms_text)
 
 
 class PolyMatrix:
@@ -210,7 +210,7 @@ def edge_rows(names, groups, states, edges):
     return rows
 
 
-# edges per run of edge_dual_rows, in whole powers of p inputs
+# about the edges per run of edge_dual_rows and per counted_series Counter
 _CHUNK = 1 << 12
 
 
@@ -399,20 +399,6 @@ def _kernel_stage(planes, exps, stride, size):
             planes[s] = part if a == 0 else planes[s] | part << a * bits
 
 
-_NONZERO = re.compile(rb"[^\x00]+")
-
-
-def _nonzero_fields(data, w):
-    """Ascending indices of the w-byte fields of `data` that hold a
-    nonzero byte."""
-    run = _NONZERO.search(data)
-    while run:
-        nxt = (run.end() - 1) // w + 1
-        yield from range(run.start() // w, nxt)
-        # the rest of the last field is skipped, not searched
-        run = _NONZERO.search(data, nxt * w)
-
-
 def macwilliams(enum, q, pairs, kernel=None):
     """MacWilliams transform of the weight enumerator or WAM of a code.
 
@@ -561,9 +547,8 @@ def series_width(states, degrees, rmax, d_max):
     of `states` states, variable degrees `degrees` and largest row sum
     of |c| rmax, once its states * fields * w bytes are charged to the
     budget: fields is the product of d_max deg + 1 over the degrees.
-    The planes only ever hold sums of |c| products, at most rmax^t in
-    all, so fields of ceil(bitlen(rmax^d_max) / 8) bytes never
-    overflow."""
+    A state's int holds sums of |c| products, at most rmax^t, so w =
+    ceil(bitlen(rmax^d_max) / 8) never overflows (_series adds a sign)."""
     if d_max < 0:  # truncation below D^0 drops the identity itself
         raise AlgebraError("no series is truncated below D^0")
     fields = prod(d_max * deg + 1 for deg in degrees)
@@ -577,18 +562,22 @@ def series_width(states, degrees, rmax, d_max):
     return w
 
 
-def counted_series(states, counts, d_max, degree, w):
-    """Entry (0, 0) of sum_{t <= d_max} N^t D^t, N the matrix in y alone
-    over range(states) whose cell (s, j) has the term c y^v for each
-    ((s, j, v), c) of the Counter `counts`, c >= 0, through
-    packed_series, with no cell of N built: degree is the largest v of
-    a nonzero c, and w the series_width of N, charged by the caller."""
-    edges = [[] for _ in range(states)]
-    for (s, j, v), c in counts.items():
-        if c:
-            edges[s].append((j, v, c))
+def counted_series(states, edges, inputs, d_max, degree, w, free=False):
+    """Entry (0, 0) of sum_{t <= d_max} N^t D^t by packed_series, no cell
+    of N built: N in y alone over range(states) has a term y^v in cell
+    (s, j) per (s, j, v) of the stream `edges`, less one weight-0 loop at
+    state 0 if free.  Each source has `inputs` edges in a row, so Counters
+    of whole sources merge its parallel edges."""
+    rows = [[] for _ in range(states)]
+    runs = iter(lambda: Counter(islice(edges, max(1, _CHUNK // inputs)
+                                       * inputs)), Counter())
+    for (s, j, v), c in chain.from_iterable(map(Counter.items, runs)):
+        rows[s].append((j, v * 8 * w, c))
+    if free:
+        rows[0] = [(j, f, c - (j == f == 0)) for j, f, c in rows[0]
+                   if (j, f, c) != (0, 0, 1)]
     layout = [(_VAR_INDEX["y"], 1, d_max * degree + 1)] if degree else []
-    return WeightPoly(packed_series(edges, 0, d_max, (0,), layout, w)[0][0])
+    return WeightPoly(packed_series(rows, 0, d_max, (0,), layout, w)[0][0])
 
 
 def _series(n, i, d_max, columns):
@@ -600,74 +589,55 @@ def _series(n, i, d_max, columns):
         raise AlgebraError("matrix is not of the form I - N*D")
     degrees = [max((exp[slot] for exp in exps), default=0)
                for slot in range(_D)]
-    w = series_width(n.size, degrees, max(
-        (sum(abs(c) for e in row.values() for c in e.terms.values())
-         for row in n.rows), default=0), d_max)
+    coeffs = [[c for e in row.values() for c in e.terms.values()]
+              for row in n.rows]
+    rmax = max((sum(map(abs, row)) for row in coeffs), default=0)
+    w = series_width(n.size, degrees, rmax, d_max)
+    # and room for a sign: at most a byte more, uncharged
+    if signed := any(c < 0 for row in coeffs for c in row):
+        w = (rmax ** d_max).bit_length() // 8 + 1
     layout, fields = [], 1
     for slot, deg in enumerate(degrees):
         if deg:
             layout.append((slot, fields, d_max * deg + 1))
             fields *= d_max * deg + 1
     return packed_series(
-        [[(j, sum(exp[slot] * place for slot, place, _ in layout), c)
+        [[(j, 8 * w * sum(exp[slot] * place for slot, place, _ in layout), c)
           for j, e in row.items() for exp, c in e.terms.items()]
-         for row in n.rows], i, d_max, columns, layout, w)
+         for row in n.rows], i, d_max, columns, layout, w, signed)
 
 
-def packed_series(edges, i, d_max, columns, layout, w):
+def packed_series(edges, i, d_max, columns, layout, w, signed=False):
     """Row i of sum_{t <= d_max} N^t D^t over `columns`, as {column:
     terms}, and whether row i of N^d_max is nonzero, N given by its
-    edges: edges[s] lists (j, field, c) for each term c x^e of cell
-    (s, j) of N.
+    edges: edges[s] lists (j, shift, c) per term c x^e of cell (s, j),
+    shift 8w times the field of e.
 
-    v_0 = <i|, v_(t+1) = v_t N, and each state's entry of v_t, a
-    polynomial in the variables of N, is two ints: the plus and the
-    minus plane of its coefficients.  The monomial with exponents e is
-    the little-endian w-byte field sum_v e_v R_v, R_v the place value
-    of v in the mixed radix of the degree bounds deg_v(v_t) <= d_max
-    deg_v(N), `layout` one (exponent slot, R_v, radix) per variable of
-    N, so a term c x^e moves a plane by its field, times |c| when
-    |c| != 1, and c < 0 swaps the planes.  w is series_width's.  Only
-    `columns` are decoded, each v_t as it comes: the value is
-    plus - minus on the nonzero fields of their XOR.
-    """
-    bits = 8 * w
-    size = prod(radix for _, _, radix in layout) * w
-    out, vec = {}, {i: (1, 0)}
+    v_0 = <i|, v_(t+1) = v_t N, and each state's entry of v_t is one int
+    in a list by state, x^e its little-endian w-byte field sum_v e_v R_v,
+    R_v the place value of v in the mixed radix of the bounds d_max
+    deg_v(N) + 1, `layout` one (exponent slot, R_v, radix) per variable.
+    A step adds each live state's int, shifted by each edge and times c
+    if c != 1, to the edge's next state.  Only `columns` are decoded,
+    through a per-field bias if N is `signed`."""
+    out, live, vec = {}, [i], [int(s == i) for s in range(len(edges))]
     for t in range(d_max + 1):
-        exp = [0] * _D + [t]
+        if t:
+            nxt = [0] * len(edges)
+            for s in live:
+                x = vec[s]
+                for j, shift, c in edges[s]:
+                    y = x << shift if c == 1 else (x << shift) * c
+                    nxt[j] = nxt[j] + y if nxt[j] else y  # 0 + y copies y
+            # a state that holds zero leaves no successor
+            vec, live = nxt, list(compress(range(len(nxt)), nxt))
+            if not live:
+                break
         for j in columns:
-            if j in vec:
-                plus, minus = vec[j]
-                lo, hi = plus.to_bytes(size, "little"), minus.to_bytes(
-                    size, "little")
-                terms = out.setdefault(j, {})
-                for x in _nonzero_fields((plus ^ minus).to_bytes(
-                        size, "little"), w):
-                    for slot, place, radix in layout:
-                        exp[slot] = x // place % radix
-                    at = x * w
-                    terms[tuple(exp)] = (
-                        int.from_bytes(lo[at:at + w], "little")
-                        - int.from_bytes(hi[at:at + w], "little"))
-        if t == d_max:
-            break
-        nxt = {}
-        for s, (plus, minus) in vec.items():
-            for j, field, c in edges[s]:
-                shift = field * bits
-                a, b = plus << shift, minus << shift
-                if c != 1:
-                    a, b = (a * c, b * c) if c > 0 else (b * -c, a * -c)
-                if j in nxt:
-                    a, b = a + nxt[j][0], b + nxt[j][1]
-                nxt[j] = a, b
-        # a state whose planes agree holds zero, and so do its successors
-        vec = {j: planes for j, planes in nxt.items()
-               if planes[0] != planes[1]}
-        if not vec:
-            break
-    return out, bool(vec)
+            if vec[j]:
+                out.setdefault(j, {}).update(
+                    _field_terms(vec[j], layout, w, signed, t))
+    return out, bool(live)
 
 
 def series_inverse(m, d_max):

@@ -2,21 +2,24 @@
 
 import time
 import tracemalloc
+from collections import Counter
+from itertools import product
+from operator import add
 
 import pytest
 
 from conftest import (field, identity_matrix, matrix_of, matrix_product,
-                      matrix_sum, random_conv_seed,
-                      random_systematic_conv_seed, seeded_rng,
+                      matrix_sum, poly_of, random_conv_seed,
+                      random_systematic_conv_seed, read_fixture, seeded_rng,
                       shift_register_text)
-from wamkit import errors, polymatrix
+from wamkit import errors, poly, polymatrix
 from wamkit.cli import _dual_lam_y, _lam_y, main
 from wamkit.conv import (ConvSeed, dual_series_bounds, dual_wam,
-                         free_distance, free_wgf, iowam, ipwam, seed_series,
-                         total_wgf, wam)
+                         free_distance, free_wgf, iowam, ipwam, section_edges,
+                         seed_series, series_charge, total_wgf, wam)
 from wamkit.errors import AlgebraError, BudgetError, ShapeError
-from wamkit.formats import render_conv_seed
-from wamkit.poly import WeightPoly
+from wamkit.formats import parse_conv_seed, render_conv_seed
+from wamkit.poly import _D, VARS, WeightPoly, _nonzero_fields
 from wamkit.polymatrix import PolyMatrix, series_entry, series_inverse
 
 D_MAX = 6
@@ -76,6 +79,19 @@ def _oracle_cases():
     yield pytest.param(matrix_sum(
         matrix_of(labels, [["y", "x", "x^2"], ["1", "0", "y"], zero]),
         matrix_of(labels, [["0", "2*y", "0"], zero, zero]), -1), id="sink")
+    # 255^t has exactly 8t bits, so every depth's largest sum fills its
+    # fields to the last bit: a sign needs one byte more
+    yield pytest.param(matrix_of(["0"], [["255*y"]]), id="byte-boundary")
+    yield pytest.param(matrix_of(["0"], [["255*y"]]) * -1,
+                       id="byte-boundary-negated")
+    yield pytest.param(matrix_sum(
+        matrix_of(["0", "1"], [["127*y", "128"], ["0", "0"]]),
+        matrix_of(["0", "1"], [["0", "0"], ["0", "255*y"]]), -1),
+        id="byte-boundary-mixed")
+    # every row of N^2 cancels to zero
+    yield pytest.param(matrix_sum(
+        matrix_of(["0", "1"], [["y", "y"], ["0", "0"]]),
+        matrix_of(["0", "1"], [["0", "0"], ["y", "y"]]), -1), id="cancels")
 
 
 @pytest.mark.parametrize("n", list(_oracle_cases()))
@@ -394,3 +410,269 @@ def test_dual_total_over_binary_15_5_12_is_refused_before_the_transform(
         "budget of 4194304\n")
     assert passes == []
     assert elapsed < 2.0, "refusing took %.2f s" % elapsed
+
+
+def test_a_row_that_cancels_closes_its_paths():
+    # N = (y y; -y -y): row 0 of N is nonzero, every row of N^2 is zero
+    n = matrix_sum(matrix_of(["0", "1"], [["y", "y"], ["0", "0"]]),
+                   matrix_of(["0", "1"], [["0", "0"], ["y", "y"]]), -1)
+    assert series_entry(n, 0, 1) == (poly_of("1 + y*D"), True)
+    for d in (2, 3, 10):
+        assert series_entry(n, 0, d) == (poly_of("1 + y*D"), False)
+
+
+@pytest.mark.parametrize("p, r, n, k, m", [(2, 1, 4, 3, 1), (3, 1, 3, 2, 1)])
+def test_parallel_edges_merge_per_source(monkeypatch, p, r, n, k, m):
+    # k > rank B: q^(k - rank B) inputs of a source share each next
+    # state, and those of equal weight are one edge with their count
+    spec = field(p, r)
+    rng = seeded_rng("parallel-edges-%d-%d" % (p, n))
+    lists, run = [], polymatrix.packed_series
+    monkeypatch.setattr(polymatrix, "packed_series",
+                        lambda edges, *args: lists.append(edges)
+                        or run(edges, *args))
+    for seed in (random_conv_seed(rng, spec, n, k, m),
+                 random_systematic_conv_seed(rng, spec, n, k, m)):
+        lam_y = wam(seed).collapse({"x": 1})
+        for d in (0, 1, 5):
+            assert seed_series(seed, d) == total_wgf(lam_y, d)
+            assert seed_series(seed, d, free=True) == free_wgf(lam_y, d)
+    for edges in lists:
+        assert max(c for row in edges for _, _, c in row) > 1
+        for row in edges:
+            assert len({(j, shift) for j, shift, _ in row}) == len(row)
+
+
+def test_series_actions_at_depth_zero(capsys, tmp_path):
+    # to D^0 every series is the identity's entry, 1, and paths from
+    # state 0 are still open
+    path = tmp_path / "seed.cc"
+    rng = seeded_rng("depth-zero")
+    for spec, (n, k, m) in ((field(2), (2, 1, 3)), (field(3), (3, 2, 1)),
+                            (field(2, 2), (2, 1, 0))):
+        path.write_text(render_conv_seed(random_conv_seed(rng, spec, n, k,
+                                                          m)))
+        for action in ("total", "free", "dual-total"):
+            assert main(["--dmax", "0", "conv", action, str(path)]) == 0
+            assert capsys.readouterr() == ("1\n", "")
+        assert main(["--dmax", "0", "conv", "dfree", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "d_free not determined: paths still open at depth 0")
+
+
+# --- the references that the one-int recursion and the streamed feeder
+# replaced, kept to time them against ---
+
+def _two_plane_series(edges, i, d_max, columns, layout, w):
+    """The two-plane loop: each state's entry of v_t as a (plus, minus)
+    pair of ints in a dict, edges[s] listing (j, field, c)."""
+    size = w
+    for _, _, radix in layout:
+        size *= radix
+    out, vec = {}, {i: (1, 0)}
+    for t in range(d_max + 1):
+        exp = [0] * _D + [t]
+        for j in columns:
+            if j in vec:
+                plus, minus = vec[j]
+                lo, hi = plus.to_bytes(size, "little"), minus.to_bytes(
+                    size, "little")
+                terms = out.setdefault(j, {})
+                for x in _nonzero_fields((plus ^ minus).to_bytes(
+                        size, "little"), w):
+                    for slot, place, radix in layout:
+                        exp[slot] = x // place % radix
+                    at = x * w
+                    terms[tuple(exp)] = (
+                        int.from_bytes(lo[at:at + w], "little")
+                        - int.from_bytes(hi[at:at + w], "little"))
+        if t == d_max:
+            break
+        nxt = {}
+        for s, (plus, minus) in vec.items():
+            for j, field_, c in edges[s]:
+                shift = field_ * 8 * w
+                a, b = plus << shift, minus << shift
+                if c != 1:
+                    a, b = (a * c, b * c) if c > 0 else (b * -c, a * -c)
+                if j in nxt:
+                    a, b = a + nxt[j][0], b + nxt[j][1]
+                nxt[j] = a, b
+        vec = {j: planes for j, planes in nxt.items()
+               if planes[0] != planes[1]}
+        if not vec:
+            break
+    return out, bool(vec)
+
+
+def _counted_edges(seed, d_max, free=False):
+    """(per-source (j, weight, c) lists, layout, w) from one Counter over
+    every (source, next state, weight) edge tuple of the seed."""
+    heaviest, w = series_charge(seed, d_max, free)
+    spec, m = seed.spec, seed.m
+    states, stream = section_edges(spec, spec.q, seed.t_matrix[:m],
+                                   seed.t_matrix[m:], seed.n,
+                                   [range(seed.n)])
+    counts = Counter(stream)
+    if free:
+        counts[0, 0, 0] -= 1
+    edges = [[] for _ in range(states)]
+    for (s, j, v), c in counts.items():
+        if c:
+            edges[s].append((j, v, c))
+    layout = [(1, 1, d_max * heaviest + 1)] if heaviest else []
+    return edges, layout, w
+
+
+def _counter_seed_series(seed, d_max, free=False):
+    """seed_series through the global Counter and the two-plane loop."""
+    edges, layout, w = _counted_edges(seed, d_max, free)
+    return WeightPoly(_two_plane_series(edges, 0, d_max, (0,), layout,
+                                        w)[0][0])
+
+
+def _best_of_5(jobs, reps=1):
+    """The outputs and, for each job, the least over 5 rounds of its time
+    summed over `reps` runs, the jobs' runs interleaved one by one, so a
+    slow spell of the host slows every side alike, after one untimed run
+    of each job to warm caches and the allocator."""
+    for job in jobs:
+        job()
+    best, out = [float("inf")] * len(jobs), [None] * len(jobs)
+    for _ in range(5):
+        total = [0.0] * len(jobs)
+        for _ in range(reps):
+            for at, job in enumerate(jobs):
+                start = time.perf_counter()
+                out[at] = job()
+                total[at] += time.perf_counter() - start
+        best = list(map(min, best, total))
+    return best, out
+
+
+@pytest.mark.parametrize("seed, d_max", [
+    pytest.param(parse_conv_seed(shift_register_text(8)), 20, id="gf2-m8"),
+    pytest.param(random_conv_seed(seeded_rng("one-int-gf3"), field(3), 2, 1,
+                                  4), 20, id="gf3-m4")])
+def test_one_int_recursion_takes_three_quarters_of_the_plane_pair(seed,
+                                                                  d_max):
+    for free in (False, True):
+        edges, layout, w = _counted_edges(seed, d_max, free)
+        shifted = [[(j, v * 8 * w, c) for j, v, c in row] for row in edges]
+        best, out = _best_of_5([
+            lambda: _two_plane_series(edges, 0, d_max, (0,), layout, w),
+            lambda: polymatrix.packed_series(shifted, 0, d_max, (0,),
+                                             layout, w)], reps=30)
+        assert out[1] == out[0]
+        assert best[1] <= 0.75 * best[0], best
+
+
+@pytest.mark.parametrize("n, k, m", [(16, 15, 0), (12, 11, 4)])
+def test_streamed_feeder_keeps_pace_with_the_global_counter(n, k, m):
+    # up to 2^15 parallel edges on a state: listed one by one they would
+    # cost the recursion about ten times the counting
+    seed = random_conv_seed(seeded_rng("feeder-%d-%d" % (n, m)), field(2),
+                            n, k, m)
+    for free in (False, True):
+        best, out = _best_of_5([lambda: _counter_seed_series(seed, 10, free),
+                                lambda: seed_series(seed, 10, free)], reps=5)
+        assert out[1] == out[0]
+        assert best[1] <= 1.1 * best[0], best
+
+
+# --- the truncated product ---
+
+def _term_pair_product(a, b, d):
+    """a.truncated_mul(b, d) term pair by term pair: the oracle."""
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            if ea[_D] + eb[_D] <= d:
+                e = tuple(map(add, ea, eb))
+                terms[e] = terms.get(e, 0) + ca * cb
+    return WeightPoly(terms)
+
+
+def _dense_operand(rng, names, degree, coeffs):
+    """Every monomial of degree at most `degree` in each of `names` and
+    at most 4 in D, each with a coefficient drawn from coeffs."""
+    out = {}
+    for exps in product(range(degree + 1), repeat=len(names) + 1):
+        exp = [0] * (_D + 1)
+        for name, e in zip(names + ("D",), exps):
+            exp[VARS.index(name)] = e
+        out[tuple(exp)] = rng.choice(coeffs)
+    return WeightPoly(out)
+
+
+@pytest.mark.parametrize("names", [("y",), ("x", "y"), ("x_I", "y_P", "y")])
+def test_truncated_mul_matches_the_term_pairs(monkeypatch, names):
+    # dense operands are packed, never multiplied as polynomials; their
+    # fields sit on byte boundaries in both signs
+    rng = seeded_rng("truncated-mul-" + "-".join(names))
+    coeffs = [1, 2, 127, -127, 128, -128, 255, -255, 256, -256, 2 ** 15,
+              -2 ** 15 + 1, 2 ** 64 - 1, -2 ** 70]
+    cases = [[_dense_operand(rng, names, rng.randint(1, 3), coeffs)
+              for _ in range(2)] + [rng.randint(0, 8)] for _ in range(12)]
+    cases += [[poly_of("127"), poly_of("1"), 0],
+              [WeightPoly.const(-128), poly_of("1"), 0],
+              [poly_of("128"), poly_of("1"), 0],
+              [poly_of("255"), poly_of("1"), 0],
+              [WeightPoly.const(-129), poly_of("1"), 0],
+              [poly_of("127 + 127*y"), poly_of("1 + y"), 3],
+              [WeightPoly.zero(), poly_of("1 + y"), 2]]
+    want = [_term_pair_product(a, b, d) for a, b, d in cases]
+    monkeypatch.setattr(WeightPoly, "__mul__", _refuse_pair)
+    monkeypatch.setattr(poly, "add", _refuse_pair)
+    assert [a.truncated_mul(b, d) for a, b, d in cases] == want
+
+
+def _refuse_pair(*args):
+    raise AssertionError("a dense product was multiplied term by term")
+
+
+def test_sparse_truncated_mul_forms_only_the_pairs_to_d(monkeypatch):
+    # far-apart exponents in three variables would pack into 10^12
+    # fields: the pairs of terms are multiplied one by one, and only those
+    # that land at D^d or below
+    rng = seeded_rng("truncated-mul-sparse")
+    cases = [[WeightPoly({tuple(rng.randrange(10 ** 4) if v in (0, 1, 2)
+                                else rng.randrange(5) if v == _D else 0
+                                for v in range(_D + 1)):
+                          rng.choice([3, -5, 2 ** 40]) for _ in range(6)})
+              for _ in range(2)] + [d] for d in (0, 3, 8)]
+    want = [_term_pair_product(a, b, d) for a, b, d in cases]
+    sums, run = [], poly.add
+    monkeypatch.setattr(poly, "add", lambda x, y: sums.append(x) or run(x, y))
+    monkeypatch.setattr(poly, "_field_terms", _refuse_pair)
+    assert [a.truncated_mul(b, d) for a, b, d in cases] == want
+    assert len(sums) == (_D + 1) * sum(
+        ea[_D] + eb[_D] <= d for a, b, d in cases for ea in a.terms
+        for eb in b.terms)
+
+
+def test_truncated_mul_packs_up_to_four_fields_a_term(monkeypatch):
+    # the series of 1 + y^2 packs into under four fields a term and that of
+    # 1 + y^3 into over four: near there the two ways take about as long
+    for cell, packed in (("1 + y^2", True), ("1 + y^3", False)):
+        lam_y = matrix_of(["0"], [[cell]])
+        free = free_wgf(lam_y, 20)
+        total = 1 + total_wgf(lam_y, 20) * WeightPoly.var("D")
+        want, sums, run = _term_pair_product(free, total, 20), [], poly.add
+        monkeypatch.setattr(poly, "add",
+                            lambda x, y: sums.append(x) or run(x, y))
+        assert free.truncated_mul(total, 20) == want
+        assert bool(sums) is not packed
+        monkeypatch.undo()
+
+
+def test_truncated_mul_takes_a_tenth_of_the_term_pairs():
+    # the free/total relation of verify all on example1.cc at --dmax 50
+    lam_y = wam(parse_conv_seed(read_fixture("example1.cc"))).collapse(
+        {"x": 1})
+    free = free_wgf(lam_y, 50)
+    total = 1 + total_wgf(lam_y, 50) * WeightPoly.var("D")
+    best, out = _best_of_5([lambda: _term_pair_product(free, total, 50),
+                            lambda: free.truncated_mul(total, 50)])
+    assert out[1] == out[0]
+    assert best[1] * 10 <= best[0], best

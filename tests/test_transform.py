@@ -22,7 +22,7 @@ from conftest import (brute_force_dual_wam, constraint_dual_wam, field,
                       random_eaqcc_spec, random_linear_code,
                       random_systematic_code, random_systematic_conv_seed,
                       seeded_rng, shift_register_text)
-from wamkit import errors, gflinalg, polymatrix, quantum
+from wamkit import errors, gflinalg, poly, polymatrix, quantum
 from wamkit.block import hwgf, ipwgf, macwilliams_hwgf, macwilliams_ipwgf
 from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_series_bounds,
                          dual_systematic_seed, dual_total_wgf, dual_wam,
@@ -709,14 +709,14 @@ def test_edge_readout_scans_each_nonzero_point_once(monkeypatch):
     seed = random_systematic_conv_seed(seeded_rng("edge-readout"), field(2),
                                        8, 4, 6)
     want = macwilliams_ipwam(ipwam(seed), seed.spec)
-    pattern, searches = polymatrix._NONZERO, []
+    pattern, searches = poly._NONZERO, []
 
     class Counted:
         def search(self, *args):
             searches.append(args)
             return pattern.search(*args)
 
-    monkeypatch.setattr(polymatrix, "_NONZERO", Counted())
+    monkeypatch.setattr(poly, "_NONZERO", Counted())
     assert dual_ipwam(seed) == want
     assert len(searches) <= sum(map(len, want.rows)) + 1
 
