@@ -6,10 +6,10 @@ from .block import (LinearCode, SystematicCode, dual_code, hwgf, ipwgf,
                     macwilliams_hwgf, macwilliams_ipwgf)
 from .conv import (ConvSeed, FreeDistanceResult, PolyGenMatrix,
                    SystematicConvSeed, dual_ipwam, dual_seed,
-                   dual_systematic_seed, dual_total_wgf, dual_wam,
-                   free_distance, free_wgf, iowam, ipwam, macwilliams_ipwam,
-                   macwilliams_wam, orthogonality_check, poly_generator,
-                   seed_series, total_wgf, wam)
+                   dual_systematic_seed, dual_wam, free_distance, free_wgf,
+                   iowam, ipwam, macwilliams_ipwam, macwilliams_wam,
+                   orthogonality_check, poly_generator, seed_series,
+                   total_wgf, wam)
 from .errors import (AlgebraError, BudgetError, FieldError, FormatError,
                      ShapeError, WamkitError)
 from .fields import FieldSpec

@@ -13,14 +13,15 @@ State labels enumerate GF(q)^m with the first coordinate varying
 fastest, written as strings of element indices.
 """
 
+from itertools import chain, islice, repeat
 from operator import getitem, mul
 
 from . import errors, gflinalg
 from .errors import ShapeError, check_budget
 from .poly import IP_PAIRS, IP_VARS, WeightPoly
-from .polymatrix import (PolyMatrix, code_exponents, counted_series,
-                         dual_key_bytes, edge_dual_rows, edge_rows,
-                         macwilliams, series_entry, series_width, span_edges)
+from .polymatrix import (_CHUNK, PolyMatrix, _transform_points,
+                         code_exponents, counted_series, edge_rows,
+                         macwilliams, series_entry, series_width, weight_axis)
 
 
 def state_vectors(spec, m):
@@ -114,17 +115,19 @@ def _edge_matrix(seed, names, groups):
 
 
 def section_edges(field, q, state_rows, input_rows, n, groups):
-    """(the state count, the polymatrix.span_edges stream of the (source,
-    next state, weight code) edge tuples) of the section with state rows
-    (C : A) and input rows (E : B) over `field` and n output columns, the
-    code that of the Hamming weights of (p : u) in GF(q) letters on the
-    groups, p the output and u the input, once its edges are charged.
+    """(the state count, the stream of the (source, next state, weight
+    code) tuples of every edge, for edge_rows) of the section with state
+    rows (C : A) and input rows (E : B) over `field` and n output
+    columns, once its edges are charged.  The code is that of the
+    Hamming weights of (p : u) in GF(q) letters on the groups
+    (gflinalg.weight_codes), p the output and u the input.
 
     The transition of state w on input -u is (w C : 0 : w A) minus
     (u E : u : u B), a state and an input packed span image, and its
     nonzero letters are the nonzero fields of their XOR (u and -u run
-    over the same inputs and have the same weight).  Over GF(2^r) the XOR
-    is the difference, so its top bits are the next state's index, read
+    over the same inputs and have the same weight).  Each source s
+    yields its edges with every input in turn.  Over GF(2^r) the XOR is
+    the difference, so its top bits are the next state's index, read
     from the planes of the codes; for odd p the next state's digits are
     subtracted through the field table.
     """
@@ -138,20 +141,24 @@ def section_edges(field, q, state_rows, input_rows, n, groups):
         row[:n] + e[:ins] + row[n:]
         for row, e in zip(input_rows, gflinalg.identity(k))])
     shift = (n + ins) * b
+    sources = chain.from_iterable(map(repeat, range(len(lo)),
+                                      repeat(len(hi))))
     if field.p == 2:
-        return len(lo), span_edges(q, lo, hi, groups, shift)
+        return len(lo), chain.from_iterable(
+            zip(islice(sources, len(codes)), tops, codes)
+            for codes, tops in gflinalg.weight_codes(q, lo, hi, groups,
+                                                     shift))
     # digit t of the next state is (wA)_t - (uB)_t, and a state keeps its
     # rows diff[t][wA_t]
     diff = _digit_tables([[field.sub(x, y) for y in range(field.q)]
                           for x in range(field.q)], m)
     digits = [_digits(v, shift, m, b) for v in hi]
-
-    def nexts(images):
-        for a in images:
-            diffs = list(map(getitem, diff, _digits(a, shift, m, b)))
-            yield from (sum(map(getitem, diffs, d)) for d in digits)
-
-    return len(lo), span_edges(q, lo, hi, groups, nexts)
+    nexts = (sum(map(getitem, diffs, d))
+             for diffs in (list(map(getitem, diff, _digits(a, shift, m, b)))
+                           for a in lo)
+             for d in digits)
+    return len(lo), zip(sources, nexts, chain.from_iterable(
+        codes for codes, _ in gflinalg.weight_codes(q, lo, hi, groups)))
 
 
 def _digits(v, shift, count, b):
@@ -366,8 +373,9 @@ def _dual_edge_matrix(seed, names, groups):
 
 def section_dual(field, q, state_rows, input_rows, n, names, groups):
     """The rows of the MacWilliams transform of the section_edges matrix
-    over `names`, through the edges instead of the S x S state grid,
-    charged by the caller.
+    over `names`, read from the character transform of the edges instead
+    of the S x S state grid, charged by the caller.  No row stores a zero
+    cell.
 
     Cell (a, b) of F Lam~ F^dagger sums g(w, u) w^tr(w.a - (wA + uB).b)
     over the edges (w, u), g(w, u) the weight substitution's image of
@@ -379,41 +387,105 @@ def section_dual(field, q, state_rows, input_rows, n, names, groups):
     edges are the XORs of the output images wC and uE, each the edge
     (w, -u), so their transform at (alpha, beta) is G^(alpha, -beta),
     and cell (alpha + b A^T, b) reads point (alpha, b B1^T).
+
+    Edge (s, t) counts at point (s, t mod q^r), field beta S + s: inputs
+    that agree mod q^r differ by one that leaves the state alone.  Each
+    weight code's counts are one key of _transform_points, and each
+    distinct point polynomial takes weight_axis's tail, over the edge
+    count.
     """
-    m, b = len(state_rows), gflinalg.field_bits(field.q)
+    m, b, p = len(state_rows), gflinalg.field_bits(field.q), field.p
     inputs, pivots = gflinalg.rref(field, input_rows, n)
     r = len(pivots)
-    # (b A^T : b B1^T) of every state b, packed
-    images = gflinalg.span_images(field, [
-        [row[n + t] for row in state_rows + inputs[:r]] for t in range(m)])
-    if field.p == 2:
-        # in characteristic 2 a packed vector is its own index; XOR adds
-        cut, low = m * b, (1 << m * b) - 1
-        columns = [(v & low, v >> cut) for v in images]
-        place = int.__xor__
-    else:
-        # digit t of a row is alpha_t + (b A^T)_t: a state keeps its rows
-        # plus[t][(b A^T)_t]
-        plus, vecs = _digit_tables(field.add, m), state_vectors(field, m)
-        places = [field.q ** t for t in range(r)]
-        columns = [(list(map(getitem, plus, d[:m])),
-                    sum(map(mul, d[m:], places)))
-                   for d in (_digits(v, 0, m + r, b) for v in images)]
-
-        def place(alpha, sums):
-            return sum(map(getitem, sums, vecs[alpha]))
     lo = gflinalg.span_images(field, [row[:n] for row in state_rows])
     hi = gflinalg.span_images(field, [row[:n] for row in inputs])
+    states, edges, layer = len(lo), len(lo) * len(hi), field.q ** r
+    w = dual_key_bytes(edges, q, p)[0]
+    # chunks of `span` inputs, a power of p, about _CHUNK edges: edge
+    # (s, t) is field (t - first) S + s of its chunk.  A chunk of whole
+    # layers sums them; a shorter one is a run inside one layer, whose
+    # points are the fields from (first % layer) S on
+    span = 1
+    while span < len(hi) and span * p * states <= _CHUNK:
+        span *= p
+    counts = {}
+    for first in range(0, len(hi), span):
+        # the inputs are the outer images, so the codes come hi-major
+        codes = list(chain.from_iterable(c for c, _ in gflinalg.weight_codes(
+            q, hi[first:first + span], lo, groups)))
+        shift = first % layer * states * w * 8
+        for code, value in _layer_counts(codes, w, p,
+                                         max(1, span // layer)).items():
+            counts[code] = counts.get(code, 0) + (value << shift)
+    sources = [(code_exponents(names, groups, code), value, 0)
+               for code, value in counts.items()]
+    # every name is in a pair, so no exponent tuple is checked first
+    tail = weight_axis(q, tuple(zip(names[::2], names[1::2])), edges, ())
     f = fourier_matrix(field)
-    return edge_dual_rows(lo, hi, field.q ** r, names, groups, q, field.p,
-                          [(f, field.q ** t) for t in range(m + r)],
-                          columns, place)
+    by_beta = {}
+    for point, poly in _transform_points(
+            sources, states * layer, w, q, p,
+            [(f, field.q ** t) for t in range(m + r)]).items():
+        beta, alpha = divmod(point, states)
+        by_beta.setdefault(beta, []).append((alpha, tail(poly)))
+    # column b reads the packed (b A^T : b B1^T) of state b
+    images = gflinalg.span_images(field, [
+        [row[n + t] for row in state_rows + inputs[:r]] for t in range(m)])
+    rows = [{} for _ in images]
+    if p == 2:
+        # in characteristic 2 a packed vector is its own index; XOR adds
+        cut, low = m * b, (1 << m * b) - 1
+        for j, v in enumerate(images):
+            for alpha, poly in by_beta.get(v >> cut, ()):
+                rows[alpha ^ v & low][j] = poly
+        return rows
+    # digit t of a row is alpha_t + (b A^T)_t: a state keeps its rows
+    # plus[t][(b A^T)_t]
+    plus, vecs = _digit_tables(field.add, m), state_vectors(field, m)
+    places = [field.q ** t for t in range(r)]
+    for j, d in enumerate(_digits(v, 0, m + r, b) for v in images):
+        sums = list(map(getitem, plus, d[:m]))
+        for alpha, poly in by_beta.get(sum(map(mul, d[m:], places)), ()):
+            rows[sum(map(getitem, sums, vecs[alpha]))][j] = poly
+    return rows
+
+
+def dual_key_bytes(edges, q, p):
+    """(w, bytes): section_dual's field width over `edges` edges, for any
+    sub-sum of one key's edge counts, and the (q p + p + 2) planes of a
+    field per edge that one key of a pass over the edges holds."""
+    w = (edges.bit_length() + 7) // 8
+    return w, (q * p + p + 2) * edges * w
+
+
+def _layer_counts(codes, w, p, layers):
+    """{code: int of w-byte fields, field e the number of the `layers`
+    equal runs of the list `codes`, a power of p, with the code at e}.
+    Up to 255 codes at a time get a byte value each in one string, 255
+    elsewhere, and bytes.translate marks one; runs sum p at a time."""
+    # mark[255 - i:511 - i] is the translation table that marks i alone
+    out, mark = {}, bytes(255) + b"\1" + bytes(255)
+    distinct = list(dict.fromkeys(codes))
+    for first in range(0, len(distinct), 255):
+        byte = {code: i for i, code in enumerate(distinct[first:first + 255])}
+        plane = bytearray(b"\xff") * (len(codes) * w)
+        plane[::w] = bytes(map(byte.get, codes, repeat(255)))
+        for code, i in byte.items():
+            size, runs = len(plane), layers
+            ind = int.from_bytes(plane.translate(mark[255 - i:511 - i]),
+                                 "little")
+            while runs > 1:
+                size, runs = size // p, runs // p
+                ind = sum(ind >> 8 * size * c & (1 << 8 * size) - 1
+                          for c in range(p))
+            out[code] = ind
+    return out
 
 
 def _dual_charge(seed):
     """The dual WAM's charge: the q^(m+k) edges and the q^(2m) cells of
     the state grid when the edges are at least the cells or one key of
-    their planes (polymatrix.dual_key_bytes) exceeds the budget, and
+    their planes (dual_key_bytes) exceeds the budget, and
     otherwise the stored cells, one per transition (a, b) of the
     q^(m+n-k) dual constraint words, q^(n-r) of which have a = b = 0:
     the words orthogonal to the outputs, r the rank of (C; E)."""
@@ -502,12 +574,6 @@ def seed_series(seed, d_max, free=False):
     return counted_series(*section_edges(
         spec, spec.q, seed.t_matrix[:m], seed.t_matrix[m:], seed.n,
         [range(seed.n)]), spec.q ** seed.k, d_max, heaviest, w, free)
-
-
-def dual_total_wgf(lam, d_max, spec):
-    """Total WGF of the dual, routed through the homogeneous dual WAM."""
-    dual_lam = macwilliams_wam(lam, spec)
-    return total_wgf(dual_lam.collapse({"x": 1}), d_max)
 
 
 def _without_zero_loop(lam):

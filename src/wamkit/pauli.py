@@ -31,17 +31,6 @@ class PauliWord:
         except KeyError as exc:
             raise WamkitError("bad Pauli letter %r" % (exc.args[0],)) from exc
 
-    @classmethod
-    def identity(cls, n):
-        return cls(((0, 0),) * n)
-
-    @classmethod
-    def single(cls, n, pos, letter):
-        """`letter` on qubit `pos` (0-based), identity elsewhere."""
-        pairs = [(0, 0)] * n
-        pairs[pos] = _LETTER_TO_BITS[letter]
-        return cls(pairs)
-
     def __len__(self):
         return len(self.pairs)
 
@@ -117,15 +106,3 @@ class CliffordSeed:
                     verb = "must anticommute" if want else "must commute"
                     diags.append("images of Z%d and X%d %s" % (i + 1, j + 1, verb))
         return not diags, diags
-
-    def conjugate(self, word):
-        """U P U^dagger for a phase-free input word P."""
-        if len(word) != self.width:
-            raise ShapeError("word width does not match the seed")
-        out = PauliWord.identity(self.width)
-        for i, (z, x) in enumerate(word.pairs):
-            if z:
-                out = out * self.z_img[i]
-            if x:
-                out = out * self.x_img[i]
-        return out

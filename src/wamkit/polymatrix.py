@@ -2,13 +2,13 @@
 
 from collections import Counter
 from functools import reduce
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from math import prod
 from operator import add, or_
 
 from . import errors
 from .errors import AlgebraError, check_budget
-from .gflinalg import decode_code, weight_codes
+from .gflinalg import decode_code
 from .poly import (WeightPoly, _D, _VAR_INDEX, _ZERO_EXP, _field_terms,
                    _nonzero_fields, factor_text, monomial_map, term_table,
                    terms_text)
@@ -210,25 +210,8 @@ def edge_rows(names, groups, states, edges):
     return rows
 
 
-# about the edges per run of edge_dual_rows and per counted_series Counter
+# about the edges per run of conv.section_dual and per counted_series Counter
 _CHUNK = 1 << 12
-
-
-def span_edges(q, lo, hi, groups, nexts):
-    """The (source, next state, weight code) tuples of the edges lo[s]
-    XOR hi[t] of every source s, for edge_rows, the codes those of
-    gflinalg.weight_codes on `groups`.  `nexts` is the offset of the
-    next state's bits in an edge word, read from the planes of the
-    codes, or a function of the source images that yields each edge's
-    next state in turn."""
-    sources = chain.from_iterable(map(repeat, range(len(lo)),
-                                      repeat(len(hi))))
-    if callable(nexts):
-        return zip(sources, nexts(lo), chain.from_iterable(
-            codes for codes, _ in weight_codes(q, lo, hi, groups)))
-    return chain.from_iterable(
-        zip(islice(sources, len(codes)), tops, codes)
-        for codes, tops in weight_codes(q, lo, hi, groups, nexts))
 
 
 def code_exponents(names, groups, code):
@@ -438,88 +421,6 @@ def weight_axis(q, pairs, divisor, exps):
     for exp in dict.fromkeys(exps):
         image(WeightPoly({exp: 1}))
     return _once(lambda e: image(e).exact_div(divisor).to_int_coeffs())
-
-
-def dual_key_bytes(edges, q, p):
-    """(w, bytes): edge_dual_rows's field width over `edges` edges, for
-    any sub-sum of one key's edge counts, and the (q p + p + 2) planes of
-    a field per edge that one key of a pass over the edges holds."""
-    w = (edges.bit_length() + 7) // 8
-    return w, (q * p + p + 2) * edges * w
-
-
-def edge_dual_rows(lo, hi, layer, names, groups, q, p, stages, columns,
-                   place):
-    """The rows of the MacWilliams transform of a WAM, read from the
-    character transform of its edges instead of the S x S state grid.
-
-    Edge (s, t), the packed output word lo[s] XOR hi[t] over GF(q)
-    with its gflinalg.weight_codes code on `groups`, counts at point
-    (alpha, beta) = (s, t % layer), field beta S + alpha, S = len(lo):
-    inputs that agree mod layer differ by one that leaves the state
-    alone.  `stages` are character_pass's (exponent table, stride) pairs
-    over the points, and column j = (shift, beta) of `columns` reads
-    point (alpha, beta) into row place(alpha, shift).  Each weight
-    code's counts are one key of _transform_points, and each distinct
-    point polynomial takes weight_axis's tail, over the edge count.  No
-    row stores a zero cell; the caller charges the cells.
-    """
-    states, edges, points = len(lo), len(lo) * len(hi), len(lo) * layer
-    w = dual_key_bytes(edges, q, p)[0]
-    # chunks of `span` inputs, a power of p, about _CHUNK edges: edge
-    # (s, t) is field (t - first) S + s of its chunk.  A chunk of whole
-    # layers sums them; a shorter one is a run inside one layer, whose
-    # points are the fields from (first % layer) S on
-    span = 1
-    while span < len(hi) and span * p * states <= _CHUNK:
-        span *= p
-    counts = {}
-    for first in range(0, len(hi), span):
-        # the inputs are the outer images, so the codes come hi-major
-        codes = list(chain.from_iterable(c for c, _ in weight_codes(
-            q, hi[first:first + span], lo, groups)))
-        shift = first % layer * states * w * 8
-        for code, value in _layer_counts(codes, w, p,
-                                         max(1, span // layer)).items():
-            counts[code] = counts.get(code, 0) + (value << shift)
-    sources = [(code_exponents(names, groups, code), value, 0)
-               for code, value in counts.items()]
-    # every name is in a pair, so no exponent tuple is checked first
-    tail = weight_axis(q, tuple(zip(names[::2], names[1::2])), edges, ())
-    by_beta = {}
-    for point, poly in _transform_points(sources, points, w, q, p,
-                                         stages).items():
-        beta, alpha = divmod(point, states)
-        by_beta.setdefault(beta, []).append((alpha, tail(poly)))
-    rows = [{} for _ in columns]
-    for j, (shift, beta) in enumerate(columns):
-        for alpha, poly in by_beta.get(beta, ()):
-            rows[place(alpha, shift)][j] = poly
-    return rows
-
-
-def _layer_counts(codes, w, p, layers):
-    """{code: int of w-byte fields, field e the number of the `layers`
-    equal runs of the list `codes`, a power of p, with the code at e}.
-    Up to 255 codes at a time get a byte value each in one string, 255
-    elsewhere, and bytes.translate marks one; runs sum p at a time."""
-    # mark[255 - i:511 - i] is the translation table that marks i alone
-    out, mark = {}, bytes(255) + b"\1" + bytes(255)
-    distinct = list(dict.fromkeys(codes))
-    for first in range(0, len(distinct), 255):
-        byte = {code: i for i, code in enumerate(distinct[first:first + 255])}
-        plane = bytearray(b"\xff") * (len(codes) * w)
-        plane[::w] = bytes(map(byte.get, codes, repeat(255)))
-        for code, i in byte.items():
-            size, runs = len(plane), layers
-            ind = int.from_bytes(plane.translate(mark[255 - i:511 - i]),
-                                 "little")
-            while runs > 1:
-                size, runs = size // p, runs // p
-                ind = sum(ind >> 8 * size * c & (1 << 8 * size) - 1
-                          for c in range(p))
-            out[code] = ind
-    return out
 
 
 def weight_mapping(q, pairs):

@@ -174,24 +174,13 @@ class PolyCheckMatrix:
 
 
 def binary_symplectic_matrix(spec):
-    """The seed's action as a binary matrix, rows (Z_i, X_i per input
-    qubit in role order memory, logical, ancilla, entangled), columns
-    (physical bit pairs, then output-memory bit pairs)."""
-    seed = spec.seed
-    p_pos = [p - 1 for p in spec.i_p]
-    mo_pos = [p - 1 for p in spec.i_mout]
-    rows = []
-    order = list(spec.i_m) + list(spec.i_l) + list(spec.i_a) + list(spec.i_e)
-    for pos in order:
-        for kind in ("Z", "X"):
-            img = seed.conjugate(PauliWord.single(seed.width, pos - 1, kind))
-            bits = []
-            for p in p_pos:
-                bits.extend(img.pairs[p])
-            for p in mo_pos:
-                bits.extend(img.pairs[p])
-            rows.append(bits)
-    return rows
+    """The seed's action as a binary matrix, rows (the images of Z_i, X_i
+    per input qubit in role order memory, logical, ancilla, entangled),
+    columns (physical bit pairs, then output-memory bit pairs)."""
+    seed, outputs = spec.seed, [p - 1 for p in spec.i_p + spec.i_mout]
+    return [[bit for p in outputs for bit in img.pairs[p]]
+            for pos in spec.i_m + spec.i_l + spec.i_a + spec.i_e
+            for img in (seed.z_img[pos - 1], seed.x_img[pos - 1])]
 
 
 def _symplectic_blocks(spec):

@@ -243,6 +243,48 @@ def random_systematic_conv_seed(rng, spec, n, k, m):
     return SystematicConvSeed(spec, n, k, m, upper + lower)
 
 
+# --- Pauli words and their images under a seed, built one generator at a
+# time: the package reads a seed's stored images directly ---
+
+def pauli_identity(n):
+    """The identity word on n qubits."""
+    return PauliWord(((0, 0),) * n)
+
+
+def pauli_single(n, pos, letter):
+    """`letter` on qubit `pos` (0-based), identity elsewhere."""
+    pairs = [(0, 0)] * n
+    pairs[pos] = PauliWord.from_str(letter).pairs[0]
+    return PauliWord(pairs)
+
+
+def conjugate(seed, word):
+    """U P U^dagger for a phase-free input word P: the product of the
+    seed's images of the Z and X generators that P holds."""
+    assert len(word) == seed.width
+    out = pauli_identity(seed.width)
+    for i, (z, x) in enumerate(word.pairs):
+        if z:
+            out = out * seed.z_img[i]
+        if x:
+            out = out * seed.x_img[i]
+    return out
+
+
+def conjugated_symplectic_rows(spec):
+    """binary_symplectic_matrix(spec) by conjugating each single-qubit Z
+    and X generator of the input roles in turn, reading the bit pairs of
+    the physical, then output-memory qubits of its image."""
+    seed = spec.seed
+    outputs = [p - 1 for p in spec.i_p + spec.i_mout]
+    rows = []
+    for pos in spec.i_m + spec.i_l + spec.i_a + spec.i_e:
+        for kind in "ZX":
+            img = conjugate(seed, pauli_single(seed.width, pos - 1, kind))
+            rows.append([bit for p in outputs for bit in img.pairs[p]])
+    return rows
+
+
 def random_clifford_seed(width, rng=None, transvections=None):
     """A random Clifford seed built from symplectic transvections.
 
@@ -252,8 +294,8 @@ def random_clifford_seed(width, rng=None, transvections=None):
     rng = rng or random.Random()
     if transvections is None:
         transvections = rng.randint(20, 50)
-    z_img = [PauliWord.single(width, i, "Z") for i in range(width)]
-    x_img = [PauliWord.single(width, i, "X") for i in range(width)]
+    z_img = [pauli_single(width, i, "Z") for i in range(width)]
+    x_img = [pauli_single(width, i, "X") for i in range(width)]
     for _ in range(transvections):
         h = PauliWord(tuple((rng.randint(0, 1), rng.randint(0, 1))
                             for _ in range(width)))
@@ -384,9 +426,9 @@ def constraint_stabilizers(spec):
     rows = binary_symplectic_matrix(spec)
     anc = 2 * (spec.m + spec.k)
     ent = anc + 2 * spec.a
-    heads = ([PauliWord.single(spec.m, t, kind)
+    heads = ([pauli_single(spec.m, t, kind)
               for t in range(spec.m) for kind in "ZX"]
-             + [PauliWord.identity(spec.m)] * (2 * spec.c + spec.a))
+             + [pauli_identity(spec.m)] * (2 * spec.c + spec.a))
     return [PauliWord(head.pairs + tuple(zip(row[::2], row[1::2])))
             for head, row in zip(heads, rows[:2 * spec.m] + rows[ent:]
                                  + rows[anc:ent:2])]
@@ -394,8 +436,8 @@ def constraint_stabilizers(spec):
 
 def direct_quantum_edges(spec):
     """(memory, logical, physical, output memory) Pauli words of every
-    edge, the image of M (x) L (x) S^Z by one CliffordSeed.conjugate per
-    edge; memory, then logical, then ancilla words, first qubit fastest."""
+    edge, the image of M (x) L (x) S^Z by one conjugate per edge; memory,
+    then logical, then ancilla words, first qubit fastest."""
     seed = spec.seed
     p_pos = [p - 1 for p in spec.i_p]
     mo_pos = [p - 1 for p in spec.i_mout]
@@ -410,7 +452,7 @@ def direct_quantum_edges(spec):
                     pairs[pos - 1] = log.pairs[t]
                 for t, pos in enumerate(spec.i_a):
                     pairs[pos - 1] = ((anc >> t) & 1, 0)
-                img = seed.conjugate(PauliWord(pairs))
+                img = conjugate(seed, PauliWord(pairs))
                 edges.append((mem, log, restrict(img, p_pos),
                               restrict(img, mo_pos)))
     return edges

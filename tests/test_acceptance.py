@@ -21,10 +21,9 @@ from wamkit.block import (dual_code, hwgf, ipwgf, macwilliams_hwgf,
                           macwilliams_ipwgf)
 from wamkit.cli import main as cli_main
 from wamkit.errors import ShapeError
-from wamkit.conv import (dual_seed, dual_total_wgf, fourier_matrix,
-                         free_distance, free_wgf, iowam, ipwam,
-                         macwilliams_ipwam, macwilliams_wam, orthogonality_check,
-                         total_wgf, wam)
+from wamkit.conv import (dual_seed, fourier_matrix, free_distance, free_wgf,
+                         iowam, ipwam, macwilliams_ipwam, macwilliams_wam,
+                         orthogonality_check, total_wgf, wam)
 from wamkit.formats import (parse_block_code, parse_conv_seed,
                             parse_quantum_spec, structured_to_matrix,
                             matrix_to_structured)
@@ -71,7 +70,7 @@ def load_quantum(name):
 
 
 # --- independent trellis-edge oracles (the per-edge vec_mat and
-# CliffordSeed.conjugate enumerations of conftest, not the packed spans) ---
+# conjugate enumerations of conftest, not the packed spans) ---
 
 def classical_edges(seed):
     """(state_in, state_out, output_weight) triples of one time step."""
@@ -364,7 +363,7 @@ def test_criterion_08_series_identities():
         seed = load_conv(name)
         spec, q, k, m = seed.spec, seed.spec.q, seed.k, seed.m
         lam = wam(seed)
-        route1 = dual_total_wgf(lam, 6, spec)
+        route1 = total_wgf(macwilliams_wam(lam, spec).collapse({"x": 1}), 6)
         y = WeightPoly.var("y")
         image = lam.substitute({"x": 1 + (q - 1) * y, "y": 1 - y})
         f = fourier_matrix(spec)

@@ -10,10 +10,10 @@ from conftest import (assemble_encoder, brute_force_dual_wam,
                       seeded_rng, shift_register_text)
 from wamkit.block import LinearCode, SystematicCode, ipwgf
 from wamkit.conv import (ConvSeed, SystematicConvSeed, dual_seed,
-                         dual_systematic_seed, dual_total_wgf, free_distance,
-                         free_wgf, iowam, ipwam, macwilliams_ipwam,
-                         macwilliams_wam, orthogonality_check, poly_generator,
-                         state_labels, state_vectors, total_wgf, wam)
+                         dual_systematic_seed, free_distance, free_wgf, iowam,
+                         ipwam, macwilliams_ipwam, macwilliams_wam,
+                         orthogonality_check, poly_generator, state_labels,
+                         state_vectors, total_wgf, wam)
 from wamkit.errors import ShapeError
 from wamkit.formats import parse_conv_seed
 from wamkit.poly import WeightPoly
@@ -341,7 +341,8 @@ def test_free_total_series_relations(example1):
 
 def test_dual_total_matches_dual_enumeration(example1):
     lam = wam(example1)
-    route1 = dual_total_wgf(lam, 8, example1.spec)
+    route1 = total_wgf(macwilliams_wam(lam, example1.spec).collapse(
+        {"x": 1}), 8)
     dual_lam = brute_force_dual_wam(example1).collapse({"x": 1})
     assert route1 == total_wgf(dual_lam, 8)
 

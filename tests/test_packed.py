@@ -2,8 +2,8 @@
 
 Every enumerator built from packed span images (block hwgf/ipwgf, conv
 wam/ipwam/iowam, quantum wam and state diagram) must equal a direct
-enumeration that takes one vec_mat or CliffordSeed.conjugate per
-codeword or edge.
+enumeration that takes one vec_mat or conftest.conjugate per codeword
+or edge.
 """
 
 import time
@@ -11,7 +11,8 @@ import time
 import pytest
 
 from conftest import (direct_conv_edges, direct_quantum_edges,
-                      enumerate_codewords, field, poly_from_counts,
+                      enumerate_codewords, field, pauli_single,
+                      poly_from_counts,
                       random_conv_seed, random_eaqcc_spec, random_linear_code,
                       random_systematic_code, random_systematic_conv_seed,
                       seeded_rng, state_index)
@@ -20,12 +21,12 @@ from wamkit.block import dual_code, hwgf, ipwgf
 from wamkit.conv import (SystematicConvSeed, dual_systematic_seed, iowam,
                          ipwam, state_labels, wam)
 from wamkit.errors import BudgetError, ShapeError
-from wamkit.pauli import CliffordSeed, PauliWord
+from wamkit.pauli import CliffordSeed
 from wamkit.poly import IP_VARS
 from wamkit.polymatrix import PolyMatrix
 from wamkit.quantum import EaqccSpec, quantum_wam, state_diagram_edges
 
-FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
 
 
 def _weight(v):
@@ -210,8 +211,8 @@ def test_oversized_block_enumeration_fails_before_any_table(monkeypatch):
 def test_oversized_state_diagram_fails_before_any_table(monkeypatch):
     # 4^12 edges > 2^22, k = n = 12 on the identity seed
     width = 12
-    seed = CliffordSeed([PauliWord.single(width, i, "Z") for i in range(width)],
-                        [PauliWord.single(width, i, "X") for i in range(width)])
+    seed = CliffordSeed([pauli_single(width, i, "Z") for i in range(width)],
+                        [pauli_single(width, i, "X") for i in range(width)])
     positions = list(range(1, width + 1))
     spec = EaqccSpec(seed, width, width, 0, 0, [], positions, [], [], [],
                      positions)

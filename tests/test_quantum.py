@@ -2,9 +2,9 @@
 
 import pytest
 
-from conftest import (constraint_stabilizers, matrix_of, pauli_state_words,
-                      random_clifford_seed, random_eaqcc_spec, seeded_rng,
-                      state_index)
+from conftest import (constraint_stabilizers, conjugated_symplectic_rows,
+                      matrix_of, pauli_state_words, random_clifford_seed,
+                      random_eaqcc_spec, seeded_rng, state_index)
 from wamkit.conv import fourier_matrix
 from wamkit.errors import ShapeError
 from wamkit.fields import FieldSpec
@@ -12,8 +12,9 @@ from wamkit.pauli import (CliffordSeed, PauliWord, pauli_state_labels,
                           symplectic_product)
 from wamkit.poly import WeightPoly
 from wamkit.polymatrix import PolyMatrix
-from wamkit.quantum import (F1, EaqccSpec, check_poly_orthogonality,
-                            dual_spec, poly_check_matrix,
+from wamkit.quantum import (F1, EaqccSpec, binary_symplectic_matrix,
+                            check_poly_orthogonality, dual_spec,
+                            poly_check_matrix,
                             quantum_macwilliams, quantum_wam,
                             state_diagram_dot, state_diagram_edges)
 
@@ -115,6 +116,23 @@ def test_random_seeds_are_symplectic():
     for width in (1, 2, 3, 4):
         for _ in range(5):
             assert random_clifford_seed(width, rng).validate()[0]
+
+
+def test_symplectic_rows_are_the_conjugated_generators(u1, u2_ea, u2_qcc):
+    # the rows read from the seed's stored images are the images of the
+    # single-qubit generators conjugated one product at a time, on the
+    # fixtures and on a spec of every ((n, k; c, m)) with n <= 3, m <= 2
+    rng = seeded_rng("symplectic-rows")
+    specs = [u1, u2_ea, u2_qcc] + [
+        random_eaqcc_spec(rng, n, k, c, m) for n in (1, 2, 3)
+        for k in range(n + 1) for c in range(n - k + 1) for m in (0, 1, 2)]
+    assert len(specs) >= 50
+    for spec in specs:
+        assert (binary_symplectic_matrix(spec)
+                == conjugated_symplectic_rows(spec))
+    # m = 0, k = 0, a > 0 and c = n each occur
+    assert all(map(any, zip(*[(not s.m, not s.k, s.a > 0, s.c == s.n)
+                              for s in specs])))
 
 
 # --- fixture WAMs against frozen values ---

@@ -22,10 +22,10 @@ from conftest import (brute_force_dual_wam, constraint_dual_wam, field,
                       random_eaqcc_spec, random_linear_code,
                       random_systematic_code, random_systematic_conv_seed,
                       seeded_rng, shift_register_text)
-from wamkit import errors, gflinalg, poly, polymatrix, quantum
+from wamkit import conv, errors, gflinalg, poly, polymatrix, quantum
 from wamkit.block import hwgf, ipwgf, macwilliams_hwgf, macwilliams_ipwgf
-from wamkit.conv import (ConvSeed, dual_ipwam, dual_seed, dual_series_bounds,
-                         dual_systematic_seed, dual_total_wgf, dual_wam,
+from wamkit.conv import (ConvSeed, dual_ipwam, dual_key_bytes, dual_seed,
+                         dual_series_bounds, dual_systematic_seed, dual_wam,
                          fourier_matrix, ipwam, macwilliams_ipwam,
                          macwilliams_wam, state_labels, state_vectors, wam)
 from wamkit.errors import AlgebraError, BudgetError, ShapeError
@@ -408,7 +408,7 @@ def test_wam_transforms_refuse_a_non_code(example1, u1):
         (lambda: macwilliams_wam(lam * 3, spec), 24),
         (lambda: macwilliams_ipwam(ip * 0, spec), 0),
         (lambda: macwilliams_ipwam(ip * 3, spec), 24),
-        (lambda: dual_total_wgf(lam * -1, 10, spec), -8),
+        (lambda: macwilliams_wam(lam * -1, spec), -8),
         (lambda: macwilliams_wam(lam3 * 0, gf3), 0),
         (lambda: macwilliams_wam(lam3 * 2, gf3), 18),
         (lambda: quantum_macwilliams(q_lam * 0), 0),
@@ -426,7 +426,6 @@ def test_transform_signatures_take_no_sizes():
               macwilliams_wam: "(lam, spec)",
               macwilliams_ipwam: "(lam, spec)",
               quantum_macwilliams: "(lam)",
-              dual_total_wgf: "(lam, d_max, spec)",
               fourier_matrix: "(spec)",
               macwilliams: "(enum, q, pairs, kernel=None)"}
     for fn, sig in expect.items():
@@ -484,7 +483,8 @@ def test_binary_m9_dual_wam_is_fast():
     assert peak < 15 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
 
 
-@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                  (2, 3), (3, 2)])
 def test_both_dual_wam_paths_match_the_constraint_relations(p, r):
     # k = 0, k = n, m = 0, B = 0 and seeds without a block-shape dual seed,
     # which the wam(dual_seed(s)) oracle cannot check; dual_wam folds the
@@ -621,7 +621,7 @@ def test_dual_runs_when_one_key_of_edges_exceeds_the_budget(monkeypatch):
                                        3, 1, 3)
     want = macwilliams_wam(wam(seed), spec)
     want_ip = macwilliams_ipwam(ipwam(seed), spec)
-    monkeypatch.setattr(errors, "BUDGET", polymatrix.dual_key_bytes(
+    monkeypatch.setattr(errors, "BUDGET", dual_key_bytes(
         2 ** 4, 2, 2)[1] - 1)
     grid, run = [], PolyMatrix.conjugate_by
 
@@ -642,7 +642,7 @@ def test_dual_wam_takes_the_edges_whose_count_wide_planes_fit(monkeypatch):
     spec = field(2)
     seed = random_conv_seed(seeded_rng("edge-width"), spec, 4, 1, 6)
     want = macwilliams_wam(wam(seed), spec)
-    assert polymatrix.dual_key_bytes(2 ** 7, 2, 2) == (1, 1024)
+    assert dual_key_bytes(2 ** 7, 2, 2) == (1, 1024)
     monkeypatch.setattr(errors, "BUDGET", 1500)
 
     def refuse(self, *args):
@@ -774,7 +774,7 @@ def test_quantum_dual_wam_takes_as_many_keys_a_pass_as_the_budget_holds(
     spec = random_eaqcc_spec(seeded_rng("quantum-dual-passes"), 3, 1, 0, 3)
     want = quantum_macwilliams(quantum_wam(spec))
     edges = 4 ** 3 * 4 * 2 ** 2
-    monkeypatch.setattr(errors, "BUDGET", polymatrix.dual_key_bytes(
+    monkeypatch.setattr(errors, "BUDGET", dual_key_bytes(
         edges, 4, 2)[1])
     passes = _count_passes(monkeypatch)
     assert quantum.dual_wam(spec) == want
@@ -846,13 +846,13 @@ def test_a_wide_layer_is_counted_in_runs_of_inputs(monkeypatch, case):
                                  5)
         edges, route = 2 ** 17, quantum.dual_wam
         want = _quantum_grid_dual
-    counted, run = [], polymatrix._layer_counts
+    counted, run = [], conv._layer_counts
 
     def record(codes, *args):
         counted.append(len(codes))
         return run(codes, *args)
 
-    monkeypatch.setattr(polymatrix, "_layer_counts", record)
+    monkeypatch.setattr(conv, "_layer_counts", record)
     lam_hat = route(seed)
     assert sum(counted) == edges and max(counted) <= 2 ** 12
     assert lam_hat == want(seed)
@@ -868,7 +868,10 @@ def test_each_transform_takes_the_weight_axis_once(monkeypatch, example1,
         calls.append((q, pairs, divisor))
         return run(q, pairs, divisor, exps)
 
+    # the block and grid transforms call it in polymatrix, the seed
+    # routes in conv
     monkeypatch.setattr(polymatrix, "weight_axis", record)
+    monkeypatch.setattr(conv, "weight_axis", record)
     rng = seeded_rng("one-weight-axis")
     gf3, xy = field(3), (("x", "y"),)
     code = random_linear_code(rng, gf3, 5, 2)
